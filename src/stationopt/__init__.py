@@ -49,16 +49,7 @@ from .ranges import (
     stage_polytope,
     unit_polytope,
 )
-from .model import (
-    FixedTransientVariant,
-    FullVariant,
-    ModelInstance,
-    ObjectiveWeights,
-    StateSnapshot,
-    StationaryFixedVariant,
-    StationaryVariant,
-    build_variant,
-)
+from .model import ModelInstance, ObjectiveWeights, StateSnapshot
 from .solve import (
     BackendError,
     FileExchangeBackend,

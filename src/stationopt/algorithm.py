@@ -32,14 +32,7 @@ from .model import (
     initial_snapshot,
 )
 from .network import Scenario, StationSpec, mode_available
-from .solve import (
-    CHECK_TOL,
-    BackendError,
-    SolveSettings,
-    check_assignment,
-    default_settings_for,
-    solve,
-)
+from .solve import CHECK_TOL, BackendError, check_assignment, default_settings_for, solve
 
 
 class InitialSolutionAbort(RuntimeError):
@@ -70,18 +63,6 @@ class ModeSequence:
     @property
     def n_future(self) -> int:
         return len(self.modes) - 1
-
-    def change_times(self) -> list[int]:
-        return [t for t in range(1, len(self.modes)) if self.modes[t] != self.modes[t - 1]]
-
-    def replaced(self, positions, new_mode: str) -> "ModeSequence":
-        modes = list(self.modes)
-        for t in positions:
-            modes[t] = new_mode
-        return ModeSequence(tuple(modes), self.directions)
-
-    def with_directions(self, directions) -> "ModeSequence":
-        return ModeSequence(self.modes, tuple(directions))
 
 
 def sequence_valid(spec: StationSpec, seq: ModeSequence) -> bool:
@@ -223,8 +204,8 @@ class ControlPlan:
 
 
 class StationSolver:
-    """Shared state for one run: settings, the solver backend and the
-    memoized stationary-fixed evaluations that all three stages share."""
+    """Shared state for one run: the solver backend and the memoized
+    stationary-fixed evaluations that all three stages share."""
 
     def __init__(
         self,
@@ -232,19 +213,19 @@ class StationSolver:
         scen: Scenario,
         weights: ObjectiveWeights | None = None,
         backend=None,
-        psf_settings: SolveSettings | None = None,
-        ps_settings: SolveSettings | None = None,
-        pf_settings: SolveSettings | None = None,
     ):
         self.spec = spec
         self.scen = scen
         self.weights = weights or ObjectiveWeights()
         self.backend = backend
-        self.psf_settings = psf_settings or default_settings_for("Psf")
-        self.ps_settings = ps_settings or default_settings_for("Ps")
-        self.pf_settings = pf_settings or default_settings_for("Pf")
         self._psf_cache: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
+
+    def _solve(self, inst, variant: str):
+        """One solve of a model variant under its published settings."""
+        res = solve(inst, default_settings_for(variant), backend=self.backend)
+        self.counters[variant] += 1
+        return res
 
     # -- stationary evaluations ------------------------------------------
 
@@ -259,8 +240,7 @@ class StationSolver:
                 # flow direction) are plain infeasibility to the algorithm
                 self._psf_cache[key] = (False, math.inf, None)
                 return self._psf_cache[key]
-            res = solve(inst, self.psf_settings, backend=self.backend)
-            self.counters["Psf"] += 1
+            res = self._solve(inst, "Psf")
             if res.status == "error":
                 raise BackendError(res.message or "stationary solve failed")
             if res.ok:
@@ -275,8 +255,7 @@ class StationSolver:
             inst = build_stationary(self.spec, self.scen, self.weights, t, prev_mode, valid_modes)
         except BuildInfeasibleError:
             return False, math.inf, None, None
-        res = solve(inst, self.ps_settings, backend=self.backend)
-        self.counters["Ps"] += 1
+        res = self._solve(inst, "Ps")
         if res.status == "error":
             raise BackendError(res.message or "stationary solve failed")
         if not res.ok:
@@ -437,8 +416,7 @@ class StationSolver:
             inst = build_fixed_transient(self.spec, self.scen, self.weights, modes, dirs, snapshot)
         except BuildInfeasibleError as exc:
             raise SmoothingError(times[0], str(exc)) from exc
-        res = solve(inst, self.pf_settings, backend=self.backend)
-        self.counters["Pf"] += 1
+        res = self._solve(inst, "Pf")
         diagnostics["smoothing_solves"] += 1
         diagnostics["window_wall_times"].append(res.wall_time)
         if not res.ok:
@@ -446,7 +424,7 @@ class StationSolver:
             # window is only numerically borderline
             scaled = self.weights.scaled(10.0)
             inst = build_fixed_transient(self.spec, self.scen, scaled, modes, dirs, snapshot)
-            res = solve(inst, self.pf_settings, backend=self.backend)
+            res = self._solve(inst, "Pf")
             diagnostics["retried_windows"].append(times[0])
             if not res.ok:
                 raise SmoothingError(times[0], res.message or res.status)

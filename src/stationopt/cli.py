@@ -31,7 +31,6 @@ from .io import (
     template_grid,
     write_plan,
 )
-from .model import build_full
 from .network import validate
 from .polytope import EmptyRegionError, UnboundedRegionError
 from .ranges import (
@@ -154,8 +153,7 @@ def cmd_solve(args) -> int:
 
     extra = {}
     if args.lower_bound:
-        inst = build_full(spec, scen, weights)
-        _, warm = complete_plan_assignment(spec, scen, weights, plan)
+        inst, warm = complete_plan_assignment(spec, scen, weights, plan)
         res = solve(inst, default_settings_for("P", args.lb_time_limit), initial=warm, backend=backend)
         if res.status in ("error",):
             print(f"lower-bound solve failed: {res.message}", file=sys.stderr)

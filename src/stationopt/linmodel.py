@@ -237,6 +237,10 @@ class LinearModel:
         out.append("End")
         return "\n".join(out) + "\n"
 
+    def lp_var_names(self) -> list[str]:
+        """The variable names as :meth:`lp_text` writes them."""
+        return [_lp_name(name) for name in self.var_names]
+
     def _vn(self, idx: int) -> str:
         return _lp_name(self.var_names[idx])
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gas import nikuradse_friction
 from .linmodel import BuildInfeasibleError, LinearModel, VarRef
-from .network import Scenario, StationSpec
+from .network import Scenario, StationSpec, mode_available
 from .units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, SECONDS_PER_HOUR
 
 STATION_TOKENS = ("by", "cl")
@@ -131,42 +131,6 @@ def initial_snapshot(scen: Scenario) -> StateSnapshot:
     )
 
 
-# ---------------------------------------------------------------------------
-# variant descriptors
-
-
-@dataclass(frozen=True)
-class FullVariant:
-    """The complete transient model with free mode/direction binaries."""
-
-
-@dataclass(frozen=True)
-class StationaryVariant:
-    """One independent stationary time step over a set of candidate modes."""
-
-    t: int
-    prev_mode: str
-    valid_modes: tuple = ()  # empty means every available mode
-
-
-@dataclass(frozen=True)
-class StationaryFixedVariant:
-    """One stationary time step with the operation mode already fixed."""
-
-    mode: str
-    t: int
-    prev_mode: str
-
-
-@dataclass(frozen=True)
-class FixedTransientVariant:
-    """Transient window with fixed modes/directions, seeded by a snapshot."""
-
-    modes: tuple
-    directions: tuple
-    snapshot: StateSnapshot
-
-
 class ModelInstance:
     """A fully assembled variant: linear model plus its variable catalog."""
 
@@ -219,27 +183,6 @@ class ModelInstance:
         )
 
 
-def build_variant(
-    spec: StationSpec, scen: Scenario, weights: ObjectiveWeights, descriptor
-) -> ModelInstance:
-    """Dispatch a variant descriptor to the matching builder."""
-    if isinstance(descriptor, FullVariant):
-        return build_full(spec, scen, weights)
-    if isinstance(descriptor, StationaryVariant):
-        return build_stationary(
-            spec, scen, weights, descriptor.t, descriptor.prev_mode, descriptor.valid_modes or None
-        )
-    if isinstance(descriptor, StationaryFixedVariant):
-        return build_stationary_fixed(
-            spec, scen, weights, descriptor.mode, descriptor.t, descriptor.prev_mode
-        )
-    if isinstance(descriptor, FixedTransientVariant):
-        return build_fixed_transient(
-            spec, scen, weights, descriptor.modes, descriptor.directions, descriptor.snapshot
-        )
-    raise TypeError(f"unknown variant descriptor {descriptor!r}")
-
-
 def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> ModelInstance:
     times = list(range(1, scen.n_future + 1))
     b = _Builder(spec, scen, weights, "P", times, snapshot=initial_snapshot(scen))
@@ -277,8 +220,6 @@ def build_fixed_transient(
     directions,
     snapshot: StateSnapshot,
 ) -> ModelInstance:
-    from .network import mode_available
-
     modes = tuple(modes)
     directions = tuple(directions)
     if len(modes) != len(directions):
@@ -336,27 +277,11 @@ class _Builder:
         self.iw = InternalWeights.from_weights(weights, spec.constants.normal_density)
         self.instance = ModelInstance(kind, LinearModel(f"{kind}_{spec.name}"), spec, scen, times)
         self.h = self.instance.handles
-        from .network import mode_available
-
-        self._available = mode_available
-        if valid_modes is None:
-            self.valid_modes = {
-                t: [
-                    o
-                    for o in spec.operation_modes
-                    if mode_available(spec, scen.time_grid, o, t)
-                ]
-                for t in self.times
-            }
-        else:
-            self.valid_modes = {
-                t: [
-                    o
-                    for o in valid_modes
-                    if mode_available(spec, scen.time_grid, o, t)
-                ]
-                for t in self.times
-            }
+        candidates = spec.operation_modes if valid_modes is None else valid_modes
+        self.valid_modes = {
+            t: [o for o in candidates if mode_available(spec, scen.time_grid, o, t)]
+            for t in self.times
+        }
         for t in self.times:
             if t in self.fixed_modes:
                 continue
@@ -364,9 +289,6 @@ class _Builder:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
 
     # -- handle helpers ----------------------------------------------------
-
-    def _prev(self, t: int) -> int:
-        return t - 1
 
     def _p(self, v: str, t: int):
         if t in self.times:

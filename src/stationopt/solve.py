@@ -2,8 +2,15 @@
 
 The bundled in-process backend is HiGHS through ``scipy.optimize.milp``.
 A file-exchange backend writes LP text and reads a plain solution file
-(one ``name value`` pair per line under a ``#status:`` header) so a
-proprietary solver can be dropped in without code changes.
+(one ``name value`` pair per line under a ``#status:`` header, with the
+variable names and the objective as in the LP text) so a proprietary
+solver can be dropped in without code changes.
+
+:class:`SolveSettings` carries the published optimality conditions of a
+model variant.  HiGHS receives the relative gap and the time limit.
+scipy's binding has no absolute-gap option; a solve stops when either
+gap holds, so without it HiGHS can only search longer, never stop
+earlier (see :class:`InProcessBackend`).
 
 Every returned assignment is replayed through an independent row checker
 before the result is handed back; a checker violation downgrades the
@@ -14,7 +21,6 @@ from __future__ import annotations
 
 import subprocess
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +45,6 @@ class SolveSettings:
     relative_gap: float
     absolute_gap: float
     time_limit: float  # seconds
-    emphasis_numerical_stability: bool = True
-    threads: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.relative_gap < 0.0 or self.absolute_gap < 0.0:
@@ -145,23 +148,14 @@ class InProcessBackend:
     (within its 1e-6 tolerance), the continuous part is re-solved as an LP
     at the rounded integers, so big-M rows hold for the rounded values.
 
-    scipy's binding exposes neither an absolute-gap option, threads, a
-    random seed nor a numeric-emphasis switch; the absolute gap is already
-    dominated by the relative one for our objective magnitudes, and the
-    solver is deterministic for a fixed model, so only the numeric
-    emphasis degrades to a warning.
+    Of the settings, ``relative_gap`` and ``time_limit`` reach HiGHS as
+    ``mip_rel_gap`` and ``time_limit``.  ``absolute_gap`` does not, as
+    scipy's binding has no option for it.  Above an objective of
+    ``absolute_gap / relative_gap`` (100 for every variant) the relative gap
+    is met first, so the absolute one would not change where HiGHS stops.
     """
 
-    _warned = False
-
     def solve_raw(self, model: LinearModel, settings: SolveSettings):
-        if settings.emphasis_numerical_stability and not InProcessBackend._warned:
-            warnings.warn(
-                "scipy's HiGHS binding has no numeric-emphasis switch; proceeding without it",
-                BackendCapabilityWarning,
-                stacklevel=3,
-            )
-            InProcessBackend._warned = True
         view = model.solver_view()
         constraints = LinearConstraint(view.A, view.row_lo, view.row_hi) if view.A is not None else []
         options = {
@@ -223,7 +217,7 @@ class FileExchangeBackend:
         if values is None:
             return status, None, bound, ""
         x = np.zeros(model.n_vars)
-        by_name = {name: i for i, name in enumerate(model.var_names)}
+        by_name = {name: i for i, name in enumerate(model.lp_var_names())}
         for name, value in values.items():
             if name in by_name:
                 x[by_name[name]] = value
@@ -231,12 +225,17 @@ class FileExchangeBackend:
 
 
 def write_solution_text(path, result: SolveResult) -> None:
+    """A solution file in the terms of the model's LP text: variables under
+    their LP names, objective and bound without the objective constant,
+    which LP format cannot carry (``solve`` adds it back on reading)."""
+    model = result.model
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#status: {result.status}\n")
-        fh.write(f"#objective: {result.objective!r}\n")
-        fh.write(f"#bound: {result.bound!r}\n")
-        for name, value in result.by_name().items():
-            fh.write(f"{name} {value!r}\n")
+        fh.write(f"#objective: {result.objective - model.objective_constant!r}\n")
+        fh.write(f"#bound: {result.bound - model.objective_constant!r}\n")
+        if result.assignment is not None:
+            for name, value in zip(model.lp_var_names(), result.assignment):
+                fh.write(f"{name} {float(value)!r}\n")
 
 
 def read_solution_text(path):

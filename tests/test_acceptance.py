@@ -342,26 +342,36 @@ def test_criterion_08_rolling_horizon_scaling():
     spec0, scen0 = load_instance(doc)
     weights = load_weights(doc)
     h = 4
-    per_window = {}
+    runs = {}
     for steps in ("12", "24", "48", "96"):
         spec, scen = regrid_instance(spec0, scen0, template_grid(steps))
         spec = build_spec_ranges(spec, count=3000)
         solver = StationSolver(spec, scen, weights)
         seq = solver.improvement_heuristic(solver.initial_solution())
         solver.transient_smoothing(seq, h)  # warm-up pass
+        runs[steps] = (solver, seq)
+    # The host's speed drifts over seconds, and timing the grids one after
+    # the other let a slow stretch land on one grid alone.  One interleaved
+    # round, symmetric about the single 96-step pass, gives each grid 96/k
+    # passes (72-93 windows), so a drift linear in time shifts every grid's
+    # per-window mean alike.
+    schedule = ("12", "24", "12", "48", "12", "24", "12", "96", "12", "24", "12", "48", "12", "24", "12")
+    walls = {steps: [] for steps in runs}
+    for steps in schedule:
+        solver, seq = runs[steps]
         plan = solver.transient_smoothing(seq, h)
-        k = int(steps)
-        expected = k - h + 1
+        expected = int(steps) - h + 1
         assert plan.diagnostics["smoothing_solves"] == expected
-        walls = plan.diagnostics["window_wall_times"]
-        assert len(walls) == expected
-        per_window[steps] = sum(walls) / len(walls)
+        assert len(plan.diagnostics["window_wall_times"]) == expected
+        walls[steps] += plan.diagnostics["window_wall_times"]
+    per_window = {steps: sum(w) / len(w) for steps, w in walls.items()}
     ratio = max(per_window.values()) / min(per_window.values())
     assert ratio <= 1.5, per_window
+    means = ", ".join(f"{steps}: {mean * 1e3:.2f} ms" for steps, mean in per_window.items())
     report(
         8,
         "window counts k-h+1 on all four grids; per-window time spread "
-        f"x{ratio:.2f} (within the 1.5 linearity factor)",
+        f"x{ratio:.2f} (within the 1.5 linearity factor; means {means})",
     )
 
 

@@ -421,6 +421,24 @@ class TestSmoothing:
         seq = ModeSequence(("o_cp",) * 5, (None,) + ("f_fwd",) * 4)
         plan = solver.transient_smoothing(seq, h=4)
         assert plan.diagnostics["retried_windows"] == [1]
+        assert solver.counters["Pf"] == 2
+
+    def test_published_settings_reach_backend(self, mini):
+        spec, scen = mini
+        from stationopt.solve import InProcessBackend
+
+        real = InProcessBackend()
+        seen: dict = {}
+
+        class RecordingBackend:
+            def solve_raw(self, model, settings):
+                seen.setdefault(model.name.split("_", 1)[0], set()).add(settings)
+                return real.solve_raw(model, settings)
+
+        solver = StationSolver(spec, scen, WEIGHTS, backend=RecordingBackend())
+        solver.ps_best(1, sorted(spec.operation_modes), "o_cp")
+        solver.solve_station(h=4)
+        assert seen == {v: {default_settings_for(v)} for v in ("Psf", "Ps", "Pf")}
 
 
 class TestSolveStation:

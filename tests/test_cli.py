@@ -154,6 +154,23 @@ def test_backend_error_exits_4(tmp_path, capsys, monkeypatch):
     assert "backend failure" in capsys.readouterr().err
 
 
+def test_lower_bound_reuses_the_replayed_full_model(tmp_path, monkeypatch):
+    from stationopt.model import ModelInstance
+
+    kinds = []
+    init = ModelInstance.__init__
+
+    def counting(self, kind, *args):
+        kinds.append(kind)
+        init(self, kind, *args)
+
+    monkeypatch.setattr(ModelInstance, "__init__", counting)
+    path = write_doc(tmp_path, mini_station())
+    assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"] + SAMPLES) == 0
+    # one replay inside solve_station, one for the warm start of the bound solve
+    assert kinds.count("P") == 2
+
+
 def test_bound_above_plan_exits_4(tmp_path, capsys, monkeypatch):
     from stationopt import solve as solve_mod
 

@@ -8,16 +8,11 @@ from stationopt.gas import nikuradse_friction
 from stationopt.io import load_instance
 from stationopt.linmodel import BuildInfeasibleError
 from stationopt.model import (
-    FixedTransientVariant,
-    FullVariant,
     ObjectiveWeights,
-    StationaryFixedVariant,
-    StationaryVariant,
     build_fixed_transient,
     build_full,
     build_stationary,
     build_stationary_fixed,
-    build_variant,
     initial_snapshot,
 )
 from stationopt.ranges import build_spec_ranges
@@ -444,17 +439,6 @@ class TestBuildVariant:
         snapshot = initial_snapshot(scen)
         inst = build_fixed_transient(spec, scen, WEIGHTS, ["o_cp"], ["f_fwd"], snapshot)
         assert sum(inst.model.integer) == 2 * 3 + 2
-
-    def test_variant_dispatch(self, mini):
-        spec, scen = mini
-        for descriptor in (
-            FullVariant(),
-            StationaryVariant(1, "o_cp"),
-            StationaryFixedVariant("o_cp", 1, "o_cp"),
-            FixedTransientVariant(("o_cp",), ("f_fwd",), initial_snapshot(scen)),
-        ):
-            inst = build_variant(spec, scen, WEIGHTS, descriptor)
-            assert inst.model.n_vars > 0
 
     def test_singleton_stationary_equals_fixed(self, mini):
         spec, scen = mini

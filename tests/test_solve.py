@@ -410,6 +410,40 @@ class TestSolutionFiles:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0)
 
+    def test_objective_constant_stays_out_of_the_file(self, tmp_path):
+        m = one_var_model()
+        m.add_objective("fixed", 1.0, 42.0)
+        res = solve(m, default_settings_for("Psf"))
+        sol = tmp_path / "answer.sol"
+        write_solution_text(sol, res)
+        _, _, bound = read_solution_text(sol)
+        assert bound == pytest.approx(3.0)
+        backend = FileExchangeBackend(tmp_path / "model.lp", sol)
+        res2 = solve(m, default_settings_for("Psf"), initial=res.assignment, backend=backend)
+        assert res2.status == "optimal"
+        assert res2.objective == pytest.approx(45.0)
+        assert res2.bound == pytest.approx(45.0)
+
+    def test_file_backend_reads_lp_names(self, tmp_path):
+        spec, scen = load_instance(mini_station())
+        spec = build_spec_ranges(spec, count=2000)
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
+        res = solve(inst, default_settings_for("Psf"))
+        assert res.status == "optimal"
+        # an external solver names the columns as the LP text's Bounds section does
+        bounds = inst.model.lp_text().split("Bounds\n", 1)[1].split("\nGenerals", 1)[0]
+        names = [line.split(" <= ")[1] for line in bounds.splitlines() if " <= " in line]
+        assert len(names) == inst.model.n_vars and names != inst.model.var_names
+        sol = tmp_path / "psf.sol"
+        lines = ["#status: optimal", f"#bound: {res.bound - inst.model.objective_constant!r}"]
+        lines += [f"{name} {float(value)!r}" for name, value in zip(names, res.assignment)]
+        sol.write_text("\n".join(lines) + "\n")
+        backend = FileExchangeBackend(tmp_path / "psf.lp", sol)
+        res2 = solve(inst, default_settings_for("Psf"), backend=backend)
+        assert res2.status == "optimal", res2.message
+        assert res2.objective == pytest.approx(res.objective, rel=1e-12)
+        assert res2.bound == pytest.approx(res.bound, rel=1e-12)
+
     def test_file_backend_missing_solution_is_error(self, tmp_path):
         backend = FileExchangeBackend(tmp_path / "m.lp", tmp_path / "missing.sol", None)
         res = solve(one_var_model(), default_settings_for("Psf"), backend=backend)
