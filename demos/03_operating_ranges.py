@@ -46,9 +46,8 @@ print(f"  mass flow       {lo[2]:6.1f} .. {hi[2]:6.1f} kg/s")
 print("\n== fitted power bound ==")
 power_facet = linearize_power_bound(lifted, unit, constants, count=20_000, seed=1)
 pts = sample_uniform(enumerate_vertices(lifted), 2_000, seed=2)
-true_power = np.array(
-    [compression_power(q, pl, max(pr, pl), 0.9, 0.85, constants) for pl, pr, q in pts]
-)
+pl, pr, q = pts.T
+true_power = compression_power(q, pl, np.maximum(pr, pl), 0.9, 0.85, constants)
 fitted = pts @ np.array(power_facet.coefficients) + power_facet.offset + unit.max_power
 err = np.sqrt(np.mean((true_power - fitted) ** 2))
 print(f"  fit rms error {err/1e6:.3f} MW over a {true_power.max()/1e6:.1f} MW range")

@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 STANDARD_GRAVITY = 9.80665  # m/s^2
 ISENTROPIC_EXPONENT = 1.296
 PAPAY_MAX_BAR = 150.0
@@ -124,19 +126,27 @@ def resistor_velocity_constant(
     return 0.5 * (vl + vr)
 
 
-def adiabatic_head(ratio: float, z_inlet: float, constants: GasConstants) -> float:
-    """Specific change in adiabatic enthalpy H_ad in J/kg for pr/pl = ratio >= 1."""
-    if ratio < 1.0:
-        raise ValueError(f"pressure ratio must be >= 1, got {ratio}")
+def adiabatic_head(
+    ratio: float | np.ndarray, z_inlet: float | np.ndarray, constants: GasConstants
+) -> float | np.ndarray:
+    """Specific change in adiabatic enthalpy H_ad in J/kg for pr/pl = ratio >= 1.
+
+    Works elementwise on arrays; a float input returns a float.  Raises
+    if any ratio is below 1, naming the smallest.
+    """
+    ratio = np.asarray(ratio, dtype=float)
+    if np.any(ratio < 1.0):
+        raise ValueError(f"pressure ratio must be >= 1, got {float(ratio.min())}")
     kappa = constants.isentropic_exponent
-    return (
+    head = (
         constants.specific_gas_constant
         * constants.temperature
         * z_inlet
         * kappa
         / (kappa - 1.0)
-        * (ratio ** ((kappa - 1.0) / kappa) - 1.0)
+        * (np.power(ratio, (kappa - 1.0) / kappa) - 1.0)
     )
+    return float(head) if np.ndim(head) == 0 else head
 
 
 def ratio_from_head(head: float, z_inlet: float, constants: GasConstants) -> float:
@@ -149,23 +159,30 @@ def ratio_from_head(head: float, z_inlet: float, constants: GasConstants) -> flo
 
 
 def compression_power(
-    mass_flow: float,
-    p_left: float,
-    p_right: float,
+    mass_flow: float | np.ndarray,
+    p_left: float | np.ndarray,
+    p_right: float | np.ndarray,
     z_inlet: float,
     efficiency: float,
     constants: GasConstants,
-) -> float:
+) -> float | np.ndarray:
     """Drive power P = q H_ad / eta_ad in W.
 
-    Zero exactly when the flow is zero or no compression happens.
+    Works elementwise on arrays of flows and pressures; a float input
+    returns a float.  Zero exactly wherever the flow is zero or no
+    compression happens.  Raises if any inlet pressure is not positive,
+    any outlet pressure is below its inlet pressure or the efficiency lies
+    outside (0, 1].
     """
-    if p_left <= 0.0:
+    mass_flow, p_left, p_right = (np.asarray(v, dtype=float) for v in (mass_flow, p_left, p_right))
+    if np.any(p_left <= 0.0):
         raise ValueError("inlet pressure must be positive")
-    if p_right < p_left:
+    if np.any(p_right < p_left):
         raise ValueError("outlet pressure must not be below inlet pressure")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("adiabatic efficiency must lie in (0, 1]")
-    if mass_flow == 0.0 or p_right == p_left:
-        return 0.0
-    return mass_flow * adiabatic_head(p_right / p_left, z_inlet, constants) / efficiency
+    idle = (mass_flow == 0.0) | (p_right == p_left)
+    power = np.where(
+        idle, 0.0, mass_flow * adiabatic_head(p_right / p_left, z_inlet, constants) / efficiency
+    )
+    return float(power) if np.ndim(power) == 0 else power

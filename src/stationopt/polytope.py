@@ -61,6 +61,7 @@ class HPolytope:
             raise ValueError("zero rows are not valid half spaces")
         self.A = A
         self.b = b
+        self._box: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_halfspaces(cls, halfspaces: list[HalfSpace]) -> "HPolytope":
@@ -128,22 +129,32 @@ class HPolytope:
         return False
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate min/max; raises if unbounded or empty."""
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for j in range(self.dim):
-            for sign, out in ((1.0, lo), (-1.0, hi)):
-                c = np.zeros(self.dim)
-                c[j] = sign
-                res = linprog(c, A_ub=self.A, b_ub=-self.b, bounds=[(None, None)] * self.dim, method="highs")
-                if res.status == 3:
-                    raise UnboundedRegionError(f"polytope unbounded in coordinate {j}")
-                if res.status == 2:
-                    raise EmptyRegionError("polytope has no feasible point")
-                if res.status != 0:
-                    raise RuntimeError(f"bounding-box LP failed: {res.message}")
-                out[j] = sign * res.fun
-        return lo, hi
+        """Per-coordinate min/max; raises if unbounded or empty.
+
+        The 2 * dim LPs are solved on the first successful call only, so
+        ``A`` and ``b`` must not be changed in place afterwards; every call
+        returns fresh copies.
+        """
+        if self._box is None:
+            lo = np.empty(self.dim)
+            hi = np.empty(self.dim)
+            for j in range(self.dim):
+                for sign, out in ((1.0, lo), (-1.0, hi)):
+                    c = np.zeros(self.dim)
+                    c[j] = sign
+                    res = linprog(
+                        c, A_ub=self.A, b_ub=-self.b, bounds=[(None, None)] * self.dim, method="highs"
+                    )
+                    if res.status == 3:
+                        raise UnboundedRegionError(f"polytope unbounded in coordinate {j}")
+                    if res.status == 2:
+                        raise EmptyRegionError("polytope has no feasible point")
+                    if res.status != 0:
+                        raise RuntimeError(f"bounding-box LP failed: {res.message}")
+                    out[j] = sign * res.fun
+            self._box = (lo, hi)
+        lo, hi = self._box
+        return lo.copy(), hi.copy()
 
 
 class VPolytope:

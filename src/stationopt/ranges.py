@@ -87,13 +87,9 @@ def linearize_power_bound(
     if seed is None:
         seed = seed_for_unit(unit.id)
     points = sample_uniform(enumerate_vertices(lifted), count, seed)
-    powers = np.array(
-        [
-            compression_power(
-                q, pl, max(pr, pl), unit.inlet_z_factor, unit.adiabatic_efficiency, constants
-            )
-            for pl, pr, q in points
-        ]
+    pl, pr, q = points.T
+    powers = compression_power(
+        q, pl, np.maximum(pr, pl), unit.inlet_z_factor, unit.adiabatic_efficiency, constants
     )
     a0, a1, a2, a3 = least_squares_hyperplane(points, powers)
     return HalfSpace((a1, a2, a3), a0 - unit.max_power)

@@ -137,6 +137,26 @@ def rejection_sample(A: np.ndarray, b: np.ndarray, count: int, seed: int) -> np.
     return out
 
 
+def head_terms(ratio: float, z_inlet: float, constants) -> tuple[float, float]:
+    """``(scale, ratio ** ((kappa - 1) / kappa))`` by ``math.pow``, one ratio at a time.
+
+    The adiabatic head is ``scale * (term - 1)``.
+    """
+    kappa = constants.isentropic_exponent
+    scale = constants.specific_gas_constant * constants.temperature * z_inlet * kappa / (kappa - 1.0)
+    return scale, math.pow(ratio, (kappa - 1.0) / kappa)
+
+
+def scalar_compression_power(
+    q: float, pl: float, pr: float, z_inlet: float, efficiency: float, constants
+) -> float:
+    """Drive power ``q H_ad / eta`` of one operating point, closed form with ``math.pow``."""
+    if q == 0.0 or pr == pl:
+        return 0.0
+    scale, term = head_terms(pr / pl, z_inlet, constants)
+    return q * (scale * (term - 1.0)) / efficiency
+
+
 def normal_equations_fit(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """OLS coefficients via an explicit normal-equations solve."""
     X = np.column_stack([np.ones(len(points)), points])

@@ -16,6 +16,8 @@ from stationopt.gas import (
     resistor_velocity_constant,
 )
 
+from oracles import head_terms, scalar_compression_power
+
 CONSTANTS = GasConstants(
     specific_gas_constant=500.0,
     temperature=283.15,
@@ -158,6 +160,74 @@ class TestHeadAndPower:
         q, pl, pr, zl, eta = 85.0, 42e5, 63e5, 0.88, 0.82
         expect = q * adiabatic_head(pr / pl, zl, CONSTANTS) / eta
         assert compression_power(q, pl, pr, zl, eta, CONSTANTS) == pytest.approx(expect, rel=1e-14)
+
+
+class TestHeadAndPowerArrays:
+    """The array path against a scalar closed form evaluated with math.pow.
+
+    The head is scale * (r^e - 1); subtracting 1 cancels leading digits,
+    which magnifies a last-bit difference of r^e by r^e / (r^e - 1)
+    (numpy's vectorised power and math.pow differ in the last bit for a
+    few percent of inputs).  So the results must agree to 1e-15 relative
+    to the term before cancellation, scale * r^e.
+    """
+
+    RNG = np.random.default_rng(7)
+    # dense near ratio 1, where the cancellation is worst
+    RATIOS = np.concatenate([[1.0], 1.0 + 3.0 * RNG.random(4000) ** 3])
+    FLOWS = RNG.uniform(0.0, 300.0, RATIOS.size)
+    INLETS = RNG.uniform(20e5, 80e5, RATIOS.size)
+
+    def test_head_matches_scalar_oracle(self):
+        head = adiabatic_head(self.RATIOS, 0.9, CONSTANTS)
+        terms = [head_terms(r, 0.9, CONSTANTS) for r in self.RATIOS]
+        expect = np.array([scale * (term - 1.0) for scale, term in terms])
+        size = np.array([scale * term for scale, term in terms])
+        assert isinstance(head, np.ndarray) and head.shape == self.RATIOS.shape
+        assert np.all(np.abs(head - expect) <= 1e-15 * size)
+
+    def test_power_matches_scalar_oracle(self):
+        outlets = self.INLETS * self.RATIOS
+        power = compression_power(self.FLOWS, self.INLETS, outlets, 0.88, 0.82, CONSTANTS)
+        expect = np.array(
+            [
+                scalar_compression_power(q, pl, pr, 0.88, 0.82, CONSTANTS)
+                for q, pl, pr in zip(self.FLOWS, self.INLETS, outlets)
+            ]
+        )
+        terms = [head_terms(pr / pl, 0.88, CONSTANTS) for pl, pr in zip(self.INLETS, outlets)]
+        size = self.FLOWS * np.array([scale * term for scale, term in terms]) / 0.82
+        assert np.all(np.abs(power - expect) <= 1e-15 * size)
+
+    def test_power_exactly_zero_where_idle(self):
+        q = np.array([0.0, 120.0, 0.0, 80.0, 95.0])
+        pl = np.array([40e5, 45e5, 50e5, 42e5, 38e5])
+        pr = np.array([60e5, 45e5, 50e5, 63e5, 52e5])
+        power = compression_power(q, pl, pr, 0.9, 0.8, CONSTANTS)
+        idle = (q == 0.0) | (pr == pl)
+        assert np.all(power[idle] == 0.0)
+        assert np.all(power[~idle] > 0.0)
+
+    @pytest.mark.parametrize(
+        "pl, pr",
+        [
+            ([40e5, 0.0, 45e5], [60e5, 50e5, 50e5]),  # one inlet pressure zero
+            ([40e5, -1e5, 45e5], [60e5, 50e5, 50e5]),  # one inlet pressure negative
+            ([40e5, 50e5, 45e5], [60e5, 49e5, 50e5]),  # one outlet below its inlet
+        ],
+    )
+    def test_one_bad_entry_raises(self, pl, pr):
+        with pytest.raises(ValueError):
+            compression_power(np.full(3, 100.0), np.array(pl), np.array(pr), 0.9, 0.8, CONSTANTS)
+
+    def test_head_error_names_smallest_ratio(self):
+        with pytest.raises(ValueError, match=r"got 0\.97$"):
+            adiabatic_head(np.array([1.2, 0.99, 0.97, 1.5]), 0.9, CONSTANTS)
+
+    def test_float_input_returns_float(self):
+        assert type(adiabatic_head(1.5, 0.9, CONSTANTS)) is float
+        assert type(compression_power(100.0, 40e5, 60e5, 0.9, 0.8, CONSTANTS)) is float
+        assert type(compression_power(0.0, 40e5, 60e5, 0.9, 0.8, CONSTANTS)) is float
 
 
 def test_area_formula():

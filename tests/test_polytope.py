@@ -101,6 +101,33 @@ class TestEnumerateVertices:
             enumerate_vertices(HPolytope(A, b))
 
 
+class TestBoundingBoxMemo:
+    def test_second_call_solves_no_lp(self, linprog_calls):
+        h = unit_simplex()
+        lo, hi = h.bounding_box()
+        assert len(linprog_calls) == 2 * h.dim
+        lo2, hi2 = h.bounding_box()
+        assert len(linprog_calls) == 2 * h.dim
+        assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
+
+    def test_writes_into_result_do_not_leak(self):
+        h = unit_simplex()
+        lo, hi = h.bounding_box()
+        expect = lo.copy(), hi.copy()
+        lo[:] = 7.0
+        hi[:] = -7.0
+        lo2, hi2 = h.bounding_box()
+        assert np.array_equal(lo2, expect[0]) and np.array_equal(hi2, expect[1])
+
+    def test_errors_raise_on_every_call(self):
+        unbounded = HPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]), -np.ones(2))
+        empty = HPolytope(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]))
+        for h, error in ((unbounded, UnboundedRegionError), (empty, EmptyRegionError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    h.bounding_box()
+
+
 class TestRemoveRedundant:
     def test_duplicate_facet_dropped(self):
         h = unit_cube()

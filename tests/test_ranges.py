@@ -3,15 +3,21 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from stationopt.fixtures import mini_station_pipes
 from stationopt.gas import GasConstants, compression_power
+from stationopt.io import load_instance
 from stationopt.network import CompressorUnit
 from stationopt.polytope import (
     EmptyRegionError,
     HPolytope,
     UnboundedRegionError,
     enumerate_vertices,
+    least_squares_hyperplane,
+    sample_uniform,
 )
 from stationopt.ranges import (
+    DEFAULT_SAMPLE_COUNT,
+    build_spec_ranges,
     configuration_polytope,
     lift_unit_range,
     linearize_power_bound,
@@ -20,7 +26,7 @@ from stationopt.ranges import (
     unit_polytope,
 )
 
-from oracles import brute_force_vertices, match_vertex_sets
+from oracles import brute_force_vertices, match_vertex_sets, scalar_compression_power
 
 CONSTANTS = GasConstants(
     specific_gas_constant=500.0,
@@ -147,6 +153,23 @@ class TestPowerBound:
         fitted = intercept + pts @ coeffs
         rms = float(np.sqrt(np.mean((powers - fitted) ** 2)))
         assert rms < 0.10 * powers.max()
+
+    def test_default_fit_matches_scalar_loop_oracle(self):
+        # evaluating the samples as arrays changes the fit only by rounding
+        unit = fixture_unit()
+        lifted = lift_unit_range(unit, 30e5, 70e5, CONSTANTS)
+        hs = linearize_power_bound(lifted, unit, CONSTANTS)
+        points = sample_uniform(enumerate_vertices(lifted), DEFAULT_SAMPLE_COUNT, seed_for_unit(unit.id))
+        powers = np.array(
+            [
+                scalar_compression_power(q, pl, max(pr, pl), 0.9, unit.adiabatic_efficiency, CONSTANTS)
+                for pl, pr, q in points
+            ]
+        )
+        a0, a1, a2, a3 = least_squares_hyperplane(points, powers)
+        np.testing.assert_allclose(
+            (*hs.coefficients, hs.offset), (a1, a2, a3, a0 - unit.max_power), rtol=1e-12, atol=0.0
+        )
 
     def test_default_seed_is_stable_per_unit(self):
         assert seed_for_unit("U1") == seed_for_unit("U1")
@@ -333,3 +356,10 @@ class TestEndToEndUnitComposition:
                 method="highs",
             )
             assert res.status == 0
+
+
+def test_spec_ranges_solve_each_bounding_box_once(linprog_calls):
+    # validating a lifted unit range and enumerating its vertices share one box
+    spec, _ = load_instance(mini_station_pipes())
+    build_spec_ranges(spec)
+    assert len(linprog_calls) == 16
