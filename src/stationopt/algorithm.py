@@ -30,6 +30,7 @@ from .model import (
     build_stationary,
     build_stationary_fixed,
     initial_snapshot,
+    mode_indicators,
 )
 from .network import Scenario, StationSpec, mode_available
 from .solve import CHECK_TOL, BackendError, check_assignment, default_settings_for, solve
@@ -508,33 +509,26 @@ def complete_plan_assignment(
         for v, d in data["inflows"].items():
             put(d, "d", v, t)
 
-        for o in spec.operation_modes:
-            put(1.0 if o == mode else 0.0, "om", o, t)
+        for key, value in mode_indicators(spec, mode).items():
+            put(value, *key, t)
         for f in spec.flow_directions:
             put(1.0 if f == direction else 0.0, "fd", f, t)
-        for a in spec.valves:
-            put(1.0 if assignment[a] == "op" else 0.0, "op", a, t)
 
         for a, st in spec.stations.items():
             token = assignment[a]
             pl = data["pressures"][st.from_node]
             pr = data["pressures"][st.to_node]
             q = data["arc_flows"][a]
-            put(1.0 if token == "by" else 0.0, "cs_by", a, t)
-            put(1.0 if token == "cl" else 0.0, "cs_cl", a, t)
             if token == "by":
                 put(0.5 * (pl + pr), "p_by", a, t)
                 put(q, "q_by", a, t)
             elif token == "cl":
                 put(pl, "p_cl_l", a, t)
                 put(pr, "p_cl_r", a, t)
-            for c in st.configurations:
-                active = token == c.id
-                put(1.0 if active else 0.0, "cfg", c.id, a, t)
-                if active:
-                    put(pl, "p_cfg_l", c.id, a, t)
-                    put(pr, "p_cfg_r", c.id, a, t)
-                    put(q, "q_cfg", c.id, a, t)
+            else:
+                put(pl, "p_cfg_l", token, a, t)
+                put(pr, "p_cfg_r", token, a, t)
+                put(q, "q_cfg", token, a, t)
 
         for a in spec.regulators:
             token = plan.regulator_modes[t][a]

@@ -88,6 +88,12 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _number_pair(value, path: str, expected: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(path, f"expected {expected}")
+    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+
+
 def _number_or_list(value, n: int, path: str) -> np.ndarray:
     if isinstance(value, list):
         if len(value) != n:
@@ -188,8 +194,7 @@ def load_instance(source):
                 raise SchemaError(f"{path}.{lb_key}", "required field is missing")
             lb = _number_or_list(lb_raw, n_times, f"{path}.{lb_key}")
             ub = _number_or_list(_need(ad, ub_key, path), n_times, f"{path}.{ub_key}")
-            to_si = np.vectorize(lambda q: normvol_to_massflow(q, rho0))
-            return to_si(lb), to_si(ub)
+            return normvol_to_massflow(lb, rho0), normvol_to_massflow(ub, rho0)
 
         if kind == "pipe":
             lb, ub = flow_bounds()
@@ -304,10 +309,14 @@ def load_instance(source):
                 _number(minutes, f"$.transitionTimes.{o1}.{o2}")
             )
 
-    unavailability = {
-        uid: tuple((float(s), float(e)) for s, e in windows)
-        for uid, windows in doc.get("unavailability", {}).items()
-    }
+    unavailability = {}
+    for uid, windows in doc.get("unavailability", {}).items():
+        path = f"$.unavailability.{uid}"
+        if not isinstance(windows, list):
+            raise SchemaError(path, "expected a list of [start, end] windows")
+        unavailability[uid] = tuple(
+            _number_pair(w, f"{path}[{j}]", "[start, end]") for j, w in enumerate(windows)
+        )
 
     spec = StationSpec(
         name=doc.get("name", "station"),
@@ -339,15 +348,11 @@ def load_instance(source):
         for g, series in _need(scen_doc, "flowDemand", "$.scenario").items()
     }
     inflow_lb = {
-        v: np.vectorize(lambda q: normvol_to_massflow(q, rho0))(
-            _number_or_list(raw, n_times, f"$.scenario.inflowLB.{v}")
-        )
+        v: normvol_to_massflow(_number_or_list(raw, n_times, f"$.scenario.inflowLB.{v}"), rho0)
         for v, raw in _need(scen_doc, "inflowLB", "$.scenario").items()
     }
     inflow_ub = {
-        v: np.vectorize(lambda q: normvol_to_massflow(q, rho0))(
-            _number_or_list(raw, n_times, f"$.scenario.inflowUB.{v}")
-        )
+        v: normvol_to_massflow(_number_or_list(raw, n_times, f"$.scenario.inflowUB.{v}"), rho0)
         for v, raw in _need(scen_doc, "inflowUB", "$.scenario").items()
     }
     for v in boundary:
@@ -384,15 +389,11 @@ def _arc_initial_flow(state_doc: dict, arc_id: str, rho0: float) -> float:
 
 def _pipe_initial_flows(state_doc: dict, arc_id: str, rho0: float):
     flows = _need(state_doc, "pipeFlows", "$.scenario.initialState")
+    path = f"$.scenario.initialState.pipeFlows.{arc_id}"
     if arc_id not in flows:
-        raise SchemaError(f"$.scenario.initialState.pipeFlows.{arc_id}", "missing initial pipe flows")
-    pair = flows[arc_id]
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise SchemaError(f"$.scenario.initialState.pipeFlows.{arc_id}", "expected [inflow, outflow]")
-    return (
-        normvol_to_massflow(_number(pair[0], "..."), rho0),
-        normvol_to_massflow(_number(pair[1], "..."), rho0),
-    )
+        raise SchemaError(path, "missing initial pipe flows")
+    q_in, q_out = _number_pair(flows[arc_id], path, "[inflow, outflow]")
+    return normvol_to_massflow(q_in, rho0), normvol_to_massflow(q_out, rho0)
 
 
 def _preprocess_fixed_valves(doc: dict) -> dict:

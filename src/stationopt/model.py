@@ -6,8 +6,13 @@ mode, and the transient model with fixed operation modes and flow
 directions -- as plain linear models over a typed variable catalog.
 Everything is solver independent; :mod:`stationopt.solve` handles solving.
 
-Internally the models use Pa, kg/s and seconds.  File-facing objective
-weights (bar, 1000 m^3/h, hours) are converted once per build.  Every
+The variants differ only in which decisions are constants.  The builder
+first writes every decision the variant fixes, and every value of the step
+before the first modelled one, into its handle table as a constant; every
+row then reads the table, and constants fold into right-hand sides.
+
+Internally the models use Pa, kg/s and seconds.  The objective converts
+the file-facing weights (bar, 1000 m^3/h, hours) once per build.  Every
 pressure variable is declared with solver unit ``PA_PER_BAR`` and every
 mass-flow variable with ``KG_S_PER_SOLVER_FLOW``, so an in-process solver
 sees pressures in bar and flows in tens of kg/s (see
@@ -16,7 +21,7 @@ sees pressures in bar and flows in tens of kg/s (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +30,6 @@ from .linmodel import BuildInfeasibleError, LinearModel, VarRef
 from .network import Scenario, StationSpec, mode_available
 from .units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, SECONDS_PER_HOUR
 
-STATION_TOKENS = ("by", "cl")
 REGULATOR_TOKENS = ("by", "cl", "ac")
 
 
@@ -57,53 +61,8 @@ class ObjectiveWeights:
 
     def scaled(self, factor: float) -> "ObjectiveWeights":
         """Same weights with the two slack weights multiplied by ``factor``."""
-        return ObjectiveWeights(
-            slack_pressure=self.slack_pressure * factor,
-            slack_flow=self.slack_flow * factor,
-            operation_mode_change=self.operation_mode_change,
-            unit_start=self.unit_start,
-            regulator_mode_change=self.regulator_mode_change,
-            regulator_inlet_pressure=self.regulator_inlet_pressure,
-            regulator_outlet_pressure=self.regulator_outlet_pressure,
-            regulator_flow=self.regulator_flow,
-            station_inlet_pressure=self.station_inlet_pressure,
-            station_outlet_pressure=self.station_outlet_pressure,
-            station_flow=self.station_flow,
-        )
-
-
-@dataclass(frozen=True)
-class InternalWeights:
-    """Weights converted to the internal Pa / kg/s / s system."""
-
-    slack_pressure: float  # per Pa*s
-    slack_flow: float  # per kg
-    operation_mode_change: float
-    unit_start: float
-    regulator_mode_change: float
-    regulator_inlet_pressure: float  # per Pa
-    regulator_outlet_pressure: float
-    regulator_flow: float  # per kg/s
-    station_inlet_pressure: float
-    station_outlet_pressure: float
-    station_flow: float
-
-    @classmethod
-    def from_weights(cls, w: ObjectiveWeights, normal_density: float) -> "InternalWeights":
-        per_pa = 1.0 / PA_PER_BAR
-        per_kg_s = SECONDS_PER_HOUR / (1000.0 * normal_density)
-        return cls(
-            slack_pressure=w.slack_pressure / (PA_PER_BAR * SECONDS_PER_HOUR),
-            slack_flow=w.slack_flow / (1000.0 * normal_density),
-            operation_mode_change=w.operation_mode_change,
-            unit_start=w.unit_start,
-            regulator_mode_change=w.regulator_mode_change,
-            regulator_inlet_pressure=w.regulator_inlet_pressure * per_pa,
-            regulator_outlet_pressure=w.regulator_outlet_pressure * per_pa,
-            regulator_flow=w.regulator_flow * per_kg_s,
-            station_inlet_pressure=w.station_inlet_pressure * per_pa,
-            station_outlet_pressure=w.station_outlet_pressure * per_pa,
-            station_flow=w.station_flow * per_kg_s,
+        return replace(
+            self, slack_pressure=self.slack_pressure * factor, slack_flow=self.slack_flow * factor
         )
 
 
@@ -150,13 +109,10 @@ class ModelInstance:
         return float(assignment[h.index]) if isinstance(h, VarRef) else float(h)
 
     def mode_at(self, assignment: np.ndarray, t: int) -> str:
-        candidates = [o for o in self.spec.operation_modes if ("om", o, t) in self.handles]
-        best = max(candidates, key=lambda o: self.value(assignment, "om", o, t))
-        return best
+        return max(self.spec.operation_modes, key=lambda o: self.value(assignment, "om", o, t))
 
     def direction_at(self, assignment: np.ndarray, t: int) -> str:
-        candidates = [f for f in self.spec.flow_directions if ("fd", f, t) in self.handles]
-        return max(candidates, key=lambda f: self.value(assignment, "fd", f, t))
+        return max(self.spec.flow_directions, key=lambda f: self.value(assignment, "fd", f, t))
 
     def regulator_mode_at(self, assignment: np.ndarray, arc_id: str, t: int) -> str:
         return max(
@@ -181,6 +137,19 @@ class ModelInstance:
             arc_flows=arc_flows,
             pipe_flows=pipe_flows,
         )
+
+
+def mode_indicators(spec: StationSpec, mode: str) -> dict:
+    """The om/op/cs_by/cs_cl/cfg values an operation mode implies, keyed
+    like the model handles without their time step."""
+    assignment = spec.operation_modes[mode].assignment
+    out = {("om", o): float(o == mode) for o in spec.operation_modes}
+    out.update({("op", a): float(assignment[a] == "op") for a in spec.valves})
+    for a, st in spec.stations.items():
+        out[("cs_by", a)] = float(assignment[a] == "by")
+        out[("cs_cl", a)] = float(assignment[a] == "cl")
+        out.update({("cfg", c.id, a): float(assignment[a] == c.id) for c in st.configurations})
+    return out
 
 
 def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> ModelInstance:
@@ -252,6 +221,8 @@ def build_fixed_transient(
 
 
 class _Builder:
+    """Assembles one variant; ``h`` is the handle table the module docstring describes."""
+
     def __init__(
         self,
         spec: StationSpec,
@@ -267,6 +238,7 @@ class _Builder:
     ):
         self.spec = spec
         self.scen = scen
+        self.weights = weights
         self.kind = kind
         self.transient = kind in ("P", "Pf")
         self.times = list(times)
@@ -274,7 +246,6 @@ class _Builder:
         self.prev_mode = prev_mode if snapshot is None else snapshot.operation_mode
         self.fixed_modes = fixed_modes or {}
         self.fixed_dirs = fixed_dirs or {}
-        self.iw = InternalWeights.from_weights(weights, spec.constants.normal_density)
         self.instance = ModelInstance(kind, LinearModel(f"{kind}_{spec.name}"), spec, scen, times)
         self.h = self.instance.handles
         candidates = spec.operation_modes if valid_modes is None else valid_modes
@@ -288,54 +259,49 @@ class _Builder:
             if not self.valid_modes[t]:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
 
-    # -- handle helpers ----------------------------------------------------
+    # -- fixed and past decisions -------------------------------------------
 
-    def _p(self, v: str, t: int):
-        if t in self.times:
-            return self.h[("p", v, t)]
-        return self.snapshot.pressures[v]
+    def _fix_past(self) -> None:
+        """Constants for step ``times[0] - 1``: the previous mode and, for
+        the transient variants, the snapshot's pressures, flows and
+        regulator modes."""
+        t0 = self.times[0] - 1
+        for key, value in mode_indicators(self.spec, self.prev_mode).items():
+            self.h[key + (t0,)] = value
+        if not self.transient:
+            return
+        snap = self.snapshot
+        for v, p in snap.pressures.items():
+            self.h[("p", v, t0)] = p
+        for a, q in snap.arc_flows.items():
+            self.h[("q", a, t0)] = q
+        for a, mode in snap.regulator_modes.items():
+            for token in REGULATOR_TOKENS:
+                self.h[("rg", token, a, t0)] = float(token == mode)
 
-    def _q(self, a: str, t: int):
-        if t in self.times:
-            return self.h[("q", a, t)]
-        return self.snapshot.arc_flows[a]
+    def _fix_decisions(self, t: int, mode: str) -> None:
+        """Constants for the mode, and the direction if fixed too, at step t."""
+        for key, value in mode_indicators(self.spec, mode).items():
+            self.h[key + (t,)] = value
+        if t in self.fixed_dirs:
+            for f in self.spec.flow_directions:
+                self.h[("fd", f, t)] = float(f == self.fixed_dirs[t])
 
-    def _om(self, o: str, t: int):
-        if t in self.times:
-            return self.h.get(("om", o, t), 0.0)
-        prev = self.prev_mode
-        return 1.0 if o == prev else 0.0
-
-    def _rg(self, token: str, a: str, t: int):
-        if t in self.times:
-            return self.h[("rg", token, a, t)]
-        # only transient builders look back in time for regulator modes
-        return 1.0 if token == self.snapshot.regulator_modes[a] else 0.0
+    def _fixed_mode(self, t: int) -> str | None:
+        """The operation mode fixed at t, by the variant or by the past."""
+        return self.prev_mode if t < self.times[0] else self.fixed_modes.get(t)
 
     def _station_token(self, a: str, t: int) -> str | None:
         """The fixed station token at t, or None when binaries are free."""
-        if t in self.fixed_modes:
-            return self.spec.operation_modes[self.fixed_modes[t]].assignment[a]
-        if t not in self.times:
-            mode = self.prev_mode
-            return self.spec.operation_modes[mode].assignment[a]
-        return None
-
-    def _cfg(self, c: str, a: str, t: int):
-        token = self._station_token(a, t)
-        if token is None:
-            return self.h[("cfg", c, a, t)]
-        return 1.0 if token == c else 0.0
-
-    def _cs_mode(self, which: str, a: str, t: int):
-        token = self._station_token(a, t)
-        if token is None:
-            return self.h[(f"cs_{which}", a, t)]
-        return 1.0 if token == which else 0.0
+        mode = self._fixed_mode(t)
+        return None if mode is None else self.spec.operation_modes[mode].assignment[a]
 
     # -- build -------------------------------------------------------------
 
     def build(self) -> ModelInstance:
+        self._fix_past()
+        for t, mode in self.fixed_modes.items():
+            self._fix_decisions(t, mode)
         for t in self.times:
             self._make_variables(t)
         for t in self.times:
@@ -377,50 +343,38 @@ class _Builder:
                 f"d({v},{t})", self.scen.inflow_lb[v][t], self.scen.inflow_ub[v][t]
             )
 
-        om_fixed = t in self.fixed_modes
-        if om_fixed:
-            fixed = self.fixed_modes[t]
-            for o in spec.operation_modes:
-                self.h[("om", o, t)] = 1.0 if o == fixed else 0.0
-        else:
+        # with a fixed mode, om/op/cs/cfg are constants already and the
+        # station needs no copies: its facets go on the originals
+        om_free = t not in self.fixed_modes
+        if om_free:
             for o in sorted(spec.operation_modes):
-                if o in self.valid_modes[t]:
-                    self.h[("om", o, t)] = add(f"om({o},{t})", 0.0, 1.0, integer=True)
-        if t in self.fixed_dirs:
-            for f in spec.flow_directions:
-                self.h[("fd", f, t)] = 1.0 if f == self.fixed_dirs[t] else 0.0
-        else:
+                valid = o in self.valid_modes[t]
+                self.h[("om", o, t)] = add(f"om({o},{t})", 0.0, 1.0, integer=True) if valid else 0.0
+        if t not in self.fixed_dirs:
             for f in sorted(spec.flow_directions):
                 self.h[("fd", f, t)] = add(f"fd({f},{t})", 0.0, 1.0, integer=True)
-
-        for a in sorted(spec.valves):
-            if om_fixed:
-                token = spec.operation_modes[self.fixed_modes[t]].assignment[a]
-                self.h[("op", a, t)] = 1.0 if token == "op" else 0.0
-            else:
+        if om_free:
+            for a in sorted(spec.valves):
                 self.h[("op", a, t)] = add(f"op({a},{t})", 0.0, 1.0, integer=True)
-
-        for a in sorted(spec.stations):
-            st = spec.stations[a]
-            if om_fixed:
-                continue  # no binaries, no copies; facets go on the originals
-            nl = spec.nodes[st.from_node]
-            nr = spec.nodes[st.to_node]
-            plub, prub = nl.pressure_ub[t], nr.pressure_ub[t]
-            qlb, qub = st.flow_lb[t], st.flow_ub[t]
-            self.h[("cs_by", a, t)] = add(f"cs_by({a},{t})", 0.0, 1.0, integer=True)
-            self.h[("cs_cl", a, t)] = add(f"cs_cl({a},{t})", 0.0, 1.0, integer=True)
-            self.h[("p_by", a, t)] = add_pa(f"p_by({a},{t})", 0.0, min(plub, prub))
-            self.h[("q_by", a, t)] = add_q(f"q_by({a},{t})", min(0.0, qlb), max(0.0, qub))
-            self.h[("p_cl_l", a, t)] = add_pa(f"p_cl_l({a},{t})", 0.0, plub)
-            self.h[("p_cl_r", a, t)] = add_pa(f"p_cl_r({a},{t})", 0.0, prub)
-            for c in st.configurations:
-                self.h[("cfg", c.id, a, t)] = add(f"cfg({c.id},{a},{t})", 0.0, 1.0, integer=True)
-                self.h[("p_cfg_l", c.id, a, t)] = add_pa(f"p_cfg_l({c.id},{a},{t})", 0.0, plub)
-                self.h[("p_cfg_r", c.id, a, t)] = add_pa(f"p_cfg_r({c.id},{a},{t})", 0.0, prub)
-                self.h[("q_cfg", c.id, a, t)] = add_q(
-                    f"q_cfg({c.id},{a},{t})", 0.0, max(0.0, qub)
-                )
+            for a in sorted(spec.stations):
+                st = spec.stations[a]
+                nl = spec.nodes[st.from_node]
+                nr = spec.nodes[st.to_node]
+                plub, prub = nl.pressure_ub[t], nr.pressure_ub[t]
+                qlb, qub = st.flow_lb[t], st.flow_ub[t]
+                self.h[("cs_by", a, t)] = add(f"cs_by({a},{t})", 0.0, 1.0, integer=True)
+                self.h[("cs_cl", a, t)] = add(f"cs_cl({a},{t})", 0.0, 1.0, integer=True)
+                self.h[("p_by", a, t)] = add_pa(f"p_by({a},{t})", 0.0, min(plub, prub))
+                self.h[("q_by", a, t)] = add_q(f"q_by({a},{t})", min(0.0, qlb), max(0.0, qub))
+                self.h[("p_cl_l", a, t)] = add_pa(f"p_cl_l({a},{t})", 0.0, plub)
+                self.h[("p_cl_r", a, t)] = add_pa(f"p_cl_r({a},{t})", 0.0, prub)
+                for c in st.configurations:
+                    self.h[("cfg", c.id, a, t)] = add(f"cfg({c.id},{a},{t})", 0.0, 1.0, integer=True)
+                    self.h[("p_cfg_l", c.id, a, t)] = add_pa(f"p_cfg_l({c.id},{a},{t})", 0.0, plub)
+                    self.h[("p_cfg_r", c.id, a, t)] = add_pa(f"p_cfg_r({c.id},{a},{t})", 0.0, prub)
+                    self.h[("q_cfg", c.id, a, t)] = add_q(
+                        f"q_cfg({c.id},{a},{t})", 0.0, max(0.0, qub)
+                    )
 
         for a in sorted(spec.regulators):
             for token in REGULATOR_TOKENS:
@@ -442,9 +396,11 @@ class _Builder:
             self.h[("sd+", v, t)] = add_q(f"sd_pos({v},{t})", 0.0, cap + 1.0)
             self.h[("sd-", v, t)] = add_q(f"sd_neg({v},{t})", 0.0, cap + 1.0)
 
-        # change variables
-        if om_fixed and self._om_const(t) is not None:
-            self.h[("d_om", t)] = self._om_const(t)
+        # change variables: constants where the modes on both sides are fixed
+        mode, prev = self._fixed_mode(t), self._fixed_mode(t - 1)
+        both_fixed = mode is not None and prev is not None
+        if both_fixed:
+            self.h[("d_om", t)] = float(mode != prev)
         else:
             self.h[("d_om", t)] = add(f"d_om({t})", 0.0, 1.0, integer=True)
         if self.transient:
@@ -454,16 +410,14 @@ class _Builder:
         for a in sorted(spec.stations):
             st = spec.stations[a]
             for u in st.units:
-                if om_fixed:
-                    used_now = u.id in st.token_units(self._station_token(a, t))
-                    prev_token = self._prev_station_token(a, t)
-                    if prev_token is not None:
-                        used_prev = u.id in st.token_units(prev_token)
-                        self.h[("d_us", u.id, a, t)] = float(used_now and not used_prev)
-                        continue
-                self.h[("d_us", u.id, a, t)] = add(
-                    f"d_us({u.id},{a},{t})", 0.0, 1.0, integer=True
-                )
+                if both_fixed:
+                    now, before = self._station_token(a, t), self._station_token(a, t - 1)
+                    started = u.id in st.token_units(now) and u.id not in st.token_units(before)
+                    self.h[("d_us", u.id, a, t)] = float(started)
+                else:
+                    self.h[("d_us", u.id, a, t)] = add(
+                        f"d_us({u.id},{a},{t})", 0.0, 1.0, integer=True
+                    )
 
         if self.transient:
             for a in sorted(spec.regulators):
@@ -471,39 +425,21 @@ class _Builder:
             for a in sorted(spec.stations):
                 self._make_tracker_vars("cs", a, t)
 
-    def _om_const(self, t: int):
-        """Constant operation-mode change at t, when both sides are fixed."""
-        if t not in self.fixed_modes:
-            return None
-        prev = self.fixed_modes.get(t - 1) if (t - 1) in self.times else self.prev_mode
-        if prev is None:
-            return None
-        return 1.0 if self.fixed_modes[t] != prev else 0.0
-
-    def _prev_station_token(self, a: str, t: int) -> str | None:
-        tp = t - 1
-        if tp in self.times:
-            return self._station_token(a, tp)
-        mode = self.prev_mode
-        return self.spec.operation_modes[mode].assignment[a]
-
     def _make_tracker_vars(self, kind: str, a: str, t: int) -> None:
-        spec = self.spec
-        arc = spec.regulators[a] if kind == "rg" else spec.stations[a]
-        nl, nr = spec.nodes[arc.from_node], spec.nodes[arc.to_node]
-        tp = t - 1
+        arc = self.spec.regulators[a] if kind == "rg" else self.spec.stations[a]
+        for label, _, lb, ub in self._tracked(arc, a):
+            add = self._add_q if label == "q" else self._add_pa
+            span = max(ub[t] - lb[t - 1], ub[t - 1] - lb[t], 0.0)
+            self.h[(f"{kind}_{label}", a, t)] = add(f"trk_{kind}_{label}({a},{t})", 0.0, span)
 
-        def span(lb, ub):
-            return max(ub[t] - lb[tp], ub[tp] - lb[t], 0.0)
-
-        self.h[(f"{kind}_pl", a, t)] = self._add_pa(
-            f"trk_{kind}_pl({a},{t})", 0.0, span(nl.pressure_lb, nl.pressure_ub)
-        )
-        self.h[(f"{kind}_pr", a, t)] = self._add_pa(
-            f"trk_{kind}_pr({a},{t})", 0.0, span(nr.pressure_lb, nr.pressure_ub)
-        )
-        self.h[(f"{kind}_q", a, t)] = self._add_q(
-            f"trk_{kind}_q({a},{t})", 0.0, span(arc.flow_lb, arc.flow_ub)
+    def _tracked(self, arc, a: str):
+        """(label, handle key without the step, lower and upper bounds) of
+        the inlet pressure, outlet pressure and flow of a tracked arc."""
+        nl, nr = self.spec.nodes[arc.from_node], self.spec.nodes[arc.to_node]
+        return (
+            ("pl", ("p", arc.from_node), nl.pressure_lb, nl.pressure_ub),
+            ("pr", ("p", arc.to_node), nr.pressure_lb, nr.pressure_ub),
+            ("q", ("q", a), arc.flow_lb, arc.flow_ub),
         )
 
     def _group_demands(self, t: int):
@@ -542,14 +478,13 @@ class _Builder:
             _friction(pipe) * pipe.length / (4.0 * pipe.diameter * pipe.area)
         )
         grav = c.gravity * pipe.slope * pipe.length / (2.0 * rstz)
-        pl, pr = self._p(pipe.from_node, t), self._p(pipe.to_node, t)
+        pl, pr = self.h[("p", pipe.from_node, t)], self.h[("p", pipe.to_node, t)]
         ql, qr = self.h[("ql", a, t)], self.h[("qr", a, t)]
         if self.transient:
             t0 = t - 1
             dt = self.scen.time_grid[t] - self.scen.time_grid[t0]
             cont = 2.0 * rstz * dt / (pipe.length * pipe.area)
-            pl0 = self._p(pipe.from_node, t0)
-            pr0 = self._p(pipe.to_node, t0)
+            pl0, pr0 = self.h[("p", pipe.from_node, t0)], self.h[("p", pipe.to_node, t0)]
             m.add_row(
                 f"pipe_cont({a},{t})",
                 [(1.0, pl), (1.0, pr), (-1.0, pl0), (-1.0, pr0), (cont, qr), (-cont, ql)],
@@ -585,8 +520,8 @@ class _Builder:
         self.instance.model.add_row(
             f"resistor({a},{t})",
             [
-                (1.0, self._p(res.from_node, t)),
-                (-1.0, self._p(res.to_node, t)),
+                (1.0, self.h[("p", res.from_node, t)]),
+                (-1.0, self.h[("p", res.to_node, t)]),
                 (-coef, self.h[("q", a, t)]),
             ],
             "==",
@@ -598,7 +533,7 @@ class _Builder:
         valve = spec.valves[a]
         m = self.instance.model
         nl, nr = spec.nodes[valve.from_node], spec.nodes[valve.to_node]
-        pl, pr = self._p(valve.from_node, t), self._p(valve.to_node, t)
+        pl, pr = self.h[("p", valve.from_node, t)], self.h[("p", valve.to_node, t)]
         q = self.h[("q", a, t)]
         op = self.h[("op", a, t)]
         hi = nl.pressure_ub[t] - nr.pressure_lb[t]
@@ -613,11 +548,9 @@ class _Builder:
         rg = spec.regulators[a]
         m = self.instance.model
         nl, nr = spec.nodes[rg.from_node], spec.nodes[rg.to_node]
-        pl, pr = self._p(rg.from_node, t), self._p(rg.to_node, t)
+        pl, pr = self.h[("p", rg.from_node, t)], self.h[("p", rg.to_node, t)]
         q = self.h[("q", a, t)]
-        by = self._rg("by", a, t)
-        cl = self._rg("cl", a, t)
-        ac = self._rg("ac", a, t)
+        by, cl, ac = (self.h[("rg", token, a, t)] for token in REGULATOR_TOKENS)
         m.add_row(f"rg_mode({a},{t})", [(1.0, cl), (1.0, by), (1.0, ac)], "==", 1.0)
         hi = nl.pressure_ub[t] - nr.pressure_lb[t]
         lo = nl.pressure_lb[t] - nr.pressure_ub[t]
@@ -630,7 +563,7 @@ class _Builder:
         spec = self.spec
         st = spec.stations[a]
         m = self.instance.model
-        pl, pr = self._p(st.from_node, t), self._p(st.to_node, t)
+        pl, pr = self.h[("p", st.from_node, t)], self.h[("p", st.to_node, t)]
         q = self.h[("q", a, t)]
         token = self._station_token(a, t)
         if token is not None:
@@ -733,45 +666,26 @@ class _Builder:
     def _emit_station_logic(self, t: int) -> None:
         spec = self.spec
         m = self.instance.model
-        om_fixed = t in self.fixed_modes
 
-        if not om_fixed:
+        if t not in self.fixed_modes:  # a fixed mode satisfies these rows by construction
             m.add_row(
                 f"om_choice({t})",
-                [(1.0, self._om(o, t)) for o in spec.operation_modes],
+                [(1.0, self.h[("om", o, t)]) for o in spec.operation_modes],
                 "==",
                 1.0,
             )
             for a in sorted(spec.valves):
-                pairs = [(1.0, self.h[("op", a, t)])]
-                pairs += [
-                    (-1.0, self._om(o, t))
-                    for o in spec.operation_modes
-                    if spec.operation_modes[o].assignment[a] == "op"
-                ]
-                m.add_row(f"valve_coupling({a},{t})", pairs, "==", 0.0)
+                self._coupling_row(f"valve_coupling({a},{t})", ("op", a, t), a, "op")
             for a in sorted(spec.stations):
-                st = spec.stations[a]
-                pairs = [(1.0, self.h[("cs_by", a, t)])]
-                pairs += [
-                    (-1.0, self._om(o, t))
-                    for o in spec.operation_modes
-                    if spec.operation_modes[o].assignment[a] == "by"
-                ]
-                m.add_row(f"cs_by_coupling({a},{t})", pairs, "==", 0.0)
+                self._coupling_row(f"cs_by_coupling({a},{t})", ("cs_by", a, t), a, "by")
                 # the closed-mode coupling row is implied by the remaining
                 # couplings together with mode selection; omitted
-                for c in st.configurations:
-                    pairs = [(1.0, self.h[("cfg", c.id, a, t)])]
-                    pairs += [
-                        (-1.0, self._om(o, t))
-                        for o in spec.operation_modes
-                        if spec.operation_modes[o].assignment[a] == c.id
-                    ]
-                    m.add_row(f"cs_cfg_coupling({c.id},{a},{t})", pairs, "==", 0.0)
+                for c in spec.stations[a].configurations:
+                    self._coupling_row(
+                        f"cs_cfg_coupling({c.id},{a},{t})", ("cfg", c.id, a, t), a, c.id
+                    )
 
-        fd_fixed = t in self.fixed_dirs
-        if not fd_fixed:
+        if t not in self.fixed_dirs:
             m.add_row(
                 f"fd_choice({t})",
                 [(1.0, self.h[("fd", f, t)]) for f in sorted(spec.flow_directions)],
@@ -779,7 +693,7 @@ class _Builder:
                 1.0,
             )
         for o in sorted(spec.operation_modes):
-            om = self._om(o, t)
+            om = self.h[("om", o, t)]
             if isinstance(om, float) and om == 0.0:
                 continue
             partners = sorted(f for (oo, f) in spec.valid_pairs if oo == o)
@@ -790,16 +704,8 @@ class _Builder:
             d = self.h[("d", v, t)]
             dlb = self.scen.inflow_lb[v][t]
             dub = self.scen.inflow_ub[v][t]
-            not_out = [
-                f
-                for f, fd in spec.flow_directions.items()
-                if v not in fd.outflow_nodes
-            ]
-            not_in = [
-                f
-                for f, fd in spec.flow_directions.items()
-                if v not in fd.inflow_nodes
-            ]
+            not_out = [f for f, fd in spec.flow_directions.items() if v not in fd.outflow_nodes]
+            not_in = [f for f, fd in spec.flow_directions.items() if v not in fd.inflow_nodes]
             m.add_row(
                 f"fd_inflow_lo({v},{t})",
                 [(1.0, d)] + [(dlb, self.h[("fd", f, t)]) for f in not_out],
@@ -818,7 +724,7 @@ class _Builder:
                 gap = node.pressure_ub[t] - node.exit_pressure_ub
                 m.add_row(
                     f"exit_pressure({v},{t})",
-                    [(1.0, self._p(v, t))] + [(gap, self.h[("fd", f, t)]) for f in outs],
+                    [(1.0, self.h[("p", v, t)])] + [(gap, self.h[("fd", f, t)]) for f in outs],
                     "<=",
                     node.pressure_ub[t],
                 )
@@ -838,6 +744,17 @@ class _Builder:
             pairs += [(-sgn(v), self.h[("d", v, t)]) for v in cond.larger]
             pairs.append((c1, fd_handle))
             m.add_row(f"flow_condition({idx},{t})", pairs, "<=", c1)
+
+    def _coupling_row(self, name: str, key: tuple, a: str, token: str) -> None:
+        """Indicator ``key`` equals the sum of the modes assigning ``token`` to arc ``a``."""
+        t = key[-1]
+        pairs = [(1.0, self.h[key])]
+        pairs += [
+            (-1.0, self.h[("om", o, t)])
+            for o, mode in self.spec.operation_modes.items()
+            if mode.assignment[a] == token
+        ]
+        self.instance.model.add_row(name, pairs, "==", 0.0)
 
     def _condition_big_m(self, cond, t: int) -> float:
         direction = self.spec.flow_directions[cond.direction]
@@ -863,7 +780,7 @@ class _Builder:
             m.add_row(
                 f"slack_pressure({v},{t})",
                 [
-                    (1.0, self._p(v, t)),
+                    (1.0, self.h[("p", v, t)]),
                     (-1.0, self.h[("sp+", v, t)]),
                     (1.0, self.h[("sp-", v, t)]),
                 ],
@@ -886,35 +803,12 @@ class _Builder:
         d_om = self.h[("d_om", t)]
         if isinstance(d_om, VarRef):
             for o in sorted(spec.operation_modes):
-                m.add_row(
-                    f"om_change_lo({o},{t})",
-                    [(1.0, d_om), (-1.0, self._om(o, t)), (1.0, self._om(o, t - 1))],
-                    ">=",
-                    0.0,
-                )
-                m.add_row(
-                    f"om_change_hi({o},{t})",
-                    [(1.0, d_om), (1.0, self._om(o, t)), (1.0, self._om(o, t - 1))],
-                    "<=",
-                    2.0,
-                )
+                self._change_rows(d_om, ("om", o), t)
         if self.transient:
             for a in sorted(spec.regulators):
                 d_rg = self.h[("d_rg", a, t)]
                 for token in REGULATOR_TOKENS:
-                    now, before = self._rg(token, a, t), self._rg(token, a, t - 1)
-                    m.add_row(
-                        f"rg_change_lo({token},{a},{t})",
-                        [(1.0, d_rg), (-1.0, now), (1.0, before)],
-                        ">=",
-                        0.0,
-                    )
-                    m.add_row(
-                        f"rg_change_hi({token},{a},{t})",
-                        [(1.0, d_rg), (1.0, now), (1.0, before)],
-                        "<=",
-                        2.0,
-                    )
+                    self._change_rows(d_rg, ("rg", token, a), t)
         for a in sorted(spec.stations):
             st = spec.stations[a]
             for u in st.units:
@@ -923,108 +817,97 @@ class _Builder:
                     continue
                 using = [c.id for c in st.configurations if u.id in c.units]
                 pairs = [(1.0, d_us)]
-                pairs += [(-1.0, self._cfg(c, a, t)) for c in using]
-                pairs += [(1.0, self._cfg(c, a, t - 1)) for c in using]
+                pairs += [(-1.0, self.h[("cfg", c, a, t)]) for c in using]
+                pairs += [(1.0, self.h[("cfg", c, a, t - 1)]) for c in using]
                 m.add_row(f"unit_start({u.id},{a},{t})", pairs, ">=", 0.0)
+
+    def _change_rows(self, change, key: tuple, t: int) -> None:
+        """``change`` is at least |indicator ``key`` at t - at t-1| (0/1
+        values); the rows are named after the key, e.g. ``om_change_lo(o,t)``."""
+        m = self.instance.model
+        kind, args = key[0], ",".join(key[1:] + (str(t),))
+        now, before = self.h[key + (t,)], self.h[key + (t - 1,)]
+        m.add_row(f"{kind}_change_lo({args})", [(1.0, change), (-1.0, now), (1.0, before)], ">=", 0.0)
+        m.add_row(f"{kind}_change_hi({args})", [(1.0, change), (1.0, now), (1.0, before)], "<=", 2.0)
 
     def _emit_trackers(self, t: int) -> None:
         spec = self.spec
         for a in sorted(spec.regulators):
-            relax = [
-                (1.0, self._rg("by", a, t)),
-                (1.0, self._rg("cl", a, t)),
-                (1.0, self.h[("d_rg", a, t)]),
-            ]
+            relax = [self.h[("rg", "by", a, t)], self.h[("rg", "cl", a, t)], self.h[("d_rg", a, t)]]
             self._tracker_rows("rg", spec.regulators[a], a, t, relax)
         for a in sorted(spec.stations):
-            relax = [
-                (1.0, self._cs_mode("by", a, t)),
-                (1.0, self._cs_mode("cl", a, t)),
-                (1.0, self.h[("d_om", t)]),
-            ]
+            relax = [self.h[("cs_by", a, t)], self.h[("cs_cl", a, t)], self.h[("d_om", t)]]
             self._tracker_rows("cs", spec.stations[a], a, t, relax)
 
     def _tracker_rows(self, kind: str, arc, a: str, t: int, relax) -> None:
-        spec = self.spec
+        """Trackers bound the change of pl, pr and q over the step unless a
+        relaxing indicator (bypass, closed, mode change) is on."""
         m = self.instance.model
         tp = t - 1
-        nl, nr = spec.nodes[arc.from_node], spec.nodes[arc.to_node]
-
-        def emit(label, tracker, now, before, up_m, down_m):
+        for label, key, lb, ub in self._tracked(arc, a):
+            tracker = self.h[(f"{kind}_{label}", a, t)]
+            now, before = self.h[key + (t,)], self.h[key + (tp,)]
+            up_m, down_m = ub[t] - lb[tp], ub[tp] - lb[t]
             m.add_row(
                 f"trk_{kind}_{label}_up({a},{t})",
-                [(1.0, now), (-1.0, before), (-1.0, tracker)] + [(-up_m, h) for _, h in relax],
+                [(1.0, now), (-1.0, before), (-1.0, tracker)] + [(-up_m, h) for h in relax],
                 "<=",
                 0.0,
             )
             m.add_row(
                 f"trk_{kind}_{label}_dn({a},{t})",
-                [(1.0, before), (-1.0, now), (-1.0, tracker)] + [(-down_m, h) for _, h in relax],
+                [(1.0, before), (-1.0, now), (-1.0, tracker)] + [(-down_m, h) for h in relax],
                 "<=",
                 0.0,
             )
 
-        emit(
-            "pl",
-            self.h[(f"{kind}_pl", a, t)],
-            self._p(arc.from_node, t),
-            self._p(arc.from_node, tp) if tp in self.times else self.snapshot.pressures[arc.from_node],
-            nl.pressure_ub[t] - nl.pressure_lb[tp],
-            nl.pressure_ub[tp] - nl.pressure_lb[t],
-        )
-        emit(
-            "pr",
-            self.h[(f"{kind}_pr", a, t)],
-            self._p(arc.to_node, t),
-            self._p(arc.to_node, tp) if tp in self.times else self.snapshot.pressures[arc.to_node],
-            nr.pressure_ub[t] - nr.pressure_lb[tp],
-            nr.pressure_ub[tp] - nr.pressure_lb[t],
-        )
-        emit(
-            "q",
-            self.h[(f"{kind}_q", a, t)],
-            self._q(a, t),
-            self._q(a, tp) if tp in self.times else self.snapshot.arc_flows[a],
-            arc.flow_ub[t] - arc.flow_lb[tp],
-            arc.flow_ub[tp] - arc.flow_lb[t],
-        )
-
     def _emit_objective(self) -> None:
+        """The objective, with the file-facing weights converted to Pa, kg/s and s."""
         spec = self.spec
         m = self.instance.model
-        iw = self.iw
+        w = self.weights
+        per_pa = 1.0 / PA_PER_BAR
+        per_kg_s = SECONDS_PER_HOUR / (1000.0 * spec.constants.normal_density)
+        slack_pressure = w.slack_pressure / (PA_PER_BAR * SECONDS_PER_HOUR)  # per Pa*s
+        slack_flow = w.slack_flow / (1000.0 * spec.constants.normal_density)  # per kg
+        tracked = {  # per Pa, per Pa and per kg/s of inlet, outlet and flow change
+            "rg": (
+                w.regulator_inlet_pressure * per_pa,
+                w.regulator_outlet_pressure * per_pa,
+                w.regulator_flow * per_kg_s,
+            ),
+            "cs": (
+                w.station_inlet_pressure * per_pa,
+                w.station_outlet_pressure * per_pa,
+                w.station_flow * per_kg_s,
+            ),
+        }
+
+        def tracker_terms(kind: str, a: str, t: int) -> None:
+            for category, label, coef in zip(
+                ("inlet_pressure", "outlet_pressure", "flow"), ("pl", "pr", "q"), tracked[kind]
+            ):
+                m.add_objective(f"{kind}_{category}", self.h[(f"{kind}_{label}", a, t)], coef)
+
         for t in self.times:
             dt = self.scen.step_length(t)
             for v in sorted(spec.boundary_nodes()):
-                m.add_objective("slack_pressure", self.h[("sp+", v, t)], dt * iw.slack_pressure)
-                m.add_objective("slack_pressure", self.h[("sp-", v, t)], dt * iw.slack_pressure)
+                m.add_objective("slack_pressure", self.h[("sp+", v, t)], dt * slack_pressure)
+                m.add_objective("slack_pressure", self.h[("sp-", v, t)], dt * slack_pressure)
                 if ("sd+", v, t) in self.h:
-                    m.add_objective("slack_flow", self.h[("sd+", v, t)], dt * iw.slack_flow)
-                    m.add_objective("slack_flow", self.h[("sd-", v, t)], dt * iw.slack_flow)
-            m.add_objective("om_change", self.h[("d_om", t)], iw.operation_mode_change)
+                    m.add_objective("slack_flow", self.h[("sd+", v, t)], dt * slack_flow)
+                    m.add_objective("slack_flow", self.h[("sd-", v, t)], dt * slack_flow)
+            m.add_objective("om_change", self.h[("d_om", t)], w.operation_mode_change)
             for a in sorted(spec.stations):
                 for u in spec.stations[a].units:
-                    m.add_objective("unit_start", self.h[("d_us", u.id, a, t)], iw.unit_start)
-            if self.transient:
-                for a in sorted(spec.regulators):
-                    m.add_objective(
-                        "rg_change", self.h[("d_rg", a, t)], iw.regulator_mode_change
-                    )
-                    m.add_objective(
-                        "rg_inlet_pressure", self.h[("rg_pl", a, t)], iw.regulator_inlet_pressure
-                    )
-                    m.add_objective(
-                        "rg_outlet_pressure", self.h[("rg_pr", a, t)], iw.regulator_outlet_pressure
-                    )
-                    m.add_objective("rg_flow", self.h[("rg_q", a, t)], iw.regulator_flow)
-                for a in sorted(spec.stations):
-                    m.add_objective(
-                        "cs_inlet_pressure", self.h[("cs_pl", a, t)], iw.station_inlet_pressure
-                    )
-                    m.add_objective(
-                        "cs_outlet_pressure", self.h[("cs_pr", a, t)], iw.station_outlet_pressure
-                    )
-                    m.add_objective("cs_flow", self.h[("cs_q", a, t)], iw.station_flow)
+                    m.add_objective("unit_start", self.h[("d_us", u.id, a, t)], w.unit_start)
+            if not self.transient:
+                continue
+            for a in sorted(spec.regulators):
+                m.add_objective("rg_change", self.h[("d_rg", a, t)], w.regulator_mode_change)
+                tracker_terms("rg", a, t)
+            for a in sorted(spec.stations):
+                tracker_terms("cs", a, t)
 
 
 def _facet_unit(w: float, x: float, y: float) -> float | None:

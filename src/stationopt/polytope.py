@@ -51,7 +51,7 @@ class HalfSpace:
 class HPolytope:
     """Intersection of half spaces, ``A x + b <= 0`` row-wise."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
+    def __init__(self, A: np.ndarray, b: np.ndarray, minimal: bool = False):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.asarray(b, dtype=float).ravel()
         if A.shape[0] != b.shape[0]:
@@ -61,13 +61,8 @@ class HPolytope:
             raise ValueError("zero rows are not valid half spaces")
         self.A = A
         self.b = b
+        self.minimal = minimal  # every row is a facet, as remove_redundant returns it
         self._box: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def from_halfspaces(cls, halfspaces: list[HalfSpace]) -> "HPolytope":
-        A = np.array([h.coefficients for h in halfspaces], dtype=float)
-        b = np.array([h.offset for h in halfspaces], dtype=float)
-        return cls(A, b)
 
     @property
     def dim(self) -> int:
@@ -76,9 +71,6 @@ class HPolytope:
     @property
     def n_rows(self) -> int:
         return self.A.shape[0]
-
-    def halfspaces(self) -> list[HalfSpace]:
-        return [HalfSpace(tuple(row), float(off)) for row, off in zip(self.A, self.b)]
 
     def normalized(self) -> "HPolytope":
         norms = np.linalg.norm(self.A, axis=1)
@@ -262,7 +254,7 @@ def remove_redundant(h: HPolytope, tol: float = FACET_TOL) -> HPolytope:
         if res.status == 0 and -res.fun + b[i] <= tol:
             active = others
         # Unbounded in direction A[i] means the row is essential; keep it.
-    return HPolytope(A[active], b[active])
+    return HPolytope(A[active], b[active], minimal=True)
 
 
 def project_out(h: HPolytope, index: int, tol: float = FACET_TOL) -> HPolytope:

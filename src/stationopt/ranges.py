@@ -149,14 +149,17 @@ def configuration_polytope(stage_polytopes: list[HPolytope]) -> HPolytope:
     """Serial composition: equal flow, chained pressures.
 
     The outgoing pressure of each stage is the incoming pressure of the
-    next; the intermediate pressures are projected out and the result is
-    reduced to its facets.  Stage order matters.
+    next; the intermediate pressures are projected out, which reduces the
+    result to its facets.  A single stage is reduced here unless it is
+    minimal already (a projected stage of parallel units).  Stage order
+    matters.
     """
     if not stage_polytopes:
         raise ValueError("a configuration needs at least one stage")
     n = len(stage_polytopes)
     if n == 1:
-        return remove_redundant(stage_polytopes[0]).normalized()
+        stage = stage_polytopes[0]
+        return (stage if stage.minimal else remove_redundant(stage)).normalized()
     dim = 3 + (n - 1)
     rows: list[np.ndarray] = []
     offsets: list[float] = []
@@ -173,7 +176,7 @@ def configuration_polytope(stage_polytopes: list[HPolytope]) -> HPolytope:
     chained = HPolytope(np.array(rows), np.array(offsets))
     for _ in range(n - 1):
         chained = project_out(chained, 3)
-    return remove_redundant(chained).normalized()
+    return chained.normalized()
 
 
 def build_station_ranges(

@@ -43,6 +43,12 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "schema error" in capsys.readouterr().err
 
+    def test_malformed_unavailability_exits_2(self, tmp_path, capsys):
+        doc = mini_station(unavailability={"U1": [[3600.0]]})
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert "schema error: $.unavailability.U1[0]" in capsys.readouterr().err
+
 
 class TestBuildRangesCommand:
     def test_writes_cache(self, instance_path, capsys):

@@ -91,6 +91,29 @@ class TestLoadSave:
         with pytest.raises(SchemaError, match=r"\$\.nodes\[0\]\.pressureUB"):
             load_instance(doc)
 
+    @pytest.mark.parametrize(
+        "windows,path",
+        [
+            ([[3600.0]], r"\$\.unavailability\.U1\[0\]: expected \[start, end\]"),
+            ([["a", 5.0]], r"\$\.unavailability\.U1\[0\]\[0\]: expected a number"),
+            ([[3600.0, "7200"]], r"\$\.unavailability\.U1\[0\]\[1\]: expected a number"),
+            ([[0.0, 10.0], [True, 7200.0]], r"\$\.unavailability\.U1\[1\]\[0\]: expected a number"),
+            (3600.0, r"\$\.unavailability\.U1: expected a list"),
+        ],
+        ids=["one-number", "text-start", "text-end", "bool-start", "not-a-list"],
+    )
+    def test_malformed_unavailability_window(self, windows, path):
+        doc = mini_station()
+        doc["unavailability"] = {"U1": windows}
+        with pytest.raises(SchemaError, match=path):
+            load_instance(doc)
+
+    def test_malformed_pipe_flow_names_its_entry(self):
+        doc = mini_station_pipes()
+        doc["scenario"]["initialState"]["pipeFlows"]["P1"] = [700.0, "700"]
+        with pytest.raises(SchemaError, match=r"\$\.scenario\.initialState\.pipeFlows\.P1\[1\]"):
+            load_instance(doc)
+
     def test_wrong_series_length(self):
         doc = mini_station()
         doc["scenario"]["inflowLB"]["B1"] = [0.0, 0.0]  # needs k+1 = 5

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -498,6 +499,51 @@ class TestBuildVariant:
         op = inst.handle("op", "V1", 1)
         assert row.coeffs[op.index] == pytest.approx((80.0 - 30.0) * 1e5)
         assert row.rhs == pytest.approx((80.0 - 30.0) * 1e5)
+
+
+# Operating range of mini_station's configuration c1, given in the document
+# so that no range construction runs: w pl + x pr + y q + z <= 0 in Pa, Pa
+# and kg/s; the last row is a flow facet, the others are pressure facets.
+PINNED_FACETS = [
+    [-1.0, 0.0, 0.0, 4.0e6],
+    [0.0, 1.0, 0.0, -7.5e6],
+    [1.0, -1.0, 0.0, 0.0],
+    [-1.0, 1.0, 0.0, -2.5e6],
+    [0.0, 0.0, -1.0, 0.0],
+    [-1.0e-4, 1.0e-4, 1.0, -450.0],
+]
+# sha256 of lp_text() per variant; each variant has a mode change, so the
+# fixed ones carry constant mode-change and unit-start terms
+PINNED_LP_SHA256 = {
+    "P": "dfe8c86673277772650e35c5e67df1cfd1076ab7ba934dfb2ffc691d914f5c8e",
+    "Ps": "e7ec6cacb82ea38a50c03ad2ca86c6d719e8f9513c98a14d5e870ef6dbe1698d",
+    "Psf": "01e2944fae69c8d4cc7386c42935aec06d919575eeb95240de658b316e0dd7ea",
+    "Pf": "f46e5de376486ceead04da24df4ea9e2e376e4fd6186df9e69642e2ad747d3b5",
+}
+
+
+class TestPinnedOutput:
+    """The builder's LP text for every variant of mini_station, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        doc = mini_station()
+        doc["arcs"][0]["configurations"][0]["facets"] = PINNED_FACETS
+        spec, scen = load_instance(doc)
+        pf_modes = ["o_cp", "o_by", "o_by", "o_cp"]
+        return {
+            "P": build_full(spec, scen, WEIGHTS),
+            "Ps": build_stationary(spec, scen, WEIGHTS, 2, "o_by"),
+            "Psf": build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 2, "o_by"),
+            "Pf": build_fixed_transient(
+                spec, scen, WEIGHTS, pf_modes, ["f_fwd"] * 4, initial_snapshot(scen)
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_LP_SHA256))
+    def test_lp_text_sha256(self, models, kind):
+        text = models[kind].model.lp_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LP_SHA256[kind]
 
 
 PRESSURE_COLUMNS = ("p(", "p_by(", "p_cl_l(", "p_cl_r(", "p_cfg_l(", "p_cfg_r(", "sp_pos(", "sp_neg(")

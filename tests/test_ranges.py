@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from stationopt.fixtures import mini_station_pipes
+from stationopt.fixtures import medium_station, mini_station_pipes
 from stationopt.gas import GasConstants, compression_power
 from stationopt.io import load_instance
 from stationopt.network import CompressorUnit
@@ -363,3 +363,13 @@ def test_spec_ranges_solve_each_bounding_box_once(linprog_calls):
     spec, _ = load_instance(mini_station_pipes())
     build_spec_ranges(spec)
     assert len(linprog_calls) == 16
+
+
+def test_composed_ranges_are_reduced_once(linprog_calls):
+    # project_out leaves a serial chain and a stage of parallel units
+    # minimal, so configuration_polytope reduces only a single-unit stage
+    spec, _ = load_instance(medium_station())
+    spec = build_spec_ranges(spec)
+    assert len(linprog_calls) == 87
+    facet_counts = {c.id: len(c.facets) for c in spec.stations["CS1"].configurations}
+    assert facet_counts == {"c1": 8, "c2": 8, "c12": 11, "s12": 10}
