@@ -88,10 +88,11 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _number_pair(value, path: str, expected: str) -> tuple:
-    if not isinstance(value, list) or len(value) != 2:
+def _number_row(value, n: int, path: str, expected: str) -> tuple:
+    """A list of exactly ``n`` numbers, each checked with its own path."""
+    if not isinstance(value, list) or len(value) != n:
         raise SchemaError(path, f"expected {expected}")
-    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
 def _number_or_list(value, n: int, path: str) -> np.ndarray:
@@ -156,12 +157,9 @@ def load_instance(source):
         path = f"$.units[{i}]"
         uid = _need(ud, "id", path)
         facets = tuple(
-            tuple(_number(c, f"{path}.operatingRange2D[{j}][{m}]") for m, c in enumerate(row))
+            _number_row(row, 3, f"{path}.operatingRange2D[{j}]", "a triple (a0, a1, a2)")
             for j, row in enumerate(_need(ud, "operatingRange2D", path))
         )
-        for j, row in enumerate(facets):
-            if len(row) != 3:
-                raise SchemaError(f"{path}.operatingRange2D[{j}]", "expected a triple (a0, a1, a2)")
         units[uid] = dict(
             id=uid,
             operating_range_2d=facets,
@@ -257,13 +255,12 @@ def load_instance(source):
                     frozenset(stage) for stage in _need(cd, "stages", cpath)
                 )
                 facets = cd.get("facets")
-                configs.append(
-                    Configuration(
-                        _need(cd, "id", cpath),
-                        stages,
-                        tuple(tuple(f) for f in facets) if facets is not None else None,
+                if facets is not None:
+                    facets = tuple(
+                        _number_row(f, 4, f"{cpath}.facets[{m}]", "4 numbers (w, x, y, z)")
+                        for m, f in enumerate(facets)
                     )
-                )
+                configs.append(Configuration(_need(cd, "id", cpath), stages, facets))
             stations[aid] = CompressorStationArc(
                 aid, from_node, to_node, tuple(member_units), tuple(configs), lb, ub
             )
@@ -315,7 +312,7 @@ def load_instance(source):
         if not isinstance(windows, list):
             raise SchemaError(path, "expected a list of [start, end] windows")
         unavailability[uid] = tuple(
-            _number_pair(w, f"{path}[{j}]", "[start, end]") for j, w in enumerate(windows)
+            _number_row(w, 2, f"{path}[{j}]", "[start, end]") for j, w in enumerate(windows)
         )
 
     spec = StationSpec(
@@ -392,7 +389,7 @@ def _pipe_initial_flows(state_doc: dict, arc_id: str, rho0: float):
     path = f"$.scenario.initialState.pipeFlows.{arc_id}"
     if arc_id not in flows:
         raise SchemaError(path, "missing initial pipe flows")
-    q_in, q_out = _number_pair(flows[arc_id], path, "[inflow, outflow]")
+    q_in, q_out = _number_row(flows[arc_id], 2, path, "[inflow, outflow]")
     return normvol_to_massflow(q_in, rho0), normvol_to_massflow(q_out, rho0)
 
 

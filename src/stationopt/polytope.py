@@ -6,6 +6,10 @@ and rejection-free uniform sampling.  Dimensions stay <= 6 (3-D operating
 ranges plus a few intermediate coordinates during composition), which
 keeps the brute-force-friendly algorithms here perfectly adequate.
 
+Vertices, bounding boxes and redundancy removal read one qhull halfspace
+intersection (Barber, Dobkin & Huhdanpaa, ACM TOMS 22(4), 1996) around the
+Chebyshev centre, so they need a bounded, full-dimensional region, dim >= 2.
+
 Half spaces are stored as ``c . x + offset <= 0``.
 """
 
@@ -51,7 +55,7 @@ class HalfSpace:
 class HPolytope:
     """Intersection of half spaces, ``A x + b <= 0`` row-wise."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, minimal: bool = False):
+    def __init__(self, A: np.ndarray, b: np.ndarray):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.asarray(b, dtype=float).ravel()
         if A.shape[0] != b.shape[0]:
@@ -61,8 +65,6 @@ class HPolytope:
             raise ValueError("zero rows are not valid half spaces")
         self.A = A
         self.b = b
-        self.minimal = minimal  # every row is a facet, as remove_redundant returns it
-        self._box: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -111,42 +113,15 @@ class HPolytope:
             raise RuntimeError(f"Chebyshev LP failed: {res.message}")
         return res.x[:-1], float(res.x[-1])
 
-    def is_empty(self) -> bool:
-        try:
-            self.chebyshev_center()
-        except EmptyRegionError:
-            return True
-        except UnboundedRegionError:
-            return False
-        return False
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate min/max; raises if unbounded or empty.
+        """Per-coordinate min/max over the vertices.
 
-        The 2 * dim LPs are solved on the first successful call only, so
-        ``A`` and ``b`` must not be changed in place afterwards; every call
-        returns fresh copies.
+        Raises :class:`EmptyRegionError`, :class:`UnboundedRegionError` or
+        :class:`DegenerateRegionError` unless the region is bounded and
+        full-dimensional.
         """
-        if self._box is None:
-            lo = np.empty(self.dim)
-            hi = np.empty(self.dim)
-            for j in range(self.dim):
-                for sign, out in ((1.0, lo), (-1.0, hi)):
-                    c = np.zeros(self.dim)
-                    c[j] = sign
-                    res = linprog(
-                        c, A_ub=self.A, b_ub=-self.b, bounds=[(None, None)] * self.dim, method="highs"
-                    )
-                    if res.status == 3:
-                        raise UnboundedRegionError(f"polytope unbounded in coordinate {j}")
-                    if res.status == 2:
-                        raise EmptyRegionError("polytope has no feasible point")
-                    if res.status != 0:
-                        raise RuntimeError(f"bounding-box LP failed: {res.message}")
-                    out[j] = sign * res.fun
-            self._box = (lo, hi)
-        lo, hi = self._box
-        return lo.copy(), hi.copy()
+        vertices = _intersection(self, FACET_TOL).intersections
+        return vertices.min(axis=0), vertices.max(axis=0)
 
 
 class VPolytope:
@@ -188,23 +163,39 @@ class Tetrahedron:
         return abs(float(np.linalg.det(v[1:] - v[0]))) / 6.0
 
 
+def _intersection(h: HPolytope, tol: float) -> HalfspaceIntersection:
+    """qhull's intersection of the half spaces of ``h`` around its Chebyshev centre.
+
+    The centre is the one LP.  Raises :class:`EmptyRegionError` without a
+    feasible point, :class:`UnboundedRegionError` for a line or non-finite
+    intersections, and :class:`DegenerateRegionError` when the inscribed
+    radius is at most ``tol`` times the centre's magnitude.
+    """
+    center, radius = h.chebyshev_center()
+    if np.linalg.matrix_rank(h.A) < h.dim:
+        raise UnboundedRegionError("polytope contains a line")
+    if radius <= tol * max(1.0, float(np.abs(center).max())):
+        raise DegenerateRegionError("polytope is not full-dimensional")
+    if h.dim < 2:
+        raise ValueError("qhull needs dimension >= 2")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inter = HalfspaceIntersection(np.hstack([h.A, h.b[:, None]]), center)
+    if not np.isfinite(inter.intersections).all():
+        raise UnboundedRegionError("polytope is unbounded")
+    return inter
+
+
 def enumerate_vertices(h: HPolytope, tol: float = FACET_TOL) -> VPolytope:
     """Vertex enumeration of a bounded H-polytope (dimension <= 4).
 
-    Backed by qhull's halfspace intersection around a Chebyshev center;
-    vertices closer than ``tol`` (scaled by the coordinate magnitude) are
-    merged.
+    The vertices are qhull's halfspace intersections; vertices closer than
+    ``tol`` (scaled by the coordinate magnitude) are merged.
     """
     if h.dim > 4:
         raise ValueError("vertex enumeration is limited to dimension <= 4")
-    lo, hi = h.bounding_box()  # raises on unbounded/empty input
-    center, radius = h.chebyshev_center()
-    scale = max(1.0, float(np.abs(lo).max()), float(np.abs(hi).max()))
-    if radius <= tol * scale:
-        raise DegenerateRegionError("polytope is not full-dimensional")
-    hs = np.hstack([h.A, h.b[:, None]])
-    inter = HalfspaceIntersection(hs, center)
-    return VPolytope(_dedupe_points(inter.intersections, tol * scale))
+    points = _intersection(h, tol).intersections
+    scale = max(1.0, float(np.abs(points).max()))
+    return VPolytope(_dedupe_points(points, tol * scale))
 
 
 def _dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
@@ -217,44 +208,20 @@ def _dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def remove_redundant(h: HPolytope, tol: float = FACET_TOL) -> HPolytope:
-    """Minimal normalized H-description of the same region.
+    """Minimal normalized H-description of a bounded, full-dimensional region.
 
-    Every surviving half space is tight at some feasible point, certified
-    by one LP per facet.  Raises :class:`EmptyRegionError` on infeasible
-    input.
+    Each half space is a point of qhull's dual hull, and a facet of the
+    region exactly when that point is a hull vertex, so a row is kept
+    exactly when it is in some dual facet.  Slack, duplicate and merely
+    touching planes go; of rows equal within ``tol`` the first stays, and
+    rows keep their order.  Raises as :meth:`HPolytope.bounding_box` does.
     """
     hp = h.normalized()
-    if hp.is_empty():
-        raise EmptyRegionError("cannot reduce an infeasible system")
-    # Exact/near duplicates go first so the LP loop sees each plane once.
-    A_rows: list[np.ndarray] = []
-    b_rows: list[float] = []
-    for row, off in zip(hp.A, hp.b):
-        dup = any(
-            np.linalg.norm(row - r2) <= tol and abs(off - o2) <= tol
-            for r2, o2 in zip(A_rows, b_rows)
-        )
-        if not dup:
-            A_rows.append(row)
-            b_rows.append(off)
-    A = np.array(A_rows)
-    b = np.array(b_rows)
-    active = list(range(len(b)))
-    for i in range(len(b)):
-        others = [j for j in active if j != i]
-        if not others:
-            continue
-        res = linprog(
-            -A[i],
-            A_ub=A[others],
-            b_ub=-b[others],
-            bounds=[(None, None)] * hp.dim,
-            method="highs",
-        )
-        if res.status == 0 and -res.fun + b[i] <= tol:
-            active = others
-        # Unbounded in direction A[i] means the row is essential; keep it.
-    return HPolytope(A[active], b[active], minimal=True)
+    rows = np.hstack([hp.A, hp.b[:, None]])
+    kept = rows[np.unique(np.concatenate(_intersection(hp, tol).dual_facets))]
+    # qhull keeps any one of a set of duplicates; take the first instead
+    keep = np.unique((np.abs(kept[:, None] - rows[None]) <= tol).all(axis=2).argmax(axis=1))
+    return HPolytope(hp.A[keep], hp.b[keep])
 
 
 def project_out(h: HPolytope, index: int, tol: float = FACET_TOL) -> HPolytope:

@@ -150,16 +150,14 @@ def configuration_polytope(stage_polytopes: list[HPolytope]) -> HPolytope:
 
     The outgoing pressure of each stage is the incoming pressure of the
     next; the intermediate pressures are projected out, which reduces the
-    result to its facets.  A single stage is reduced here unless it is
-    minimal already (a projected stage of parallel units).  Stage order
+    result to its facets.  A single stage is reduced here.  Stage order
     matters.
     """
     if not stage_polytopes:
         raise ValueError("a configuration needs at least one stage")
     n = len(stage_polytopes)
     if n == 1:
-        stage = stage_polytopes[0]
-        return (stage if stage.minimal else remove_redundant(stage)).normalized()
+        return remove_redundant(stage_polytopes[0]).normalized()
     dim = 3 + (n - 1)
     rows: list[np.ndarray] = []
     offsets: list[float] = []

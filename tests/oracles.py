@@ -270,3 +270,22 @@ def brute_transition_check(
         if s1 < e2 - 1e-9 and s2 < e1 - 1e-9:
             return False
     return True
+
+
+def facet_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    """Indices of the rows whose tight vertices span a (dim-1)-dimensional face.
+
+    Of rows equal within ``tol``, only the first counts.
+    """
+    A = np.asarray(A, float)
+    b = np.asarray(b, float)
+    d = A.shape[1]
+    verts = brute_force_vertices(A, b, tol)
+    keep = []
+    for i in range(len(b)):
+        if any(np.abs(A[j] - A[i]).max() <= tol and abs(b[j] - b[i]) <= tol for j in keep):
+            continue
+        tight = verts[np.abs(verts @ A[i] + b[i]) <= tol]
+        if len(tight) >= d and np.linalg.matrix_rank(tight[1:] - tight[0], tol) == d - 1:
+            keep.append(i)
+    return np.array(keep)

@@ -49,6 +49,13 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "schema error: $.unavailability.U1[0]" in capsys.readouterr().err
 
+    def test_malformed_facets_exit_2(self, tmp_path, capsys):
+        doc = mini_station()
+        doc["arcs"][0]["configurations"][0]["facets"] = [[0.0, 0.0, 1.0, 0.0], [1.0, 2.0]]
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert "schema error: $.arcs[0].configurations[0].facets[1]" in capsys.readouterr().err
+
 
 class TestBuildRangesCommand:
     def test_writes_cache(self, instance_path, capsys):

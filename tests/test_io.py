@@ -108,6 +108,27 @@ class TestLoadSave:
         with pytest.raises(SchemaError, match=path):
             load_instance(doc)
 
+    @pytest.mark.parametrize(
+        "facets,path",
+        [
+            ([["a", 0, 0, 1], [1, 2]], r"\.configurations\[0\]\.facets\[0\]\[0\]: expected a number"),
+            ([[0, 0, 1, 1], [1, 2]], r"\.configurations\[0\]\.facets\[1\]: expected 4 numbers"),
+        ],
+        ids=["text-entry", "short-row"],
+    )
+    def test_malformed_configuration_facets(self, facets, path):
+        doc = mini_station()
+        doc["arcs"][0]["configurations"][0]["facets"] = facets
+        with pytest.raises(SchemaError, match=r"\$\.arcs\[0\]" + path):
+            load_instance(doc)
+
+    def test_configuration_facets_load_as_floats(self):
+        doc = mini_station()
+        doc["arcs"][0]["configurations"][0]["facets"] = [[-1, 0, 0, 4e6]]
+        spec, _ = load_instance(doc)
+        (facet,) = spec.stations["CS1"].configurations[0].facets
+        assert facet == (-1.0, 0.0, 0.0, 4e6) and all(type(x) is float for x in facet)
+
     def test_malformed_pipe_flow_names_its_entry(self):
         doc = mini_station_pipes()
         doc["scenario"]["initialState"]["pipeFlows"]["P1"] = [700.0, "700"]

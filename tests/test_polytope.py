@@ -20,6 +20,7 @@ from stationopt.polytope import (
 from oracles import (
     brute_force_vertices,
     divergence_volume,
+    facet_rows,
     hausdorff_convex_2d,
     match_vertex_sets,
     normal_equations_fit,
@@ -102,14 +103,6 @@ class TestEnumerateVertices:
 
 
 class TestBoundingBoxMemo:
-    def test_second_call_solves_no_lp(self, linprog_calls):
-        h = unit_simplex()
-        lo, hi = h.bounding_box()
-        assert len(linprog_calls) == 2 * h.dim
-        lo2, hi2 = h.bounding_box()
-        assert len(linprog_calls) == 2 * h.dim
-        assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
-
     def test_writes_into_result_do_not_leak(self):
         h = unit_simplex()
         lo, hi = h.bounding_box()
@@ -153,11 +146,50 @@ class TestRemoveRedundant:
             enumerate_vertices(reduced).vertices, enumerate_vertices(h).vertices, 1e-7
         )
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keeps_exactly_the_facets(self, seed, dim):
+        A, b = random_bounded_hpolytope(seed, extra_planes=9, dim=dim)
+        A, b = np.vstack([A, A[-2:]]), np.concatenate([b, b[-2:]])  # duplicates at the end
+        reduced = remove_redundant(HPolytope(A, b))
+        expect = facet_rows(A, b)
+        assert reduced.n_rows == len(expect)
+        assert np.allclose(reduced.A, A[expect], rtol=0, atol=1e-12)
+        assert np.allclose(reduced.b, b[expect], rtol=0, atol=1e-12)
+
     def test_infeasible_raises(self):
         A = np.array([[1.0], [-1.0]])
         b = np.array([0.0, 1.0])
         with pytest.raises(EmptyRegionError):
             remove_redundant(HPolytope(A, b))
+
+    def test_plane_touching_a_vertex_dropped(self):
+        h = unit_cube()
+        corner = HPolytope(np.vstack([h.A, [[1.0, 1.0, 1.0]]]), np.concatenate([h.b, [-3.0]]))
+        assert np.array_equal(remove_redundant(corner).A, remove_redundant(h).A)
+
+    def test_flat_input_raises(self):
+        h = unit_cube()
+        flat = HPolytope(np.vstack([h.A, [[0.0, 0.0, 1.0]]]), np.concatenate([h.b, [0.0]]))
+        with pytest.raises(DegenerateRegionError):
+            remove_redundant(flat)
+
+
+SLAB = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, 0.0]))  # contains a line
+HALF_STRIP = HPolytope(np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]]), np.array([-1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("reduce", [HPolytope.bounding_box, remove_redundant])
+@pytest.mark.parametrize("h", [SLAB, HALF_STRIP], ids=["slab", "half-strip"])
+def test_unbounded_region_raises_unbounded(reduce, h):
+    with pytest.raises(UnboundedRegionError):
+        reduce(h)
+
+
+def test_one_dimensional_input_is_refused():
+    interval = HPolytope(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        interval.bounding_box()
 
 
 class TestProjectOut:

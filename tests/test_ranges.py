@@ -1,9 +1,13 @@
+import hashlib
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from stationopt.fixtures import medium_station, mini_station_pipes
+from stationopt.fixtures import medium_station, mini_station_pipes, seeded_instance
 from stationopt.gas import GasConstants, compression_power
 from stationopt.io import load_instance
 from stationopt.network import CompressorUnit
@@ -358,18 +362,52 @@ class TestEndToEndUnitComposition:
             assert res.status == 0
 
 
-def test_spec_ranges_solve_each_bounding_box_once(linprog_calls):
-    # validating a lifted unit range and enumerating its vertices share one box
+def test_spec_ranges_solve_one_lp_per_qhull_call(linprog_calls):
+    # one unit: its lifted box, its vertices and its reduced range each take
+    # one Chebyshev centre and one qhull intersection
     spec, _ = load_instance(mini_station_pipes())
     build_spec_ranges(spec)
-    assert len(linprog_calls) == 16
+    assert len(linprog_calls) == 3
 
 
 def test_composed_ranges_are_reduced_once(linprog_calls):
-    # project_out leaves a serial chain and a stage of parallel units
-    # minimal, so configuration_polytope reduces only a single-unit stage
+    # each polytope costs one Chebyshev LP: a lifted box and a vertex set per
+    # unit, one reduction per projection and per single stage
     spec, _ = load_instance(medium_station())
     spec = build_spec_ranges(spec)
-    assert len(linprog_calls) == 87
+    assert len(linprog_calls) == 9
     facet_counts = {c.id: len(c.facets) for c in spec.stations["CS1"].configurations}
     assert facet_counts == {"c1": 8, "c2": 8, "c12": 11, "s12": 10}
+
+
+def facet_digest(spec) -> str:
+    """sha256 of every configuration's facets at 12 significant digits."""
+    rows = [
+        [sid, c.id, [[f"{x + 0.0:.12g}" for x in f] for f in c.facets]]  # + 0.0 folds -0.0
+        for sid, st in sorted(spec.stations.items())
+        for c in st.configurations
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# build_spec_ranges at 2,000 samples; a kept, dropped or reordered row
+# changes the digest, a last-ulp difference in libm does not
+PINNED_FACET_SHA256 = {
+    "mini_station_pipes": "8dfdafd018e822dbf2604b735ee15252dcd72f3f02dcf605fbd7ef314a571093",
+    "medium_station": "4c975f948c88655dbaa69866728cb5617f5b1abced33c664d2706b65239e8dae",
+    "seeded_instance(0)": "579bd63aae4f8fdde649afb8152f932fe78b37161e55caa93c5f5e6100b8f874",
+    "seeded_instance(1)": "8dfdafd018e822dbf2604b735ee15252dcd72f3f02dcf605fbd7ef314a571093",
+    "seeded_instance(2)": "579bd63aae4f8fdde649afb8152f932fe78b37161e55caa93c5f5e6100b8f874",
+    "seeded_instance(3)": "8dfdafd018e822dbf2604b735ee15252dcd72f3f02dcf605fbd7ef314a571093",
+}
+PINNED_DOCS = {
+    "mini_station_pipes": mini_station_pipes,
+    "medium_station": medium_station,
+    **{f"seeded_instance({i})": partial(seeded_instance, i) for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", PINNED_FACET_SHA256)
+def test_built_facets_are_pinned(name):
+    spec, _ = load_instance(PINNED_DOCS[name]())
+    assert facet_digest(build_spec_ranges(spec, 2_000)) == PINNED_FACET_SHA256[name]
