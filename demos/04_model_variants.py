@@ -13,7 +13,6 @@ from stationopt.model import (
     build_full,
     build_stationary,
     build_stationary_fixed,
-    initial_snapshot,
 )
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
@@ -29,7 +28,7 @@ variants = {
     "Ps  (stationary, t=1)": build_stationary(spec, scen, weights, 1, "o_cp"),
     "Psf (fixed o_cp, t=1)": build_stationary_fixed(spec, scen, weights, "o_cp", 1, "o_cp"),
     "Pf  (fixed window)": build_fixed_transient(
-        spec, scen, weights, ["o_cp", "o_cp"], ["f_fwd", "f_fwd"], initial_snapshot(scen)
+        spec, scen, weights, ["o_cp", "o_cp"], ["f_fwd", "f_fwd"], scen.initial_state
     ),
 }
 for label, inst in variants.items():

@@ -22,7 +22,6 @@ from stationopt.io import (
     template_grid,
     write_plan,
 )
-from stationopt.model import build_full
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
 
@@ -38,7 +37,7 @@ plan = solver.solve_station(h=4)
 print("== plan ==")
 for t in range(scen.n_future + 1):
     tag = "initial" if t == 0 else f"t={t:<2d}"
-    rg = plan.regulator_modes[t].get("RG1", "-")
+    rg = plan.states[t].regulator_modes.get("RG1", "-")
     print(
         f"  {tag:8s} {scen.time_grid[t]/3600.0:5.2f} h   mode {plan.sequence.modes[t]:5s}"
         f"  direction {plan.sequence.directions[t] or '-':6s}  regulator {rg}"
@@ -55,8 +54,7 @@ shares = plan.phase_shares
 print("  phase shares " + ", ".join(f"{k} {v:.0%}" for k, v in shares.items()))
 
 print("\n== lower bound from the full model ==")
-inst = build_full(spec, scen, weights)
-_, warm = complete_plan_assignment(spec, scen, weights, plan)
+inst, warm = complete_plan_assignment(spec, scen, weights, plan)
 res = solve(inst, default_settings_for("P", 300.0), initial=warm)
 print(f"  direct solve: {res.status}, bound {res.bound:.2f}")
 print(f"  gap of the three-stage plan: {compute_gap(plan.objective, res.bound):.4f}")

@@ -35,6 +35,7 @@ from .polytope import (
 )
 from .network import (
     Scenario,
+    StateSnapshot,
     StationSpec,
     Violation,
     mode_available,
@@ -49,7 +50,7 @@ from .ranges import (
     stage_polytope,
     unit_polytope,
 )
-from .model import ModelInstance, ObjectiveWeights, StateSnapshot
+from .model import ModelInstance, ObjectiveWeights
 from .solve import (
     BackendError,
     FileExchangeBackend,
@@ -69,7 +70,6 @@ from .algorithm import (
     compute_gap,
     convex_combination,
     not_soon_infeasible,
-    solve_station,
     transitions_work,
 )
 from .io import (

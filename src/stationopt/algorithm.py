@@ -24,15 +24,13 @@ import numpy as np
 from .linmodel import BuildInfeasibleError, VarRef
 from .model import (
     ObjectiveWeights,
-    StateSnapshot,
     build_fixed_transient,
     build_full,
     build_stationary,
     build_stationary_fixed,
-    initial_snapshot,
     mode_indicators,
 )
-from .network import Scenario, StationSpec, mode_available
+from .network import Scenario, StateSnapshot, StationSpec, mode_available
 from .solve import CHECK_TOL, BackendError, check_assignment, default_settings_for, solve
 
 
@@ -189,8 +187,7 @@ def compute_gap(plan_objective: float, lower_bound: float) -> float:
 @dataclass
 class ControlPlan:
     sequence: ModeSequence
-    regulator_modes: list  # per position 0..k: {arc id: token}
-    steps: dict  # t >= 1 -> {"pressures", "arc_flows", "pipe_flows", "inflows"}
+    states: list  # per position 0..k; states[0] is the scenario's initial state
     objective: float
     breakdown: dict
     phase_seconds: dict
@@ -376,34 +373,20 @@ class StationSolver:
     def transient_smoothing(self, seq: ModeSequence, h: int) -> ControlPlan:
         if h < 2:
             raise ValueError("the rolling horizon must span at least 2 steps")
-        spec, scen = self.spec, self.scen
-        k = scen.n_future
-        snapshots: dict = {0: initial_snapshot(scen)}
-        steps: dict = {}
-        regulator_modes: list = [dict(scen.initial_state.regulator_modes)]
+        k = self.scen.n_future
+        states: list = [self.scen.initial_state]
         diagnostics: dict = {"smoothing_solves": 0, "retried_windows": [], "window_wall_times": []}
 
         window_starts = [1] if h >= k else list(range(1, k - h + 2))
         for s in window_starts:
             last = s + h - 1 if h < k else k
             window_times = list(range(s, last + 1))
-            inst, res = self._solve_window(seq, snapshots[s - 1], window_times, diagnostics)
+            inst, res = self._solve_window(seq, states[s - 1], window_times, diagnostics)
             keep = window_times if s == window_starts[-1] else [s]
-            for t in keep:
-                snapshots[t] = inst.snapshot_at(res.assignment, t)
-                steps[t] = {
-                    "pressures": snapshots[t].pressures,
-                    "arc_flows": snapshots[t].arc_flows,
-                    "pipe_flows": snapshots[t].pipe_flows,
-                    "inflows": {
-                        v: inst.value(res.assignment, "d", v, t) for v in spec.boundary_nodes()
-                    },
-                }
-                regulator_modes.append(dict(snapshots[t].regulator_modes))
+            states += [inst.snapshot_at(res.assignment, t) for t in keep]
         return ControlPlan(
             sequence=seq,
-            regulator_modes=regulator_modes,
-            steps=steps,
+            states=states,
             objective=math.nan,  # filled by the replay in solve_station
             breakdown={},
             phase_seconds={},
@@ -456,16 +439,6 @@ class StationSolver:
         return plan
 
 
-def solve_station(
-    spec: StationSpec,
-    scen: Scenario,
-    weights: ObjectiveWeights | None = None,
-    h: int = 4,
-    backend=None,
-) -> ControlPlan:
-    return StationSolver(spec, scen, weights, backend=backend).solve_station(h)
-
-
 # ---------------------------------------------------------------------------
 # plan replay against the full model
 
@@ -484,7 +457,6 @@ def complete_plan_assignment(
     model = inst.model
     x = np.zeros(model.n_vars)
     seq = plan.sequence
-    prev_snapshot = initial_snapshot(scen)
 
     def put(value, *key):
         h = inst.handles.get(key)
@@ -492,21 +464,21 @@ def complete_plan_assignment(
             x[h.index] = value
 
     for t in range(1, scen.n_future + 1):
-        data = plan.steps[t]
+        state, prev = plan.states[t], plan.states[t - 1]
         mode = seq.modes[t]
         direction = seq.directions[t]
         assignment = spec.operation_modes[mode].assignment
         prev_mode = seq.modes[t - 1]
         prev_assignment = spec.operation_modes[prev_mode].assignment
 
-        for v, p in data["pressures"].items():
+        for v, p in state.pressures.items():
             put(p, "p", v, t)
-        for a, q in data["arc_flows"].items():
+        for a, q in state.arc_flows.items():
             put(q, "q", a, t)
-        for a, (q_in, q_out) in data["pipe_flows"].items():
+        for a, (q_in, q_out) in state.pipe_flows.items():
             put(q_in, "ql", a, t)
             put(q_out, "qr", a, t)
-        for v, d in data["inflows"].items():
+        for v, d in state.inflows.items():
             put(d, "d", v, t)
 
         for key, value in mode_indicators(spec, mode).items():
@@ -516,9 +488,9 @@ def complete_plan_assignment(
 
         for a, st in spec.stations.items():
             token = assignment[a]
-            pl = data["pressures"][st.from_node]
-            pr = data["pressures"][st.to_node]
-            q = data["arc_flows"][a]
+            pl = state.pressures[st.from_node]
+            pr = state.pressures[st.to_node]
+            q = state.arc_flows[a]
             if token == "by":
                 put(0.5 * (pl + pr), "p_by", a, t)
                 put(q, "q_by", a, t)
@@ -531,14 +503,14 @@ def complete_plan_assignment(
                 put(q, "q_cfg", token, a, t)
 
         for a in spec.regulators:
-            token = plan.regulator_modes[t][a]
+            token = state.regulator_modes[a]
             for tok in ("by", "cl", "ac"):
                 put(1.0 if tok == token else 0.0, "rg", tok, a, t)
 
         om_change = 1.0 if mode != prev_mode else 0.0
         put(om_change, "d_om", t)
         for a in spec.regulators:
-            changed = plan.regulator_modes[t][a] != plan.regulator_modes[t - 1][a]
+            changed = state.regulator_modes[a] != prev.regulator_modes[a]
             put(1.0 if changed else 0.0, "d_rg", a, t)
         for a, st in spec.stations.items():
             used_now = st.token_units(assignment[a])
@@ -546,43 +518,32 @@ def complete_plan_assignment(
             for u in st.units:
                 put(1.0 if (u.id in used_now and u.id not in used_prev) else 0.0, "d_us", u.id, a, t)
 
-        prev_data = (
-            {
-                "pressures": prev_snapshot.pressures,
-                "arc_flows": prev_snapshot.arc_flows,
-            }
-            if t == 1
-            else plan.steps[t - 1]
-        )
         for kind, arcs in (("rg", spec.regulators), ("cs", spec.stations)):
             for a, arc in arcs.items():
                 if kind == "rg":
                     relax = (
-                        (1.0 if plan.regulator_modes[t][a] in ("by", "cl") else 0.0)
-                        + (1.0 if plan.regulator_modes[t][a] != plan.regulator_modes[t - 1][a] else 0.0)
+                        (1.0 if state.regulator_modes[a] in ("by", "cl") else 0.0)
+                        + (1.0 if state.regulator_modes[a] != prev.regulator_modes[a] else 0.0)
                     )
                 else:
                     token = assignment[a]
                     relax = (1.0 if token in ("by", "cl") else 0.0) + om_change
                 for label, now, before in (
-                    ("pl", data["pressures"][arc.from_node], prev_data["pressures"][arc.from_node]),
-                    ("pr", data["pressures"][arc.to_node], prev_data["pressures"][arc.to_node]),
-                    ("q", data["arc_flows"][a], prev_data["arc_flows"][a]),
+                    ("pl", state.pressures[arc.from_node], prev.pressures[arc.from_node]),
+                    ("pr", state.pressures[arc.to_node], prev.pressures[arc.to_node]),
+                    ("q", state.arc_flows[a], prev.arc_flows[a]),
                 ):
                     put(0.0 if relax >= 1.0 else abs(now - before), f"{kind}_{label}", a, t)
 
         for v in spec.boundary_nodes():
-            p = data["pressures"][v]
+            p = state.pressures[v]
             demand = scen.pressure_demand[v][t - 1]
             put(max(0.0, p - demand), "sp+", v, t)
             put(max(0.0, demand - p), "sp-", v, t)
         for g, members in spec.fence_groups.items():
-            delta = sum(data["inflows"][v] for v in members) - scen.flow_demand[g][t - 1]
+            delta = sum(state.inflows[v] for v in members) - scen.flow_demand[g][t - 1]
             key = "sd+" if delta >= 0.0 else "sd-"
             remaining = abs(delta)
-            for v in sorted(members):
-                put(0.0, "sd+", v, t)
-                put(0.0, "sd-", v, t)
             # spread the group's imbalance greedily within the slack caps
             for v in sorted(members):
                 h = inst.handles.get((key, v, t))

@@ -25,13 +25,13 @@ from .network import (
     Configuration,
     FlowCondition,
     FlowDirection,
-    InitialState,
     Node,
     OperationMode,
     PipeArc,
     RegulatorArc,
     ResistorArc,
     Scenario,
+    StateSnapshot,
     StationSpec,
     ValveArc,
     per_time,
@@ -356,15 +356,19 @@ def load_instance(source):
         if v not in pressure_demand:
             raise SchemaError(f"$.scenario.pressureDemand.{v}", "missing boundary node demand")
 
-    initial = InitialState(
+    arc_flows = {
+        a: _arc_initial_flow(state_doc, a, rho0)
+        for a in list(resistors) + list(valves) + list(regulators) + list(stations)
+    }
+    pipe_flows = {a: _pipe_initial_flows(state_doc, a, rho0) for a in pipes}
+    initial = StateSnapshot(
+        time_index=0,
         operation_mode=_need(state_doc, "operationMode", "$.scenario.initialState"),
         regulator_modes=dict(state_doc.get("regulatorModes", {})),
         pressures=init_pressures,
-        arc_flows={
-            a: _arc_initial_flow(state_doc, a, rho0)
-            for a in list(resistors) + list(valves) + list(regulators) + list(stations)
-        },
-        pipe_flows={a: _pipe_initial_flows(state_doc, a, rho0) for a in pipes},
+        arc_flows=arc_flows,
+        pipe_flows=pipe_flows,
+        inflows={v: _node_inflow(spec, pipe_flows, arc_flows, v) for v in boundary},
     )
     scenario = Scenario(
         time_grid=grid,
@@ -763,7 +767,7 @@ def interpolate_scenario(spec: StationSpec, scen: Scenario, target_grid: np.ndar
     }
     flow_demand = {}
     for g, arr in scen.flow_demand.items():
-        anchor0 = _initial_group_inflow(spec, scen, g)
+        anchor0 = sum(scen.initial_state.inflows[v] for v in spec.fence_groups[g])
         flow_demand[g] = interp(source, np.concatenate([[anchor0], arr]), future)
     inflow_lb = {v: interp(source, arr, target_grid) for v, arr in scen.inflow_lb.items()}
     inflow_ub = {v: interp(source, arr, target_grid) for v, arr in scen.inflow_ub.items()}
@@ -862,14 +866,13 @@ def write_plan(prefix, spec: StationSpec, scen: Scenario, plan, extra: dict | No
                 "time": float(scen.time_grid[t]),
                 "operationMode": plan.sequence.modes[t],
                 "flowDirection": plan.sequence.directions[t],
-                "regulatorModes": dict(sorted(plan.regulator_modes[t].items())),
+                "regulatorModes": dict(sorted(plan.states[t].regulator_modes.items())),
             }
         )
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    state = scen.initial_state
     node_ids = sorted(spec.nodes)
     arc_ids = sorted(spec.non_pipe_arcs())
     pipe_ids = sorted(spec.pipes)
@@ -883,22 +886,13 @@ def write_plan(prefix, spec: StationSpec, scen: Scenario, plan, extra: dict | No
         + [f"d_{v}" for v in boundary]
     )
     rows = [",".join(header)]
-    for t in range(scen.n_future + 1):
-        if t == 0:
-            pressures = state.pressures
-            arc_flows = state.arc_flows
-            pipe_flows = state.pipe_flows
-            inflows = {v: _initial_node_inflow(spec, scen, v) for v in boundary}
-        else:
-            step = plan.steps[t]
-            pressures, arc_flows = step["pressures"], step["arc_flows"]
-            pipe_flows, inflows = step["pipe_flows"], step["inflows"]
+    for t, state in enumerate(plan.states):
         cells = [f"{scen.time_grid[t]:.1f}"]
-        cells += [f"{pa_to_bar(pressures[v]):.6f}" for v in node_ids]
-        cells += [f"{massflow_to_normvol(arc_flows[a], rho0):.6f}" for a in arc_ids]
-        cells += [f"{massflow_to_normvol(pipe_flows[a][0], rho0):.6f}" for a in pipe_ids]
-        cells += [f"{massflow_to_normvol(pipe_flows[a][1], rho0):.6f}" for a in pipe_ids]
-        cells += [f"{massflow_to_normvol(inflows[v], rho0):.6f}" for v in boundary]
+        cells += [f"{pa_to_bar(state.pressures[v]):.6f}" for v in node_ids]
+        cells += [f"{massflow_to_normvol(state.arc_flows[a], rho0):.6f}" for a in arc_ids]
+        cells += [f"{massflow_to_normvol(state.pipe_flows[a][0], rho0):.6f}" for a in pipe_ids]
+        cells += [f"{massflow_to_normvol(state.pipe_flows[a][1], rho0):.6f}" for a in pipe_ids]
+        cells += [f"{massflow_to_normvol(state.inflows[v], rho0):.6f}" for v in boundary]
         rows.append(",".join(cells))
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -922,21 +916,17 @@ def read_report(path) -> dict:
     }
 
 
-def _initial_node_inflow(spec: StationSpec, scen: Scenario, node: str) -> float:
-    state = scen.initial_state
+def _node_inflow(spec: StationSpec, pipe_flows: dict, arc_flows: dict, node: str) -> float:
+    """Boundary inflow d that balances the given end flows at a node."""
     into = 0.0
     for a, pipe in spec.pipes.items():
         if pipe.to_node == node:
-            into += state.pipe_flows[a][1]
+            into += pipe_flows[a][1]
         if pipe.from_node == node:
-            into -= state.pipe_flows[a][0]
+            into -= pipe_flows[a][0]
     for a, arc in spec.non_pipe_arcs().items():
         if arc.to_node == node:
-            into += state.arc_flows[a]
+            into += arc_flows[a]
         if arc.from_node == node:
-            into -= state.arc_flows[a]
+            into -= arc_flows[a]
     return -into
-
-
-def _initial_group_inflow(spec: StationSpec, scen: Scenario, group: str) -> float:
-    return sum(_initial_node_inflow(spec, scen, v) for v in spec.fence_groups[group])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .gas import nikuradse_friction
 from .linmodel import BuildInfeasibleError, LinearModel, VarRef
-from .network import Scenario, StationSpec, mode_available
+from .network import Scenario, StateSnapshot, StationSpec, mode_available
 from .units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, SECONDS_PER_HOUR
 
 REGULATOR_TOKENS = ("by", "cl", "ac")
@@ -64,30 +64,6 @@ class ObjectiveWeights:
         return replace(
             self, slack_pressure=self.slack_pressure * factor, slack_flow=self.slack_flow * factor
         )
-
-
-@dataclass(frozen=True)
-class StateSnapshot:
-    """Complete network state at one grid index, used to seed a window."""
-
-    time_index: int
-    operation_mode: str
-    regulator_modes: dict
-    pressures: dict  # node -> Pa
-    arc_flows: dict  # non-pipe arc -> kg/s
-    pipe_flows: dict  # pipe arc -> (q_in, q_out)
-
-
-def initial_snapshot(scen: Scenario) -> StateSnapshot:
-    s = scen.initial_state
-    return StateSnapshot(
-        time_index=0,
-        operation_mode=s.operation_mode,
-        regulator_modes=dict(s.regulator_modes),
-        pressures=dict(s.pressures),
-        arc_flows=dict(s.arc_flows),
-        pipe_flows={a: tuple(v) for a, v in s.pipe_flows.items()},
-    )
 
 
 class ModelInstance:
@@ -136,6 +112,7 @@ class ModelInstance:
             pressures=pressures,
             arc_flows=arc_flows,
             pipe_flows=pipe_flows,
+            inflows={v: self.value(assignment, "d", v, t) for v in spec.boundary_nodes()},
         )
 
 
@@ -154,7 +131,7 @@ def mode_indicators(spec: StationSpec, mode: str) -> dict:
 
 def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> ModelInstance:
     times = list(range(1, scen.n_future + 1))
-    b = _Builder(spec, scen, weights, "P", times, snapshot=initial_snapshot(scen))
+    b = _Builder(spec, scen, weights, "P", times, snapshot=scen.initial_state)
     return b.build()
 
 

@@ -232,14 +232,20 @@ class StationSpec:
 
 
 @dataclass(frozen=True)
-class InitialState:
-    """Complete t=0 snapshot; a plain starting point, not a model solution."""
+class StateSnapshot:
+    """Complete network state at one grid instant.
 
+    Index 0 is the scenario's initial state, a plain starting point rather
+    than a model solution; later ones come from solved plan windows.
+    """
+
+    time_index: int
     operation_mode: str
     regulator_modes: dict  # regulator arc id -> "by" | "cl" | "ac"
     pressures: dict  # node id -> Pa
     arc_flows: dict  # non-pipe arc id -> kg/s
     pipe_flows: dict  # pipe arc id -> (q_in, q_out) kg/s
+    inflows: dict  # boundary node id -> inflow d, kg/s (negative where gas leaves)
 
 
 @dataclass(frozen=True)
@@ -249,7 +255,7 @@ class Scenario:
     flow_demand: dict  # fence group -> array of k future values, kg/s
     inflow_lb: dict  # boundary node -> array over T_0, kg/s
     inflow_ub: dict
-    initial_state: InitialState
+    initial_state: StateSnapshot
 
     @property
     def n_future(self) -> int:

@@ -177,6 +177,14 @@ def configuration_polytope(stage_polytopes: list[HPolytope]) -> HPolytope:
     return chained.normalized()
 
 
+def _lift_caps(spec: StationSpec, station: CompressorStationArc) -> tuple[float, float]:
+    """Lifting caps (pl_lb, pr_ub): the tightest lower inlet bound and the
+    loosest upper outlet bound over time of the station's end nodes."""
+    pl_lb = float(spec.nodes[station.from_node].pressure_lb.min())
+    pr_ub = float(spec.nodes[station.to_node].pressure_ub.max())
+    return pl_lb, pr_ub
+
+
 def build_station_ranges(
     spec: StationSpec,
     station: CompressorStationArc,
@@ -186,12 +194,11 @@ def build_station_ranges(
     """F_c facet lists for every configuration of one compressor station.
 
     The lifting caps come from the station's end-node pressure bounds
-    (tightest lower inlet bound, loosest upper outlet bound over time).
-    An empty configuration region raises :class:`EmptyRegionError` naming
-    the configuration, surfaced by the loaders as a validation failure.
+    (:func:`_lift_caps`).  An empty configuration region raises
+    :class:`EmptyRegionError` naming the configuration, surfaced by the
+    loaders as a validation failure.
     """
-    pl_lb = float(spec.nodes[station.from_node].pressure_lb.min())
-    pr_ub = float(spec.nodes[station.to_node].pressure_ub.max())
+    pl_lb, pr_ub = _lift_caps(spec, station)
     unit_polys = {
         u.id: unit_polytope(u, pl_lb, pr_ub, spec.constants, count, seed_for_unit(u.id, base_seed))
         for u in station.units
@@ -216,6 +223,25 @@ def build_station_ranges(
 
 def ranges_cache_key(spec: StationSpec, count: int, base_seed: int) -> str:
     """Content hash over everything the built facets depend on."""
+    stations = {}
+    for sid, st in sorted(spec.stations.items()):
+        pl_lb, pr_ub = _lift_caps(spec, st)
+        stations[sid] = {
+            "pl_lb": pl_lb,
+            "pr_ub": pr_ub,
+            "units": [
+                [
+                    u.id,
+                    [list(f) for f in u.operating_range_2d],
+                    u.max_delta_p,
+                    u.max_power,
+                    u.adiabatic_efficiency,
+                    u.inlet_z_factor,
+                ]
+                for u in st.units
+            ],
+            "configurations": [[c.id, [sorted(s) for s in c.stages]] for c in st.configurations],
+        }
     payload = {
         "count": count,
         "seed": base_seed,
@@ -224,25 +250,7 @@ def ranges_cache_key(spec: StationSpec, count: int, base_seed: int) -> str:
             spec.constants.temperature,
             spec.constants.isentropic_exponent,
         ],
-        "stations": {
-            sid: {
-                "pl_lb": float(spec.nodes[st.from_node].pressure_lb.min()),
-                "pr_ub": float(spec.nodes[st.to_node].pressure_ub.max()),
-                "units": [
-                    [
-                        u.id,
-                        [list(f) for f in u.operating_range_2d],
-                        u.max_delta_p,
-                        u.max_power,
-                        u.adiabatic_efficiency,
-                        u.inlet_z_factor,
-                    ]
-                    for u in st.units
-                ],
-                "configurations": [[c.id, [sorted(s) for s in c.stages]] for c in st.configurations],
-            }
-            for sid, st in sorted(spec.stations.items())
-        },
+        "stations": stations,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -18,7 +18,6 @@ from stationopt.algorithm import (
     StationSolver,
     complete_plan_assignment,
     compute_gap,
-    solve_station,
     transitions_work,
 )
 from stationopt.fixtures import mini_station, mini_station_pipes, seeded_instance
@@ -31,7 +30,7 @@ from stationopt.gas import (
     ratio_from_head,
 )
 from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
-from stationopt.model import build_fixed_transient, build_full, initial_snapshot
+from stationopt.model import build_fixed_transient, build_full
 from stationopt.polytope import (
     HPolytope,
     enumerate_vertices,
@@ -254,7 +253,7 @@ def test_criterion_05_model_decomposition_audit():
             solver.psf_value(modes[t], t, modes[t - 1])[2] for t in range(1, len(modes))
         ]
         inst = build_fixed_transient(
-            spec, scen, weights, modes[1:], directions[1:], initial_snapshot(scen)
+            spec, scen, weights, modes[1:], directions[1:], scen.initial_state
         )
         res = solve(inst, SolveSettings(1e-9, 1e-9, 600.0))
         assert res.ok
@@ -269,7 +268,7 @@ def test_criterion_06_algorithm_vs_exact():
         doc = seeded_instance(seed)
         spec, scen = loaded(doc)
         weights = load_weights(doc)
-        plan = solve_station(spec, scen, weights, h=4)
+        plan = StationSolver(spec, scen, weights).solve_station(h=4)
         assert plan.diagnostics["max_replay_violation"] <= 1e-6
 
         inst = build_full(spec, scen, weights)

@@ -16,7 +16,6 @@ from stationopt.algorithm import (
     convex_combination_cs,
     not_soon_infeasible,
     sequence_valid,
-    solve_station,
     transitions_work,
 )
 from stationopt.fixtures import mini_station, mini_station_pipes, seeded_instance, two_unit_station
@@ -444,15 +443,24 @@ class TestSmoothing:
 class TestSolveStation:
     def test_plan_feasible_and_accounted(self):
         spec, scen = loaded(mini_station_pipes())
-        plan = solve_station(spec, scen, WEIGHTS, h=4)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
         assert plan.diagnostics["max_replay_violation"] <= 1e-6
         assert sum(plan.breakdown.values()) == pytest.approx(plan.objective, rel=1e-9)
         shares = plan.phase_shares
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_states_cover_every_grid_instant(self):
+        spec, scen = loaded(mini_station_pipes())
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
+        k = scen.n_future
+        assert len(plan.states) == k + 1
+        assert plan.states[0] is scen.initial_state
+        assert [s.time_index for s in plan.states] == list(range(k + 1))
+        assert set(scen.initial_state.inflows) == set(spec.boundary_nodes())
+
     def test_plan_objective_bounded_below_by_direct_model(self):
         spec, scen = loaded(mini_station_pipes())
-        plan = solve_station(spec, scen, WEIGHTS, h=4)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
         inst = build_full(spec, scen, WEIGHTS)
         res = solve(inst, default_settings_for("P", 300.0))
         assert plan.objective >= res.bound - 1e-6
@@ -460,16 +468,16 @@ class TestSolveStation:
 
     def test_deterministic(self, mini):
         spec, scen = mini
-        p1 = solve_station(spec, scen, WEIGHTS, h=4)
-        p2 = solve_station(spec, scen, WEIGHTS, h=4)
+        p1 = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
+        p2 = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
         assert p1.sequence.modes == p2.sequence.modes
         assert p1.objective == pytest.approx(p2.objective, rel=1e-9)
 
     def test_replay_checker_catches_tampering(self, mini):
         spec, scen = mini
-        plan = solve_station(spec, scen, WEIGHTS, h=4)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
         # flow through a closed valve cannot be absorbed by any slack
-        plan.steps[1]["arc_flows"]["V1"] = 55.0
+        plan.states[1].arc_flows["V1"] = 55.0
         inst, x = complete_plan_assignment(spec, scen, WEIGHTS, plan)
         assert any("valve" in v.name or "balance" in v.name for v in check_assignment(inst.model, x))
 
@@ -507,7 +515,7 @@ class TestSeededRegressions:
     @pytest.mark.parametrize("seed", [115, 133])
     def test_plan_and_bound(self, seed):
         spec, scen = loaded(seeded_instance(seed))
-        plan = solve_station(spec, scen, WEIGHTS, h=4)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
         assert plan.diagnostics["replay_violations"] == []
         res = solve(build_full(spec, scen, WEIGHTS), default_settings_for("P", 300.0))
         assert res.ok

@@ -8,7 +8,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["02_polytopes.py", "03_operating_ranges.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_gas_physics.py",
+        "02_polytopes.py",
+        "03_operating_ranges.py",
+        "04_model_variants.py",
+        "05_control_run.py",
+    ],
+)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

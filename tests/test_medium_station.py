@@ -8,7 +8,7 @@ flow condition between the two exits.
 
 import pytest
 
-from stationopt.algorithm import StationSolver, compute_gap, solve_station
+from stationopt.algorithm import StationSolver, compute_gap
 from stationopt.fixtures import medium_station
 from stationopt.io import load_instance, load_weights
 from stationopt.model import build_full
@@ -77,24 +77,24 @@ class TestStructure:
 class TestControlRun:
     def test_plan_serves_the_south_branch(self, medium):
         doc, spec, scen = medium
-        plan = solve_station(spec, scen, load_weights(doc), h=4)
+        plan = StationSolver(spec, scen, load_weights(doc)).solve_station(h=4)
         assert plan.diagnostics["max_replay_violation"] <= 1e-6
         # the south demand needs the east+south direction and the second
         # regulator opened
         assert all(d == "f_wes" for d in plan.sequence.directions[1:])
-        assert plan.regulator_modes[0]["RG2"] == "cl"
-        assert all(m["RG2"] == "ac" for m in plan.regulator_modes[1:])
+        assert plan.states[0].regulator_modes["RG2"] == "cl"
+        assert all(s.regulator_modes["RG2"] == "ac" for s in plan.states[1:])
         # south offtake stays below the east one (the flow condition)
         for t in range(1, scen.n_future + 1):
-            d_b2 = plan.steps[t]["inflows"]["B2"]
-            d_b3 = plan.steps[t]["inflows"]["B3"]
+            d_b2 = plan.states[t].inflows["B2"]
+            d_b3 = plan.states[t].inflows["B3"]
             assert d_b3 <= 0.0 + 1e-6
             assert abs(d_b3) <= abs(d_b2) + 1e-6
 
     def test_near_optimal_on_default_power(self, medium):
         doc, spec, scen = medium
         weights = load_weights(doc)
-        plan = solve_station(spec, scen, weights, h=4)
+        plan = StationSolver(spec, scen, weights).solve_station(h=4)
         inst = build_full(spec, scen, weights)
         res = solve(inst, default_settings_for("P", 300.0))
         assert res.status == "optimal"
@@ -111,7 +111,7 @@ class TestControlRun:
         doc["units"][1]["maxPower"] = 5.0e6
         spec, scen = loaded(doc)
         weights = load_weights(doc)
-        plan = solve_station(spec, scen, weights, h=4)
+        plan = StationSolver(spec, scen, weights).solve_station(h=4)
         assert plan.diagnostics["max_replay_violation"] <= 1e-6
         inst = build_full(spec, scen, weights)
         res = solve(inst, default_settings_for("P", 300.0))
@@ -133,7 +133,7 @@ class TestControlRun:
         spec, scen = loaded(doc)
         assert validate(spec, scen) == []
         weights = load_weights(doc)
-        plan = solve_station(spec, scen, weights, h=4)
+        plan = StationSolver(spec, scen, weights).solve_station(h=4)
         assert set(plan.sequence.modes) == {"o_s12"}
         assert plan.diagnostics["max_replay_violation"] <= 1e-6
         # pressure demands are met essentially exactly

@@ -14,7 +14,6 @@ from stationopt.model import (
     build_full,
     build_stationary,
     build_stationary_fixed,
-    initial_snapshot,
 )
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
@@ -437,7 +436,7 @@ class TestBuildVariant:
         doc["scenario"]["initialState"]["regulatorModes"]["RG2"] = "cl"
         spec, scen = load_instance(doc)
         spec = build_spec_ranges(spec, count=3000)
-        snapshot = initial_snapshot(scen)
+        snapshot = scen.initial_state
         inst = build_fixed_transient(spec, scen, WEIGHTS, ["o_cp"], ["f_fwd"], snapshot)
         assert sum(inst.model.integer) == 2 * 3 + 2
 
@@ -462,7 +461,7 @@ class TestBuildVariant:
     def test_sequence_length_mismatch(self, mini):
         spec, scen = mini
         with pytest.raises(ValueError, match="length"):
-            build_fixed_transient(spec, scen, WEIGHTS, ["o_cp"], ["f_fwd", "f_fwd"], initial_snapshot(scen))
+            build_fixed_transient(spec, scen, WEIGHTS, ["o_cp"], ["f_fwd", "f_fwd"], scen.initial_state)
 
     def test_fixed_mode_unavailable_rejected(self):
         doc = mini_station(unavailability={"U1": [[100.0, 1e9]]})
@@ -470,7 +469,7 @@ class TestBuildVariant:
         spec = build_spec_ranges(spec, count=3000)
         with pytest.raises(ValueError, match="unavailable"):
             build_fixed_transient(
-                spec, scen, WEIGHTS, ["o_cp", "o_cp"], ["f_fwd", "f_fwd"], initial_snapshot(scen)
+                spec, scen, WEIGHTS, ["o_cp", "o_cp"], ["f_fwd", "f_fwd"], scen.initial_state
             )
 
     def test_full_model_smoke(self, piped):
@@ -536,7 +535,7 @@ class TestPinnedOutput:
             "Ps": build_stationary(spec, scen, WEIGHTS, 2, "o_by"),
             "Psf": build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 2, "o_by"),
             "Pf": build_fixed_transient(
-                spec, scen, WEIGHTS, pf_modes, ["f_fwd"] * 4, initial_snapshot(scen)
+                spec, scen, WEIGHTS, pf_modes, ["f_fwd"] * 4, scen.initial_state
             ),
         }
 
