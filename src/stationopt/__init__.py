@@ -77,7 +77,6 @@ from .io import (
     load_instance,
     load_weights,
     regrid_instance,
-    save_instance,
     template_grid,
 )
 

@@ -59,10 +59,6 @@ class ModeSequence:
         if len(self.modes) != len(self.directions):
             raise ValueError("modes and directions must have equal length")
 
-    @property
-    def n_future(self) -> int:
-        return len(self.modes) - 1
-
 
 def sequence_valid(spec: StationSpec, seq: ModeSequence) -> bool:
     for t, (o, f) in enumerate(zip(seq.modes, seq.directions)):

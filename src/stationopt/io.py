@@ -4,10 +4,6 @@ An instance is a single JSON document holding the station description and
 one scenario.  File values use the field-facing units (bar, 1000 m^3/h,
 minutes for transition times, seconds for the time grid and unavailability
 windows); everything is converted to SI exactly once, here.
-
-Saving canonicalizes: keys sorted, entities ordered by id, numbers rounded
-to 12 significant digits, so ``save(load(x))`` is a fixed point of
-``save . load``.
 """
 
 from __future__ import annotations
@@ -509,198 +505,6 @@ def _merge_bound(a, b, op):
     return op(a, b)
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def save_instance(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights | None = None) -> dict:
-    """Canonical instance document for the pair (inverse of load)."""
-    rho0 = spec.constants.normal_density
-
-    def vol(q):
-        return _round12(massflow_to_normvol(q, rho0))
-
-    def bar(p):
-        return _round12(pa_to_bar(p))
-
-    def series(arr, convert):
-        values = [_round12(convert(x)) for x in np.asarray(arr).tolist()]
-        return values[0] if len(set(values)) == 1 else values
-
-    doc: dict = {
-        "name": spec.name,
-        "gas": {
-            "specificGasConstant": _round12(spec.constants.specific_gas_constant),
-            "temperature": _round12(spec.constants.temperature),
-            "pseudoCriticalPressure": _round12(spec.constants.pseudo_critical_pressure),
-            "pseudoCriticalTemperature": _round12(spec.constants.pseudo_critical_temperature),
-            "normalDensity": _round12(spec.constants.normal_density),
-            "isentropicExponent": _round12(spec.constants.isentropic_exponent),
-        },
-        "nodes": [],
-        "arcs": [],
-        "units": [],
-        "operationModes": [
-            {"id": o, "assignment": dict(sorted(m.assignment.items()))}
-            for o, m in sorted(spec.operation_modes.items())
-        ],
-        "flowDirections": [
-            {"id": f, "inflowNodes": sorted(d.inflow_nodes), "outflowNodes": sorted(d.outflow_nodes)}
-            for f, d in sorted(spec.flow_directions.items())
-        ],
-        "validPairs": sorted([list(p) for p in spec.valid_pairs]),
-        "fenceGroups": [
-            {"id": g, "nodes": sorted(nodes)} for g, nodes in sorted(spec.fence_groups.items())
-        ],
-        "flowConditions": [
-            {"direction": c.direction, "smaller": sorted(c.smaller), "larger": sorted(c.larger)}
-            for c in spec.flow_conditions
-        ],
-        "transitionTimes": {},
-        "unavailability": {
-            u: [[_round12(s), _round12(e)] for s, e in windows]
-            for u, windows in sorted(spec.unavailability.items())
-        },
-    }
-    for v, node in sorted(spec.nodes.items()):
-        nd = {
-            "id": v,
-            "kind": node.kind,
-            "pressureLB": series(node.pressure_lb, pa_to_bar),
-            "pressureUB": series(node.pressure_ub, pa_to_bar),
-        }
-        if node.exit_pressure_ub is not None:
-            nd["exitPressureUB"] = bar(node.exit_pressure_ub)
-        doc["nodes"].append(nd)
-
-    seen_units = {}
-    for a, st in sorted(spec.stations.items()):
-        for u in st.units:
-            seen_units[u.id] = u
-    for uid, u in sorted(seen_units.items()):
-        doc["units"].append(
-            {
-                "id": uid,
-                "operatingRange2D": [[_round12(c) for c in f] for f in u.operating_range_2d],
-                "maxDeltaP": bar(u.max_delta_p),
-                "maxPower": _round12(u.max_power),
-                "adiabaticEfficiency": _round12(u.adiabatic_efficiency),
-            }
-        )
-
-    def flow_series(arr):
-        return series(arr, lambda q: massflow_to_normvol(q, rho0))
-
-    for a, pipe in sorted(spec.pipes.items()):
-        doc["arcs"].append(
-            {
-                "id": a,
-                "kind": "pipe",
-                "from": pipe.from_node,
-                "to": pipe.to_node,
-                "length": _round12(pipe.length),
-                "diameter": _round12(pipe.diameter),
-                "roughness": _round12(pipe.roughness),
-                "slope": _round12(pipe.slope),
-                "flowLB": flow_series(pipe.flow_lb),
-                "flowUB": flow_series(pipe.flow_ub),
-            }
-        )
-    for a, res in sorted(spec.resistors.items()):
-        doc["arcs"].append(
-            {
-                "id": a,
-                "kind": "resistor",
-                "from": res.from_node,
-                "to": res.to_node,
-                "drag": _round12(res.drag),
-                "diameter": _round12(res.diameter),
-                "flowLB": flow_series(res.flow_lb),
-                "flowUB": flow_series(res.flow_ub),
-            }
-        )
-    for a, valve in sorted(spec.valves.items()):
-        doc["arcs"].append(
-            {
-                "id": a,
-                "kind": "valve",
-                "from": valve.from_node,
-                "to": valve.to_node,
-                "flowLB": flow_series(valve.flow_lb),
-                "flowUB": flow_series(valve.flow_ub),
-            }
-        )
-    for a, rg in sorted(spec.regulators.items()):
-        doc["arcs"].append(
-            {
-                "id": a,
-                "kind": "regulator",
-                "from": rg.from_node,
-                "to": rg.to_node,
-                "flowLB": 0.0,
-                "flowUB": flow_series(rg.flow_ub),
-            }
-        )
-    for a, st in sorted(spec.stations.items()):
-        entry = {
-            "id": a,
-            "kind": "compressorStation",
-            "from": st.from_node,
-            "to": st.to_node,
-            "flowLB": flow_series(st.flow_lb),
-            "flowUB": flow_series(st.flow_ub),
-            "units": sorted(u.id for u in st.units),
-            "configurations": [],
-        }
-        for c in st.configurations:
-            cd = {"id": c.id, "stages": [sorted(s) for s in c.stages]}
-            if c.facets is not None:
-                cd["facets"] = [[_round12(x) for x in f] for f in c.facets]
-            entry["configurations"].append(cd)
-        doc["arcs"].append(entry)
-    doc["arcs"].sort(key=lambda a: a["id"])
-
-    ordered_modes = sorted(spec.operation_modes)
-    for o1 in ordered_modes:
-        row = {}
-        for o2 in ordered_modes:
-            if (o1, o2) in spec.transition_times:
-                row[o2] = _round12(spec.transition_times[(o1, o2)] / 60.0)
-        if row:
-            doc["transitionTimes"][o1] = row
-
-    state = scen.initial_state
-    doc["scenario"] = {
-        "timeGrid": [_round12(x) for x in scen.time_grid.tolist()],
-        "pressureDemand": {
-            v: [bar(x) for x in arr.tolist()] for v, arr in sorted(scen.pressure_demand.items())
-        },
-        "flowDemand": {
-            g: [vol(x) for x in arr.tolist()] for g, arr in sorted(scen.flow_demand.items())
-        },
-        "inflowLB": {v: flow_series(arr) for v, arr in sorted(scen.inflow_lb.items())},
-        "inflowUB": {v: flow_series(arr) for v, arr in sorted(scen.inflow_ub.items())},
-        "initialState": {
-            "operationMode": state.operation_mode,
-            "regulatorModes": dict(sorted(state.regulator_modes.items())),
-            "pressures": {v: bar(p) for v, p in sorted(state.pressures.items())},
-            "arcFlows": {a: vol(q) for a, q in sorted(state.arc_flows.items())},
-            "pipeFlows": {a: [vol(q[0]), vol(q[1])] for a, q in sorted(state.pipe_flows.items())},
-        },
-    }
-    if weights is not None:
-        doc["weights"] = weights_to_doc(weights)
-    if spec.valve_rewrites:
-        doc["_valveRewrites"] = spec.valve_rewrites
-    return doc
-
-
-def save_instance_file(path, spec: StationSpec, scen: Scenario, weights=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(save_instance(spec, scen, weights), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 _WEIGHT_KEYS = {
     "slackPressure": "slack_pressure",
     "slackFlow": "slack_flow",
@@ -732,10 +536,6 @@ def load_weights(source) -> ObjectiveWeights:
     if unknown:
         raise SchemaError("$.weights", f"unknown weight keys {sorted(unknown)}")
     return ObjectiveWeights(**kwargs)
-
-
-def weights_to_doc(weights: ObjectiveWeights) -> dict:
-    return {k: _round12(getattr(weights, f)) for k, f in sorted(_WEIGHT_KEYS.items())}
 
 
 def interpolate_scenario(spec: StationSpec, scen: Scenario, target_grid: np.ndarray) -> Scenario:

@@ -27,10 +27,8 @@ import numpy as np
 
 from .gas import nikuradse_friction
 from .linmodel import BuildInfeasibleError, LinearModel, VarRef
-from .network import Scenario, StateSnapshot, StationSpec, mode_available
+from .network import REGULATOR_TOKENS, Scenario, StateSnapshot, StationSpec, mode_available
 from .units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, SECONDS_PER_HOUR
-
-REGULATOR_TOKENS = ("by", "cl", "ac")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,10 @@ def lift_unit_range(
     a0 pl + a2 pr + (a1 R_s T z_l) q <= 0 after multiplying through by the
     (positive) inlet pressure and substituting Q = q R_s T z_l / pl.  The
     absolute pressure-increase cap and the two end-pressure caps bound the
-    lifted cone; an unbounded result raises.
+    lifted cone.  The lift is not enumerated here: an unbounded or empty
+    range raises :class:`UnboundedRegionError` / :class:`EmptyRegionError`
+    from ``enumerate_vertices`` in :func:`linearize_power_bound`, hence in
+    :func:`unit_polytope`.
     """
     if not unit.operating_range_2d:
         raise ValueError(f"unit {unit.id!r} has no 2-D operating range facets")
@@ -65,9 +68,7 @@ def lift_unit_range(
     offsets.append(pl_lb)
     rows.append((0.0, 1.0, 0.0))
     offsets.append(-pr_ub)
-    lifted = HPolytope(np.array(rows, dtype=float), np.array(offsets, dtype=float))
-    lifted.bounding_box()  # raises UnboundedRegionError / EmptyRegionError
-    return lifted
+    return HPolytope(np.array(rows, dtype=float), np.array(offsets, dtype=float))
 
 
 def linearize_power_bound(

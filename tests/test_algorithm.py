@@ -494,7 +494,10 @@ class TestComputeGap:
 
     def test_never_above_one(self):
         assert compute_gap(123.0, 0.0) == pytest.approx(1.0)
-        assert compute_gap(123.0, -5.0) > 1.0 or True  # negative bounds cannot occur
+
+    def test_negative_bound_is_not_clamped(self):
+        # the CLI clamps bounds to 0 before calling compute_gap
+        assert compute_gap(123.0, -5.0) == pytest.approx(128.0 / 123.0)
 
     def test_zero_objective_with_positive_bound(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from stationopt.io import (
     load_instance,
     regrid_instance,
     load_weights,
-    save_instance,
-    save_instance_file,
     template_grid,
 )
 from stationopt.model import ObjectiveWeights
@@ -140,22 +136,6 @@ class TestLoadSave:
         doc["scenario"]["inflowLB"]["B1"] = [0.0, 0.0]  # needs k+1 = 5
         with pytest.raises(SchemaError, match="inflowLB"):
             load_instance(doc)
-
-    def test_round_trip_is_canonical(self, tmp_path):
-        doc = mini_station_pipes()
-        spec, scen = load_instance(doc)
-        once = save_instance(spec, scen)
-        spec2, scen2 = load_instance(json.loads(json.dumps(once)))
-        twice = save_instance(spec2, scen2)
-        assert once == twice
-
-    def test_save_to_file(self, tmp_path):
-        spec, scen = load_instance(mini_station())
-        path = tmp_path / "mini.json"
-        save_instance_file(path, spec, scen, ObjectiveWeights())
-        spec2, scen2 = load_instance(path)
-        assert set(spec2.nodes) == set(spec.nodes)
-        assert load_weights(path) == ObjectiveWeights()
 
 
 class TestWeights:

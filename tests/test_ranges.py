@@ -107,7 +107,12 @@ class TestLiftUnitRange:
     def test_unbounded_without_flow_cap_raises(self):
         unit = fixture_unit(facets=((1.0, 0.0, -1.0), (-2.0, 0.0, 1.0)))  # no Q bounds
         with pytest.raises(UnboundedRegionError):
-            lift_unit_range(unit, 30e5, 70e5, CONSTANTS)
+            unit_polytope(unit, 30e5, 70e5, CONSTANTS)
+
+    def test_unit_polytope_solves_one_lp(self, linprog_calls):
+        # the Chebyshev LP of the one vertex enumeration the power fit samples
+        unit_polytope(fixture_unit(), 30e5, 70e5, CONSTANTS, count=1000, seed=5)
+        assert len(linprog_calls) == 1
 
     def test_bad_caps_raise(self):
         with pytest.raises(ValueError):
@@ -364,19 +369,19 @@ class TestEndToEndUnitComposition:
 
 
 def test_spec_ranges_solve_one_lp_per_qhull_call(linprog_calls):
-    # one unit: its lifted box, its vertices and its reduced range each take
-    # one Chebyshev centre and one qhull intersection
+    # one unit: its vertices and its reduced range each take one Chebyshev
+    # centre and one qhull intersection
     spec, _ = load_instance(mini_station_pipes())
     build_spec_ranges(spec)
-    assert len(linprog_calls) == 3
+    assert len(linprog_calls) == 2
 
 
 def test_composed_ranges_are_reduced_once(linprog_calls):
-    # each polytope costs one Chebyshev LP: a lifted box and a vertex set per
-    # unit, one reduction per projection and per single stage
+    # each polytope costs one Chebyshev LP: a vertex set per unit, one
+    # reduction per projection and per single stage
     spec, _ = load_instance(medium_station())
     spec = build_spec_ranges(spec)
-    assert len(linprog_calls) == 9
+    assert len(linprog_calls) == 7
     facet_counts = {c.id: len(c.facets) for c in spec.stations["CS1"].configurations}
     assert facet_counts == {"c1": 8, "c2": 8, "c12": 11, "s12": 10}
 
