@@ -39,7 +39,6 @@ from .network import (
     StationSpec,
     Violation,
     mode_available,
-    mode_of,
     validate,
 )
 from .ranges import (

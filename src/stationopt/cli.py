@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Subcommands: ``validate`` an instance, ``build-ranges`` (writes the
-operating-range cache), ``solve`` (runs the three-stage procedure and
-writes the plan), and ``report`` (aggregates written plan documents).
+Subcommands: ``validate`` an instance, ``solve`` (runs the three-stage
+procedure and writes the plan), and ``report`` (aggregates written plan
+documents).  ``validate`` and ``solve`` build the configuration operating
+ranges in memory on every run (``DEFAULT_SAMPLE_COUNT`` samples, seed 0);
+no range file is read or written.
 
 Exit codes: 0 success, 2 validation failure, 3 abort without solution,
 4 backend error.
@@ -32,13 +34,7 @@ from .io import (
     write_plan,
 )
 from .network import validate
-from .polytope import EmptyRegionError, UnboundedRegionError
-from .ranges import (
-    DEFAULT_SAMPLE_COUNT,
-    build_spec_ranges,
-    load_ranges_cache,
-    save_ranges_cache,
-)
+from .ranges import build_spec_ranges
 from .solve import BackendError, default_settings_for, solve
 
 EXIT_OK = 0
@@ -83,43 +79,14 @@ def cmd_validate(args) -> int:
             print(violation, file=sys.stderr)
         print(f"{len(issues)} violation(s) found", file=sys.stderr)
         return EXIT_VALIDATION
+    try:
+        build_spec_ranges(spec)
+    except ValueError as exc:  # an empty, unbounded or degenerate range
+        print(f"operating-range construction failed: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"instance {spec.name!r} is well formed "
           f"({len(spec.nodes)} nodes, {len(spec.arcs())} arcs, "
           f"{len(spec.operation_modes)} operation modes)")
-    return EXIT_OK
-
-
-def _ranges_cache_path(instance_path: str, explicit) -> Path:
-    if explicit:
-        return Path(explicit)
-    return Path(instance_path).with_suffix(".ranges.json")
-
-
-def _build_or_load_ranges(spec, instance_path, samples, seed, cache_path):
-    if cache_path.exists():
-        cached = load_ranges_cache(cache_path, spec, samples, seed)
-        if cached is not None:
-            return cached, False
-    spec = build_spec_ranges(spec, count=samples, base_seed=seed)
-    save_ranges_cache(cache_path, spec, samples, seed)
-    return spec, True
-
-
-def cmd_build_ranges(args) -> int:
-    try:
-        spec, scen, issues = _load_checked(args.instance)
-        if issues:
-            for violation in issues:
-                print(violation, file=sys.stderr)
-            return EXIT_VALIDATION
-        cache_path = _ranges_cache_path(args.instance, args.out)
-        spec, built = _build_or_load_ranges(spec, args.instance, args.samples, args.seed, cache_path)
-    except (SchemaError, EmptyRegionError, UnboundedRegionError) as exc:
-        print(f"operating-range construction failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    n = sum(len(st.configurations) for st in spec.stations.values())
-    verb = "built" if built else "reused"
-    print(f"{verb} operating ranges for {n} configuration(s) -> {cache_path}")
     return EXIT_OK
 
 
@@ -134,9 +101,8 @@ def cmd_solve(args) -> int:
         weights = load_weights(args.instance)
         if args.steps is not None:
             spec, scen = regrid_instance(spec, scen, template_grid(args.steps))
-        cache_path = _ranges_cache_path(args.instance, None)
-        spec, _ = _build_or_load_ranges(spec, args.instance, args.samples, args.seed, cache_path)
-    except (SchemaError, EmptyRegionError, UnboundedRegionError, ValueError) as exc:
+        spec = build_spec_ranges(spec)
+    except ValueError as exc:  # schema, regrid and operating-range errors
         print(f"cannot prepare the instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -215,13 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("build-ranges", help="build and cache configuration operating ranges")
-    p.add_argument("instance")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="cache path (default: <instance>.ranges.json)")
-    p.set_defaults(func=cmd_build_ranges)
-
     p = sub.add_parser("solve", help="run the three-stage control algorithm")
     p.add_argument("instance")
     p.add_argument("--steps", choices=["12", "24", "48", "96"], default=None,
@@ -231,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also solve the full model for a lower bound and report the gap")
     p.add_argument("--lb-time-limit", type=float, default=600.0)
     p.add_argument("--export-lp", help="directory for LP exports of every solved model")
-    p.add_argument("--seed", type=int, default=0, help="seed for operating-range sampling")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     p.add_argument("--out", help="output prefix (default: instance path without suffix)")
     p.set_defaults(func=cmd_solve)
 

@@ -274,14 +274,6 @@ class Violation:
         return f"{self.entity}: {self.rule}"
 
 
-def mode_of(spec: StationSpec, mode_id: str, arc_id: str) -> str:
-    """The mode token M(o, a) a valve or compressor station has in mode o."""
-    mode = spec.operation_modes[mode_id]
-    if arc_id not in spec.valves and arc_id not in spec.stations:
-        raise ValueError(f"arc {arc_id!r} is not a valve or compressor station")
-    return mode.assignment[arc_id]
-
-
 def mode_available(spec: StationSpec, time_grid: np.ndarray, mode_id: str, t: int) -> bool:
     """Whether operation mode ``mode_id`` can be active for time step ``t``.
 

@@ -47,10 +47,6 @@ class HalfSpace:
         if not any(c != 0.0 for c in self.coefficients):
             raise ValueError("half-space coefficients must not all be zero")
 
-    def normalized(self) -> "HalfSpace":
-        norm = float(np.linalg.norm(self.coefficients))
-        return HalfSpace(tuple(c / norm for c in self.coefficients), self.offset / norm)
-
 
 class HPolytope:
     """Intersection of half spaces, ``A x + b <= 0`` row-wise."""
@@ -136,19 +132,6 @@ class VPolytope:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        """Membership via a small feasibility LP over convex weights."""
-        x = np.asarray(x, dtype=float)
-        n = self.vertices.shape[0]
-        A_eq = np.vstack([self.vertices.T, np.ones(n)])
-        b_eq = np.concatenate([x, [1.0]])
-        scale = max(1.0, float(np.abs(self.vertices).max()))
-        res = linprog(
-            np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * n, method="highs",
-            options={"primal_feasibility_tolerance": max(1e-10, tol * scale)},
-        )
-        return res.status == 0
 
 
 @dataclass(frozen=True)

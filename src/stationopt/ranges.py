@@ -11,7 +11,6 @@ All quantities are SI (Pa, kg/s, W).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -222,41 +221,6 @@ def build_station_ranges(
     return out
 
 
-def ranges_cache_key(spec: StationSpec, count: int, base_seed: int) -> str:
-    """Content hash over everything the built facets depend on."""
-    stations = {}
-    for sid, st in sorted(spec.stations.items()):
-        pl_lb, pr_ub = _lift_caps(spec, st)
-        stations[sid] = {
-            "pl_lb": pl_lb,
-            "pr_ub": pr_ub,
-            "units": [
-                [
-                    u.id,
-                    [list(f) for f in u.operating_range_2d],
-                    u.max_delta_p,
-                    u.max_power,
-                    u.adiabatic_efficiency,
-                    u.inlet_z_factor,
-                ]
-                for u in st.units
-            ],
-            "configurations": [[c.id, [sorted(s) for s in c.stages]] for c in st.configurations],
-        }
-    payload = {
-        "count": count,
-        "seed": base_seed,
-        "constants": [
-            spec.constants.specific_gas_constant,
-            spec.constants.temperature,
-            spec.constants.isentropic_exponent,
-        ],
-        "stations": stations,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def build_spec_ranges(
     spec: StationSpec, count: int = DEFAULT_SAMPLE_COUNT, base_seed: int = 0
 ) -> StationSpec:
@@ -265,37 +229,5 @@ def build_spec_ranges(
     for sid, station in spec.stations.items():
         facets = build_station_ranges(spec, station, count, base_seed)
         new_configs = tuple(c.with_facets(facets[c.id]) for c in station.configurations)
-        new_stations[sid] = replace(station, configurations=new_configs)
-    return replace(spec, stations=new_stations)
-
-
-def save_ranges_cache(path, spec: StationSpec, count: int, base_seed: int) -> None:
-    """Sidecar document with the built facets, keyed by the input hash."""
-    doc = {
-        "key": ranges_cache_key(spec, count, base_seed),
-        "stations": {
-            sid: {c.id: [list(f) for f in c.facets] for c in st.configurations}
-            for sid, st in sorted(spec.stations.items())
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_ranges_cache(path, spec: StationSpec, count: int, base_seed: int):
-    """Spec with cached facets, or None when the key does not match."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("key") != ranges_cache_key(spec, count, base_seed):
-        return None
-    new_stations = {}
-    for sid, station in spec.stations.items():
-        per_config = doc["stations"].get(sid, {})
-        if set(per_config) != {c.id for c in station.configurations}:
-            return None
-        new_configs = tuple(
-            c.with_facets([tuple(f) for f in per_config[c.id]]) for c in station.configurations
-        )
         new_stations[sid] = replace(station, configurations=new_configs)
     return replace(spec, stations=new_stations)

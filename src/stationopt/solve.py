@@ -19,8 +19,12 @@ result to an error naming the worst row.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import subprocess
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +157,10 @@ class InProcessBackend:
     scipy's binding has no option for it.  Above an objective of
     ``absolute_gap / relative_gap`` (100 for every variant) the relative gap
     is met first, so the absolute one would not change where HiGHS stops.
+
+    Both HiGHS calls run with file descriptor 1 pointed at ``/dev/null``:
+    some HiGHS MIP messages are printed from C++ whatever the output
+    options say, and would otherwise interleave with the caller's stdout.
     """
 
     def solve_raw(self, model: LinearModel, settings: SolveSettings):
@@ -164,29 +172,54 @@ class InProcessBackend:
             "presolve": True,
         }
         is_int = view.integer.astype(bool)
-        res = milp(
-            c=view.c,
-            constraints=constraints,
-            integrality=view.integer if is_int.any() else None,
-            bounds=Bounds(view.lb, view.ub),
-            options=options,
-        )
-        x = res.x
-        if x is not None and np.any(x[is_int] != np.round(x[is_int])):
-            # HiGHS accepts integers within 1e-6 of integral, and a big-M
-            # row turns that into a residual the checker sees once they are
-            # rounded; re-solve the continuous part at the rounded integers
-            fixed_lb, fixed_ub = view.lb.copy(), view.ub.copy()
-            fixed_lb[is_int] = fixed_ub[is_int] = np.round(x[is_int])
-            lp = milp(c=view.c, constraints=constraints, bounds=Bounds(fixed_lb, fixed_ub), options=options)
-            if lp.status == 0:
-                x = lp.x
+        with _stdout_to_devnull():
+            res = milp(
+                c=view.c,
+                constraints=constraints,
+                integrality=view.integer if is_int.any() else None,
+                bounds=Bounds(view.lb, view.ub),
+                options=options,
+            )
+            x = res.x
+            if x is not None and np.any(x[is_int] != np.round(x[is_int])):
+                # HiGHS accepts integers within 1e-6 of integral, and a big-M
+                # row turns that into a residual the checker sees once they are
+                # rounded; re-solve the continuous part at the rounded integers
+                fixed_lb, fixed_ub = view.lb.copy(), view.ub.copy()
+                fixed_lb[is_int] = fixed_ub[is_int] = np.round(x[is_int])
+                lp = milp(c=view.c, constraints=constraints, bounds=Bounds(fixed_lb, fixed_ub), options=options)
+                if lp.status == 0:
+                    x = lp.x
         x = view.to_si(x) if x is not None else None
         bound = getattr(res, "mip_dual_bound", None)
         status = {0: "optimal", 1: "timeLimit", 2: "infeasible", 3: "error", 4: "error"}.get(
             res.status, "error"
         )
         return status, x, bound, res.message or ""
+
+
+@contextmanager
+def _stdout_to_devnull():
+    """Point file descriptor 1 at ``/dev/null`` for the block.
+
+    Python's buffer is flushed first, so nothing written before the block
+    is lost, and C stdio's buffers before fd 1 is restored, so nothing
+    written inside it leaks out later (a pipe is block-buffered).
+    """
+    sys.stdout.flush()
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes = [ctypes.c_void_p]
+    fflush.restype = ctypes.c_int
+    saved = os.dup(1)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, 1)
+        yield
+    finally:
+        fflush(None)
+        os.dup2(saved, 1)
+        os.close(devnull)
+        os.close(saved)
 
 
 class FileExchangeBackend:

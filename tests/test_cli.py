@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,16 @@ def write_doc(tmp_path, doc, name="inst.json"):
     return path
 
 
-SAMPLES = ["--samples", "2000"]
+def disjoint_range_doc():
+    doc = mini_station()
+    # disjoint 2-D range: Q >= 9 and Q <= 2 at once
+    doc["units"][0]["operatingRange2D"] = [
+        [1.0, 0.0, -1.0],
+        [-1.9, 0.05, 1.0],
+        [9.0, -1.0, 0.0],
+        [-2.0, 1.0, 0.0],
+    ]
+    return doc
 
 
 class TestValidateCommand:
@@ -49,6 +61,11 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "schema error: $.unavailability.U1[0]" in capsys.readouterr().err
 
+    def test_empty_operating_range_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, disjoint_range_doc())
+        assert main(["validate", str(path)]) == 2
+        assert "operating-range construction failed" in capsys.readouterr().err
+
     def test_malformed_facets_exit_2(self, tmp_path, capsys):
         doc = mini_station()
         doc["arcs"][0]["configurations"][0]["facets"] = [[0.0, 0.0, 1.0, 0.0], [1.0, 2.0]]
@@ -57,30 +74,9 @@ class TestValidateCommand:
         assert "schema error: $.arcs[0].configurations[0].facets[1]" in capsys.readouterr().err
 
 
-class TestBuildRangesCommand:
-    def test_writes_cache(self, instance_path, capsys):
-        assert main(["build-ranges", str(instance_path)] + SAMPLES) == 0
-        cache = instance_path.with_suffix(".ranges.json")
-        assert cache.exists()
-        doc = json.loads(cache.read_text())
-        assert "key" in doc and "CS1" in doc["stations"]
-        assert main(["build-ranges", str(instance_path)] + SAMPLES) == 0
-        assert "reused" in capsys.readouterr().out
-
-    def test_cache_invalidated_by_unit_change(self, tmp_path, capsys):
-        doc = mini_station()
-        path = write_doc(tmp_path, doc)
-        assert main(["build-ranges", str(path)] + SAMPLES) == 0
-        doc["units"][0]["maxPower"] = 9e6
-        path.write_text(json.dumps(doc))
-        assert main(["build-ranges", str(path)] + SAMPLES) == 0
-        out = capsys.readouterr().out
-        assert "built" in out.splitlines()[-1]
-
-
 class TestSolveCommand:
     def test_solve_writes_plan(self, instance_path, capsys):
-        assert main(["solve", str(instance_path), "--h", "4"] + SAMPLES) == 0
+        assert main(["solve", str(instance_path), "--h", "4"]) == 0
         plan_path = instance_path.parent / "mini.plan.json"
         csv_path = instance_path.parent / "mini.plan.csv"
         assert plan_path.exists() and csv_path.exists()
@@ -95,7 +91,6 @@ class TestSolveCommand:
         path = write_doc(tmp_path, mini_station_pipes())
         code = main(
             ["solve", str(path), "--steps", "12", "--lower-bound", "--lb-time-limit", "120"]
-            + SAMPLES
         )
         assert code == 0
         plan = json.loads((tmp_path / "inst.12steps.plan.json").read_text())
@@ -107,33 +102,47 @@ class TestSolveCommand:
         doc["operationModes"] = [doc["operationModes"][1]]
         doc["validPairs"] = [["o_cp", "f_fwd"]]
         path = write_doc(tmp_path, doc)
-        assert main(["solve", str(path)] + SAMPLES) == 3
+        assert main(["solve", str(path)]) == 3
         assert "abort" in capsys.readouterr().err
 
     def test_export_lp_writes_models(self, instance_path, tmp_path):
         lp_dir = tmp_path / "lps"
-        assert main(["solve", str(instance_path), "--export-lp", str(lp_dir)] + SAMPLES) == 0
+        assert main(["solve", str(instance_path), "--export-lp", str(lp_dir)]) == 0
         files = sorted(lp_dir.glob("*.lp"))
         assert files
         assert any("Psf" in f.name for f in files)
 
     def test_infeasible_configuration_exits_2(self, tmp_path, capsys):
-        doc = mini_station()
-        # disjoint 2-D range: Q >= 9 and Q <= 2 at once
-        doc["units"][0]["operatingRange2D"] = [
-            [1.0, 0.0, -1.0],
-            [-1.9, 0.05, 1.0],
-            [9.0, -1.0, 0.0],
-            [-2.0, 1.0, 0.0],
-        ]
-        path = write_doc(tmp_path, doc)
-        assert main(["solve", str(path)] + SAMPLES) == 2
+        path = write_doc(tmp_path, disjoint_range_doc())
+        assert main(["solve", str(path)]) == 2
         assert "cannot prepare" in capsys.readouterr().err
+
+    def test_writes_only_the_plan_files(self, tmp_path, capsys):
+        path = write_doc(tmp_path, mini_station())
+        assert main(["solve", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "inst.json", "inst.plan.csv", "inst.plan.json"
+        ]
+
+    def test_stdout_holds_only_the_command_output(self, tmp_path):
+        # a subprocess, so the check sees file descriptor 1 of a real
+        # `stationopt solve` run through a pipe, exit-time flushes included
+        path = write_doc(tmp_path, mini_station_pipes())
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stationopt.cli", "solve", str(path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2, proc.stdout
+        assert lines[0] == f"plan written to {tmp_path / 'inst.plan.json'} and {tmp_path / 'inst.plan.csv'}"
+        assert lines[1].startswith("objective ")
 
 
 class TestReportCommand:
     def test_aggregates_plans(self, instance_path, capsys):
-        main(["solve", str(instance_path)] + SAMPLES)
+        main(["solve", str(instance_path)])
         capsys.readouterr()
         plan_path = instance_path.parent / "mini.plan.json"
         assert main(["report", str(plan_path)]) == 0
@@ -163,7 +172,7 @@ def test_backend_error_exits_4(tmp_path, capsys, monkeypatch):
         return "error", None, None, "backend exploded"
 
     monkeypatch.setattr(solve_mod.InProcessBackend, "solve_raw", broken)
-    assert main(["solve", str(path)] + SAMPLES) == 4
+    assert main(["solve", str(path)]) == 4
     assert "backend failure" in capsys.readouterr().err
 
 
@@ -179,7 +188,7 @@ def test_lower_bound_reuses_the_replayed_full_model(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ModelInstance, "__init__", counting)
     path = write_doc(tmp_path, mini_station())
-    assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"] + SAMPLES) == 0
+    assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"]) == 0
     # one replay inside solve_station, one for the warm start of the bound solve
     assert kinds.count("P") == 2
 
@@ -198,7 +207,7 @@ def test_bound_above_plan_exits_4(tmp_path, capsys, monkeypatch):
         return status, x, bound, message
 
     monkeypatch.setattr(solve_mod.InProcessBackend, "solve_raw", inflated)
-    assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"] + SAMPLES) == 4
+    assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"]) == 4
     err = capsys.readouterr().err
     assert "lower-bound solve failed" in err and "lies above" in err
     assert not (tmp_path / "inst.plan.json").exists()

@@ -2,7 +2,7 @@ import pytest
 
 from stationopt.fixtures import mini_station, mini_station_pipes, two_unit_station
 from stationopt.io import load_instance
-from stationopt.network import mode_available, mode_of, validate
+from stationopt.network import mode_available, validate
 
 
 @pytest.fixture(scope="module")
@@ -86,30 +86,6 @@ class TestValidate:
         spec, scen = load_instance(doc)
         issues = [str(v) for v in validate(spec, scen)]
         assert any("another fence group" in s for s in issues)
-
-
-class TestModeOf:
-    def test_valve_lookup(self, mini):
-        spec, _ = mini
-        assert mode_of(spec, "o_by", "V1") == "op"
-        assert mode_of(spec, "o_cp", "V1") == "cl"
-
-    def test_station_lookup(self, mini):
-        spec, _ = mini
-        assert mode_of(spec, "o_cp", "CS1") == "c1"
-        assert mode_of(spec, "o_by", "CS1") == "cl"
-
-    def test_other_arc_kind_rejected(self, piped):
-        spec, _ = piped
-        with pytest.raises(ValueError):
-            mode_of(spec, "o_by", "P1")
-        with pytest.raises(ValueError):
-            mode_of(spec, "o_by", "RG1")
-
-    def test_unknown_mode(self, mini):
-        spec, _ = mini
-        with pytest.raises(KeyError):
-            mode_of(spec, "nope", "V1")
 
 
 class TestModeAvailable:

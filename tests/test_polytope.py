@@ -46,17 +46,6 @@ class TestRepresentations:
         with pytest.raises(ValueError):
             HalfSpace((0.0, 0.0), 1.0)
 
-    def test_normalize(self):
-        h = HalfSpace((3.0, 4.0), 10.0).normalized()
-        assert np.allclose(h.coefficients, (0.6, 0.8))
-        assert h.offset == pytest.approx(2.0)
-
-    def test_h_and_v_contains_agree(self):
-        h = unit_cube()
-        v = enumerate_vertices(h)
-        for point in [(0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (1.2, 0.5, 0.5), (-0.1, 0.2, 0.3)]:
-            assert h.contains(point) == v.contains(point)
-
     def test_fix_coordinate(self):
         square = unit_cube().fix_coordinate(2, 0.5)
         assert square.dim == 2

@@ -25,7 +25,6 @@ from stationopt.ranges import (
     configuration_polytope,
     lift_unit_range,
     linearize_power_bound,
-    ranges_cache_key,
     seed_for_unit,
     stage_polytope,
     unit_polytope,
@@ -417,11 +416,3 @@ PINNED_DOCS = {
 def test_built_facets_are_pinned(name):
     spec, _ = load_instance(PINNED_DOCS[name]())
     assert facet_digest(build_spec_ranges(spec, 2_000)) == PINNED_FACET_SHA256[name]
-
-
-def test_cache_key_is_pinned():
-    """A `.ranges.json` written earlier loads only while the same inputs
-    hash to the same key."""
-    spec, _ = load_instance(mini_station_pipes())
-    key = ranges_cache_key(spec, DEFAULT_SAMPLE_COUNT, 0)
-    assert key == "e2e8cee6b08e2deebce5f7c5049d2eb9defa4998d855e0af329a52e1704e8668"
