@@ -18,7 +18,7 @@ from stationopt.algorithm import (
     sequence_valid,
     transitions_work,
 )
-from stationopt.fixtures import mini_station, mini_station_pipes, seeded_instance, two_unit_station
+from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, regrid_instance, template_grid
 from stationopt.model import ObjectiveWeights, build_full
 from stationopt.ranges import build_spec_ranges
@@ -523,6 +523,23 @@ class TestSeededRegressions:
         res = solve(build_full(spec, scen, WEIGHTS), default_settings_for("P", 300.0))
         assert res.ok
         assert res.bound <= plan.objective + 1e-6
+
+
+class TestPinnedPlanObjectives:
+    """Plan objectives at 12 steps, 2,000-sample ranges and h=4, so that a
+    change of solver options cannot move a plan unnoticed."""
+
+    @pytest.mark.parametrize(
+        "doc, objective",
+        [(mini_station_pipes, 17563.98953880321), (medium_station, 12175.960177753204)],
+        ids=["mini_station_pipes", "medium_station"],
+    )
+    def test_plan_objective(self, doc, objective):
+        spec, scen = load_instance(doc())
+        spec, scen = regrid_instance(spec, scen, template_grid("12"))
+        spec = build_spec_ranges(spec, count=2000)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
+        assert plan.objective == pytest.approx(objective, rel=1e-9)
 
 
 class TestDegenerateData:

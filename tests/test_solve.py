@@ -1,7 +1,10 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize._milp as scipy_milp
+from scipy.optimize._highspy._highs_options import HighsOptionsManager
 
 from stationopt.fixtures import mini_station
 from stationopt.io import load_instance
@@ -79,6 +82,35 @@ class TestBasics:
         assert res.objective - res.bound <= max(
             settings.absolute_gap, settings.relative_gap * abs(res.objective)
         ) + 1e-9
+
+
+class TestHighsOptions:
+    def test_every_setting_reaches_highs_without_a_warning(self, monkeypatch):
+        seen = []
+        honest = scipy_milp._highs_wrapper
+
+        def spy(*args):
+            seen.append(dict(args[-1]))
+            return honest(*args)
+
+        monkeypatch.setattr(scipy_milp, "_highs_wrapper", spy)
+        m = LinearModel("int")
+        x = m.add_var("x", 0.0, 5.0, integer=True)
+        m.add_row("floor", [(1.0, x)], ">=", 1.5)
+        m.add_objective("cost", x, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(m, SolveSettings(2e-4, 3e-2, 17.0))
+        assert res.status == "optimal"
+        assert len(seen) == 1
+        options = seen[0]
+        assert options["mip_rel_gap"] == 2e-4
+        assert options["mip_abs_gap"] == 3e-2
+        assert options["time_limit"] == 17.0
+        assert options["mip_heuristic_run_feasibility_jump"] is False
+        manager = HighsOptionsManager()
+        for key in ("mip_rel_gap", "mip_abs_gap", "time_limit", "mip_heuristic_run_feasibility_jump"):
+            assert manager.get_option_type(key) != -1, key
 
 
 class TestStationaryOracle:
