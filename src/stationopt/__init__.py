@@ -52,7 +52,6 @@ from .ranges import (
 from .model import ModelInstance, ObjectiveWeights
 from .solve import (
     BackendError,
-    FileExchangeBackend,
     InProcessBackend,
     SolveResult,
     SolveSettings,

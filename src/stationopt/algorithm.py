@@ -60,15 +60,6 @@ class ModeSequence:
             raise ValueError("modes and directions must have equal length")
 
 
-def sequence_valid(spec: StationSpec, seq: ModeSequence) -> bool:
-    for t, (o, f) in enumerate(zip(seq.modes, seq.directions)):
-        if o not in spec.operation_modes:
-            return False
-        if t >= 1 and f is not None and (o, f) not in spec.valid_pairs:
-            return False
-    return True
-
-
 def transitions_work(spec: StationSpec, modes, time_grid) -> bool:
     """Whether the mode switches of a sequence fit their transition times.
 

@@ -167,10 +167,18 @@ def load_instance(source):
         )
 
     state_doc = _need(scen_doc, "initialState", "$.scenario")
-    init_pressures = {
-        v: bar_to_pa(_number(p, f"$.scenario.initialState.pressures.{v}"))
-        for v, p in _need(state_doc, "pressures", "$.scenario.initialState").items()
-    }
+    init_pressures = {}
+    for v, p in _need(state_doc, "pressures", "$.scenario.initialState").items():
+        value = _number(p, f"$.scenario.initialState.pressures.{v}")
+        if not value > 0.0:
+            raise SchemaError(f"$.scenario.initialState.pressures.{v}", "initial pressure must be positive")
+        init_pressures[v] = bar_to_pa(value)
+
+    def end_pressure(v):
+        # the arc constants below need it; other nodes are checked by validate
+        if v not in init_pressures:
+            raise SchemaError(f"$.scenario.initialState.pressures.{v}", "missing initial pressure")
+        return init_pressures[v]
 
     pipes, resistors, valves, regulators, stations = {}, {}, {}, {}, {}
     for i, ad in enumerate(_need(doc, "arcs", "$")):
@@ -192,7 +200,7 @@ def load_instance(source):
 
         if kind == "pipe":
             lb, ub = flow_bounds()
-            p_l0, p_r0 = init_pressures[from_node], init_pressures[to_node]
+            p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
             z = pipe_average_z(p_l0, p_r0, constants)
             pipe = PipeArc(
                 id=aid,
@@ -214,7 +222,7 @@ def load_instance(source):
             )
         elif kind == "resistor":
             lb, ub = flow_bounds()
-            p_l0, p_r0 = init_pressures[from_node], init_pressures[to_node]
+            p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
             z = pipe_average_z(p_l0, p_r0, constants)
             res = ResistorArc(
                 id=aid,
@@ -238,7 +246,7 @@ def load_instance(source):
             regulators[aid] = RegulatorArc(aid, from_node, to_node, lb, ub)
         elif kind == "compressorStation":
             lb, ub = flow_bounds()
-            z_l = papay_z(pa_to_bar(init_pressures[from_node]), constants)
+            z_l = papay_z(pa_to_bar(end_pressure(from_node)), constants)
             member_units = []
             for uid in _need(ad, "units", path):
                 if uid not in units:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import sparse
 
 SENSES = ("<=", ">=", "==")
+CONSTANT_ROW_TOL = 1e-9  # relative slack for a row left without variables
 
 
 class BuildInfeasibleError(ValueError):
@@ -104,9 +105,7 @@ class LinearModel:
         self.unit.append(float(unit))
         return VarRef(len(self.var_names) - 1)
 
-    def add_row(
-        self, name: str, pairs, sense: str, rhs: float, tol: float = 1e-9, unit: float | None = None
-    ) -> None:
+    def add_row(self, name: str, pairs, sense: str, rhs: float, unit: float | None = None) -> None:
         """One linear row from (coefficient, handle) pairs.
 
         Handles are :class:`VarRef` or plain numbers; constants fold into
@@ -127,11 +126,11 @@ class LinearModel:
         rhs_eff = float(rhs) - const
         coeffs = {i: c for i, c in coeffs.items() if c != 0.0}
         if not coeffs:
-            scale = max(1.0, abs(rhs_eff))
+            slack = CONSTANT_ROW_TOL * max(1.0, abs(rhs_eff))
             ok = {
-                "<=": 0.0 <= rhs_eff + tol * scale,
-                ">=": 0.0 >= rhs_eff - tol * scale,
-                "==": abs(rhs_eff) <= tol * scale,
+                "<=": 0.0 <= rhs_eff + slack,
+                ">=": 0.0 >= rhs_eff - slack,
+                "==": abs(rhs_eff) <= slack,
             }[sense]
             if not ok:
                 raise BuildInfeasibleError(f"constant row {name!r} is violated: 0 {sense} {rhs_eff}")
@@ -236,10 +235,6 @@ class LinearModel:
             out.append(" " + " ".join(integers))
         out.append("End")
         return "\n".join(out) + "\n"
-
-    def lp_var_names(self) -> list[str]:
-        """The variable names as :meth:`lp_text` writes them."""
-        return [_lp_name(name) for name in self.var_names]
 
     def _vn(self, idx: int) -> str:
         return _lp_name(self.var_names[idx])

@@ -116,7 +116,7 @@ class HPolytope:
         :class:`DegenerateRegionError` unless the region is bounded and
         full-dimensional.
         """
-        vertices = _intersection(self, FACET_TOL).intersections
+        vertices = _intersection(self).intersections
         return vertices.min(axis=0), vertices.max(axis=0)
 
 
@@ -146,18 +146,18 @@ class Tetrahedron:
         return abs(float(np.linalg.det(v[1:] - v[0]))) / 6.0
 
 
-def _intersection(h: HPolytope, tol: float) -> HalfspaceIntersection:
+def _intersection(h: HPolytope) -> HalfspaceIntersection:
     """qhull's intersection of the half spaces of ``h`` around its Chebyshev centre.
 
     The centre is the one LP.  Raises :class:`EmptyRegionError` without a
     feasible point, :class:`UnboundedRegionError` for a line or non-finite
     intersections, and :class:`DegenerateRegionError` when the inscribed
-    radius is at most ``tol`` times the centre's magnitude.
+    radius is at most ``FACET_TOL`` times the centre's magnitude.
     """
     center, radius = h.chebyshev_center()
     if np.linalg.matrix_rank(h.A) < h.dim:
         raise UnboundedRegionError("polytope contains a line")
-    if radius <= tol * max(1.0, float(np.abs(center).max())):
+    if radius <= FACET_TOL * max(1.0, float(np.abs(center).max())):
         raise DegenerateRegionError("polytope is not full-dimensional")
     if h.dim < 2:
         raise ValueError("qhull needs dimension >= 2")
@@ -168,17 +168,17 @@ def _intersection(h: HPolytope, tol: float) -> HalfspaceIntersection:
     return inter
 
 
-def enumerate_vertices(h: HPolytope, tol: float = FACET_TOL) -> VPolytope:
+def enumerate_vertices(h: HPolytope) -> VPolytope:
     """Vertex enumeration of a bounded H-polytope (dimension <= 4).
 
     The vertices are qhull's halfspace intersections; vertices closer than
-    ``tol`` (scaled by the coordinate magnitude) are merged.
+    ``FACET_TOL`` (scaled by the coordinate magnitude) are merged.
     """
     if h.dim > 4:
         raise ValueError("vertex enumeration is limited to dimension <= 4")
-    points = _intersection(h, tol).intersections
+    points = _intersection(h).intersections
     scale = max(1.0, float(np.abs(points).max()))
-    return VPolytope(_dedupe_points(points, tol * scale))
+    return VPolytope(_dedupe_points(points, FACET_TOL * scale))
 
 
 def _dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
@@ -190,24 +190,24 @@ def _dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
     return np.array(kept)[order]
 
 
-def remove_redundant(h: HPolytope, tol: float = FACET_TOL) -> HPolytope:
+def remove_redundant(h: HPolytope) -> HPolytope:
     """Minimal normalized H-description of a bounded, full-dimensional region.
 
     Each half space is a point of qhull's dual hull, and a facet of the
     region exactly when that point is a hull vertex, so a row is kept
     exactly when it is in some dual facet.  Slack, duplicate and merely
-    touching planes go; of rows equal within ``tol`` the first stays, and
+    touching planes go; of rows equal within ``FACET_TOL`` the first stays, and
     rows keep their order.  Raises as :meth:`HPolytope.bounding_box` does.
     """
     hp = h.normalized()
     rows = np.hstack([hp.A, hp.b[:, None]])
-    kept = rows[np.unique(np.concatenate(_intersection(hp, tol).dual_facets))]
+    kept = rows[np.unique(np.concatenate(_intersection(hp).dual_facets))]
     # qhull keeps any one of a set of duplicates; take the first instead
-    keep = np.unique((np.abs(kept[:, None] - rows[None]) <= tol).all(axis=2).argmax(axis=1))
+    keep = np.unique((np.abs(kept[:, None] - rows[None]) <= FACET_TOL).all(axis=2).argmax(axis=1))
     return HPolytope(hp.A[keep], hp.b[keep])
 
 
-def project_out(h: HPolytope, index: int, tol: float = FACET_TOL) -> HPolytope:
+def project_out(h: HPolytope, index: int) -> HPolytope:
     """Orthogonal projection eliminating one coordinate (Fourier-Motzkin).
 
     The combined rows are pruned with :func:`remove_redundant` right away
@@ -216,7 +216,7 @@ def project_out(h: HPolytope, index: int, tol: float = FACET_TOL) -> HPolytope:
     col = h.A[:, index]
     rest = np.delete(h.A, index, axis=1)
     scale = np.linalg.norm(h.A, axis=1)
-    zero = np.abs(col) <= tol * scale
+    zero = np.abs(col) <= FACET_TOL * scale
     pos = (col > 0) & ~zero
     neg = (col < 0) & ~zero
 
@@ -226,17 +226,17 @@ def project_out(h: HPolytope, index: int, tol: float = FACET_TOL) -> HPolytope:
         for j in np.where(neg)[0]:
             rj = np.append(rest[j], h.b[j]) / -col[j]
             combined = ri + rj
-            if np.linalg.norm(combined[:-1]) > tol:
+            if np.linalg.norm(combined[:-1]) > FACET_TOL:
                 rows.append(combined)
-            elif combined[-1] > tol:
+            elif combined[-1] > FACET_TOL:
                 raise EmptyRegionError("projection of an infeasible system")
     if not rows:
         raise ValueError("projection produced an unconstrained region")
     stacked = np.array(rows)
-    return remove_redundant(HPolytope(stacked[:, :-1], stacked[:, -1]), tol)
+    return remove_redundant(HPolytope(stacked[:, :-1], stacked[:, -1]))
 
 
-def triangulate(v: VPolytope, tol: float = FACET_TOL) -> list[Tetrahedron]:
+def triangulate(v: VPolytope) -> list[Tetrahedron]:
     """Split a full-dimensional 3-D polytope into interior-disjoint tetrahedra.
 
     Fans the triangulated hull boundary from an interior point, so the
@@ -247,7 +247,7 @@ def triangulate(v: VPolytope, tol: float = FACET_TOL) -> list[Tetrahedron]:
     verts = v.vertices
     centered = verts - verts.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
-    if len(verts) < 4 or svals[-1] <= tol * max(1.0, svals[0]):
+    if len(verts) < 4 or svals[-1] <= FACET_TOL * max(1.0, svals[0]):
         raise DegenerateRegionError("polytope is flat; no 3-D triangulation")
     hull = ConvexHull(verts)
     center = verts[np.unique(hull.vertices)].mean(axis=0)

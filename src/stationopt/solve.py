@@ -1,10 +1,9 @@
 """Uniform contract to a mixed-integer linear solver.
 
-The bundled in-process backend is HiGHS through ``scipy.optimize.milp``.
-A file-exchange backend writes LP text and reads a plain solution file
-(one ``name value`` pair per line under a ``#status:`` header, with the
-variable names and the objective as in the LP text) so a proprietary
-solver can be dropped in without code changes.
+The backend is HiGHS through ``scipy.optimize.milp``.  Any object with a
+``solve_raw(model, settings)`` method returning ``(status, x, bound,
+message)`` can stand in for it: ``x`` is the assignment in SI (or None)
+and ``bound`` the dual bound without the model's objective constant.
 
 :class:`SolveSettings` carries the published optimality conditions of a
 model variant; HiGHS receives all three.
@@ -18,12 +17,11 @@ from __future__ import annotations
 
 import ctypes
 import os
-import subprocess
 import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -83,16 +81,10 @@ class SolveResult:
     assignment: np.ndarray | None
     wall_time: float
     message: str = ""
-    model: LinearModel | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.status in ("optimal", "feasible") and self.assignment is not None
-
-    def by_name(self) -> dict:
-        if self.assignment is None or self.model is None:
-            return {}
-        return {n: float(v) for n, v in zip(self.model.var_names, self.assignment)}
 
 
 @dataclass(frozen=True)
@@ -104,17 +96,17 @@ class RowViolation:
         return f"{self.name}: violated by {self.amount:.3e}"
 
 
-def check_assignment(model: LinearModel, x: np.ndarray, tol: float = CHECK_TOL) -> list[RowViolation]:
+def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
     """Replay bounds, integrality and every row against an assignment.
 
     Violations are measured relative to the row's own magnitude (big-M
-    rows in Pa live around 1e6), so ``tol`` is a relative feasibility
-    tolerance with an absolute floor of ``tol`` itself.
+    rows in Pa live around 1e6), so ``CHECK_TOL`` is a relative
+    feasibility tolerance with an absolute floor of ``CHECK_TOL`` itself.
     """
     out: list[RowViolation] = []
     for idx in range(model.n_vars):
         scale = max(1.0, abs(model.lb[idx]), abs(model.ub[idx]))
-        if x[idx] < model.lb[idx] - tol * scale or x[idx] > model.ub[idx] + tol * scale:
+        if x[idx] < model.lb[idx] - CHECK_TOL * scale or x[idx] > model.ub[idx] + CHECK_TOL * scale:
             out.append(RowViolation(f"bounds({model.var_names[idx]})", _bound_gap(model, idx, x[idx])))
         if model.integer[idx] and abs(x[idx] - round(x[idx])) > 1e-5:
             out.append(RowViolation(f"integrality({model.var_names[idx]})", abs(x[idx] - round(x[idx]))))
@@ -127,7 +119,7 @@ def check_assignment(model: LinearModel, x: np.ndarray, tol: float = CHECK_TOL) 
             gap = row.rhs - act
         else:
             gap = abs(act - row.rhs)
-        if gap > tol * scale:
+        if gap > CHECK_TOL * scale:
             out.append(RowViolation(row.name, gap))
     return out
 
@@ -228,79 +220,6 @@ def _stdout_to_devnull():
         os.close(saved)
 
 
-class FileExchangeBackend:
-    """LP text out, solution text in.
-
-    ``command`` is a list whose ``{lp}``/``{sol}`` placeholders are
-    substituted with the exchange paths; when it is None the solution
-    file must already exist (a manual or out-of-band solver run).
-    """
-
-    def __init__(self, lp_path, sol_path, command=None):
-        self.lp_path = str(lp_path)
-        self.sol_path = str(sol_path)
-        self.command = command
-
-    def solve_raw(self, model: LinearModel, settings: SolveSettings):
-        with open(self.lp_path, "w", encoding="utf-8") as fh:
-            fh.write(model.lp_text())
-        if self.command is not None:
-            argv = [arg.format(lp=self.lp_path, sol=self.sol_path) for arg in self.command]
-            proc = subprocess.run(argv, capture_output=True, text=True)
-            if proc.returncode != 0:
-                return "error", None, None, f"backend command failed: {proc.stderr[:500]}"
-        try:
-            status, values, bound = read_solution_text(self.sol_path)
-        except FileNotFoundError:
-            return "error", None, None, f"no solution file at {self.sol_path}"
-        if values is None:
-            return status, None, bound, ""
-        x = np.zeros(model.n_vars)
-        by_name = {name: i for i, name in enumerate(model.lp_var_names())}
-        for name, value in values.items():
-            if name in by_name:
-                x[by_name[name]] = value
-        return status, x, bound, ""
-
-
-def write_solution_text(path, result: SolveResult) -> None:
-    """A solution file in the terms of the model's LP text: variables under
-    their LP names, objective and bound without the objective constant,
-    which LP format cannot carry (``solve`` adds it back on reading)."""
-    model = result.model
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#status: {result.status}\n")
-        fh.write(f"#objective: {result.objective - model.objective_constant!r}\n")
-        fh.write(f"#bound: {result.bound - model.objective_constant!r}\n")
-        if result.assignment is not None:
-            for name, value in zip(model.lp_var_names(), result.assignment):
-                fh.write(f"{name} {float(value)!r}\n")
-
-
-def read_solution_text(path):
-    status = "error"
-    bound = None
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#status:"):
-                status = line.split(":", 1)[1].strip()
-            elif line.startswith("#bound:"):
-                raw = line.split(":", 1)[1].strip()
-                bound = float(raw) if raw not in ("None", "") else None
-            elif line.startswith("#"):
-                continue
-            else:
-                name, value = line.rsplit(None, 1)
-                values[name] = float(value)
-    if status in ("infeasible", "error"):
-        return status, None, bound
-    return status, values, bound
-
-
 _DEFAULT_BACKEND = InProcessBackend()
 
 
@@ -352,7 +271,7 @@ def solve(
         return SolveResult(
             "error", np.inf, bound_value, None, wall,
             f"backend bound {bound_value!r} lies above the objective {init_value!r} "
-            "of the checker-clean initial assignment", model,
+            "of the checker-clean initial assignment",
         )
 
     if x is not None and status in ("optimal", "feasible", "timeLimit"):
@@ -361,9 +280,9 @@ def solve(
             worst = max(violations, key=lambda v: v.amount)
             return SolveResult(
                 "error", np.inf, bound_value, None, wall,
-                f"solution failed the row checker, worst: {worst}", model,
+                f"solution failed the row checker, worst: {worst}",
             )
-    return SolveResult(status, objective, bound_value, x, wall, message, model)
+    return SolveResult(status, objective, bound_value, x, wall, message)
 
 
 def _snap_integers(model: LinearModel, x: np.ndarray) -> np.ndarray:

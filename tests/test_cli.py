@@ -36,6 +36,16 @@ def disjoint_range_doc():
     return doc
 
 
+def bad_initial_pressure_doc(case):
+    doc = mini_station_pipes()
+    pressures = doc["scenario"]["initialState"]["pressures"]
+    if case == "missing":
+        del pressures["B1"]
+    else:
+        pressures["B1"] = 0.0
+    return doc
+
+
 class TestValidateCommand:
     def test_good_instance(self, instance_path, capsys):
         assert main(["validate", str(instance_path)]) == 0
@@ -73,6 +83,12 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "schema error: $.arcs[0].configurations[0].facets[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["missing", "zero"])
+    def test_bad_initial_pressure_exits_2(self, tmp_path, capsys, case):
+        path = write_doc(tmp_path, bad_initial_pressure_doc(case))
+        assert main(["validate", str(path)]) == 2
+        assert "schema error: $.scenario.initialState.pressures.B1" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_solve_writes_plan(self, instance_path, capsys):
@@ -105,17 +121,38 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 3
         assert "abort" in capsys.readouterr().err
 
-    def test_export_lp_writes_models(self, instance_path, tmp_path):
-        lp_dir = tmp_path / "lps"
-        assert main(["solve", str(instance_path), "--export-lp", str(lp_dir)]) == 0
+    @staticmethod
+    def exported_models(instance_path, *flags):
+        """Run ``solve --export-lp``; the LP files and the plan's solve counts."""
+        lp_dir = instance_path.parent / "lps"
+        assert main(["solve", str(instance_path), "--export-lp", str(lp_dir), *flags]) == 0
         files = sorted(lp_dir.glob("*.lp"))
-        assert files
+        for f in files:
+            name = f.stem.split("_", 1)[1]
+            assert f.read_text().startswith(f"\\ model {name}\n"), f.name
+        plan = json.loads((instance_path.parent / "mini.plan.json").read_text())
+        return files, sum(plan["diagnostics"]["solve_counts"].values())
+
+    def test_export_lp_writes_models(self, instance_path):
+        files, solves = self.exported_models(instance_path)
         assert any("Psf" in f.name for f in files)
+        assert len(files) == solves
+
+    def test_export_lp_adds_the_lower_bound_model(self, instance_path):
+        files, solves = self.exported_models(instance_path, "--lower-bound")
+        assert len(files) == solves + 1
+        assert files[-1].stem.split("_", 2)[1] == "P"
 
     def test_infeasible_configuration_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, disjoint_range_doc())
         assert main(["solve", str(path)]) == 2
         assert "cannot prepare" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing", "zero"])
+    def test_bad_initial_pressure_exits_2(self, tmp_path, capsys, case):
+        path = write_doc(tmp_path, bad_initial_pressure_doc(case))
+        assert main(["solve", str(path)]) == 2
+        assert "$.scenario.initialState.pressures.B1" in capsys.readouterr().err
 
     def test_writes_only_the_plan_files(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_station())

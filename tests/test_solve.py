@@ -1,4 +1,3 @@
-import sys
 import warnings
 
 import numpy as np
@@ -14,13 +13,10 @@ from stationopt.ranges import build_spec_ranges
 from stationopt.units import PA_PER_BAR
 from stationopt.solve import (
     CHECK_TOL,
-    FileExchangeBackend,
     SolveSettings,
     check_assignment,
     default_settings_for,
-    read_solution_text,
     solve,
-    write_solution_text,
 )
 
 WEIGHTS = ObjectiveWeights()
@@ -36,11 +32,12 @@ def one_var_model() -> LinearModel:
 
 class TestBasics:
     def test_minimize_single_variable(self):
-        res = solve(one_var_model(), default_settings_for("Psf"))
+        m = one_var_model()
+        res = solve(m, default_settings_for("Psf"))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0)
         assert res.bound == pytest.approx(3.0)
-        assert res.by_name()["x"] == pytest.approx(3.0)
+        assert dict(zip(m.var_names, res.assignment))["x"] == pytest.approx(3.0)
 
     def test_infeasible_pair(self):
         m = LinearModel("bad")
@@ -308,7 +305,7 @@ class TestSolverUnits:
         m.add_objective("cost", p, 1e-5)
         res = solve(m, default_settings_for("Psf"))
         assert res.status == "optimal"
-        assert res.by_name()["p"] == pytest.approx(52.5e5, rel=1e-9)
+        assert dict(zip(m.var_names, res.assignment))["p"] == pytest.approx(52.5e5, rel=1e-9)
         assert res.objective == pytest.approx(52.5, rel=1e-9)
         assert check_assignment(m, res.assignment) == []
 
@@ -330,7 +327,7 @@ class TestSolverUnits:
         m, *_ = pressure_model()
         res = solve(m, default_settings_for("Psf"))
         assert res.status == "optimal"
-        assert res.by_name()["p"] == pytest.approx(40e5, rel=1e-9)
+        assert dict(zip(m.var_names, res.assignment))["p"] == pytest.approx(40e5, rel=1e-9)
         assert check_assignment(m, res.assignment) == []
 
     def test_declared_row_unit_overrides_the_columns(self):
@@ -403,84 +400,6 @@ class TestLpExport:
         text = m.lp_text()
         assert "weird name[1]" not in text
         assert "weird_name_1_" in text
-
-
-class TestSolutionFiles:
-    def test_round_trip(self, tmp_path):
-        m = one_var_model()
-        res = solve(m, default_settings_for("Psf"))
-        path = tmp_path / "sol.txt"
-        write_solution_text(path, res)
-        status, values, bound = read_solution_text(path)
-        assert status == "optimal"
-        assert values["x"] == pytest.approx(3.0)
-        assert bound == pytest.approx(3.0)
-
-    def test_file_backend_reads_existing_solution(self, tmp_path):
-        m = one_var_model()
-        res = solve(m, default_settings_for("Psf"))
-        sol = tmp_path / "answer.sol"
-        write_solution_text(sol, res)
-        backend = FileExchangeBackend(tmp_path / "model.lp", sol, command=None)
-        res2 = solve(m, default_settings_for("Psf"), backend=backend)
-        assert res2.status == "optimal"
-        assert res2.objective == pytest.approx(3.0)
-        assert (tmp_path / "model.lp").exists()
-
-    def test_file_backend_runs_command(self, tmp_path):
-        sol = tmp_path / "out.sol"
-        script = (
-            "import sys\n"
-            "open(sys.argv[2], 'w').write('#status: optimal\\n#bound: 3.0\\nx 3.0\\n')\n"
-        )
-        backend = FileExchangeBackend(
-            tmp_path / "model.lp",
-            sol,
-            command=[sys.executable, "-c", script, "{lp}", "{sol}"],
-        )
-        res = solve(one_var_model(), default_settings_for("Psf"), backend=backend)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(3.0)
-
-    def test_objective_constant_stays_out_of_the_file(self, tmp_path):
-        m = one_var_model()
-        m.add_objective("fixed", 1.0, 42.0)
-        res = solve(m, default_settings_for("Psf"))
-        sol = tmp_path / "answer.sol"
-        write_solution_text(sol, res)
-        _, _, bound = read_solution_text(sol)
-        assert bound == pytest.approx(3.0)
-        backend = FileExchangeBackend(tmp_path / "model.lp", sol)
-        res2 = solve(m, default_settings_for("Psf"), initial=res.assignment, backend=backend)
-        assert res2.status == "optimal"
-        assert res2.objective == pytest.approx(45.0)
-        assert res2.bound == pytest.approx(45.0)
-
-    def test_file_backend_reads_lp_names(self, tmp_path):
-        spec, scen = load_instance(mini_station())
-        spec = build_spec_ranges(spec, count=2000)
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
-        res = solve(inst, default_settings_for("Psf"))
-        assert res.status == "optimal"
-        # an external solver names the columns as the LP text's Bounds section does
-        bounds = inst.model.lp_text().split("Bounds\n", 1)[1].split("\nGenerals", 1)[0]
-        names = [line.split(" <= ")[1] for line in bounds.splitlines() if " <= " in line]
-        assert len(names) == inst.model.n_vars and names != inst.model.var_names
-        sol = tmp_path / "psf.sol"
-        lines = ["#status: optimal", f"#bound: {res.bound - inst.model.objective_constant!r}"]
-        lines += [f"{name} {float(value)!r}" for name, value in zip(names, res.assignment)]
-        sol.write_text("\n".join(lines) + "\n")
-        backend = FileExchangeBackend(tmp_path / "psf.lp", sol)
-        res2 = solve(inst, default_settings_for("Psf"), backend=backend)
-        assert res2.status == "optimal", res2.message
-        assert res2.objective == pytest.approx(res.objective, rel=1e-12)
-        assert res2.bound == pytest.approx(res.bound, rel=1e-12)
-
-    def test_file_backend_missing_solution_is_error(self, tmp_path):
-        backend = FileExchangeBackend(tmp_path / "m.lp", tmp_path / "missing.sol", None)
-        res = solve(one_var_model(), default_settings_for("Psf"), backend=backend)
-        assert res.status == "error"
-        assert "no solution file" in res.message
 
 
 class TestModelContainer:
