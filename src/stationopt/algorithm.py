@@ -190,7 +190,18 @@ class ControlPlan:
 
 class StationSolver:
     """Shared state for one run: the solver backend and the memoized
-    stationary-fixed evaluations that all three stages share."""
+    stationary evaluations that all three stages share.
+
+    Two memos sit in front of the backend.  ``_psf_cache`` maps a
+    ``(mode, t, prev_mode)`` lookup to its decoded value and skips the
+    build.  ``_memo`` maps ``(variant, fingerprint)`` of a built ``Psf``
+    or ``Ps`` model to its :class:`~stationopt.solve.SolveResult`: when the
+    demand repeats from step to step, stationary models differ only in
+    their names, and HiGHS returns the same result for the same numbers.
+    Each caller decodes a result through its own instance's handles.
+    ``counters`` counts backend solves and ``memo_hits`` the solves the
+    memo saved.  Smoothing windows always solve.
+    """
 
     def __init__(
         self,
@@ -204,12 +215,26 @@ class StationSolver:
         self.weights = weights or ObjectiveWeights()
         self.backend = backend
         self._psf_cache: dict = {}
+        self._memo: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
+        self.memo_hits = {"Psf": 0, "Ps": 0}
 
     def _solve(self, inst, variant: str):
         """One solve of a model variant under its published settings."""
         res = solve(inst, default_settings_for(variant), backend=self.backend)
         self.counters[variant] += 1
+        return res
+
+    def _solve_stationary(self, inst, variant: str):
+        """The result of a ``Psf`` or ``Ps`` model, solved once per fingerprint."""
+        key = (variant, inst.model.fingerprint())
+        res = self._memo.get(key)
+        if res is None:
+            res = self._memo[key] = self._solve(inst, variant)
+        else:
+            self.memo_hits[variant] += 1
+        if res.status == "error":
+            raise BackendError(res.message or "stationary solve failed")
         return res
 
     # -- stationary evaluations ------------------------------------------
@@ -225,9 +250,7 @@ class StationSolver:
                 # flow direction) are plain infeasibility to the algorithm
                 self._psf_cache[key] = (False, math.inf, None)
                 return self._psf_cache[key]
-            res = self._solve(inst, "Psf")
-            if res.status == "error":
-                raise BackendError(res.message or "stationary solve failed")
+            res = self._solve_stationary(inst, "Psf")
             if res.ok:
                 self._psf_cache[key] = (True, res.objective, inst.direction_at(res.assignment, t))
             else:
@@ -240,9 +263,7 @@ class StationSolver:
             inst = build_stationary(self.spec, self.scen, self.weights, t, prev_mode, valid_modes)
         except BuildInfeasibleError:
             return False, math.inf, None, None
-        res = self._solve(inst, "Ps")
-        if res.status == "error":
-            raise BackendError(res.message or "stationary solve failed")
+        res = self._solve_stationary(inst, "Ps")
         if not res.ok:
             return False, math.inf, None, None
         mode = inst.mode_at(res.assignment, t)
@@ -423,6 +444,7 @@ class StationSolver:
         plan.diagnostics["replay_violations"] = [str(v) for v in violations]
         plan.diagnostics["max_replay_violation"] = max((v.amount for v in violations), default=0.0)
         plan.diagnostics["solve_counts"] = dict(self.counters)
+        plan.diagnostics["memo_hits"] = dict(self.memo_hits)
         return plan
 
 

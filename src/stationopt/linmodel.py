@@ -3,14 +3,18 @@
 A :class:`LinearModel` is a plain catalog of variables (finite bounds,
 optional integrality, a solver unit), rows (sparse coefficients, sense,
 right-hand side) and a linear objective split into named categories.  The
-model itself is in SI; :meth:`LinearModel.solver_view` derives the arrays
-an in-process solver sees, with every column in its declared unit.  The
+rows are stored as flat COO data (row pointer, columns, values); the
+model reads them as numpy arrays, built once on first read.  The model
+itself is in SI; :meth:`LinearModel.solver_view` derives the arrays an
+in-process solver sees, with every column in its declared unit.  The
 export writes deterministic CPLEX-style LP text in SI, byte-identical for
 identical models.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -34,6 +38,8 @@ class VarRef:
 
 @dataclass
 class Row:
+    """One row as a record; :attr:`LinearModel.rows` derives these."""
+
     name: str
     coeffs: dict  # var index -> coefficient
     sense: str
@@ -66,7 +72,36 @@ class SolverView:
         return np.asarray(x, dtype=float) * self.col_unit
 
 
+@dataclass(frozen=True)
+class ModelArrays:
+    """A model's columns and rows as numpy arrays, in SI.
+
+    Row ``r`` holds the entries ``ptr[r]:ptr[r + 1]`` of ``cols`` and
+    ``vals`` (``row_of`` repeats ``r`` for each of them); ``sense`` indexes
+    :data:`SENSES`, and ``row_unit`` is NaN where the row derives its unit
+    from its columns.  Every row has at least one entry.
+    """
+
+    lb: np.ndarray
+    ub: np.ndarray
+    integer: np.ndarray  # bool
+    col_unit: np.ndarray
+    ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    row_of: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    row_unit: np.ndarray
+
+
 class LinearModel:
+    """Variables, rows and objective of one model, appended in build order.
+
+    The model is append-only: the ``add_*`` methods are the only writers,
+    and each drops the cached arrays and fingerprint.
+    """
+
     def __init__(self, name: str):
         self.name = name
         self.var_names: list[str] = []
@@ -74,15 +109,91 @@ class LinearModel:
         self.ub: list[float] = []
         self.integer: list[bool] = []
         self.unit: list[float] = []  # SI value of one solver unit, per column
-        self.rows: list[Row] = []
+        self.row_names: list[str] = []
+        self._ptr: list[int] = [0]
+        self._cols: list[int] = []
+        self._vals: list[float] = []
+        self._sense: list[int] = []
+        self._rhs: list[float] = []
+        self._row_unit: list[float] = []  # NaN: derived from the columns
         self.objective: dict = {}
         self.objective_constant = 0.0
         # (category, var index or None, coefficient or constant value)
         self.objective_terms: list[tuple[str, int | None, float]] = []
+        self._arrays: ModelArrays | None = None
+        self._fingerprint: str | None = None
 
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.row_names)
+
+    @property
+    def rows(self) -> list[Row]:
+        """The rows as :class:`Row` records, derived afresh on each read."""
+        out = []
+        for r, name in enumerate(self.row_names):
+            lo, hi = self._ptr[r], self._ptr[r + 1]
+            unit = self._row_unit[r]
+            out.append(Row(
+                name,
+                dict(zip(self._cols[lo:hi], self._vals[lo:hi])),
+                SENSES[self._sense[r]],
+                self._rhs[r],
+                None if math.isnan(unit) else unit,
+            ))
+        return out
+
+    def arrays(self) -> ModelArrays:
+        """The columns and rows as arrays (see :class:`ModelArrays`)."""
+        if self._arrays is None:
+            ptr = np.array(self._ptr, dtype=np.int64)
+            self._arrays = ModelArrays(
+                lb=np.array(self.lb, dtype=float),
+                ub=np.array(self.ub, dtype=float),
+                integer=np.array(self.integer, dtype=bool),
+                col_unit=np.array(self.unit, dtype=float),
+                ptr=ptr,
+                cols=np.array(self._cols, dtype=np.int64),
+                vals=np.array(self._vals, dtype=float),
+                row_of=np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(ptr)),
+                sense=np.array(self._sense, dtype=np.int8),
+                rhs=np.array(self._rhs, dtype=float),
+                row_unit=np.array(self._row_unit, dtype=float),
+            )
+        return self._arrays
+
+    def fingerprint(self) -> str:
+        """Hash of every number a solve depends on, names excluded.
+
+        It covers bounds, integrality, solver units, the objective (in its
+        insertion order, which the objective's sum follows) and constant,
+        and the row arrays.  Two models with equal fingerprints are the same
+        problem to the backend, the checker and the objective, column for
+        column; only what their columns mean may differ.
+        """
+        if self._fingerprint is None:
+            a = self.arrays()
+            digest = hashlib.blake2b(digest_size=20)
+            parts = (
+                a.lb, a.ub, a.integer, a.col_unit,
+                np.fromiter(self.objective, dtype=np.int64, count=len(self.objective)),
+                np.fromiter(self.objective.values(), dtype=float, count=len(self.objective)),
+                np.array([self.objective_constant]),
+                a.ptr, a.cols, a.vals, a.sense, a.rhs, a.row_unit,
+            )
+            for part in parts:
+                digest.update(np.int64(part.size).tobytes())
+                digest.update(part.tobytes())
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
+
+    def _changed(self) -> None:
+        self._arrays = None
+        self._fingerprint = None
 
     def add_var(
         self, name: str, lb: float, ub: float, integer: bool = False, unit: float = 1.0
@@ -98,6 +209,7 @@ class LinearModel:
             raise BuildInfeasibleError(f"variable {name!r} has empty domain [{lb}, {ub}]")
         if not unit > 0.0 or (integer and unit != 1.0):
             raise ValueError(f"variable {name!r} cannot have solver unit {unit}")
+        self._changed()
         self.var_names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
@@ -135,10 +247,18 @@ class LinearModel:
             if not ok:
                 raise BuildInfeasibleError(f"constant row {name!r} is violated: 0 {sense} {rhs_eff}")
             return
-        self.rows.append(Row(name, coeffs, sense, rhs_eff, unit))
+        self._changed()
+        self.row_names.append(name)
+        self._cols.extend(coeffs)
+        self._vals.extend(coeffs.values())
+        self._ptr.append(len(self._cols))
+        self._sense.append(SENSES.index(sense))
+        self._rhs.append(rhs_eff)
+        self._row_unit.append(np.nan if unit is None else float(unit))
 
     def add_objective(self, category: str, handle, coef: float) -> None:
         """Linear objective contribution; constants keep their category."""
+        self._changed()
         if isinstance(handle, VarRef):
             self.objective[handle.index] = self.objective.get(handle.index, 0.0) + float(coef)
             self.objective_terms.append((category, handle.index, float(coef)))
@@ -166,38 +286,28 @@ class LinearModel:
 
     def solver_view(self) -> SolverView:
         """The model in solver units (see :class:`SolverView`)."""
-        col_unit = np.array(self.unit)
+        a = self.arrays()
+        col_unit = a.col_unit
         c = np.zeros(self.n_vars)
-        for idx, coef in self.objective.items():
-            c[idx] = coef
+        c[list(self.objective)] = list(self.objective.values())
         A = None
         row_lo = row_hi = np.zeros(0)
-        if self.rows:
-            rows_idx, cols_idx, data = [], [], []
-            for r, row in enumerate(self.rows):
-                rows_idx.extend([r] * len(row.coeffs))
-                cols_idx.extend(row.coeffs)
-                data.extend(row.coeffs.values())
-            rows_idx, cols_idx = np.array(rows_idx), np.array(cols_idx)
-            row_unit = np.ones(len(self.rows))
-            np.maximum.at(row_unit, rows_idx, col_unit[cols_idx])
-            for r, row in enumerate(self.rows):
-                if row.unit is not None:
-                    row_unit[r] = row.unit
-            data = np.array(data) * col_unit[cols_idx] / row_unit[rows_idx]
-            A = sparse.csc_array((data, (rows_idx, cols_idx)), shape=(len(self.rows), self.n_vars))
-            rhs = np.array([row.rhs for row in self.rows]) / row_unit
-            senses = np.array([row.sense for row in self.rows])
-            row_lo = np.where(senses == "<=", -np.inf, rhs)
-            row_hi = np.where(senses == ">=", np.inf, rhs)
+        if self.n_rows:
+            derived = np.maximum(1.0, np.maximum.reduceat(col_unit[a.cols], a.ptr[:-1]))
+            row_unit = np.where(np.isnan(a.row_unit), derived, a.row_unit)
+            data = a.vals * col_unit[a.cols] / row_unit[a.row_of]
+            A = sparse.csc_array((data, (a.row_of, a.cols)), shape=(self.n_rows, self.n_vars))
+            rhs = a.rhs / row_unit
+            row_lo = np.where(a.sense == SENSES.index("<="), -np.inf, rhs)
+            row_hi = np.where(a.sense == SENSES.index(">="), np.inf, rhs)
         return SolverView(
             c=c * col_unit,
             A=A,
             row_lo=row_lo,
             row_hi=row_hi,
-            lb=np.array(self.lb) / col_unit,
-            ub=np.array(self.ub) / col_unit,
-            integer=np.array(self.integer, dtype=int),
+            lb=a.lb / col_unit,
+            ub=a.ub / col_unit,
+            integer=a.integer.astype(int),
             col_unit=col_unit,
         )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .linmodel import LinearModel
+from .linmodel import SENSES, LinearModel
 from .model import ModelInstance
 
 CHECK_TOL = 1e-6
@@ -101,31 +101,38 @@ def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
 
     Violations are measured relative to the row's own magnitude (big-M
     rows in Pa live around 1e6), so ``CHECK_TOL`` is a relative
-    feasibility tolerance with an absolute floor of ``CHECK_TOL`` itself.
+    feasibility tolerance with an absolute floor of ``CHECK_TOL`` itself:
+    a row's scale is ``max(1, |rhs|, max_j |a_ij x_j|)`` and a column's
+    ``max(1, |lb|, |ub|)``.  Columns come first, each with its bounds
+    before its integrality, then the rows, in model order.
     """
+    a = model.arrays()
+    x = np.asarray(x, dtype=float)
     out: list[RowViolation] = []
-    for idx in range(model.n_vars):
-        scale = max(1.0, abs(model.lb[idx]), abs(model.ub[idx]))
-        if x[idx] < model.lb[idx] - CHECK_TOL * scale or x[idx] > model.ub[idx] + CHECK_TOL * scale:
-            out.append(RowViolation(f"bounds({model.var_names[idx]})", _bound_gap(model, idx, x[idx])))
-        if model.integer[idx] and abs(x[idx] - round(x[idx])) > 1e-5:
-            out.append(RowViolation(f"integrality({model.var_names[idx]})", abs(x[idx] - round(x[idx]))))
-    for row in model.rows:
-        act = model.row_activity(row, x)
-        scale = max(1.0, abs(row.rhs), max(abs(c * x[i]) for i, c in row.coeffs.items()))
-        if row.sense == "<=":
-            gap = act - row.rhs
-        elif row.sense == ">=":
-            gap = row.rhs - act
-        else:
-            gap = abs(act - row.rhs)
-        if gap > CHECK_TOL * scale:
-            out.append(RowViolation(row.name, gap))
+    scale = np.maximum(1.0, np.maximum(np.abs(a.lb), np.abs(a.ub)))
+    off_bounds = (x < a.lb - CHECK_TOL * scale) | (x > a.ub + CHECK_TOL * scale)
+    fraction = np.abs(x - np.round(x))
+    off_integer = a.integer & (fraction > 1e-5)
+    for idx in np.flatnonzero(off_bounds | off_integer):
+        name = model.var_names[idx]
+        if off_bounds[idx]:
+            gap = max(a.lb[idx] - x[idx], x[idx] - a.ub[idx], 0.0)
+            out.append(RowViolation(f"bounds({name})", float(gap)))
+        if off_integer[idx]:
+            out.append(RowViolation(f"integrality({name})", float(fraction[idx])))
+    if model.n_rows:
+        terms = a.vals * x[a.cols]
+        # bincount adds each row's terms in order, as a Python sum would
+        act = np.bincount(a.row_of, weights=terms, minlength=model.n_rows)
+        scale = np.maximum(1.0, np.maximum(np.abs(a.rhs), np.maximum.reduceat(np.abs(terms), a.ptr[:-1])))
+        gap = np.select(
+            [a.sense == SENSES.index("<="), a.sense == SENSES.index(">=")],
+            [act - a.rhs, a.rhs - act],
+            np.abs(act - a.rhs),
+        )
+        for r in np.flatnonzero(gap > CHECK_TOL * scale):
+            out.append(RowViolation(model.row_names[r], float(gap[r])))
     return out
-
-
-def _bound_gap(model: LinearModel, idx: int, value: float) -> float:
-    return max(model.lb[idx] - value, value - model.ub[idx], 0.0)
 
 
 class InProcessBackend:
@@ -287,7 +294,7 @@ def solve(
 
 def _snap_integers(model: LinearModel, x: np.ndarray) -> np.ndarray:
     out = np.array(x, dtype=float)
-    for idx, is_int in enumerate(model.integer):
-        if is_int:
-            out[idx] = round(out[idx])
+    is_int = model.arrays().integer
+    # adding 0.0 turns a rounded -0.0 into 0.0, as Python's round() gives
+    out[is_int] = np.round(out[is_int]) + 0.0
     return out

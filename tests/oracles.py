@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it checks: vertex
 enumeration is brute force over plane subsets, volume comes from the
 divergence theorem on the H-representation, sampling is plain rejection,
-and the hyperplane fit solves the normal equations directly.
+the hyperplane fit solves the normal equations directly, and the row
+checker walks the model's ``Row`` records one by one.
 """
 
 from __future__ import annotations
@@ -289,3 +290,34 @@ def facet_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> np.ndarray:
         if len(tight) >= d and np.linalg.matrix_rank(tight[1:] - tight[0], tol) == d - 1:
             keep.append(i)
     return np.array(keep)
+
+
+def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
+    """(name, amount) of every violation, one column and one row at a time.
+
+    The same rules as ``solve.check_assignment``: a column's scale is
+    ``max(1, |lb|, |ub|)``, a row's ``max(1, |rhs|, max_j |a_ij x_j|)``, both
+    times ``CHECK_TOL``; an integer column may be 1e-5 off integral.
+    """
+    from stationopt.solve import CHECK_TOL
+
+    out: list[tuple[str, float]] = []
+    for idx in range(model.n_vars):
+        lb, ub, value = model.lb[idx], model.ub[idx], x[idx]
+        scale = max(1.0, abs(lb), abs(ub))
+        if value < lb - CHECK_TOL * scale or value > ub + CHECK_TOL * scale:
+            out.append((f"bounds({model.var_names[idx]})", max(lb - value, value - ub, 0.0)))
+        if model.integer[idx] and abs(value - round(value)) > 1e-5:
+            out.append((f"integrality({model.var_names[idx]})", abs(value - round(value))))
+    for row in model.rows:
+        act = model.row_activity(row, x)
+        scale = max(1.0, abs(row.rhs), max(abs(c * x[i]) for i, c in row.coeffs.items()))
+        if row.sense == "<=":
+            gap = act - row.rhs
+        elif row.sense == ">=":
+            gap = row.rhs - act
+        else:
+            gap = abs(act - row.rhs)
+        if gap > CHECK_TOL * scale:
+            out.append((row.name, gap))
+    return out

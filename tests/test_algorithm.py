@@ -19,7 +19,7 @@ from stationopt.algorithm import (
 )
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, regrid_instance, template_grid
-from stationopt.model import ObjectiveWeights, build_full
+from stationopt.model import ObjectiveWeights, build_full, build_stationary_fixed
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import check_assignment, default_settings_for, solve
 
@@ -538,6 +538,43 @@ class TestPinnedPlanObjectives:
         spec = build_spec_ranges(spec, count=2000)
         plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
         assert plan.objective == pytest.approx(objective, rel=1e-9)
+
+    def test_seeded_instance_with_memo_hits(self):
+        # its demand repeats, so every stationary model after step 1 equals
+        # one already solved: three of four Psf and of four Ps solves go
+        spec, scen = load_instance(seeded_instance(0))
+        spec = build_spec_ranges(spec, count=2000)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
+        assert plan.objective == pytest.approx(12396.663252684813, rel=1e-9)
+        assert plan.diagnostics["solve_counts"] == {"Psf": 1, "Ps": 1, "Pf": 1}
+        assert plan.diagnostics["memo_hits"] == {"Psf": 3, "Ps": 3}
+
+
+class TestStationaryMemo:
+    def test_memo_hit_equals_a_fresh_solve(self):
+        spec, scen = load_instance(seeded_instance(0))
+        spec = build_spec_ranges(spec, count=2000)
+        solver = StationSolver(spec, scen, WEIGHTS)
+        solver.initial_solution()
+        psf = [key for key in solver._psf_cache if solver._psf_cache[key][0]]
+        assert len(psf) == 4 and solver.counters["Psf"] == 1
+        for mode, t, prev in psf:
+            inst = build_stationary_fixed(spec, scen, WEIGHTS, mode, t, prev)
+            served = solver._memo[("Psf", inst.model.fingerprint())]
+            fresh = solve(inst, default_settings_for("Psf"))
+            assert (served.status, served.objective) == (fresh.status, fresh.objective)
+            assert served.assignment.tobytes() == fresh.assignment.tobytes()
+            assert solver.psf_value(mode, t, prev) == (
+                True, fresh.objective, inst.direction_at(fresh.assignment, t)
+            )
+
+    def test_smoothing_windows_always_solve(self, mini):
+        spec, scen = mini
+        solver = StationSolver(spec, scen, WEIGHTS)
+        seq = solver.initial_solution()
+        solver.transient_smoothing(seq, 4)
+        solver.transient_smoothing(seq, 4)
+        assert solver.counters["Pf"] == 2 * (scen.n_future - 3)
 
 
 class TestDegenerateData:

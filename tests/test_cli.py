@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stationopt.cli import main
-from stationopt.fixtures import mini_station, mini_station_pipes
+from stationopt.fixtures import mini_station, mini_station_pipes, seeded_instance
 
 
 @pytest.fixture()
@@ -137,6 +137,15 @@ class TestSolveCommand:
         files, solves = self.exported_models(instance_path)
         assert any("Psf" in f.name for f in files)
         assert len(files) == solves
+
+    def test_export_lp_writes_each_distinct_model_once(self, tmp_path):
+        # seeded_instance(0) repeats its demand, so three of its four Psf
+        # and three of its four Ps models equal one already solved
+        path = write_doc(tmp_path, seeded_instance(0), name="mini.json")
+        files, solves = self.exported_models(path)
+        plan = json.loads((tmp_path / "mini.plan.json").read_text())
+        assert plan["diagnostics"]["memo_hits"] == {"Psf": 3, "Ps": 3}
+        assert len(files) == solves == 3
 
     def test_export_lp_adds_the_lower_bound_model(self, instance_path):
         files, solves = self.exported_models(instance_path, "--lower-bound")
