@@ -62,28 +62,41 @@ class _ExportingBackend:
         return self.inner.solve_raw(model, settings)
 
 
-def _load_checked(path: str):
-    spec, scen = load_instance(path)
-    issues = validate(spec, scen)
-    return spec, scen, issues
+def _prepare(path: str, steps: str | None = None):
+    """The instance that ``validate`` and ``solve`` work on.
+
+    Loads the instance and its weights, checks it, re-grids it onto the
+    ``steps`` template if one is given and builds the operating ranges.
+    Returns (spec, scenario, weights), or None after printing to stderr
+    why the instance is rejected (exit code 2).
+    """
+    try:
+        spec, scen = load_instance(path)
+        weights = load_weights(path)
+        issues = validate(spec, scen)
+        if issues:
+            return _rejected("\n".join([*map(str, issues), f"{len(issues)} violation(s) found"]))
+        if steps is not None:
+            spec, scen = regrid_instance(spec, scen, template_grid(steps))
+    except SchemaError as exc:
+        return _rejected(f"schema error: {exc}")
+    except ValueError as exc:  # a bound that cannot be re-gridded, or a number the gas code rejects
+        return _rejected(f"cannot prepare the instance: {exc}")
+    try:
+        return build_spec_ranges(spec), scen, weights
+    except ValueError as exc:  # an empty, unbounded or degenerate range
+        return _rejected(f"cannot prepare the instance: operating-range construction failed: {exc}")
+
+
+def _rejected(message: str) -> None:
+    print(message, file=sys.stderr)
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec, scen, issues = _load_checked(args.instance)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
+    prepared = _prepare(args.instance)
+    if prepared is None:
         return EXIT_VALIDATION
-    if issues:
-        for violation in issues:
-            print(violation, file=sys.stderr)
-        print(f"{len(issues)} violation(s) found", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        build_spec_ranges(spec)
-    except ValueError as exc:  # an empty, unbounded or degenerate range
-        print(f"operating-range construction failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = prepared[0]
     print(f"instance {spec.name!r} is well formed "
           f"({len(spec.nodes)} nodes, {len(spec.arcs())} arcs, "
           f"{len(spec.operation_modes)} operation modes)")
@@ -92,19 +105,10 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    try:
-        spec, scen, issues = _load_checked(args.instance)
-        if issues:
-            for violation in issues:
-                print(violation, file=sys.stderr)
-            return EXIT_VALIDATION
-        weights = load_weights(args.instance)
-        if args.steps is not None:
-            spec, scen = regrid_instance(spec, scen, template_grid(args.steps))
-        spec = build_spec_ranges(spec)
-    except ValueError as exc:  # schema, regrid and operating-range errors
-        print(f"cannot prepare the instance: {exc}", file=sys.stderr)
+    prepared = _prepare(args.instance, args.steps)
+    if prepared is None:
         return EXIT_VALIDATION
+    spec, scen, weights = prepared
 
     backend = _ExportingBackend(args.export_lp) if args.export_lp else None
     solver = StationSolver(spec, scen, weights, backend=backend)
@@ -153,7 +157,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = [read_report(p) for p in args.results]
+    try:
+        reports = [read_report(p) for p in args.results]
+    except SchemaError as exc:
+        _rejected(f"schema error: {exc}")
+        return EXIT_VALIDATION
     header = f"{'instance':<14} {'status':<8} {'objective':>12} {'gap':>8} {'wall s':>8}  phase shares (init/improve/smooth)"
     print(header)
     print("-" * len(header))

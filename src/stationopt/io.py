@@ -9,7 +9,8 @@ windows); everything is converted to SI exactly once, here.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .network import (
     StateSnapshot,
     StationSpec,
     ValveArc,
-    per_time,
 )
 from .units import (
     bar_to_pa,
@@ -52,7 +52,11 @@ HORIZON_SECONDS = 12.0 * 3600.0
 
 
 class SchemaError(ValueError):
-    """Instance document violates the schema; the message carries the path."""
+    """A document violates its schema or cannot be read.
+
+    The message starts with the JSON path of the offending value, or with
+    the file name when the file is not a readable JSON document.
+    """
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -72,31 +76,121 @@ def template_grid(steps: str) -> np.ndarray:
     return grid
 
 
-def _need(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise SchemaError(f"{path}.{key}", "required field is missing")
-    return doc[key]
+# how a schema error names the JSON type of the value it rejects
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+class _Field:
+    """A value of a JSON document together with its path.
+
+    The accessors check the value's JSON type and raise a SchemaError
+    naming the path when it is wrong.  Fields and list items come back as
+    ``_Field``s with their own paths (``$.arcs[3].configurations[0]``),
+    so each path is formed once, from its key or index.
+    """
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path: str = "$"):
+        self.value = value
+        self.path = path
+
+    def expected(self, what: str) -> SchemaError:
+        got = _JSON_TYPES.get(type(self.value), type(self.value).__name__)
+        if isinstance(self.value, list):
+            got += f" of {len(self.value)}"
+        return SchemaError(self.path, f"expected {what}, got {got}")
+
+    def need(self, key: str, missing: str = "required field is missing") -> "_Field":
+        """Field ``key`` of an object; ``missing`` is the message when it is absent."""
+        field = self.get(key)
+        if key not in self.value:
+            raise SchemaError(field.path, missing)
+        return field
+
+    __getitem__ = need
+
+    def get(self, key: str, default=None) -> "_Field":
+        """Optional field ``key`` of an object; absent or null reads as ``default``."""
+        value = self._object().get(key)
+        return _Field(default if value is None else value, f"{self.path}.{key}")
+
+    def fields(self) -> list:
+        """(key, field) for each member of an object, in document order."""
+        return [(key, _Field(value, f"{self.path}.{key}")) for key, value in self._object().items()]
+
+    def items(self) -> list:
+        if not isinstance(self.value, list):
+            raise self.expected("a list")
+        return [_Field(value, f"{self.path}[{i}]") for i, value in enumerate(self.value)]
+
+    def row(self, n: int, what: str) -> list:
+        """Items of a list of exactly ``n`` entries; ``what`` describes it."""
+        if not (isinstance(self.value, list) and len(self.value) == n):
+            raise self.expected(what)
+        return self.items()
+
+    def number(self) -> float:
+        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
+            raise self.expected("a number")
+        return float(self.value)
+
+    def number_or_none(self):
+        return None if self.value is None else self.number()
+
+    def numbers(self, n: int, what: str) -> tuple:
+        return tuple(item.number() for item in self.row(n, what))
+
+    def array(self) -> np.ndarray:
+        """A list of numbers of any length."""
+        return np.array([item.number() for item in self.items()])
+
+    def series(self, n: int) -> np.ndarray:
+        """A number broadcast over ``n`` grid instants, or a list of ``n`` numbers."""
+        if isinstance(self.value, list):
+            return np.array(self.numbers(n, f"{n} values"))
+        return np.full(n, self.number())
+
+    def string(self) -> str:
+        if not isinstance(self.value, str):
+            raise self.expected("a string")
+        return self.value
+
+    def strings(self) -> tuple:
+        return tuple(item.string() for item in self.items())
+
+    def string_map(self) -> dict:
+        return {key: value.string() for key, value in self.fields()}
+
+    def _object(self) -> dict:
+        if not isinstance(self.value, dict):
+            raise self.expected("an object")
+        return self.value
 
 
-def _number_row(value, n: int, path: str, expected: str) -> tuple:
-    """A list of exactly ``n`` numbers, each checked with its own path."""
-    if not isinstance(value, list) or len(value) != n:
-        raise SchemaError(path, f"expected {expected}")
-    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
+def _read_document(source) -> dict:
+    """``source`` itself if it is an already-parsed document, else the JSON
+    document in the file it names."""
+    if isinstance(source, dict):
+        return source
+    try:
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        reason = getattr(exc, "strerror", None) or exc
+        raise SchemaError(str(source), f"cannot read the document: {reason}") from exc
 
 
-def _number_or_list(value, n: int, path: str) -> np.ndarray:
-    if isinstance(value, list):
-        if len(value) != n:
-            raise SchemaError(path, f"expected {n} values, got {len(value)}")
-        return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
-    return per_time(_number(value, path), n)
+def _end_nodes(arc: _Field, nodes) -> tuple:
+    """An arc's (from, to) node ids, each of which must be a key of ``nodes``."""
+    ends = arc["from"], arc["to"]
+    for end in ends:
+        if end.string() not in nodes:
+            raise SchemaError(end.path, f"unknown node {end.value!r}")
+    return ends[0].value, ends[1].value
 
 
 def load_instance(source):
@@ -106,221 +200,186 @@ def load_instance(source):
     resolved here: open ones contract their end nodes (recorded in
     ``spec.valve_rewrites``), closed ones are deleted.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc = _preprocess_fixed_valves(doc)
+    root, valve_rewrites = _preprocess_fixed_valves(_Field(_read_document(source)))
 
-    gas_doc = _need(doc, "gas", "$")
+    gas = root["gas"]
     constants = GasConstants(
-        specific_gas_constant=_number(_need(gas_doc, "specificGasConstant", "$.gas"), "$.gas.specificGasConstant"),
-        temperature=_number(_need(gas_doc, "temperature", "$.gas"), "$.gas.temperature"),
-        pseudo_critical_pressure=_number(
-            _need(gas_doc, "pseudoCriticalPressure", "$.gas"), "$.gas.pseudoCriticalPressure"
-        ),
-        pseudo_critical_temperature=_number(
-            _need(gas_doc, "pseudoCriticalTemperature", "$.gas"), "$.gas.pseudoCriticalTemperature"
-        ),
-        normal_density=_number(_need(gas_doc, "normalDensity", "$.gas"), "$.gas.normalDensity"),
-        isentropic_exponent=_number(gas_doc.get("isentropicExponent", 1.296), "$.gas.isentropicExponent"),
+        specific_gas_constant=gas["specificGasConstant"].number(),
+        temperature=gas["temperature"].number(),
+        pseudo_critical_pressure=gas["pseudoCriticalPressure"].number(),
+        pseudo_critical_temperature=gas["pseudoCriticalTemperature"].number(),
+        normal_density=gas["normalDensity"].number(),
+        isentropic_exponent=gas.get("isentropicExponent", 1.296).number(),
     )
     rho0 = constants.normal_density
 
-    scen_doc = _need(doc, "scenario", "$")
-    grid = np.array(
-        [_number(v, f"$.scenario.timeGrid[{i}]") for i, v in enumerate(_need(scen_doc, "timeGrid", "$.scenario"))]
-    )
+    scen_doc = root["scenario"]
+    time_grid = scen_doc["timeGrid"]
+    grid = time_grid.array()
+    if len(grid) == 0:
+        raise time_grid.expected("a nonempty list")
     n_times = len(grid)
-    k = n_times - 1
 
     nodes = {}
-    for i, nd in enumerate(_need(doc, "nodes", "$")):
-        path = f"$.nodes[{i}]"
-        nid = _need(nd, "id", path)
-        exit_ub = nd.get("exitPressureUB")
+    for nd in root["nodes"].items():
+        nid = nd["id"].string()
+        if nid in valve_rewrites.get("mergedNodes", {}):
+            continue
+        exit_ub = nd.get("exitPressureUB").number_or_none()
         nodes[nid] = Node(
             id=nid,
-            kind=_need(nd, "kind", path),
-            pressure_lb=bar_to_pa(_number_or_list(_need(nd, "pressureLB", path), n_times, f"{path}.pressureLB")),
-            pressure_ub=bar_to_pa(_number_or_list(_need(nd, "pressureUB", path), n_times, f"{path}.pressureUB")),
-            exit_pressure_ub=bar_to_pa(_number(exit_ub, f"{path}.exitPressureUB")) if exit_ub is not None else None,
+            kind=nd["kind"].string(),
+            pressure_lb=bar_to_pa(nd["pressureLB"].series(n_times)),
+            pressure_ub=bar_to_pa(nd["pressureUB"].series(n_times)),
+            exit_pressure_ub=None if exit_ub is None else bar_to_pa(exit_ub),
         )
 
     units = {}
-    for i, ud in enumerate(doc.get("units", [])):
-        path = f"$.units[{i}]"
-        uid = _need(ud, "id", path)
-        facets = tuple(
-            _number_row(row, 3, f"{path}.operatingRange2D[{j}]", "a triple (a0, a1, a2)")
-            for j, row in enumerate(_need(ud, "operatingRange2D", path))
-        )
+    for ud in root.get("units", []).items():
+        uid = ud["id"].string()
         units[uid] = dict(
             id=uid,
-            operating_range_2d=facets,
-            max_delta_p=bar_to_pa(_number(_need(ud, "maxDeltaP", path), f"{path}.maxDeltaP")),
-            max_power=_number(_need(ud, "maxPower", path), f"{path}.maxPower"),
-            adiabatic_efficiency=_number(
-                _need(ud, "adiabaticEfficiency", path), f"{path}.adiabaticEfficiency"
+            operating_range_2d=tuple(
+                row.numbers(3, "a triple (a0, a1, a2)") for row in ud["operatingRange2D"].items()
             ),
+            max_delta_p=bar_to_pa(ud["maxDeltaP"].number()),
+            max_power=ud["maxPower"].number(),
+            adiabatic_efficiency=ud["adiabaticEfficiency"].number(),
         )
 
-    state_doc = _need(scen_doc, "initialState", "$.scenario")
+    state = scen_doc["initialState"]
+    pressures = state["pressures"]
     init_pressures = {}
-    for v, p in _need(state_doc, "pressures", "$.scenario.initialState").items():
-        value = _number(p, f"$.scenario.initialState.pressures.{v}")
+    for v, p in pressures.fields():
+        value = p.number()
         if not value > 0.0:
-            raise SchemaError(f"$.scenario.initialState.pressures.{v}", "initial pressure must be positive")
+            raise SchemaError(p.path, "initial pressure must be positive")
         init_pressures[v] = bar_to_pa(value)
 
     def end_pressure(v):
         # the arc constants below need it; other nodes are checked by validate
-        if v not in init_pressures:
-            raise SchemaError(f"$.scenario.initialState.pressures.{v}", "missing initial pressure")
+        pressures.need(v, "missing initial pressure")
         return init_pressures[v]
 
-    pipes, resistors, valves, regulators, stations = {}, {}, {}, {}, {}
-    for i, ad in enumerate(_need(doc, "arcs", "$")):
-        path = f"$.arcs[{i}]"
-        aid = _need(ad, "id", path)
-        kind = _need(ad, "kind", path)
-        from_node = _need(ad, "from", path)
-        to_node = _need(ad, "to", path)
-        if from_node not in nodes or to_node not in nodes:
-            raise SchemaError(path, f"unknown end node on arc {aid!r}")
+    def initial_flow(arc_id):
+        return normvol_to_massflow(state["arcFlows"].need(arc_id, "missing initial flow").number(), rho0)
 
-        def flow_bounds(lb_key="flowLB", ub_key="flowUB", default_lb=None):
-            lb_raw = ad.get(lb_key, default_lb)
-            if lb_raw is None:
-                raise SchemaError(f"{path}.{lb_key}", "required field is missing")
-            lb = _number_or_list(lb_raw, n_times, f"{path}.{lb_key}")
-            ub = _number_or_list(_need(ad, ub_key, path), n_times, f"{path}.{ub_key}")
-            return normvol_to_massflow(lb, rho0), normvol_to_massflow(ub, rho0)
+    pipes, resistors, valves, regulators, stations = {}, {}, {}, {}, {}
+    pipe_flows = {}
+    for ad in root["arcs"].items():
+        aid = ad["id"].string()
+        if aid in valve_rewrites.get("removedArcs", {}):
+            continue
+        kind_field = ad["kind"]
+        kind = kind_field.string()
+        from_node, to_node = _end_nodes(ad, nodes)
+        lb_field = ad.get("flowLB", 0.0) if kind == "regulator" else ad["flowLB"]
+        lb = normvol_to_massflow(lb_field.series(n_times), rho0)
+        ub = normvol_to_massflow(ad["flowUB"].series(n_times), rho0)
 
         if kind == "pipe":
-            lb, ub = flow_bounds()
             p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
             z = pipe_average_z(p_l0, p_r0, constants)
             pipe = PipeArc(
                 id=aid,
                 from_node=from_node,
                 to_node=to_node,
-                length=_number(_need(ad, "length", path), f"{path}.length"),
-                diameter=_number(_need(ad, "diameter", path), f"{path}.diameter"),
-                roughness=_number(_need(ad, "roughness", path), f"{path}.roughness"),
-                slope=_number(ad.get("slope", 0.0), f"{path}.slope"),
+                length=ad["length"].number(),
+                diameter=ad["diameter"].number(),
+                roughness=ad["roughness"].number(),
+                slope=ad.get("slope", 0.0).number(),
                 flow_lb=lb,
                 flow_ub=ub,
                 z_factor=z,
             )
-            q_in, q_out = _pipe_initial_flows(state_doc, aid, rho0)
+            flows = state["pipeFlows"].need(aid, "missing initial pipe flows")
+            q_in, q_out = pipe_flows[aid] = tuple(
+                normvol_to_massflow(q, rho0) for q in flows.numbers(2, "[inflow, outflow]")
+            )
             pipes[aid] = replace(
                 pipe,
                 velo_const_from=pipe_velocity_constant(p_l0, q_in, pipe.area, z, constants),
                 velo_const_to=pipe_velocity_constant(p_r0, q_out, pipe.area, z, constants),
             )
         elif kind == "resistor":
-            lb, ub = flow_bounds()
             p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
             z = pipe_average_z(p_l0, p_r0, constants)
             res = ResistorArc(
                 id=aid,
                 from_node=from_node,
                 to_node=to_node,
-                drag=_number(_need(ad, "drag", path), f"{path}.drag"),
-                diameter=_number(_need(ad, "diameter", path), f"{path}.diameter"),
+                drag=ad["drag"].number(),
+                diameter=ad["diameter"].number(),
                 flow_lb=lb,
                 flow_ub=ub,
                 z_factor=z,
             )
-            q0 = _arc_initial_flow(state_doc, aid, rho0)
+            q0 = initial_flow(aid)
             resistors[aid] = replace(
                 res, velo_const=resistor_velocity_constant(p_l0, p_r0, q0, res.area, z, constants)
             )
         elif kind == "valve":
-            lb, ub = flow_bounds()
             valves[aid] = ValveArc(aid, from_node, to_node, lb, ub)
         elif kind == "regulator":
-            lb, ub = flow_bounds(default_lb=0.0)
             regulators[aid] = RegulatorArc(aid, from_node, to_node, lb, ub)
         elif kind == "compressorStation":
-            lb, ub = flow_bounds()
             z_l = papay_z(pa_to_bar(end_pressure(from_node)), constants)
             member_units = []
-            for uid in _need(ad, "units", path):
-                if uid not in units:
-                    raise SchemaError(f"{path}.units", f"unknown compressor unit {uid!r}")
-                member_units.append(CompressorUnit(inlet_z_factor=z_l, **units[uid]))
+            for unit_id in ad["units"].items():
+                if unit_id.string() not in units:
+                    raise SchemaError(unit_id.path, f"unknown compressor unit {unit_id.value!r}")
+                member_units.append(CompressorUnit(inlet_z_factor=z_l, **units[unit_id.value]))
             configs = []
-            for j, cd in enumerate(_need(ad, "configurations", path)):
-                cpath = f"{path}.configurations[{j}]"
-                stages = tuple(
-                    frozenset(stage) for stage in _need(cd, "stages", cpath)
-                )
+            for cd in ad["configurations"].items():
+                stages = tuple(frozenset(stage.strings()) for stage in cd["stages"].items())
                 facets = cd.get("facets")
-                if facets is not None:
-                    facets = tuple(
-                        _number_row(f, 4, f"{cpath}.facets[{m}]", "4 numbers (w, x, y, z)")
-                        for m, f in enumerate(facets)
+                configs.append(
+                    Configuration(
+                        cd["id"].string(),
+                        stages,
+                        None if facets.value is None
+                        else tuple(f.numbers(4, "4 numbers (w, x, y, z)") for f in facets.items()),
                     )
-                configs.append(Configuration(_need(cd, "id", cpath), stages, facets))
+                )
             stations[aid] = CompressorStationArc(
                 aid, from_node, to_node, tuple(member_units), tuple(configs), lb, ub
             )
         else:
-            raise SchemaError(f"{path}.kind", f"unknown arc kind {kind!r}")
+            raise SchemaError(kind_field.path, f"unknown arc kind {kind!r}")
 
     modes = {}
-    for i, od in enumerate(_need(doc, "operationModes", "$")):
-        path = f"$.operationModes[{i}]"
-        oid = _need(od, "id", path)
-        modes[oid] = OperationMode(oid, dict(_need(od, "assignment", path)))
+    for od in root["operationModes"].items():
+        oid = od["id"].string()
+        modes[oid] = OperationMode(oid, od["assignment"].string_map())
 
     directions = {}
-    for i, fd in enumerate(_need(doc, "flowDirections", "$")):
-        path = f"$.flowDirections[{i}]"
-        fid = _need(fd, "id", path)
+    for fd in root["flowDirections"].items():
+        fid = fd["id"].string()
         directions[fid] = FlowDirection(
-            fid,
-            frozenset(_need(fd, "inflowNodes", path)),
-            frozenset(_need(fd, "outflowNodes", path)),
+            fid, frozenset(fd["inflowNodes"].strings()), frozenset(fd["outflowNodes"].strings())
         )
 
     valid_pairs = frozenset(
-        (pair[0], pair[1]) for pair in _need(doc, "validPairs", "$")
+        tuple(name.string() for name in pair.row(2, "[mode, direction]"))
+        for pair in root["validPairs"].items()
     )
-    fence_groups = {
-        _need(gd, "id", f"$.fenceGroups[{i}]"): tuple(_need(gd, "nodes", f"$.fenceGroups[{i}]"))
-        for i, gd in enumerate(doc.get("fenceGroups", []))
-    }
+    fence_groups = {gd["id"].string(): gd["nodes"].strings() for gd in root.get("fenceGroups", []).items()}
     conditions = tuple(
-        FlowCondition(
-            _need(cd, "direction", f"$.flowConditions[{i}]"),
-            tuple(_need(cd, "smaller", f"$.flowConditions[{i}]")),
-            tuple(_need(cd, "larger", f"$.flowConditions[{i}]")),
-        )
-        for i, cd in enumerate(doc.get("flowConditions", []))
+        FlowCondition(cd["direction"].string(), cd["smaller"].strings(), cd["larger"].strings())
+        for cd in root.get("flowConditions", []).items()
     )
-
-    transition_times = {}
-    for o1, row in _need(doc, "transitionTimes", "$").items():
-        for o2, minutes in row.items():
-            transition_times[(o1, o2)] = minutes_to_seconds(
-                _number(minutes, f"$.transitionTimes.{o1}.{o2}")
-            )
-
-    unavailability = {}
-    for uid, windows in doc.get("unavailability", {}).items():
-        path = f"$.unavailability.{uid}"
-        if not isinstance(windows, list):
-            raise SchemaError(path, "expected a list of [start, end] windows")
-        unavailability[uid] = tuple(
-            _number_row(w, 2, f"{path}[{j}]", "[start, end]") for j, w in enumerate(windows)
-        )
+    transition_times = {
+        (o1, o2): minutes_to_seconds(minutes.number())
+        for o1, row in root["transitionTimes"].fields()
+        for o2, minutes in row.fields()
+    }
+    unavailability = {
+        uid: tuple(window.numbers(2, "[start, end]") for window in windows.items())
+        for uid, windows in root.get("unavailability", {}).fields()
+    }
 
     spec = StationSpec(
-        name=doc.get("name", "station"),
+        name=root.get("name", "station").string(),
         constants=constants,
         nodes=dict(sorted(nodes.items())),
         pipes=dict(sorted(pipes.items())),
@@ -335,40 +394,25 @@ def load_instance(source):
         flow_conditions=conditions,
         transition_times=transition_times,
         unavailability=unavailability,
-        valve_rewrites=doc.get("_valveRewrites", {}),
+        valve_rewrites=valve_rewrites,
     )
 
     boundary = spec.boundary_nodes()
-    pressure_demand = {}
-    for v, series in _need(scen_doc, "pressureDemand", "$.scenario").items():
-        pressure_demand[v] = bar_to_pa(
-            np.array([_number(x, f"$.scenario.pressureDemand.{v}[{i}]") for i, x in enumerate(series)])
-        )
-    flow_demand = {
-        g: np.array([normvol_to_massflow(_number(x, f"$.scenario.flowDemand.{g}[{i}]"), rho0) for i, x in enumerate(series)])
-        for g, series in _need(scen_doc, "flowDemand", "$.scenario").items()
-    }
-    inflow_lb = {
-        v: normvol_to_massflow(_number_or_list(raw, n_times, f"$.scenario.inflowLB.{v}"), rho0)
-        for v, raw in _need(scen_doc, "inflowLB", "$.scenario").items()
-    }
-    inflow_ub = {
-        v: normvol_to_massflow(_number_or_list(raw, n_times, f"$.scenario.inflowUB.{v}"), rho0)
-        for v, raw in _need(scen_doc, "inflowUB", "$.scenario").items()
-    }
+    demand = scen_doc["pressureDemand"]
+    pressure_demand = {v: bar_to_pa(series.array()) for v, series in demand.fields()}
+    flow_demand = {g: normvol_to_massflow(s.array(), rho0) for g, s in scen_doc["flowDemand"].fields()}
+    inflow_lb, inflow_ub = (
+        {v: normvol_to_massflow(s.series(n_times), rho0) for v, s in scen_doc[key].fields()}
+        for key in ("inflowLB", "inflowUB")
+    )
     for v in boundary:
-        if v not in pressure_demand:
-            raise SchemaError(f"$.scenario.pressureDemand.{v}", "missing boundary node demand")
+        demand.need(v, "missing boundary node demand")
 
-    arc_flows = {
-        a: _arc_initial_flow(state_doc, a, rho0)
-        for a in list(resistors) + list(valves) + list(regulators) + list(stations)
-    }
-    pipe_flows = {a: _pipe_initial_flows(state_doc, a, rho0) for a in pipes}
+    arc_flows = {a: initial_flow(a) for a in [*resistors, *valves, *regulators, *stations]}
     initial = StateSnapshot(
         time_index=0,
-        operation_mode=_need(state_doc, "operationMode", "$.scenario.initialState"),
-        regulator_modes=dict(state_doc.get("regulatorModes", {})),
+        operation_mode=state["operationMode"].string(),
+        regulator_modes=state.get("regulatorModes", {}).string_map(),
         pressures=init_pressures,
         arc_flows=arc_flows,
         pipe_flows=pipe_flows,
@@ -385,164 +429,114 @@ def load_instance(source):
     return spec, scenario
 
 
-def _arc_initial_flow(state_doc: dict, arc_id: str, rho0: float) -> float:
-    flows = _need(state_doc, "arcFlows", "$.scenario.initialState")
-    if arc_id not in flows:
-        raise SchemaError(f"$.scenario.initialState.arcFlows.{arc_id}", "missing initial flow")
-    return normvol_to_massflow(_number(flows[arc_id], f"$.scenario.initialState.arcFlows.{arc_id}"), rho0)
-
-
-def _pipe_initial_flows(state_doc: dict, arc_id: str, rho0: float):
-    flows = _need(state_doc, "pipeFlows", "$.scenario.initialState")
-    path = f"$.scenario.initialState.pipeFlows.{arc_id}"
-    if arc_id not in flows:
-        raise SchemaError(path, "missing initial pipe flows")
-    q_in, q_out = _number_row(flows[arc_id], 2, path, "[inflow, outflow]")
-    return normvol_to_massflow(q_in, rho0), normvol_to_massflow(q_out, rho0)
-
-
-def _preprocess_fixed_valves(doc: dict) -> dict:
+def _preprocess_fixed_valves(root: _Field) -> tuple:
     """Resolve valves whose mode is a fixed input decision.
 
     Closed valves are deleted; open valves contract their end nodes (one
-    of which must be an inner node).  The rewrite map is recorded so
-    results can be reported against the original topology.
+    of which must be an inner node).  Returns the rewritten document and
+    the rewrite record, so results can be reported against the original
+    topology; a document without fixed valves comes back unchanged, with
+    an empty record.  The removed arcs and merged nodes stay in the
+    document's lists, so every path keeps its index; the loader skips them.
     """
-    arcs = doc.get("arcs", [])
-    fixed = [a for a in arcs if a.get("kind") == "valve" and "fixedMode" in a]
-    if not fixed:
-        return doc
-    doc = json.loads(json.dumps(doc))  # deep copy; we rewrite in place
-    rewrites: dict = {"removedArcs": {}, "mergedNodes": {}}
-    node_kind = {n["id"]: n["kind"] for n in doc["nodes"]}
 
-    rename: dict = {}
+    def fixed(arc: _Field) -> bool:
+        return arc.get("kind").value == "valve" and "fixedMode" in arc.value
+
+    if not any(fixed(arc) for arc in root["arcs"].items()):
+        return root, {}
+    root = _Field(json.loads(json.dumps(root.value)))  # deep copy; we rewrite in place
+    nodes = {nd["id"].string(): nd for nd in root["nodes"].items()}
+    boundary = {nid for nid, nd in nodes.items() if nd["kind"].string() == "boundary"}
+    removed, merged = {}, {}  # arc id -> why; dropped node -> the node it merged into
 
     def resolve(node_id: str) -> str:
-        while node_id in rename:
-            node_id = rename[node_id]
+        while node_id in merged:
+            node_id = merged[node_id]
         return node_id
 
     keep_arcs = []
-    for arc in doc["arcs"]:
-        if not (arc.get("kind") == "valve" and "fixedMode" in arc):
+    for arc in root["arcs"].items():
+        if not fixed(arc):
             keep_arcs.append(arc)
             continue
+        aid = arc["id"].string()
         mode = arc["fixedMode"]
-        if mode == "cl":
-            rewrites["removedArcs"][arc["id"]] = "fixed closed"
+        if mode.value == "cl":
+            removed[aid] = "fixed closed"
             continue
-        if mode != "op":
-            raise SchemaError(f"$.arcs[{arc['id']}].fixedMode", f"invalid fixed mode {mode!r}")
-        a, b = resolve(arc["from"]), resolve(arc["to"])
+        if mode.value != "op":
+            raise SchemaError(mode.path, f"invalid fixed mode {mode.value!r}")
+        a, b = (resolve(v) for v in _end_nodes(arc, nodes))
         if a == b:
-            rewrites["removedArcs"][arc["id"]] = "fixed open (vacuous)"
+            removed[aid] = "fixed open (vacuous)"
             continue
-        if node_kind[a] == "boundary" and node_kind[b] == "boundary":
-            raise SchemaError(
-                f"$.arcs[{arc['id']}]", "cannot contract a fixed-open valve between two boundary nodes"
-            )
+        if a in boundary and b in boundary:
+            raise SchemaError(arc.path, "cannot contract a fixed-open valve between two boundary nodes")
         # keep the boundary end if there is one, else the valve's source
-        keep, drop = (b, a) if node_kind[b] == "boundary" else (a, b)
-        rename[drop] = keep
-        rewrites["removedArcs"][arc["id"]] = "fixed open (contracted)"
-        rewrites["mergedNodes"][drop] = keep
+        keep, drop = (b, a) if b in boundary else (a, b)
+        merged[drop] = keep
+        removed[aid] = "fixed open (contracted)"
 
-    merged_bounds: dict = {}
-    kept_nodes = []
-    for n in doc["nodes"]:
-        nid = n["id"]
-        if resolve(nid) != nid:
-            merged_bounds.setdefault(resolve(nid), []).append(n)
-        else:
-            kept_nodes.append(n)
-    for n in kept_nodes:
-        for other in merged_bounds.get(n["id"], []):
-            n["pressureLB"] = _merge_bound(n["pressureLB"], other["pressureLB"], max)
-            n["pressureUB"] = _merge_bound(n["pressureUB"], other["pressureUB"], min)
-            if other.get("exitPressureUB") is not None:
-                n["exitPressureUB"] = min(
-                    n.get("exitPressureUB", other["exitPressureUB"]), other["exitPressureUB"]
-                )
-    doc["nodes"] = kept_nodes
-
+    for drop in merged:
+        keep, other = nodes[resolve(drop)], nodes[drop]
+        keep.value["pressureLB"] = _merge_bound(keep["pressureLB"], other["pressureLB"], max)
+        keep.value["pressureUB"] = _merge_bound(keep["pressureUB"], other["pressureUB"], min)
+        exit_ub = other.get("exitPressureUB").number_or_none()
+        if exit_ub is not None:
+            keep.value["exitPressureUB"] = min(keep.get("exitPressureUB", exit_ub).number(), exit_ub)
     for arc in keep_arcs:
-        src, dst = resolve(arc["from"]), resolve(arc["to"])
+        src, dst = (resolve(v) for v in _end_nodes(arc, nodes))
         if src == dst:
-            raise SchemaError(
-                f"$.arcs[{arc['id']}]", "fixed-open valve contraction would create a self-loop"
-            )
-        arc["from"], arc["to"] = src, dst
-    doc["arcs"] = keep_arcs
+            raise SchemaError(arc.path, "fixed-open valve contraction would create a self-loop")
+        arc.value["from"], arc.value["to"] = src, dst
 
-    removed_arc_ids = set(rewrites["removedArcs"])
-    for mode in doc.get("operationModes", []):
-        mode["assignment"] = {
-            a: tok for a, tok in mode["assignment"].items() if a not in removed_arc_ids
-        }
-    for fd in doc.get("flowDirections", []):
-        fd["inflowNodes"] = sorted({resolve(v) for v in fd["inflowNodes"]})
-        fd["outflowNodes"] = sorted({resolve(v) for v in fd["outflowNodes"]})
-    for gd in doc.get("fenceGroups", []):
-        gd["nodes"] = sorted({resolve(v) for v in gd["nodes"]})
-    for cd in doc.get("flowConditions", []):
-        cd["smaller"] = sorted({resolve(v) for v in cd["smaller"]})
-        cd["larger"] = sorted({resolve(v) for v in cd["larger"]})
+    def resolve_all(item: _Field, key: str) -> None:
+        item.value[key] = sorted({resolve(v) for v in item[key].strings()})
 
-    scen = doc["scenario"]
+    def keep_entries(item: _Field, key: str, keep) -> None:
+        item.value[key] = {k: entry.value for k, entry in item.get(key, {}).fields() if keep(k)}
+
+    for od in root["operationModes"].items():
+        keep_entries(od, "assignment", lambda a: a not in removed)
+    for fd in root["flowDirections"].items():
+        resolve_all(fd, "inflowNodes")
+        resolve_all(fd, "outflowNodes")
+    for gd in root.get("fenceGroups", []).items():
+        resolve_all(gd, "nodes")
+    for cd in root.get("flowConditions", []).items():
+        resolve_all(cd, "smaller")
+        resolve_all(cd, "larger")
+
+    scen = root["scenario"]
     state = scen["initialState"]
-    state["pressures"] = {
-        v: p for v, p in state["pressures"].items() if resolve(v) == v
-    }
-    state["arcFlows"] = {a: q for a, q in state.get("arcFlows", {}).items() if a not in removed_arc_ids}
-    scen["pressureDemand"] = {
-        v: series for v, series in scen["pressureDemand"].items() if resolve(v) == v
-    }
-    for key in ("inflowLB", "inflowUB"):
-        scen[key] = {v: series for v, series in scen[key].items() if resolve(v) == v}
-    doc["_valveRewrites"] = rewrites
-    return doc
+    keep_entries(state, "pressures", lambda v: v not in merged)
+    keep_entries(state, "arcFlows", lambda a: a not in removed)
+    for key in ("pressureDemand", "inflowLB", "inflowUB"):
+        keep_entries(scen, key, lambda v: v not in merged)
+    return root, {"removedArcs": removed, "mergedNodes": merged}
 
 
-def _merge_bound(a, b, op):
-    if isinstance(a, list) or isinstance(b, list):
-        n = len(a) if isinstance(a, list) else len(b)
-        av = a if isinstance(a, list) else [a] * n
-        bv = b if isinstance(b, list) else [b] * n
-        return [op(x, y) for x, y in zip(av, bv)]
-    return op(a, b)
-
-
-_WEIGHT_KEYS = {
-    "slackPressure": "slack_pressure",
-    "slackFlow": "slack_flow",
-    "operationModeChange": "operation_mode_change",
-    "unitStart": "unit_start",
-    "regulatorModeChange": "regulator_mode_change",
-    "regulatorInletPressure": "regulator_inlet_pressure",
-    "regulatorOutletPressure": "regulator_outlet_pressure",
-    "regulatorFlow": "regulator_flow",
-    "stationInletPressure": "station_inlet_pressure",
-    "stationOutletPressure": "station_outlet_pressure",
-    "stationFlow": "station_flow",
-}
+def _merge_bound(a: _Field, b: _Field, op):
+    """``op`` of two pressure bounds, each a number or a per-time list."""
+    if isinstance(a.value, list) or isinstance(b.value, list):
+        n = len(a.value if isinstance(a.value, list) else b.value)
+        return [op(x, y) for x, y in zip(a.series(n).tolist(), b.series(n).tolist())]
+    return op(a.number(), b.number())
 
 
 def load_weights(source) -> ObjectiveWeights:
     """Objective weights from an instance document; defaults when absent."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    wdoc = doc.get("weights", {})
+    # document keys are the field names in camel case: slackFlow -> slack_flow
+    names = {re.sub(r"_(.)", lambda m: m[1].upper(), f.name): f.name for f in fields(ObjectiveWeights)}
     kwargs = {}
-    for file_key, field_name in _WEIGHT_KEYS.items():
-        if file_key in wdoc:
-            kwargs[field_name] = _number(wdoc[file_key], f"$.weights.{file_key}")
-    unknown = set(wdoc) - set(_WEIGHT_KEYS)
-    if unknown:
-        raise SchemaError("$.weights", f"unknown weight keys {sorted(unknown)}")
+    for key, value in _Field(_read_document(source)).get("weights", {}).fields():
+        if key not in names:
+            raise SchemaError(value.path, "unknown weight key")
+        weight = value.number()
+        if not weight > 0.0:
+            raise SchemaError(value.path, "weight must be positive")
+        kwargs[names[key]] = weight
     return ObjectiveWeights(**kwargs)
 
 
@@ -708,19 +702,22 @@ def write_plan(prefix, spec: StationSpec, scen: Scenario, plan, extra: dict | No
 
 
 def read_report(path) -> dict:
-    """Run-report fields of a written plan document."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Run-report fields of a written plan document.
+
+    A report reads many files, so a schema error names the file before the
+    JSON path: ``runs/a.plan.json: $.objective: required field is missing``.
+    """
+    plan = _Field(_read_document(path), f"{path}: $")
     return {
         "path": str(path),
-        "instance": doc.get("instance", "?"),
-        "status": doc.get("status", "?"),
-        "objective": doc.get("objective"),
-        "wallTime": doc.get("wallTime"),
-        "gap": doc.get("gap"),
-        "lowerBound": doc.get("lowerBound"),
-        "phaseShares": doc.get("phaseShares", {}),
-        "objectiveBreakdown": doc.get("objectiveBreakdown", {}),
+        "instance": plan.get("instance", "?").string(),
+        "status": plan.get("status", "?").string(),
+        "objective": plan["objective"].number(),
+        "wallTime": plan.get("wallTime").number_or_none(),
+        "gap": plan.get("gap").number_or_none(),
+        "lowerBound": plan.get("lowerBound").number_or_none(),
+        "phaseShares": {k: v.number() for k, v in plan.get("phaseShares", {}).fields()},
+        "objectiveBreakdown": {k: v.number() for k, v in plan.get("objectiveBreakdown", {}).fields()},
     }
 
 

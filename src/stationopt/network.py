@@ -22,16 +22,6 @@ STATION_MODE_TOKENS = ("by", "cl")
 REGULATOR_TOKENS = ("by", "cl", "ac")
 
 
-def per_time(value, n: int, name: str = "bound") -> np.ndarray:
-    """Broadcast a scalar over the time grid or pass a full-length list."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must be a scalar or a list of {n} values, got shape {arr.shape}")
-    return arr.copy()
-
-
 @dataclass(frozen=True)
 class Node:
     id: str

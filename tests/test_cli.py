@@ -90,6 +90,33 @@ class TestValidateCommand:
         assert "schema error: $.scenario.initialState.pressures.B1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "weights,path",
+        [({"bogus": 1.0}, "$.weights.bogus"), ({"slackFlow": -1.0}, "$.weights.slackFlow")],
+        ids=["unknown-key", "negative"],
+    )
+    def test_malformed_weights_exit_2(self, tmp_path, capsys, weights, path):
+        doc = dict(mini_station(), weights=weights)
+        assert main(["validate", str(write_doc(tmp_path, doc))]) == 2
+        assert f"schema error: {path}" in capsys.readouterr().err
+
+    def test_wrong_types_exit_2_without_traceback(self, tmp_path):
+        # each document has one value replaced by one of another JSON type
+        docs = [mini_station(), mini_station(), mini_station_pipes()]
+        docs[0]["transitionTimes"]["o_by"] = 1.5
+        docs[1]["unavailability"] = []
+        docs[2]["scenario"]["pressureDemand"]["B2"] = 1.5
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for i, doc in enumerate(docs):
+            path = write_doc(tmp_path, doc, name=f"inst{i}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "stationopt.cli", "validate", str(path)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+            assert proc.stderr.startswith("schema error: $."), proc.stderr
+
+
 class TestSolveCommand:
     def test_solve_writes_plan(self, instance_path, capsys):
         assert main(["solve", str(instance_path), "--h", "4"]) == 0
@@ -194,6 +221,27 @@ class TestReportCommand:
         assert main(["report", str(plan_path)]) == 0
         out = capsys.readouterr().out
         assert "mini" in out and "objective" in out
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["validate", "solve", "report"])
+    @pytest.mark.parametrize(
+        "content,cause",
+        [(None, "No such file or directory"), ("{bad", "Expecting property name")],
+        ids=["missing-file", "invalid-json"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, content, cause):
+        path = tmp_path / "inst.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and cause in err[0], err
+
+    def test_report_of_a_non_plan_document_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {"instance": "x"}, name="x.plan.json")
+        assert main(["report", str(path)]) == 2
+        assert f"schema error: {path}: $.objective: required field is missing" in capsys.readouterr().err
 
 
 def test_bundled_instance_is_loadable():

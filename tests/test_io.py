@@ -235,6 +235,115 @@ class TestFixedValves:
         assert spec.nodes["N2"].pressure_ub[0] == pytest.approx(bar_to_pa(65.0))
 
 
+DELETE = object()  # a document edit that removes the field
+
+
+def edited(base, where, value):
+    """``base()`` with the value at ``where`` (keys and list indices) replaced."""
+    doc = base()
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
+    return doc
+
+
+def fixed_valve_doc():
+    return TestFixedValves().base()  # arc 4 is the fixed-open valve VF
+
+
+def fixed_valve_first_doc():
+    doc = fixed_valve_doc()
+    doc["arcs"].insert(0, doc["arcs"].pop())  # VF first, so the pipe P1 is arc 1
+    return doc
+
+
+def json_values(value, where=()):
+    """(where, value) for every value below ``value``, in document order."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield where + (key,), child
+        yield from json_values(child, where + (key,))
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    return {str: "string", list: "list", dict: "object"}.get(type(value), "number")
+
+
+# one value of each JSON type; a number is never replaced by a number
+REPLACEMENTS = {"string": "x", "number": 1.5, "list": [], "object": {}, "null": None}
+
+
+def swept_documents():
+    """Each fixture with one value replaced by a value of another JSON type."""
+    for base in (mini_station, mini_station_pipes, fixed_valve_doc):
+        for where, value in json_values(base()):
+            for kind, replacement in REPLACEMENTS.items():
+                if kind != json_type(value):
+                    yield base.__name__, where, edited(base, where, replacement)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "base,where,value,path",
+        [
+            (mini_station, ("gas",), [500.0], r"\$\.gas: expected an object"),
+            (mini_station, ("nodes",), {"B1": {"kind": "boundary"}}, r"\$\.nodes: expected a list"),
+            (mini_station, ("scenario", "timeGrid"), 3600.0, r"\$\.scenario\.timeGrid: expected a list"),
+            (mini_station, ("scenario", "timeGrid"), [], r"\$\.scenario\.timeGrid: expected a nonempty list"),
+            (mini_station, ("transitionTimes", "o_by"), 30.0, r"\$\.transitionTimes\.o_by: expected an object"),
+            (mini_station, ("unavailability",), [], r"\$\.unavailability: expected an object"),
+            (mini_station, ("flowDirections", 0, "inflowNodes"), "B1",
+             r"\$\.flowDirections\[0\]\.inflowNodes: expected a list"),
+            (mini_station, ("arcs", 0, "configurations", 0, "stages"), ["U1"],
+             r"\$\.arcs\[0\]\.configurations\[0\]\.stages\[0\]: expected a list"),
+            (mini_station, ("fenceGroups", 0, "nodes"), "B1", r"\$\.fenceGroups\[0\]\.nodes: expected a list"),
+            (mini_station, ("operationModes", 0, "assignment"), ["V1"],
+             r"\$\.operationModes\[0\]\.assignment: expected an object"),
+            (mini_station, ("validPairs", 0), ["o_by", "f_fwd", "f_fwd"],
+             r"\$\.validPairs\[0\]: expected \[mode, direction\]"),
+            (mini_station, ("weights",), [1.0], r"\$\.weights: expected an object"),
+            (mini_station, ("weights",), {"slackFlow": -1.0}, r"\$\.weights\.slackFlow: weight must be positive"),
+            (fixed_valve_doc, ("arcs", 4, "to"), "NX", r"\$\.arcs\[4\]\.to: unknown node 'NX'"),
+            (fixed_valve_doc, ("arcs", 4, "from"), DELETE, r"\$\.arcs\[4\]\.from: required field is missing"),
+            (fixed_valve_doc, ("arcs", 4, "fixedMode"), "shut", r"\$\.arcs\[4\]\.fixedMode: invalid fixed mode"),
+            (fixed_valve_first_doc, ("arcs", 1, "length"), "400", r"\$\.arcs\[1\]\.length: expected a number"),
+        ],
+        ids=[
+            "gas-list", "nodes-object", "time-grid-number", "time-grid-empty", "transition-row-number",
+            "unavailability-list", "inflow-nodes-string", "stage-string", "fence-nodes-string",
+            "assignment-list", "valid-pair-triple", "weights-list", "weight-negative",
+            "fixed-valve-unknown-to", "fixed-valve-without-from", "fixed-mode-by-index",
+            "index-after-a-fixed-valve",
+        ],
+    )
+    def test_malformed_document_names_its_path(self, base, where, value, path):
+        doc = edited(base, where, value)
+        with pytest.raises(SchemaError, match=path):
+            load_instance(doc)
+            load_weights(doc)
+
+    def test_no_wrong_type_gets_past_the_reader(self):
+        loaded = rejected = 0
+        for name, where, doc in swept_documents():
+            try:
+                spec, scen = load_instance(doc)
+                load_weights(doc)
+                validate(spec, scen)
+            except SchemaError:
+                rejected += 1
+                continue
+            except Exception as exc:  # anything else is a reader gap; name the edit
+                pytest.fail(f"{name} with {where} replaced raised {type(exc).__name__}: {exc}")
+            loaded += 1
+        assert rejected > 2000 and loaded > 0
+
+
 class TestInterpolation:
     def test_identity_on_same_grid(self):
         spec, scen = load_instance(mini_station_pipes())
