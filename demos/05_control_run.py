@@ -13,7 +13,7 @@ The command line offers the same flow:
 import tempfile
 from pathlib import Path
 
-from stationopt.algorithm import StationSolver, complete_plan_assignment, compute_gap
+from stationopt.algorithm import StationSolver, compute_gap
 from stationopt.fixtures import mini_station_pipes
 from stationopt.io import (
     load_instance,
@@ -54,7 +54,7 @@ shares = plan.phase_shares
 print("  phase shares " + ", ".join(f"{k} {v:.0%}" for k, v in shares.items()))
 
 print("\n== lower bound from the full model ==")
-inst, warm = complete_plan_assignment(spec, scen, weights, plan)
+inst, warm = plan.replay  # the full model and the plan's assignment of it
 res = solve(inst, default_settings_for("P", 300.0), initial=warm)
 print(f"  direct solve: {res.status}, bound {res.bound:.2f}")
 print(f"  gap of the three-stage plan: {compute_gap(plan.objective, res.bound):.4f}")

@@ -179,6 +179,9 @@ class ControlPlan:
     breakdown: dict
     phase_seconds: dict
     diagnostics: dict = field(default_factory=dict)
+    # (full model P, the plan's assignment of it) from the replay in
+    # solve_station; the lower-bound solve reuses both
+    replay: tuple | None = None
 
     @property
     def phase_shares(self) -> dict:
@@ -437,7 +440,7 @@ class StationSolver:
             "improvement": t_improve - t_initial,
             "smoothing": t_smooth - t_improve,
         }
-        inst, x = complete_plan_assignment(self.spec, self.scen, self.weights, plan)
+        inst, x = plan.replay = complete_plan_assignment(self.spec, self.scen, self.weights, plan)
         violations = check_assignment(inst.model, x)
         plan.objective = inst.model.objective_value(x)
         plan.breakdown = inst.model.objective_breakdown(x)

@@ -21,7 +21,6 @@ from .algorithm import (
     InitialSolutionAbort,
     SmoothingError,
     StationSolver,
-    complete_plan_assignment,
     compute_gap,
 )
 from .io import (
@@ -80,7 +79,7 @@ def _prepare(path: str, steps: str | None = None):
             spec, scen = regrid_instance(spec, scen, template_grid(steps))
     except SchemaError as exc:
         return _rejected(f"schema error: {exc}")
-    except ValueError as exc:  # a bound that cannot be re-gridded, or a number the gas code rejects
+    except ValueError as exc:  # a bound that cannot be re-gridded
         return _rejected(f"cannot prepare the instance: {exc}")
     try:
         return build_spec_ranges(spec), scen, weights
@@ -123,7 +122,7 @@ def cmd_solve(args) -> int:
 
     extra = {}
     if args.lower_bound:
-        inst, warm = complete_plan_assignment(spec, scen, weights, plan)
+        inst, warm = plan.replay
         res = solve(inst, default_settings_for("P", args.lb_time_limit), initial=warm, backend=backend)
         if res.status in ("error",):
             print(f"lower-bound solve failed: {res.message}", file=sys.stderr)

@@ -86,10 +86,12 @@ _JSON_TYPES = {
 class _Field:
     """A value of a JSON document together with its path.
 
-    The accessors check the value's JSON type and raise a SchemaError
-    naming the path when it is wrong.  Fields and list items come back as
-    ``_Field``s with their own paths (``$.arcs[3].configurations[0]``),
-    so each path is formed once, from its key or index.
+    The accessors check the value's JSON type, ``positive`` and ``check``
+    its range, and raise a SchemaError naming the path when it is wrong,
+    so every rule about one field is checked where the field is read.
+    Fields and list items come back as ``_Field``s with their own paths
+    (``$.arcs[3].configurations[0]``), so each path is formed once, from
+    its key or index.
     """
 
     __slots__ = ("value", "path")
@@ -104,11 +106,15 @@ class _Field:
             got += f" of {len(self.value)}"
         return SchemaError(self.path, f"expected {what}, got {got}")
 
+    def check(self, ok, rule: str) -> None:
+        """Raise a SchemaError naming this path and ``rule`` unless ``ok``."""
+        if not ok:
+            raise SchemaError(self.path, rule)
+
     def need(self, key: str, missing: str = "required field is missing") -> "_Field":
         """Field ``key`` of an object; ``missing`` is the message when it is absent."""
         field = self.get(key)
-        if key not in self.value:
-            raise SchemaError(field.path, missing)
+        field.check(key in self.value, missing)
         return field
 
     __getitem__ = need
@@ -137,6 +143,11 @@ class _Field:
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
             raise self.expected("a number")
         return float(self.value)
+
+    def positive(self, rule: str = "must be positive") -> float:
+        value = self.number()
+        self.check(value > 0.0, rule)
+        return value
 
     def number_or_none(self):
         return None if self.value is None else self.number()
@@ -188,9 +199,15 @@ def _end_nodes(arc: _Field, nodes) -> tuple:
     """An arc's (from, to) node ids, each of which must be a key of ``nodes``."""
     ends = arc["from"], arc["to"]
     for end in ends:
-        if end.string() not in nodes:
-            raise SchemaError(end.path, f"unknown node {end.value!r}")
+        end.check(end.string() in nodes, f"unknown node {end.value!r}")
     return ends[0].value, ends[1].value
+
+
+def _check_node(nd: _Field) -> None:
+    """The rules on a node's own fields: its kind and its pressure lower bound."""
+    kind, lb = nd["kind"], nd["pressureLB"]
+    kind.check(kind.string() in ("boundary", "inner"), "must be 'boundary' or 'inner'")
+    lb.check(np.all((lb.array() if isinstance(lb.value, list) else lb.number()) > 0.0), "must be positive")
 
 
 def load_instance(source):
@@ -200,16 +217,21 @@ def load_instance(source):
     resolved here: open ones contract their end nodes (recorded in
     ``spec.valve_rewrites``), closed ones are deleted.
     """
-    root, valve_rewrites = _preprocess_fixed_valves(_Field(_read_document(source)))
+    document = _Field(_read_document(source))
+    for nd in document["nodes"].items():
+        _check_node(nd)  # as written, before a fixed-open valve merges two nodes' bounds
+    root, valve_rewrites = _preprocess_fixed_valves(document)
 
     gas = root["gas"]
+    kappa = gas.get("isentropicExponent", 1.296)
+    kappa.check(kappa.number() > 1.0, "must exceed 1")
     constants = GasConstants(
-        specific_gas_constant=gas["specificGasConstant"].number(),
-        temperature=gas["temperature"].number(),
-        pseudo_critical_pressure=gas["pseudoCriticalPressure"].number(),
-        pseudo_critical_temperature=gas["pseudoCriticalTemperature"].number(),
-        normal_density=gas["normalDensity"].number(),
-        isentropic_exponent=gas.get("isentropicExponent", 1.296).number(),
+        specific_gas_constant=gas["specificGasConstant"].positive(),
+        temperature=gas["temperature"].positive(),
+        pseudo_critical_pressure=gas["pseudoCriticalPressure"].positive(),
+        pseudo_critical_temperature=gas["pseudoCriticalTemperature"].positive(),
+        normal_density=gas["normalDensity"].positive(),
+        isentropic_exponent=kappa.number(),
     )
     rho0 = constants.normal_density
 
@@ -218,6 +240,7 @@ def load_instance(source):
     grid = time_grid.array()
     if len(grid) == 0:
         raise time_grid.expected("a nonempty list")
+    time_grid.check(grid[0] == 0.0 and np.all(np.diff(grid) > 0.0), "must start at 0 and increase strictly")
     n_times = len(grid)
 
     nodes = {}
@@ -228,7 +251,7 @@ def load_instance(source):
         exit_ub = nd.get("exitPressureUB").number_or_none()
         nodes[nid] = Node(
             id=nid,
-            kind=nd["kind"].string(),
+            kind=nd["kind"].value,
             pressure_lb=bar_to_pa(nd["pressureLB"].series(n_times)),
             pressure_ub=bar_to_pa(nd["pressureUB"].series(n_times)),
             exit_pressure_ub=None if exit_ub is None else bar_to_pa(exit_ub),
@@ -237,24 +260,23 @@ def load_instance(source):
     units = {}
     for ud in root.get("units", []).items():
         uid = ud["id"].string()
+        facets, efficiency = ud["operatingRange2D"], ud["adiabaticEfficiency"]
+        range_2d = tuple(row.numbers(3, "a triple (a0, a1, a2)") for row in facets.items())
+        facets.check(range_2d, "must hold at least one facet")
+        efficiency.check(0.0 < efficiency.number() <= 1.0, "must lie in (0, 1]")
         units[uid] = dict(
             id=uid,
-            operating_range_2d=tuple(
-                row.numbers(3, "a triple (a0, a1, a2)") for row in ud["operatingRange2D"].items()
-            ),
-            max_delta_p=bar_to_pa(ud["maxDeltaP"].number()),
-            max_power=ud["maxPower"].number(),
-            adiabatic_efficiency=ud["adiabaticEfficiency"].number(),
+            operating_range_2d=range_2d,
+            max_delta_p=bar_to_pa(ud["maxDeltaP"].positive()),
+            max_power=ud["maxPower"].positive(),
+            adiabatic_efficiency=efficiency.number(),
         )
 
     state = scen_doc["initialState"]
     pressures = state["pressures"]
-    init_pressures = {}
-    for v, p in pressures.fields():
-        value = p.number()
-        if not value > 0.0:
-            raise SchemaError(p.path, "initial pressure must be positive")
-        init_pressures[v] = bar_to_pa(value)
+    init_pressures = {
+        v: bar_to_pa(p.positive("initial pressure must be positive")) for v, p in pressures.fields()
+    }
 
     def end_pressure(v):
         # the arc constants below need it; other nodes are checked by validate
@@ -278,60 +300,60 @@ def load_instance(source):
         ub = normvol_to_massflow(ad["flowUB"].series(n_times), rho0)
 
         if kind == "pipe":
-            p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
-            z = pipe_average_z(p_l0, p_r0, constants)
+            slope = ad.get("slope", 0.0)
+            slope.check(-1.0 <= slope.number() <= 1.0, "must lie in [-1, 1]")
             pipe = PipeArc(
                 id=aid,
                 from_node=from_node,
                 to_node=to_node,
-                length=ad["length"].number(),
-                diameter=ad["diameter"].number(),
-                roughness=ad["roughness"].number(),
-                slope=ad.get("slope", 0.0).number(),
+                length=ad["length"].positive(),
+                diameter=ad["diameter"].positive(),
+                roughness=ad["roughness"].positive(),
+                slope=slope.number(),
                 flow_lb=lb,
                 flow_ub=ub,
-                z_factor=z,
             )
             flows = state["pipeFlows"].need(aid, "missing initial pipe flows")
             q_in, q_out = pipe_flows[aid] = tuple(
                 normvol_to_massflow(q, rho0) for q in flows.numbers(2, "[inflow, outflow]")
             )
+            p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
+            z = pipe_average_z(p_l0, p_r0, constants)
             pipes[aid] = replace(
                 pipe,
+                z_factor=z,
                 velo_const_from=pipe_velocity_constant(p_l0, q_in, pipe.area, z, constants),
                 velo_const_to=pipe_velocity_constant(p_r0, q_out, pipe.area, z, constants),
             )
         elif kind == "resistor":
-            p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
-            z = pipe_average_z(p_l0, p_r0, constants)
+            drag = ad["drag"]
+            drag.check(drag.number() >= 0.0, "must be nonnegative")
             res = ResistorArc(
                 id=aid,
                 from_node=from_node,
                 to_node=to_node,
-                drag=ad["drag"].number(),
-                diameter=ad["diameter"].number(),
+                drag=drag.number(),
+                diameter=ad["diameter"].positive(),
                 flow_lb=lb,
                 flow_ub=ub,
-                z_factor=z,
             )
             q0 = initial_flow(aid)
+            p_l0, p_r0 = end_pressure(from_node), end_pressure(to_node)
+            z = pipe_average_z(p_l0, p_r0, constants)
             resistors[aid] = replace(
-                res, velo_const=resistor_velocity_constant(p_l0, p_r0, q0, res.area, z, constants)
+                res, z_factor=z, velo_const=resistor_velocity_constant(p_l0, p_r0, q0, res.area, z, constants)
             )
         elif kind == "valve":
             valves[aid] = ValveArc(aid, from_node, to_node, lb, ub)
         elif kind == "regulator":
+            lb_field.check(not np.any(lb), "must be zero: a regulator carries a flap trap")
             regulators[aid] = RegulatorArc(aid, from_node, to_node, lb, ub)
         elif kind == "compressorStation":
-            z_l = papay_z(pa_to_bar(end_pressure(from_node)), constants)
-            member_units = []
-            for unit_id in ad["units"].items():
-                if unit_id.string() not in units:
-                    raise SchemaError(unit_id.path, f"unknown compressor unit {unit_id.value!r}")
-                member_units.append(CompressorUnit(inlet_z_factor=z_l, **units[unit_id.value]))
             configs = []
             for cd in ad["configurations"].items():
-                stages = tuple(frozenset(stage.strings()) for stage in cd["stages"].items())
+                stage_list = cd["stages"]
+                stages = tuple(frozenset(stage.strings()) for stage in stage_list.items())
+                stage_list.check(stages and all(stages), "must be a nonempty list of nonempty stages")
                 facets = cd.get("facets")
                 configs.append(
                     Configuration(
@@ -341,6 +363,11 @@ def load_instance(source):
                         else tuple(f.numbers(4, "4 numbers (w, x, y, z)") for f in facets.items()),
                     )
                 )
+            z_l = papay_z(pa_to_bar(end_pressure(from_node)), constants)
+            member_units = []
+            for unit_id in ad["units"].items():
+                unit_id.check(unit_id.string() in units, f"unknown compressor unit {unit_id.value!r}")
+                member_units.append(CompressorUnit(inlet_z_factor=z_l, **units[unit_id.value]))
             stations[aid] = CompressorStationArc(
                 aid, from_node, to_node, tuple(member_units), tuple(configs), lb, ub
             )
@@ -368,13 +395,19 @@ def load_instance(source):
         FlowCondition(cd["direction"].string(), cd["smaller"].strings(), cd["larger"].strings())
         for cd in root.get("flowConditions", []).items()
     )
-    transition_times = {
-        (o1, o2): minutes_to_seconds(minutes.number())
-        for o1, row in root["transitionTimes"].fields()
-        for o2, minutes in row.fields()
-    }
+    transition_times = {}
+    for o1, row in root["transitionTimes"].fields():
+        for o2, minutes in row.fields():
+            minutes.check(minutes.number() >= 0.0, "must be nonnegative")
+            transition_times[o1, o2] = minutes_to_seconds(minutes.number())
+
+    def window(field: _Field) -> tuple:
+        start, end = field.numbers(2, "[start, end]")
+        field.check(start < end, "must start before it ends")
+        return start, end
+
     unavailability = {
-        uid: tuple(window.numbers(2, "[start, end]") for window in windows.items())
+        uid: tuple(window(w) for w in windows.items())
         for uid, windows in root.get("unavailability", {}).fields()
     }
 
@@ -531,12 +564,8 @@ def load_weights(source) -> ObjectiveWeights:
     names = {re.sub(r"_(.)", lambda m: m[1].upper(), f.name): f.name for f in fields(ObjectiveWeights)}
     kwargs = {}
     for key, value in _Field(_read_document(source)).get("weights", {}).fields():
-        if key not in names:
-            raise SchemaError(value.path, "unknown weight key")
-        weight = value.number()
-        if not weight > 0.0:
-            raise SchemaError(value.path, "weight must be positive")
-        kwargs[names[key]] = weight
+        value.check(key in names, "unknown weight key")
+        kwargs[names[key]] = value.positive("weight must be positive")
     return ObjectiveWeights(**kwargs)
 
 

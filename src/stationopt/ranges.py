@@ -194,15 +194,20 @@ def build_station_ranges(
     """F_c facet lists for every configuration of one compressor station.
 
     The lifting caps come from the station's end-node pressure bounds
-    (:func:`_lift_caps`).  An empty configuration region raises
-    :class:`EmptyRegionError` naming the configuration, surfaced by the
-    loaders as a validation failure.
+    (:func:`_lift_caps`).  A unit range that cannot be built raises its
+    error with the unit and station named; an empty configuration region
+    raises :class:`EmptyRegionError` naming the configuration.  The CLI
+    reports both as validation failures.
     """
     pl_lb, pr_ub = _lift_caps(spec, station)
-    unit_polys = {
-        u.id: unit_polytope(u, pl_lb, pr_ub, spec.constants, count, seed_for_unit(u.id, base_seed))
-        for u in station.units
-    }
+    unit_polys = {}
+    for u in station.units:
+        try:
+            unit_polys[u.id] = unit_polytope(
+                u, pl_lb, pr_ub, spec.constants, count, seed_for_unit(u.id, base_seed)
+            )
+        except ValueError as exc:
+            raise type(exc)(f"unit {u.id!r} on station {station.id!r}: {exc}") from exc
     out = {}
     for config in station.configurations:
         try:

@@ -1,13 +1,19 @@
-"""The library names that ``perfbench/tracing.py`` patches and reads.
+"""The library names that ``perfbench/`` calls, patches and reads.
 
 The benchmark times the layers by wrapping module attributes
 (``solve.milp``, the four model builders, ``check_assignment`` ...) and
-sizes every built model through ``model.rows`` and ``row.coeffs``.  A
-change that removes one of them fails here, not only in a traced
-benchmark run.
+sizes every built model through ``model.rows`` and ``row.coeffs``;
+``perfbench/one_pass.py`` calls the library directly (``validate``,
+``build_spec_ranges``, ``solve(initial=)``, the plan diagnostics keys).
+A change that removes one of them fails here, not only in a benchmark
+run.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +25,8 @@ from stationopt.io import load_instance
 from stationopt.model import ObjectiveWeights
 from stationopt.ranges import build_spec_ranges
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +61,22 @@ def test_tracer_installs_and_sizes_a_built_model(tracing):
     # uninstall put the originals back
     assert not hasattr(model_module.build_stationary_fixed, "__wrapped__")
     assert not hasattr(solve_module.milp, "__wrapped__")
+
+
+def test_one_untraced_pass_runs_clean(tmp_path):
+    instance = tmp_path / "mini.json"
+    instance.write_text(json.dumps(mini_station()))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "workload": "contract", "seed": 0, "h": 4, "lb_time_limit": 60.0,
+        "operations": [{"label": "mini", "path": str(instance), "steps": None, "lower_bound": True}],
+    }))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "one_pass.py"), str(manifest), "0", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (op,) = json.loads(proc.stdout)["operations"]
+    assert op["failure"] is None, op
+    assert op["stage"] == "answer" and op["gap"] is not None

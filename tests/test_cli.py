@@ -76,6 +76,13 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "operating-range construction failed" in capsys.readouterr().err
 
+    def test_unit_range_failure_names_the_unit(self, tmp_path, capsys):
+        doc = mini_station()
+        doc["units"][0]["operatingRange2D"][0][0] = 0.0  # the ratio >= 1 facet becomes ratio >= 0
+        assert main(["validate", str(write_doc(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "operating-range construction failed: unit 'U1' on station 'CS1': polytope is unbounded" in err
+
     def test_malformed_facets_exit_2(self, tmp_path, capsys):
         doc = mini_station()
         doc["arcs"][0]["configurations"][0]["facets"] = [[0.0, 0.0, 1.0, 0.0], [1.0, 2.0]]
@@ -283,8 +290,8 @@ def test_lower_bound_reuses_the_replayed_full_model(tmp_path, monkeypatch):
     monkeypatch.setattr(ModelInstance, "__init__", counting)
     path = write_doc(tmp_path, mini_station())
     assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"]) == 0
-    # one replay inside solve_station, one for the warm start of the bound solve
-    assert kinds.count("P") == 2
+    # the replay inside solve_station also warm-starts the bound solve
+    assert kinds.count("P") == 1
 
 
 def test_bound_above_plan_exits_4(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stationopt.fixtures import mini_station, mini_station_pipes
+from stationopt.algorithm import StationSolver
+from stationopt.fixtures import medium_station, mini_station, mini_station_pipes
 from stationopt.io import (
     SchemaError,
     interpolate_scenario,
@@ -11,7 +12,8 @@ from stationopt.io import (
     template_grid,
 )
 from stationopt.model import ObjectiveWeights
-from stationopt.network import validate
+from stationopt.network import Violation, validate
+from stationopt.ranges import build_spec_ranges
 from stationopt.units import (
     bar_to_pa,
     massflow_to_normvol,
@@ -261,6 +263,33 @@ def fixed_valve_first_doc():
     return doc
 
 
+def resistor_doc():
+    """``mini_station_pipes`` with its pipe P1 (arc 0) replaced by the resistor R1."""
+    doc = mini_station_pipes()
+    doc["arcs"][0] = {
+        "id": "R1", "kind": "resistor", "from": "B1", "to": "N1",
+        "drag": 2.0, "diameter": 0.5, "flowLB": -2000.0, "flowUB": 2000.0,
+    }
+    state = doc["scenario"]["initialState"]
+    state["pipeFlows"] = {}
+    state["arcFlows"]["R1"] = 500.0
+    return doc
+
+
+def test_resistor_loads_validates_and_plans():
+    doc = resistor_doc()
+    spec, scen = load_instance(doc)
+    res = spec.resistors["R1"]
+    assert not spec.pipes and (res.drag, res.diameter) == (2.0, 0.5)
+    assert res.z_factor > 0.0 and res.velo_const > 0.0
+    assert validate(spec, scen) == []
+    plan = StationSolver(build_spec_ranges(spec, count=2000), scen, load_weights(doc)).solve_station()
+    assert plan.diagnostics["replay_violations"] == []
+    inst, _ = plan.replay
+    assert "resistor(R1,1)" in inst.model.row_names
+    assert plan.objective == pytest.approx(18580.98, abs=0.01)
+
+
 def json_values(value, where=()):
     """(where, value) for every value below ``value``, in document order."""
     children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
@@ -313,6 +342,36 @@ class TestMalformedDocuments:
             (fixed_valve_doc, ("arcs", 4, "from"), DELETE, r"\$\.arcs\[4\]\.from: required field is missing"),
             (fixed_valve_doc, ("arcs", 4, "fixedMode"), "shut", r"\$\.arcs\[4\]\.fixedMode: invalid fixed mode"),
             (fixed_valve_first_doc, ("arcs", 1, "length"), "400", r"\$\.arcs\[1\]\.length: expected a number"),
+            # one rule about a single field each, checked as the field is read
+            (mini_station, ("gas", "specificGasConstant"), 0.0, r"\$\.gas\.specificGasConstant: must be positive"),
+            (mini_station, ("gas", "normalDensity"), -1.0, r"\$\.gas\.normalDensity: must be positive"),
+            (mini_station, ("gas", "isentropicExponent"), 1.0, r"\$\.gas\.isentropicExponent: must exceed 1"),
+            (mini_station, ("nodes", 0, "kind"), "exit", r"\$\.nodes\[0\]\.kind: must be 'boundary' or 'inner'"),
+            (mini_station, ("nodes", 1, "pressureLB"), 0.0, r"\$\.nodes\[1\]\.pressureLB: must be positive"),
+            (fixed_valve_doc, ("nodes", 4, "pressureLB"), -1.0, r"\$\.nodes\[4\]\.pressureLB: must be positive"),
+            (mini_station_pipes, ("arcs", 0, "length"), 0.0, r"\$\.arcs\[0\]\.length: must be positive"),
+            (mini_station_pipes, ("arcs", 0, "diameter"), 0.0, r"\$\.arcs\[0\]\.diameter: must be positive"),
+            (mini_station_pipes, ("arcs", 0, "roughness"), -1.0, r"\$\.arcs\[0\]\.roughness: must be positive"),
+            (mini_station_pipes, ("arcs", 0, "slope"), 1.5, r"\$\.arcs\[0\]\.slope: must lie in \[-1, 1\]"),
+            (resistor_doc, ("arcs", 0, "drag"), -1.0, r"\$\.arcs\[0\]\.drag: must be nonnegative"),
+            (resistor_doc, ("arcs", 0, "diameter"), 0.0, r"\$\.arcs\[0\]\.diameter: must be positive"),
+            (mini_station_pipes, ("arcs", 3, "flowLB"), -10.0, r"\$\.arcs\[3\]\.flowLB: must be zero"),
+            (mini_station, ("units", 0, "maxPower"), 0.0, r"\$\.units\[0\]\.maxPower: must be positive"),
+            (mini_station, ("units", 0, "maxDeltaP"), 0.0, r"\$\.units\[0\]\.maxDeltaP: must be positive"),
+            (mini_station, ("units", 0, "adiabaticEfficiency"), 1.5,
+             r"\$\.units\[0\]\.adiabaticEfficiency: must lie in \(0, 1\]"),
+            (mini_station, ("units", 0, "operatingRange2D"), [],
+             r"\$\.units\[0\]\.operatingRange2D: must hold at least one facet"),
+            (mini_station, ("arcs", 0, "configurations", 0, "stages"), [],
+             r"\$\.arcs\[0\]\.configurations\[0\]\.stages: must be a nonempty list"),
+            (mini_station, ("arcs", 0, "configurations", 0, "stages"), [["U1"], []],
+             r"\$\.arcs\[0\]\.configurations\[0\]\.stages: must be a nonempty list of nonempty stages"),
+            (mini_station, ("transitionTimes", "o_by", "o_cp"), -5.0,
+             r"\$\.transitionTimes\.o_by\.o_cp: must be nonnegative"),
+            (mini_station, ("unavailability",), {"U1": [[7200.0, 3600.0]]},
+             r"\$\.unavailability\.U1\[0\]: must start before it ends"),
+            (mini_station, ("scenario", "timeGrid", 0), 60.0, r"\$\.scenario\.timeGrid: must start at 0"),
+            (mini_station, ("scenario", "timeGrid", 2), 10800.0, r"\$\.scenario\.timeGrid: .*increase strictly"),
         ],
         ids=[
             "gas-list", "nodes-object", "time-grid-number", "time-grid-empty", "transition-row-number",
@@ -320,6 +379,13 @@ class TestMalformedDocuments:
             "assignment-list", "valid-pair-triple", "weights-list", "weight-negative",
             "fixed-valve-unknown-to", "fixed-valve-without-from", "fixed-mode-by-index",
             "index-after-a-fixed-valve",
+            "gas-constant-zero", "normal-density-negative", "isentropic-exponent-one", "node-kind-unknown",
+            "pressure-lb-zero", "merged-node-pressure-lb-negative", "pipe-length-zero", "pipe-diameter-zero",
+            "pipe-roughness-negative", "pipe-slope-steep", "resistor-drag-negative", "resistor-diameter-zero",
+            "regulator-flow-lb-negative",
+            "max-power-zero", "max-delta-p-zero", "efficiency-above-one", "operating-range-empty",
+            "stages-empty", "stage-empty", "transition-time-negative", "unavailability-window-reversed",
+            "time-grid-late-start", "time-grid-repeated-instant",
         ],
     )
     def test_malformed_document_names_its_path(self, base, where, value, path):
@@ -342,6 +408,27 @@ class TestMalformedDocuments:
                 pytest.fail(f"{name} with {where} replaced raised {type(exc).__name__}: {exc}")
             loaded += 1
         assert rejected > 2000 and loaded > 0
+
+    def test_no_zero_or_negative_number_gets_past_the_reader(self):
+        outcomes = {"loaded": 0, "rejected": 0, "violations": 0}
+        for base in (mini_station, mini_station_pipes, medium_station, resistor_doc):
+            for where, value in json_values(base()):
+                if json_type(value) != "number":
+                    continue
+                for number in (0.0, -1.0):
+                    doc = edited(base, where, number)
+                    try:
+                        spec, scen = load_instance(doc)
+                        load_weights(doc)
+                        issues = validate(spec, scen)
+                    except SchemaError:
+                        outcomes["rejected"] += 1
+                        continue
+                    except Exception as exc:  # a physics or conversion error; name the edit
+                        pytest.fail(f"{base.__name__} with {where} = {number} raised {type(exc).__name__}: {exc}")
+                    assert all(isinstance(v, Violation) for v in issues)
+                    outcomes["violations" if issues else "loaded"] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestInterpolation:

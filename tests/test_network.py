@@ -1,7 +1,7 @@
 import pytest
 
 from stationopt.fixtures import mini_station, mini_station_pipes, two_unit_station
-from stationopt.io import load_instance
+from stationopt.io import SchemaError, load_instance
 from stationopt.network import mode_available, validate
 
 
@@ -46,13 +46,12 @@ class TestValidate:
         assert validate(spec, scen) == validate(spec, scen)
 
     def test_regulator_flap_trap(self):
+        # a single-field rule: the reader rejects it before validate runs
         doc = mini_station_pipes()
-        for arc in doc["arcs"]:
-            if arc["id"] == "RG1":
-                arc["flowLB"] = -10.0
-        spec, scen = load_instance(doc)
-        issues = [str(v) for v in validate(spec, scen)]
-        assert any("flap trap" in s for s in issues)
+        i = next(i for i, arc in enumerate(doc["arcs"]) if arc["id"] == "RG1")
+        doc["arcs"][i]["flowLB"] = -10.0
+        with pytest.raises(SchemaError, match=rf"\$\.arcs\[{i}\]\.flowLB: .*flap trap"):
+            load_instance(doc)
 
     def test_missing_transition_time(self):
         doc = mini_station()
