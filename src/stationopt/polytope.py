@@ -16,6 +16,7 @@ Half spaces are stored as ``c . x + offset <= 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -140,7 +141,7 @@ class Tetrahedron:
 
     vertices: tuple[tuple[float, float, float], ...]
 
-    @property
+    @cached_property
     def volume(self) -> float:
         v = np.asarray(self.vertices)
         return abs(float(np.linalg.det(v[1:] - v[0]))) / 6.0
@@ -264,20 +265,24 @@ def _fold_to_barycentric(stu: np.ndarray) -> np.ndarray:
     """Fold unit-cube samples onto the unit simplex (rejection free).
 
     The three reflections map the parallelepiped spanned by a tetrahedron
-    onto the tetrahedron itself while preserving uniformity.
+    onto the tetrahedron itself while preserving uniformity.  The two
+    cases after the first fold are disjoint, so each output coordinate is
+    one select over the folded ``s, t, u``.
     """
-    s, t, u = stu[:, 0].copy(), stu[:, 1].copy(), stu[:, 2].copy()
+    s, t, u = stu.T
     flip = s + t > 1.0
-    s[flip], t[flip] = 1.0 - s[flip], 1.0 - t[flip]
+    s = np.where(flip, 1.0 - s, s)
+    t = np.where(flip, 1.0 - t, t)
+    total = s + t + u
     case1 = t + u > 1.0
-    case2 = ~case1 & (s + t + u > 1.0)
-    t_new = 1.0 - u[case1]
-    u_new = 1.0 - s[case1] - t[case1]
-    t[case1], u[case1] = t_new, u_new
-    s_new = 1.0 - t[case2] - u[case2]
-    u_new2 = s[case2] + t[case2] + u[case2] - 1.0
-    s[case2], u[case2] = s_new, u_new2
-    return np.column_stack([s, t, u])
+    case2 = ~case1 & (total > 1.0)
+    return np.column_stack(
+        [
+            np.where(case2, 1.0 - t - u, s),
+            np.where(case1, 1.0 - u, t),
+            np.where(case1, 1.0 - s - t, np.where(case2, total - 1.0, u)),
+        ]
+    )
 
 
 def sample_uniform(v: VPolytope, count: int, seed: int) -> np.ndarray:
@@ -294,10 +299,10 @@ def sample_uniform(v: VPolytope, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(tets), size=count, p=volumes / volumes.sum())
     stu = _fold_to_barycentric(rng.random((count, 3)))
-    corners = np.array([t.vertices for t in tets])[choice]
+    corners = np.array([t.vertices for t in tets])
     base = corners[:, 0, :]
     edges = corners[:, 1:, :] - base[:, None, :]
-    return base + np.einsum("nk,nkd->nd", stu, edges)
+    return base[choice] + np.einsum("nk,nkd->nd", stu, edges[choice])
 
 
 def least_squares_hyperplane(points: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -5,6 +5,13 @@ lift each unit's 2-D operating range into (p_in, p_out, q), cut it with a
 fitted linear power bound, compose parallel units into stages and stages
 into serial configurations, and emit the final facet sets F_c.
 
+A unit's range depends only on plant data (its 2-D facets, pressure-
+increase and power caps, efficiency and z-factor, the gas constants and
+the lifting caps from the end-node pressure bounds) and on the sample
+count and seed, so :func:`unit_polytope` builds each distinct one once
+per process; re-planning the same plant under another demand scenario
+only composes the configurations again.
+
 All quantities are SI (Pa, kg/s, W).
 """
 
@@ -12,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +37,8 @@ from .polytope import (
 )
 
 DEFAULT_SAMPLE_COUNT = 50_000
+# distinct unit ranges kept per process; a plant has a handful of units
+UNIT_RANGE_MEMO_SIZE = 256
 
 
 def seed_for_unit(unit_id: str, base_seed: int = 0) -> int:
@@ -95,6 +105,7 @@ def linearize_power_bound(
     return HalfSpace((a1, a2, a3), a0 - unit.max_power)
 
 
+@lru_cache(maxsize=UNIT_RANGE_MEMO_SIZE)
 def unit_polytope(
     unit: CompressorUnit,
     pl_lb: float,
@@ -103,11 +114,20 @@ def unit_polytope(
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int | None = None,
 ) -> HPolytope:
-    """Lifted range with the power facet appended (composition input)."""
+    """Lifted range with the power facet appended (composition input).
+
+    Memoised for the life of the process: the frozen unit and constants,
+    the caps, ``count`` and ``seed`` decide the result, so equal arguments
+    return the same polytope without sampling, fitting or an LP.  Its
+    arrays are read-only because every later caller shares them.  A range
+    that cannot be built raises again on every call.
+    """
     lifted = lift_unit_range(unit, pl_lb, pr_ub, constants)
     power = linearize_power_bound(lifted, unit, constants, count, seed)
     A = np.vstack([lifted.A, np.array(power.coefficients)])
     b = np.concatenate([lifted.b, [power.offset]])
+    A.flags.writeable = False
+    b.flags.writeable = False
     return HPolytope(A, b)
 
 

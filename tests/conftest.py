@@ -8,8 +8,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def linprog_calls(monkeypatch):
-    """List that grows by one entry per LP solved through stationopt.polytope."""
-    from stationopt import polytope
+    """List that grows by one entry per LP solved through stationopt.polytope.
+
+    Clears the unit-range memo first, so the count is that of a fresh build
+    whatever ran before.
+    """
+    from stationopt import polytope, ranges
+
+    ranges.unit_polytope.cache_clear()
 
     calls = []
     solve = polytope.linprog

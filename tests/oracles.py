@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it checks: vertex
 enumeration is brute force over plane subsets, volume comes from the
-divergence theorem on the H-representation, sampling is plain rejection,
+divergence theorem on the H-representation, sampling is plain rejection
+(and, to pin the seeded sampler bit for bit, its earlier scatter kernel),
 the hyperplane fit solves the normal equations directly, and the row
 checker walks the model's ``Row`` records one by one.
 """
@@ -136,6 +137,42 @@ def rejection_sample(A: np.ndarray, b: np.ndarray, count: int, seed: int) -> np.
         out[have : have + take] = ok[:take]
         have += take
     return out
+
+
+def reference_fold_to_barycentric(stu: np.ndarray) -> np.ndarray:
+    """The simplex fold by boolean-index scatters, one case at a time."""
+    s, t, u = stu[:, 0].copy(), stu[:, 1].copy(), stu[:, 2].copy()
+    flip = s + t > 1.0
+    s[flip], t[flip] = 1.0 - s[flip], 1.0 - t[flip]
+    case1 = t + u > 1.0
+    case2 = ~case1 & (s + t + u > 1.0)
+    t_new = 1.0 - u[case1]
+    u_new = 1.0 - s[case1] - t[case1]
+    t[case1], u[case1] = t_new, u_new
+    s_new = 1.0 - t[case2] - u[case2]
+    u_new2 = s[case2] + t[case2] + u[case2] - 1.0
+    s[case2], u[case2] = s_new, u_new2
+    return np.column_stack([s, t, u])
+
+
+def reference_sample_uniform(v, count: int, seed: int) -> np.ndarray:
+    """Seeded uniform samples with every sample's four corners gathered (n x 4 x 3).
+
+    Draws the same random numbers in the same order as
+    ``polytope.sample_uniform``, so equal output means an equal kernel.
+    """
+    from stationopt.polytope import triangulate
+
+    tets = triangulate(v)
+    corners = np.array([t.vertices for t in tets])
+    volumes = np.array([abs(float(np.linalg.det(c[1:] - c[0]))) / 6.0 for c in corners])
+    rng = np.random.default_rng(seed)
+    choice = rng.choice(len(tets), size=count, p=volumes / volumes.sum())
+    stu = reference_fold_to_barycentric(rng.random((count, 3)))
+    corners = corners[choice]
+    base = corners[:, 0, :]
+    edges = corners[:, 1:, :] - base[:, None, :]
+    return base + np.einsum("nk,nkd->nd", stu, edges)
 
 
 def head_terms(ratio: float, z_inlet: float, constants) -> tuple[float, float]:

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from stationopt.fixtures import medium_station, mini_station_pipes, seeded_instance
+from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance
 from stationopt.gas import GasConstants, compression_power
 from stationopt.io import load_instance
 from stationopt.network import CompressorUnit
@@ -21,6 +21,7 @@ from stationopt.polytope import (
 )
 from stationopt.ranges import (
     DEFAULT_SAMPLE_COUNT,
+    _lift_caps,
     build_spec_ranges,
     configuration_polytope,
     lift_unit_range,
@@ -30,7 +31,12 @@ from stationopt.ranges import (
     unit_polytope,
 )
 
-from oracles import brute_force_vertices, match_vertex_sets, scalar_compression_power
+from oracles import (
+    brute_force_vertices,
+    match_vertex_sets,
+    reference_sample_uniform,
+    scalar_compression_power,
+)
 
 CONSTANTS = GasConstants(
     specific_gas_constant=500.0,
@@ -416,3 +422,83 @@ PINNED_DOCS = {
 def test_built_facets_are_pinned(name):
     spec, _ = load_instance(PINNED_DOCS[name]())
     assert facet_digest(build_spec_ranges(spec, 2_000)) == PINNED_FACET_SHA256[name]
+
+
+SAMPLER_DOCS = {"mini_station": mini_station, **PINNED_DOCS}
+
+
+@pytest.mark.parametrize("name", SAMPLER_DOCS)
+def test_sampler_matches_scatter_reference(name):
+    # the vectorised fold and per-tetrahedron gather draw the same numbers
+    # and give the same samples, bit for bit, as the scatter kernel
+    spec, _ = load_instance(SAMPLER_DOCS[name]())
+    for station in spec.stations.values():
+        pl_lb, pr_ub = _lift_caps(spec, station)
+        for unit in station.units:
+            verts = enumerate_vertices(lift_unit_range(unit, pl_lb, pr_ub, spec.constants))
+            for count in (1, 2_000, DEFAULT_SAMPLE_COUNT):
+                for seed in (0, 5, seed_for_unit(unit.id)):
+                    got = sample_uniform(verts, count, seed)
+                    assert np.array_equal(got, reference_sample_uniform(verts, count, seed))
+
+
+def built_facets(spec) -> dict:
+    return {(sid, c.id): c.facets for sid, st in spec.stations.items() for c in st.configurations}
+
+
+def _more_power(doc):
+    doc["units"][0]["maxPower"] *= 1.1
+
+
+def _lower_outlet_cap(doc):
+    # CS1 runs N1 -> N2, so N2's upper bound is the lifting cap pr_ub
+    next(n for n in doc["nodes"] if n["id"] == "N2")["pressureUB"] = 69.0
+
+
+# a document edit and build arguments that each change one memo key input
+MEMO_CHANGES = {
+    "maxPower": (_more_power, {}),
+    "end-node pressure bound": (_lower_outlet_cap, {}),
+    "count": (None, {"count": 2_000}),
+    "base_seed": (None, {"base_seed": 1}),
+}
+
+
+class TestUnitRangeMemo:
+    def test_second_build_reuses_the_unit_range(self, linprog_calls):
+        spec, _ = load_instance(mini_station_pipes())
+        first = build_spec_ranges(spec)
+        assert len(linprog_calls) == 2
+        second = build_spec_ranges(spec)
+        # only the reduction of the single-stage configuration runs again
+        assert len(linprog_calls) == 3
+        assert built_facets(second) == built_facets(first)
+
+    @pytest.mark.parametrize("change", MEMO_CHANGES)
+    def test_changed_input_is_a_miss(self, change):
+        edit, kwargs = MEMO_CHANGES[change]
+        unit_polytope.cache_clear()
+        before = built_facets(build_spec_ranges(load_instance(mini_station_pipes())[0]))
+        doc = mini_station_pipes()
+        if edit is not None:
+            edit(doc)
+        spec, _ = load_instance(doc)
+        changed = built_facets(build_spec_ranges(spec, **kwargs))
+        assert unit_polytope.cache_info().misses == 2
+        assert changed != before
+        unit_polytope.cache_clear()
+        assert built_facets(build_spec_ranges(spec, **kwargs)) == changed
+
+    def test_cached_arrays_are_read_only(self):
+        poly = unit_polytope(fixture_unit(), 30e5, 70e5, CONSTANTS, count=1000, seed=5)
+        assert unit_polytope(fixture_unit(), 30e5, 70e5, CONSTANTS, count=1000, seed=5) is poly
+        for array in (poly.A, poly.b):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_seeded_instances_share_two_unit_ranges(self):
+        # one plant under different demands and outages
+        unit_polytope.cache_clear()
+        for i in range(10):
+            build_spec_ranges(load_instance(seeded_instance(i))[0])
+        assert unit_polytope.cache_info().misses == 2
