@@ -26,7 +26,7 @@ print("== variant sizes ==")
 variants = {
     "P   (full transient)": build_full(spec, scen, weights),
     "Ps  (stationary, t=1)": build_stationary(spec, scen, weights, 1, "o_cp"),
-    "Psf (fixed o_cp, t=1)": build_stationary_fixed(spec, scen, weights, "o_cp", 1, "o_cp"),
+    "Psf (fixed o_cp, t=1)": build_stationary_fixed(spec, scen, weights, "o_cp", 1),
     "Pf  (fixed window)": build_fixed_transient(
         spec, scen, weights, ["o_cp", "o_cp"], ["f_fwd", "f_fwd"], scen.initial_state
     ),

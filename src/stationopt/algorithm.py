@@ -28,7 +28,9 @@ from .model import (
     build_full,
     build_stationary,
     build_stationary_fixed,
+    change_indicators,
     mode_indicators,
+    switch_cost,
 )
 from .network import Scenario, StateSnapshot, StationSpec, mode_available
 from .solve import CHECK_TOL, BackendError, check_assignment, default_settings_for, solve
@@ -195,15 +197,18 @@ class StationSolver:
     """Shared state for one run: the solver backend and the memoized
     stationary evaluations that all three stages share.
 
-    Two memos sit in front of the backend.  ``_psf_cache`` maps a
-    ``(mode, t, prev_mode)`` lookup to its decoded value and skips the
-    build.  ``_memo`` maps ``(variant, fingerprint)`` of a built ``Psf``
-    or ``Ps`` model to its :class:`~stationopt.solve.SolveResult`: when the
-    demand repeats from step to step, stationary models differ only in
-    their names, and HiGHS returns the same result for the same numbers.
-    Each caller decodes a result through its own instance's handles.
-    ``counters`` counts backend solves and ``memo_hits`` the solves the
-    memo saved.  Smoothing windows always solve.
+    A sequence costs the stationary value of each step plus the switch
+    cost of each mode change (:func:`~stationopt.model.switch_cost`).  Two
+    memos sit in front of the backend.  ``_psf_cache`` maps ``(mode, t)``
+    to the decoded stationary value and skips the build; a lookup adds the
+    switch cost from its previous mode.  ``_memo`` maps ``(variant,
+    fingerprint)`` of a built ``Psf`` or ``Ps`` model to its
+    :class:`~stationopt.solve.SolveResult`: when the demand repeats from
+    step to step, stationary models differ only in their names, and HiGHS
+    returns the same result for the same numbers.  Each caller decodes a
+    result through its own instance's handles.  ``counters`` counts
+    backend solves and ``memo_hits`` the solves the memo saved.  Smoothing
+    windows always solve.
     """
 
     def __init__(
@@ -243,22 +248,25 @@ class StationSolver:
     # -- stationary evaluations ------------------------------------------
 
     def psf_value(self, mode: str, t: int, prev_mode: str):
+        """(feasible, objective, direction) of step t in ``mode`` after
+        ``prev_mode``: the fixed stationary value plus the switch cost."""
+        if (mode, t) not in self._psf_cache:
+            self._psf_cache[mode, t] = self._stationary_value(mode, t)
+        feasible, value, direction = self._psf_cache[mode, t]
+        return feasible, value + switch_cost(self.spec, self.weights, prev_mode, mode), direction
+
+    def _stationary_value(self, mode: str, t: int):
         """(feasible, objective, direction) of the fixed stationary model."""
-        key = (mode, t, prev_mode)
-        if key not in self._psf_cache:
-            try:
-                inst = build_stationary_fixed(self.spec, self.scen, self.weights, mode, t, prev_mode)
-            except BuildInfeasibleError:
-                # contradictory constant rows (e.g. a mode without a valid
-                # flow direction) are plain infeasibility to the algorithm
-                self._psf_cache[key] = (False, math.inf, None)
-                return self._psf_cache[key]
-            res = self._solve_stationary(inst, "Psf")
-            if res.ok:
-                self._psf_cache[key] = (True, res.objective, inst.direction_at(res.assignment, t))
-            else:
-                self._psf_cache[key] = (False, math.inf, None)
-        return self._psf_cache[key]
+        try:
+            inst = build_stationary_fixed(self.spec, self.scen, self.weights, mode, t)
+        except BuildInfeasibleError:
+            # contradictory constant rows (e.g. a mode without a valid
+            # flow direction) are plain infeasibility to the algorithm
+            return False, math.inf, None
+        res = self._solve_stationary(inst, "Psf")
+        if not res.ok:
+            return False, math.inf, None
+        return True, res.objective, inst.direction_at(res.assignment, t)
 
     def ps_best(self, t: int, valid_modes, prev_mode: str):
         """(feasible, objective, mode, direction) over a candidate mode set."""
@@ -477,11 +485,8 @@ def complete_plan_assignment(
 
     for t in range(1, scen.n_future + 1):
         state, prev = plan.states[t], plan.states[t - 1]
-        mode = seq.modes[t]
-        direction = seq.directions[t]
+        mode, direction = seq.modes[t], seq.directions[t]
         assignment = spec.operation_modes[mode].assignment
-        prev_mode = seq.modes[t - 1]
-        prev_assignment = spec.operation_modes[prev_mode].assignment
 
         for v, p in state.pressures.items():
             put(p, "p", v, t)
@@ -493,16 +498,15 @@ def complete_plan_assignment(
         for v, d in state.inflows.items():
             put(d, "d", v, t)
 
-        for key, value in mode_indicators(spec, mode).items():
+        changes = change_indicators(spec, seq.modes[t - 1], mode)
+        for key, value in {**mode_indicators(spec, mode), **changes}.items():
             put(value, *key, t)
         for f in spec.flow_directions:
             put(1.0 if f == direction else 0.0, "fd", f, t)
 
         for a, st in spec.stations.items():
             token = assignment[a]
-            pl = state.pressures[st.from_node]
-            pr = state.pressures[st.to_node]
-            q = state.arc_flows[a]
+            pl, pr, q = state.pressures[st.from_node], state.pressures[st.to_node], state.arc_flows[a]
             if token == "by":
                 put(0.5 * (pl + pr), "p_by", a, t)
                 put(q, "q_by", a, t)
@@ -518,34 +522,22 @@ def complete_plan_assignment(
             token = state.regulator_modes[a]
             for tok in ("by", "cl", "ac"):
                 put(1.0 if tok == token else 0.0, "rg", tok, a, t)
-
-        om_change = 1.0 if mode != prev_mode else 0.0
-        put(om_change, "d_om", t)
-        for a in spec.regulators:
-            changed = state.regulator_modes[a] != prev.regulator_modes[a]
-            put(1.0 if changed else 0.0, "d_rg", a, t)
-        for a, st in spec.stations.items():
-            used_now = st.token_units(assignment[a])
-            used_prev = st.token_units(prev_assignment[a])
-            for u in st.units:
-                put(1.0 if (u.id in used_now and u.id not in used_prev) else 0.0, "d_us", u.id, a, t)
+            put(1.0 if token != prev.regulator_modes[a] else 0.0, "d_rg", a, t)
 
         for kind, arcs in (("rg", spec.regulators), ("cs", spec.stations)):
             for a, arc in arcs.items():
                 if kind == "rg":
-                    relax = (
-                        (1.0 if state.regulator_modes[a] in ("by", "cl") else 0.0)
-                        + (1.0 if state.regulator_modes[a] != prev.regulator_modes[a] else 0.0)
-                    )
+                    token = state.regulator_modes[a]
+                    changed = token != prev.regulator_modes[a]
                 else:
-                    token = assignment[a]
-                    relax = (1.0 if token in ("by", "cl") else 0.0) + om_change
+                    token, changed = assignment[a], changes[("d_om",)]
+                relaxed = token in ("by", "cl") or changed
                 for label, now, before in (
                     ("pl", state.pressures[arc.from_node], prev.pressures[arc.from_node]),
                     ("pr", state.pressures[arc.to_node], prev.pressures[arc.to_node]),
                     ("q", state.arc_flows[a], prev.arc_flows[a]),
                 ):
-                    put(0.0 if relax >= 1.0 else abs(now - before), f"{kind}_{label}", a, t)
+                    put(0.0 if relaxed else abs(now - before), f"{kind}_{label}", a, t)
 
         for v in spec.boundary_nodes():
             p = state.pressures[v]

@@ -177,6 +177,18 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _horizon(text: str) -> int:
+    if int(text) < 2:
+        raise argparse.ArgumentTypeError(f"the rolling horizon must span at least 2 steps, got {text}")
+    return int(text)
+
+
+def _positive_seconds(text: str) -> float:
+    if not float(text) > 0.0:  # NaN too
+        raise argparse.ArgumentTypeError(f"the time limit must be positive, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stationopt",
@@ -192,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--steps", choices=["12", "24", "48", "96"], default=None,
                    help="re-grid the scenario onto a named 12 h partition")
-    p.add_argument("--h", type=int, default=4, help="rolling-horizon window (future steps)")
+    p.add_argument("--h", type=_horizon, default=4, help="rolling-horizon window (future steps, at least 2)")
     p.add_argument("--lower-bound", action="store_true",
                    help="also solve the full model for a lower bound and report the gap")
-    p.add_argument("--lb-time-limit", type=float, default=600.0)
+    p.add_argument("--lb-time-limit", type=_positive_seconds, default=600.0)
     p.add_argument("--export-lp", help="directory for LP exports of every solved model")
     p.add_argument("--out", help="output prefix (default: instance path without suffix)")
     p.set_defaults(func=cmd_solve)

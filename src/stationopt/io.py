@@ -133,6 +133,16 @@ class _Field:
             raise self.expected("a list")
         return [_Field(value, f"{self.path}[{i}]") for i, value in enumerate(self.value)]
 
+    def distinct(self, key: str | None = "id") -> list:
+        """Items of a list, each named by a string id no earlier item has:
+        its field ``key``, or with ``key=None`` the item itself."""
+        items, seen = self.items(), set()
+        for item in items:
+            ident = item if key is None else item[key]
+            ident.check(ident.string() not in seen, f"repeats the id {ident.value!r} of an earlier entry")
+            seen.add(ident.value)
+        return items
+
     def row(self, n: int, what: str) -> list:
         """Items of a list of exactly ``n`` entries; ``what`` describes it."""
         if not (isinstance(self.value, list) and len(self.value) == n):
@@ -218,8 +228,10 @@ def load_instance(source):
     ``spec.valve_rewrites``), closed ones are deleted.
     """
     document = _Field(_read_document(source))
-    for nd in document["nodes"].items():
-        _check_node(nd)  # as written, before a fixed-open valve merges two nodes' bounds
+    # as written, before fixed valves merge nodes' bounds and drop arcs
+    for nd in document["nodes"].distinct():
+        _check_node(nd)
+    document["arcs"].distinct()
     root, valve_rewrites = _preprocess_fixed_valves(document)
 
     gas = root["gas"]
@@ -258,7 +270,7 @@ def load_instance(source):
         )
 
     units = {}
-    for ud in root.get("units", []).items():
+    for ud in root.get("units", []).distinct():
         uid = ud["id"].string()
         facets, efficiency = ud["operatingRange2D"], ud["adiabaticEfficiency"]
         range_2d = tuple(row.numbers(3, "a triple (a0, a1, a2)") for row in facets.items())
@@ -350,7 +362,7 @@ def load_instance(source):
             regulators[aid] = RegulatorArc(aid, from_node, to_node, lb, ub)
         elif kind == "compressorStation":
             configs = []
-            for cd in ad["configurations"].items():
+            for cd in ad["configurations"].distinct():
                 stage_list = cd["stages"]
                 stages = tuple(frozenset(stage.strings()) for stage in stage_list.items())
                 stage_list.check(stages and all(stages), "must be a nonempty list of nonempty stages")
@@ -365,7 +377,7 @@ def load_instance(source):
                 )
             z_l = papay_z(pa_to_bar(end_pressure(from_node)), constants)
             member_units = []
-            for unit_id in ad["units"].items():
+            for unit_id in ad["units"].distinct(key=None):
                 unit_id.check(unit_id.string() in units, f"unknown compressor unit {unit_id.value!r}")
                 member_units.append(CompressorUnit(inlet_z_factor=z_l, **units[unit_id.value]))
             stations[aid] = CompressorStationArc(
@@ -375,12 +387,12 @@ def load_instance(source):
             raise SchemaError(kind_field.path, f"unknown arc kind {kind!r}")
 
     modes = {}
-    for od in root["operationModes"].items():
+    for od in root["operationModes"].distinct():
         oid = od["id"].string()
         modes[oid] = OperationMode(oid, od["assignment"].string_map())
 
     directions = {}
-    for fd in root["flowDirections"].items():
+    for fd in root["flowDirections"].distinct():
         fid = fd["id"].string()
         directions[fid] = FlowDirection(
             fid, frozenset(fd["inflowNodes"].strings()), frozenset(fd["outflowNodes"].strings())
@@ -390,7 +402,7 @@ def load_instance(source):
         tuple(name.string() for name in pair.row(2, "[mode, direction]"))
         for pair in root["validPairs"].items()
     )
-    fence_groups = {gd["id"].string(): gd["nodes"].strings() for gd in root.get("fenceGroups", []).items()}
+    fence_groups = {gd["id"].string(): gd["nodes"].strings() for gd in root.get("fenceGroups", []).distinct()}
     conditions = tuple(
         FlowCondition(cd["direction"].string(), cd["smaller"].strings(), cd["larger"].strings())
         for cd in root.get("flowConditions", []).items()

@@ -9,7 +9,10 @@ Everything is solver independent; :mod:`stationopt.solve` handles solving.
 The variants differ only in which decisions are constants.  The builder
 first writes every decision the variant fixes, and every value of the step
 before the first modelled one, into its handle table as a constant; every
-row then reads the table, and constants fold into right-hand sides.
+row then reads the table, and constants fold into right-hand sides.  A
+step between two fixed modes costs :func:`switch_cost`, summed from the
+:func:`change_indicators` the builder writes.  The fixed stationary model
+keeps its mode at the step before, so it has no switch cost.
 
 Internally the models use Pa, kg/s and seconds.  The objective converts
 the file-facing weights (bar, 1000 m^3/h, hours) once per build.  Every
@@ -127,6 +130,26 @@ def mode_indicators(spec: StationSpec, mode: str) -> dict:
     return out
 
 
+def change_indicators(spec: StationSpec, prev: str, mode: str) -> dict:
+    """The d_om/d_us values of a step from mode ``prev`` to ``mode``, keyed
+    like the model handles without their time step, in the builder's order."""
+    out = {("d_om",): float(mode != prev)}
+    for a in sorted(spec.stations):
+        st = spec.stations[a]
+        now, before = (st.token_units(spec.operation_modes[o].assignment[a]) for o in (mode, prev))
+        out.update({("d_us", u.id, a): float(u.id in now and u.id not in before) for u in st.units})
+    return out
+
+
+def switch_cost(spec: StationSpec, weights: ObjectiveWeights, prev: str, mode: str) -> float:
+    """The objective's mode-change and unit-start terms of a step from
+    ``prev`` to ``mode``, summed in the builder's objective order."""
+    total = 0.0
+    for key, value in change_indicators(spec, prev, mode).items():
+        total += value * (weights.operation_mode_change if key == ("d_om",) else weights.unit_start)
+    return total
+
+
 def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> ModelInstance:
     times = list(range(1, scen.n_future + 1))
     b = _Builder(spec, scen, weights, "P", times, snapshot=scen.initial_state)
@@ -148,11 +171,11 @@ def build_stationary(
 
 
 def build_stationary_fixed(
-    spec: StationSpec, scen: Scenario, weights: ObjectiveWeights, mode: str, t: int, prev_mode: str
+    spec: StationSpec, scen: Scenario, weights: ObjectiveWeights, mode: str, t: int
 ) -> ModelInstance:
     if mode not in spec.operation_modes:
         raise KeyError(f"unknown operation mode {mode!r}")
-    b = _Builder(spec, scen, weights, "Psf", [t], prev_mode=prev_mode, fixed_modes={t: mode})
+    b = _Builder(spec, scen, weights, "Psf", [t], prev_mode=mode, fixed_modes={t: mode})
     return b.build()
 
 
@@ -218,8 +241,9 @@ class _Builder:
         self.transient = kind in ("P", "Pf")
         self.times = list(times)
         self.snapshot = snapshot
-        self.prev_mode = prev_mode if snapshot is None else snapshot.operation_mode
-        self.fixed_modes = fixed_modes or {}
+        # the mode of the step before the first modelled one is fixed too
+        past = prev_mode if snapshot is None else snapshot.operation_mode
+        self.fixed_modes = {self.times[0] - 1: past, **(fixed_modes or {})}
         self.fixed_dirs = fixed_dirs or {}
         self.instance = ModelInstance(kind, LinearModel(f"{kind}_{spec.name}"), spec, scen, times)
         self.h = self.instance.handles
@@ -229,22 +253,15 @@ class _Builder:
             for t in self.times
         }
         for t in self.times:
-            if t in self.fixed_modes:
-                continue
-            if not self.valid_modes[t]:
+            if t not in self.fixed_modes and not self.valid_modes[t]:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
 
     # -- fixed and past decisions -------------------------------------------
 
     def _fix_past(self) -> None:
-        """Constants for step ``times[0] - 1``: the previous mode and, for
-        the transient variants, the snapshot's pressures, flows and
-        regulator modes."""
+        """Constants for step ``times[0] - 1`` of a transient variant: the
+        snapshot's pressures, flows and regulator modes."""
         t0 = self.times[0] - 1
-        for key, value in mode_indicators(self.spec, self.prev_mode).items():
-            self.h[key + (t0,)] = value
-        if not self.transient:
-            return
         snap = self.snapshot
         for v, p in snap.pressures.items():
             self.h[("p", v, t0)] = p
@@ -262,21 +279,13 @@ class _Builder:
             for f in self.spec.flow_directions:
                 self.h[("fd", f, t)] = float(f == self.fixed_dirs[t])
 
-    def _fixed_mode(self, t: int) -> str | None:
-        """The operation mode fixed at t, by the variant or by the past."""
-        return self.prev_mode if t < self.times[0] else self.fixed_modes.get(t)
-
-    def _station_token(self, a: str, t: int) -> str | None:
-        """The fixed station token at t, or None when binaries are free."""
-        mode = self._fixed_mode(t)
-        return None if mode is None else self.spec.operation_modes[mode].assignment[a]
-
     # -- build -------------------------------------------------------------
 
     def build(self) -> ModelInstance:
-        self._fix_past()
         for t, mode in self.fixed_modes.items():
             self._fix_decisions(t, mode)
+        if self.transient:
+            self._fix_past()
         for t in self.times:
             self._make_variables(t)
         for t in self.times:
@@ -372,27 +381,21 @@ class _Builder:
             self.h[("sd-", v, t)] = add_q(f"sd_neg({v},{t})", 0.0, cap + 1.0)
 
         # change variables: constants where the modes on both sides are fixed
-        mode, prev = self._fixed_mode(t), self._fixed_mode(t - 1)
+        mode, prev = self.fixed_modes.get(t), self.fixed_modes.get(t - 1)
         both_fixed = mode is not None and prev is not None
         if both_fixed:
-            self.h[("d_om", t)] = float(mode != prev)
+            for key, value in change_indicators(spec, prev, mode).items():
+                self.h[key + (t,)] = value
         else:
             self.h[("d_om", t)] = add(f"d_om({t})", 0.0, 1.0, integer=True)
         if self.transient:
             # stationary variants drop regulator change tracking entirely
             for a in sorted(spec.regulators):
                 self.h[("d_rg", a, t)] = add(f"d_rg({a},{t})", 0.0, 1.0, integer=True)
-        for a in sorted(spec.stations):
-            st = spec.stations[a]
-            for u in st.units:
-                if both_fixed:
-                    now, before = self._station_token(a, t), self._station_token(a, t - 1)
-                    started = u.id in st.token_units(now) and u.id not in st.token_units(before)
-                    self.h[("d_us", u.id, a, t)] = float(started)
-                else:
-                    self.h[("d_us", u.id, a, t)] = add(
-                        f"d_us({u.id},{a},{t})", 0.0, 1.0, integer=True
-                    )
+        if not both_fixed:
+            for a in sorted(spec.stations):
+                for u in spec.stations[a].units:
+                    self.h[("d_us", u.id, a, t)] = add(f"d_us({u.id},{a},{t})", 0.0, 1.0, integer=True)
 
         if self.transient:
             for a in sorted(spec.regulators):
@@ -540,9 +543,9 @@ class _Builder:
         m = self.instance.model
         pl, pr = self.h[("p", st.from_node, t)], self.h[("p", st.to_node, t)]
         q = self.h[("q", a, t)]
-        token = self._station_token(a, t)
-        if token is not None:
+        if t in self.fixed_modes:
             # mode fixed: apply the active branch directly on the originals
+            token = spec.operation_modes[self.fixed_modes[t]].assignment[a]
             if token == "by":
                 m.add_row(f"cs_bypass({a},{t})", [(1.0, pl), (-1.0, pr)], "==", 0.0)
             elif token == "cl":

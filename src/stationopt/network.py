@@ -127,12 +127,6 @@ class CompressorStationArc:
     flow_lb: np.ndarray
     flow_ub: np.ndarray
 
-    def unit(self, unit_id: str) -> CompressorUnit:
-        for u in self.units:
-            if u.id == unit_id:
-                return u
-        raise KeyError(f"unknown compressor unit {unit_id!r} on station {self.id!r}")
-
     def configuration(self, config_id: str) -> Configuration:
         for c in self.configurations:
             if c.id == config_id:

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths it checks: vertex
 enumeration is brute force over plane subsets, volume comes from the
 divergence theorem on the H-representation, sampling is plain rejection
 (and, to pin the seeded sampler bit for bit, its earlier scatter kernel),
-the hyperplane fit solves the normal equations directly, and the row
-checker walks the model's ``Row`` records one by one.
+the hyperplane fit solves the normal equations directly, the row
+checker walks the model's ``Row`` records one by one, and the exact
+stationary sequence is a dynamic programme over every mode at every step
+rather than the greedy start and phase replacements it checks.
 """
 
 from __future__ import annotations
@@ -358,3 +360,47 @@ def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
         if gap > CHECK_TOL * scale:
             out.append((row.name, gap))
     return out
+
+
+def exact_stationary_sequence(solver) -> tuple:
+    """(objective, modes) of a mode sequence that minimises the objective
+    of stages 1-2 exactly: the sum over steps t of S(m_t, t) plus the
+    switch cost from m_{t-1}, under ``transitions_work``'s rule and
+    ``mode_available``.
+
+    A dynamic programme whose states are (mode, phase start, incoming
+    mode): the rule for a switch reads only the current phase's start and
+    the transition into it.  The phase holding position 0 starts at 0 and
+    has no incoming mode.  S(m, t) is ``solver.psf_value(m, t, m)``.  The
+    costs of a path are summed in the order ``sequence_objective`` sums
+    them, so the optimum is never above the objective of a sequence the
+    rules admit, bit for bit.  (math.inf, None) when no sequence exists.
+    """
+    from stationopt.model import switch_cost
+    from stationopt.network import mode_available
+
+    spec, weights, grid = solver.spec, solver.weights, solver.scen.time_grid
+    initial = solver.scen.initial_state.operation_mode
+    labels = {(initial, 0, None): (0.0, (initial,))}
+    for t in range(1, solver.scen.n_future + 1):
+        stationary = {}
+        for m in sorted(spec.operation_modes):
+            if mode_available(spec, grid, m, t):
+                feasible, value, _ = solver.psf_value(m, t, m)
+                if feasible:
+                    stationary[m] = value
+        reached: dict = {}
+        for (mode, start, incoming), (cost, modes) in labels.items():
+            for m, value in stationary.items():
+                if m == mode:
+                    state = (mode, start, incoming)
+                else:
+                    theta_in = 0.0 if start == 0 else spec.transition_time(incoming, mode)
+                    if grid[t] - grid[start] < (theta_in + spec.transition_time(mode, m)) / 2.0 - 1e-9:
+                        continue
+                    state = (m, t, mode)
+                total = cost + (value + switch_cost(spec, weights, mode, m))
+                if state not in reached or total < reached[state][0]:
+                    reached[state] = (total, modes + (m,))
+        labels = reached
+    return min(labels.values(), default=(math.inf, None))

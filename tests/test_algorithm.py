@@ -19,11 +19,11 @@ from stationopt.algorithm import (
 )
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, regrid_instance, template_grid
-from stationopt.model import ObjectiveWeights, build_full, build_stationary_fixed
+from stationopt.model import ObjectiveWeights, build_full, build_stationary_fixed, switch_cost
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import check_assignment, default_settings_for, solve
 
-from oracles import brute_transition_check
+from oracles import brute_transition_check, exact_stationary_sequence
 
 WEIGHTS = ObjectiveWeights()
 
@@ -558,15 +558,17 @@ class TestStationaryMemo:
         solver.initial_solution()
         psf = [key for key in solver._psf_cache if solver._psf_cache[key][0]]
         assert len(psf) == 4 and solver.counters["Psf"] == 1
-        for mode, t, prev in psf:
-            inst = build_stationary_fixed(spec, scen, WEIGHTS, mode, t, prev)
+        for mode, t in psf:
+            inst = build_stationary_fixed(spec, scen, WEIGHTS, mode, t)
             served = solver._memo[("Psf", inst.model.fingerprint())]
             fresh = solve(inst, default_settings_for("Psf"))
             assert (served.status, served.objective) == (fresh.status, fresh.objective)
             assert served.assignment.tobytes() == fresh.assignment.tobytes()
-            assert solver.psf_value(mode, t, prev) == (
-                True, fresh.objective, inst.direction_at(fresh.assignment, t)
-            )
+            direction = inst.direction_at(fresh.assignment, t)
+            assert solver._psf_cache[(mode, t)] == (True, fresh.objective, direction)
+            for prev in spec.operation_modes:
+                cost = switch_cost(spec, WEIGHTS, prev, mode)
+                assert solver.psf_value(mode, t, prev) == (True, fresh.objective + cost, direction)
 
     def test_smoothing_windows_always_solve(self, mini):
         spec, scen = mini
@@ -575,6 +577,37 @@ class TestStationaryMemo:
         solver.transient_smoothing(seq, 4)
         solver.transient_smoothing(seq, 4)
         assert solver.counters["Pf"] == 2 * (scen.n_future - 3)
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize(
+        "doc",
+        [mini_station(), mini_station_pipes(), two_unit_station()] + [seeded_instance(s) for s in range(10)],
+        ids=["mini_station", "mini_station_pipes", "two_unit_station"] + [f"seeded_{s}" for s in range(10)],
+    )
+    def test_stages_one_and_two_reach_the_optimum(self, doc):
+        solver = StationSolver(*loaded(doc, count=2000), WEIGHTS)
+        seq = solver.improvement_heuristic(solver.initial_solution())
+        heuristic = solver.sequence_objective(seq.modes)
+        best, modes = exact_stationary_sequence(solver)
+        assert transitions_work(solver.spec, modes, solver.scen.time_grid)
+        assert solver.sequence_objective(modes) == best
+        assert best <= heuristic
+        assert best == pytest.approx(heuristic, rel=1e-9)
+
+    def test_matches_exhaustive_search_where_stage_one_falls_short(self):
+        spec, scen = TestImprovementHeuristic().merge_fixture()
+        solver = StationSolver(spec, scen, WEIGHTS)
+        best, modes = exact_stationary_sequence(solver)
+        exhaustive = min(
+            solver.sequence_objective(("o_by",) + combo)
+            for combo in itertools.product(sorted(spec.operation_modes), repeat=scen.n_future)
+            if transitions_work(spec, ("o_by",) + combo, scen.time_grid)
+        )
+        assert best == exhaustive
+        initial = solver.initial_solution()
+        assert best < solver.sequence_objective(initial.modes)
+        assert solver.sequence_objective(solver.improvement_heuristic(initial).modes) == best
 
 
 class TestDegenerateData:

@@ -43,7 +43,7 @@ def test_tracer_installs_and_sizes_a_built_model(tracing):
     tracer = tracing.Tracer(0)
     tracer.install()
     try:
-        inst = model_module.build_stationary_fixed(spec, scen, ObjectiveWeights(), "o_cp", 1, "o_cp")
+        inst = model_module.build_stationary_fixed(spec, scen, ObjectiveWeights(), "o_cp", 1)
         backend = tracer.backend(solve_module.InProcessBackend())
         res = solve_module.solve(inst, solve_module.default_settings_for("Psf"), backend=backend)
     finally:

@@ -197,6 +197,25 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         assert "$.scenario.initialState.pressures.B1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,cause",
+        [
+            (["--h", "1"], "at least 2 steps, got 1"),
+            (["--h", "0"], "at least 2 steps, got 0"),
+            (["--h", "two"], "invalid _horizon value"),
+            (["--lower-bound", "--lb-time-limit", "0"], "must be positive, got 0"),
+            (["--lower-bound", "--lb-time-limit", "-5"], "must be positive, got -5"),
+            (["--lower-bound", "--lb-time-limit", "nan"], "must be positive, got nan"),
+        ],
+    )
+    def test_bad_option_exits_2_before_planning(self, instance_path, capsys, flags, cause):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance_path), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err, err
+        assert sorted(p.name for p in instance_path.parent.iterdir()) == ["mini.json"]
+
     def test_writes_only_the_plan_files(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_station())
         assert main(["solve", str(path)]) == 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -393,6 +395,38 @@ class TestMalformedDocuments:
         with pytest.raises(SchemaError, match=path):
             load_instance(doc)
             load_weights(doc)
+
+    @pytest.mark.parametrize(
+        "base,where,index,path",
+        [
+            (medium_station, ("units",), 0, r"\$\.units\[2\]\.id: repeats the id 'U1'"),
+            (medium_station, ("nodes",), 1, r"\$\.nodes\[7\]\.id: repeats the id"),
+            (medium_station, ("arcs",), 2, r"\$\.arcs\[7\]\.id: repeats the id 'V1'"),
+            (medium_station, ("operationModes",), 0, r"\$\.operationModes\[5\]\.id: repeats the id"),
+            (medium_station, ("flowDirections",), 0, r"\$\.flowDirections\[2\]\.id: repeats the id"),
+            (medium_station, ("arcs", 1, "configurations"), 0,
+             r"\$\.arcs\[1\]\.configurations\[4\]\.id: repeats the id"),
+            (medium_station, ("arcs", 1, "units"), 0, r"\$\.arcs\[1\]\.units\[2\]: repeats the id 'U1'"),
+            (medium_station, ("fenceGroups",), 0, r"\$\.fenceGroups\[3\]\.id: repeats the id 'g_w'"),
+            (fixed_valve_doc, ("nodes",), 2, r"\$\.nodes\[5\]\.id: repeats the id 'N2'"),
+            (fixed_valve_doc, ("arcs",), 4, r"\$\.arcs\[5\]\.id: repeats the id 'VF'"),
+        ],
+        ids=[
+            "unit", "node", "arc", "operation-mode", "flow-direction", "configuration", "station-unit",
+            "fence-group", "node-before-valve-merge", "fixed-valve",
+        ],
+    )
+    def test_repeated_id_names_the_repeat(self, base, where, index, path):
+        doc = base()
+        entries = doc
+        for key in where:
+            entries = entries[key]
+        copy = json.loads(json.dumps(entries[index]))
+        if isinstance(copy, dict) and "maxPower" in copy:
+            copy["maxPower"] = 1.0  # a repeat with other data is no more welcome
+        entries.append(copy)
+        with pytest.raises(SchemaError, match=path):
+            load_instance(doc)
 
     def test_no_wrong_type_gets_past_the_reader(self):
         loaded = rejected = 0

@@ -34,7 +34,7 @@ def variant_assignments(doc):
     out = [("P", inst.model, x)]
     built = {
         "Pf": build_fixed_transient(spec, scen, WEIGHTS, modes[1:5], dirs[1:5], scen.initial_state),
-        "Psf": build_stationary_fixed(spec, scen, WEIGHTS, modes[1], 1, modes[0]),
+        "Psf": build_stationary_fixed(spec, scen, WEIGHTS, modes[1], 1),
         "Ps": build_stationary(spec, scen, WEIGHTS, 1, modes[0]),
     }
     for variant, inst in built.items():
@@ -142,11 +142,11 @@ class TestFingerprint:
         spec, scen = load_instance(mini_station_pipes())
         spec, scen = regrid_instance(spec, scen, template_grid("96"))
         spec = build_spec_ranges(spec, count=2000)
-        a, b = (build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", t, "o_cp").model for t in (48, 49))
+        a, b = (build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", t).model for t in (48, 49))
         assert a.var_names != b.var_names
         assert a.fingerprint() == b.fingerprint()
         # and a step with other demand does not
-        c = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 47, "o_cp").model
+        c = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 47).model
         assert c.fingerprint() != a.fingerprint()
 
 

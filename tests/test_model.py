@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -14,6 +15,8 @@ from stationopt.model import (
     build_full,
     build_stationary,
     build_stationary_fixed,
+    change_indicators,
+    switch_cost,
 )
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
@@ -33,6 +36,12 @@ def mini():
 def piped():
     doc = mini_station_pipes()
     spec, scen = load_instance(doc)
+    return build_spec_ranges(spec, count=3000), scen
+
+
+@pytest.fixture(scope="module")
+def two_unit():
+    spec, scen = load_instance(two_unit_station())
     return build_spec_ranges(spec, count=3000), scen
 
 
@@ -72,14 +81,14 @@ class TestCompressorStationRows:
 
     def test_closed_mode_forces_zero_flow(self, mini):
         spec, scen = mini
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1, "o_by")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1)
         res = solve(inst, default_settings_for("Psf"))
         assert res.ok
         assert inst.value(res.assignment, "q", "CS1", 1) == pytest.approx(0.0, abs=1e-6)
 
     def test_fixed_config_gets_direct_facets(self, mini):
         spec, scen = mini
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
         assert rows_named(inst.model, "cs_facet")
         assert not rows_named(inst.model, "cs_select")
         assert ("p_by", "CS1", 1) not in inst.handles
@@ -94,7 +103,7 @@ class TestPipeRows:
     def test_stationary_momentum_coefficients(self, piped):
         spec, scen = piped
         pipe = spec.pipes["P1"]
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
         (row,) = rows_named(inst.model, "pipe_mom(P1")
         lam = nikuradse_friction(pipe.diameter, pipe.roughness)
         expect_q = lam * pipe.length / (4 * pipe.diameter * pipe.area) * (
@@ -119,7 +128,7 @@ class TestPipeRows:
         doc["arcs"][0]["slope"] = 0.01
         spec, scen = load_instance(doc)
         spec = build_spec_ranges(spec, count=3000)
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1, "o_by")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1)
         (row,) = rows_named(inst.model, "pipe_mom(P1")
         q = inst.handle("ql", "P1", 1)
         assert q.index not in row.coeffs  # friction term vanished with v = 0
@@ -160,7 +169,7 @@ class TestPipeRows:
 class TestValveAndRegulatorRows:
     def test_open_valve_couples_pressures(self, mini):
         spec, scen = mini
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1, "o_by")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1)
         res = solve(inst, default_settings_for("Psf"))
         assert res.ok
         assert inst.value(res.assignment, "p", "B1", 1) == pytest.approx(
@@ -169,13 +178,13 @@ class TestValveAndRegulatorRows:
 
     def test_closed_valve_blocks_flow(self, mini):
         spec, scen = mini
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
         res = solve(inst, default_settings_for("Psf"))
         assert inst.value(res.assignment, "q", "V1", 1) == pytest.approx(0.0, abs=1e-6)
 
     def test_regulator_bypass_substitution(self, piped):
         spec, scen = piped
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1, "o_by")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1)
         m = inst.model
         x = np.zeros(m.n_vars)
         # pick out the regulator rows and check the bypass case collapses
@@ -208,7 +217,7 @@ class TestValveAndRegulatorRows:
 
     def test_regulator_flow_nonnegative(self, piped):
         spec, scen = piped
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
         assert inst.model.lb[inst.handle("q", "RG1", 1).index] == 0.0
         assert rows_named(inst.model, "rg_q_lo")
 
@@ -329,7 +338,7 @@ class TestStationLogic:
             flow_directions=fd,
             valid_pairs=frozenset({("o_by", "f_in"), ("o_cp", "f_in")}),
         )
-        inst = build_stationary_fixed(spec2, scen, WEIGHTS, "o_by", 1, "o_by")
+        inst = build_stationary_fixed(spec2, scen, WEIGHTS, "o_by", 1)
         res = solve(inst, default_settings_for("Psf"))
         assert res.ok
         assert inst.value(res.assignment, "d", "B2", 1) == pytest.approx(0.0, abs=1e-6)
@@ -379,34 +388,33 @@ class TestChangesAndObjective:
         doc = mini_station(mismatch=0.0)
         spec, scen = load_instance(doc)
         spec = build_spec_ranges(spec, count=3000)
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
         res = solve(inst, default_settings_for("Psf"))
         assert res.ok
         assert res.objective == pytest.approx(0.0, abs=1e-6)
 
-    def test_mode_change_sets_binary(self, mini):
-        spec, scen = mini
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_by", 1, "o_cp")
-        res = solve(inst, default_settings_for("Psf"))
-        assert res.ok
-        breakdown = inst.model.objective_breakdown(res.assignment)
-        assert breakdown["om_change"] == pytest.approx(WEIGHTS.operation_mode_change)
+    @pytest.mark.parametrize("mode", ["o_by", "o_c1", "o_c2", "o_c12"])
+    @pytest.mark.parametrize("prev", ["o_by", "o_c1", "o_c2", "o_c12"])
+    def test_switch_cost_equals_the_constants_of_a_switching_window(self, two_unit, prev, mode):
+        spec, scen = two_unit
+        snapshot = dataclasses.replace(scen.initial_state, operation_mode=prev)
+        inst = build_fixed_transient(spec, scen, WEIGHTS, [mode], ["f_fwd"], snapshot)
+        indicators = change_indicators(spec, prev, mode)
+        assert indicators == {key: inst.handle(*key, 1) for key in indicators}
+        started = spec.mode_units(mode) - spec.mode_units(prev)
+        expected = WEIGHTS.operation_mode_change * (mode != prev) + WEIGHTS.unit_start * len(started)
+        cost = switch_cost(spec, WEIGHTS, prev, mode)
+        assert cost == pytest.approx(expected)
+        # the window's only constants are its om_change and unit_start terms
+        constants = {c for c, idx, _ in inst.model.objective_terms if idx is None}
+        assert constants <= {"om_change", "unit_start"}
+        assert cost == inst.model.objective_constant
 
-    def test_unit_start_counted(self, mini):
+    def test_fixed_stationary_model_has_no_switch_cost(self, mini):
         spec, scen = mini
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_by")
-        res = solve(inst, default_settings_for("Psf"))
-        breakdown = inst.model.objective_breakdown(res.assignment)
-        assert breakdown["unit_start"] == pytest.approx(WEIGHTS.unit_start)
-
-    def test_no_unit_start_when_unit_keeps_running(self):
-        spec, scen = load_instance(two_unit_station())
-        spec = build_spec_ranges(spec, count=3000)
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_c12", 1, "o_c1")
-        res = solve(inst, default_settings_for("Psf"))
-        breakdown = inst.model.objective_breakdown(res.assignment)
-        # U1 keeps running; only U2 starts
-        assert breakdown["unit_start"] == pytest.approx(WEIGHTS.unit_start)
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
+        assert inst.model.objective_constant == 0.0
+        assert inst.handle("d_om", 1) == 0.0 and inst.handle("d_us", "U1", "CS1", 1) == 0.0
 
     def test_slack_weights_scale_with_interval_length(self, mini):
         spec, scen = mini
@@ -443,7 +451,7 @@ class TestBuildVariant:
     def test_singleton_stationary_equals_fixed(self, mini):
         spec, scen = mini
         ps = build_stationary(spec, scen, WEIGHTS, 2, "o_cp", ["o_cp"])
-        psf = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 2, "o_cp")
+        psf = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 2)
         r1 = solve(ps, default_settings_for("Ps"))
         r2 = solve(psf, default_settings_for("Psf"))
         assert r1.objective == pytest.approx(r2.objective, rel=1e-6)
@@ -453,10 +461,11 @@ class TestBuildVariant:
         full = build_stationary(spec, scen, WEIGHTS, 1, "o_cp")
         res_full = solve(full, default_settings_for("Ps"))
         for mode in spec.operation_modes:
-            fixed = build_stationary_fixed(spec, scen, WEIGHTS, mode, 1, "o_cp")
+            fixed = build_stationary_fixed(spec, scen, WEIGHTS, mode, 1)
             res_fixed = solve(fixed, default_settings_for("Psf"))
             if res_fixed.ok:
-                assert res_fixed.objective >= res_full.objective - 1e-6
+                value = res_fixed.objective + switch_cost(spec, WEIGHTS, "o_cp", mode)
+                assert value >= res_full.objective - 1e-6
 
     def test_sequence_length_mismatch(self, mini):
         spec, scen = mini
@@ -511,12 +520,12 @@ PINNED_FACETS = [
     [0.0, 0.0, -1.0, 0.0],
     [-1.0e-4, 1.0e-4, 1.0, -450.0],
 ]
-# sha256 of lp_text() per variant; each variant has a mode change, so the
-# fixed ones carry constant mode-change and unit-start terms
+# sha256 of lp_text() per variant; P, Ps and Pf have a mode change, so Pf
+# carries constant mode-change and unit-start terms, and Psf has none
 PINNED_LP_SHA256 = {
     "P": "dfe8c86673277772650e35c5e67df1cfd1076ab7ba934dfb2ffc691d914f5c8e",
     "Ps": "e7ec6cacb82ea38a50c03ad2ca86c6d719e8f9513c98a14d5e870ef6dbe1698d",
-    "Psf": "01e2944fae69c8d4cc7386c42935aec06d919575eeb95240de658b316e0dd7ea",
+    "Psf": "d52a2a4b19e5907c201517978be991a223efece41b3993cfa85aa7778e6159c7",
     "Pf": "f46e5de376486ceead04da24df4ea9e2e376e4fd6186df9e69642e2ad747d3b5",
 }
 
@@ -533,7 +542,7 @@ class TestPinnedOutput:
         return {
             "P": build_full(spec, scen, WEIGHTS),
             "Ps": build_stationary(spec, scen, WEIGHTS, 2, "o_by"),
-            "Psf": build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 2, "o_by"),
+            "Psf": build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 2),
             "Pf": build_fixed_transient(
                 spec, scen, WEIGHTS, pf_modes, ["f_fwd"] * 4, scen.initial_state
             ),
@@ -609,7 +618,7 @@ class TestExitPressureBehavior:
         doc["scenario"]["pressureDemand"]["B2"] = [69.0] * 4
         spec, scen = load_instance(doc)
         spec = build_spec_ranges(spec, count=3000)
-        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1, "o_cp")
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
         res = solve(inst, default_settings_for("Psf"))
         assert res.ok
         p_b2 = inst.value(res.assignment, "p", "B2", 1)

@@ -8,7 +8,7 @@ from scipy.optimize._highspy._highs_options import HighsOptionsManager
 from stationopt.fixtures import mini_station
 from stationopt.io import load_instance
 from stationopt.linmodel import BuildInfeasibleError, LinearModel
-from stationopt.model import ObjectiveWeights, build_stationary, build_stationary_fixed
+from stationopt.model import ObjectiveWeights, build_stationary, build_stationary_fixed, switch_cost
 from stationopt.ranges import build_spec_ranges
 from stationopt.units import PA_PER_BAR
 from stationopt.solve import (
@@ -126,12 +126,13 @@ class TestStationaryOracle:
 
         best = None
         for mode, direction in sorted(spec.valid_pairs):
-            fixed = build_stationary_fixed(spec, scen, WEIGHTS, mode, 1, "o_cp")
+            fixed = build_stationary_fixed(spec, scen, WEIGHTS, mode, 1)
             fd = fixed.handle("fd", direction, 1)
             fixed.model.add_row("pin_direction", [(1.0, fd)], "==", 1.0)
             r = solve(fixed, default_settings_for("Psf"))
-            if r.ok and (best is None or r.objective < best[0]):
-                best = (r.objective, mode, direction)
+            value = r.objective + switch_cost(spec, WEIGHTS, "o_cp", mode)
+            if r.ok and (best is None or value < best[0]):
+                best = (value, mode, direction)
         assert best is not None
         assert res.objective == pytest.approx(best[0], rel=1e-6)
         assert inst.mode_at(res.assignment, 1) == best[1]
