@@ -1,6 +1,6 @@
 """Polytope machinery behind the operating-range construction.
 
-Shows both representations, redundancy removal, Fourier-Motzkin
+Shows H-polytopes and vertex arrays, redundancy removal, Fourier-Motzkin
 projection, triangulation with exact volumes, and the rejection-free
 uniform sampler.
 """
@@ -39,9 +39,8 @@ shadow = project_out(poly, 2)
 print(format_polytope(shadow, "shadow"))
 
 print("== triangulation and volume ==")
-tets = triangulate(verts)
-volume = sum(t.volume for t in tets)
-print(f"  {len(tets)} tetrahedra, total volume {volume:.9f}")
+corners, volumes = triangulate(verts)
+print(f"  {len(corners)} tetrahedra, total volume {volumes.sum():.9f}")
 print(f"  (cube volume 1 minus the clipped corner {(3 * 1.0 - 2.2) ** 3 / 6:.9f})")
 
 print("\n== uniform sampling ==")

@@ -44,11 +44,11 @@ print(f"  outlet pressure {lo[1]/1e5:6.1f} .. {hi[1]/1e5:6.1f} bar")
 print(f"  mass flow       {lo[2]:6.1f} .. {hi[2]:6.1f} kg/s")
 
 print("\n== fitted power bound ==")
-power_facet = linearize_power_bound(lifted, unit, constants, count=20_000, seed=1)
+power_coeffs, power_offset = linearize_power_bound(lifted, unit, constants, count=20_000, seed=1)
 pts = sample_uniform(enumerate_vertices(lifted), 2_000, seed=2)
 pl, pr, q = pts.T
 true_power = compression_power(q, pl, np.maximum(pr, pl), 0.9, 0.85, constants)
-fitted = pts @ np.array(power_facet.coefficients) + power_facet.offset + unit.max_power
+fitted = pts @ power_coeffs + power_offset + unit.max_power
 err = np.sqrt(np.mean((true_power - fitted) ** 2))
 print(f"  fit rms error {err/1e6:.3f} MW over a {true_power.max()/1e6:.1f} MW range")
 print(f"  share of the lifted range cut off by the {unit.max_power/1e6:.0f} MW cap: "

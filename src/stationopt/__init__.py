@@ -21,11 +21,8 @@ from .gas import (
 from .polytope import (
     DegenerateRegionError,
     EmptyRegionError,
-    HalfSpace,
     HPolytope,
-    Tetrahedron,
     UnboundedRegionError,
-    VPolytope,
     enumerate_vertices,
     least_squares_hyperplane,
     project_out,

@@ -54,9 +54,9 @@ class GasConstants:
             "isentropic_exponent",
             "gravity",
         ):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.isentropic_exponent <= 1.0:
+        if not self.isentropic_exponent > 1.0:
             raise ValueError("isentropic_exponent must exceed 1")
 
 

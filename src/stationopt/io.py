@@ -9,6 +9,7 @@ windows); everything is converted to SI exactly once, here.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import fields, replace
 
@@ -152,7 +153,12 @@ class _Field:
     def number(self) -> float:
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
             raise self.expected("a number")
-        return float(self.value)
+        try:
+            value = float(self.value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        self.check(math.isfinite(value), "must be finite")
+        return value
 
     def positive(self, rule: str = "must be positive") -> float:
         value = self.number()
@@ -192,14 +198,28 @@ class _Field:
         return self.value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key raises."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def _read_document(source) -> dict:
     """``source`` itself if it is an already-parsed document, else the JSON
-    document in the file it names."""
+    document in the file it names, in which no object may repeat a key.
+
+    An already-parsed dict cannot carry a repeat: the parser that built it
+    has already kept one of the values.
+    """
     if isinstance(source, dict):
         return source
     try:
         with open(source, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         reason = getattr(exc, "strerror", None) or exc
         raise SchemaError(str(source), f"cannot read the document: {reason}") from exc

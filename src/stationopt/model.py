@@ -57,7 +57,7 @@ class ObjectiveWeights:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if value <= 0.0:
+            if not value > 0.0:
                 raise ValueError(f"objective weight {name} must be positive")
 
     def scaled(self, factor: float) -> "ObjectiveWeights":

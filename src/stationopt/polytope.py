@@ -1,8 +1,8 @@
 """Low-dimensional polytope computations.
 
-Everything a compressor operating range needs: H/V representations,
-redundancy removal, Fourier-Motzkin projection, triangulation, volume
-and rejection-free uniform sampling.  Dimensions stay <= 6 (3-D operating
+Everything a compressor operating range needs: H-polytopes and (n, d)
+vertex arrays, redundancy removal, Fourier-Motzkin projection,
+triangulation, volume and rejection-free uniform sampling.  Dimensions stay <= 6 (3-D operating
 ranges plus a few intermediate coordinates during composition), which
 keeps the brute-force-friendly algorithms here perfectly adequate.
 
@@ -14,9 +14,6 @@ Half spaces are stored as ``c . x + offset <= 0``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -35,18 +32,6 @@ class UnboundedRegionError(ValueError):
 
 class DegenerateRegionError(ValueError):
     """The region is not full-dimensional."""
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """One inequality ``coefficients . x + offset <= 0``."""
-
-    coefficients: tuple[float, ...]
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not any(c != 0.0 for c in self.coefficients):
-            raise ValueError("half-space coefficients must not all be zero")
 
 
 class HPolytope:
@@ -121,32 +106,6 @@ class HPolytope:
         return vertices.min(axis=0), vertices.max(axis=0)
 
 
-class VPolytope:
-    """Convex hull of a finite vertex set, one vertex per row."""
-
-    def __init__(self, vertices: np.ndarray):
-        vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if vertices.size == 0:
-            raise ValueError("a vertex polytope needs at least one vertex")
-        self.vertices = vertices
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-
-@dataclass(frozen=True)
-class Tetrahedron:
-    """Four vertices in 3-D; degenerate (flat) simplices are rejected."""
-
-    vertices: tuple[tuple[float, float, float], ...]
-
-    @cached_property
-    def volume(self) -> float:
-        v = np.asarray(self.vertices)
-        return abs(float(np.linalg.det(v[1:] - v[0]))) / 6.0
-
-
 def _intersection(h: HPolytope) -> HalfspaceIntersection:
     """qhull's intersection of the half spaces of ``h`` around its Chebyshev centre.
 
@@ -169,17 +128,18 @@ def _intersection(h: HPolytope) -> HalfspaceIntersection:
     return inter
 
 
-def enumerate_vertices(h: HPolytope) -> VPolytope:
+def enumerate_vertices(h: HPolytope) -> np.ndarray:
     """Vertex enumeration of a bounded H-polytope (dimension <= 4).
 
-    The vertices are qhull's halfspace intersections; vertices closer than
-    ``FACET_TOL`` (scaled by the coordinate magnitude) are merged.
+    Returns the (n, d) vertex array in lexicographic order.  The vertices
+    are qhull's halfspace intersections; vertices closer than ``FACET_TOL``
+    (scaled by the coordinate magnitude) are merged.
     """
     if h.dim > 4:
         raise ValueError("vertex enumeration is limited to dimension <= 4")
     points = _intersection(h).intersections
     scale = max(1.0, float(np.abs(points).max()))
-    return VPolytope(_dedupe_points(points, FACET_TOL * scale))
+    return _dedupe_points(points, FACET_TOL * scale)
 
 
 def _dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
@@ -211,54 +171,48 @@ def remove_redundant(h: HPolytope) -> HPolytope:
 def project_out(h: HPolytope, index: int) -> HPolytope:
     """Orthogonal projection eliminating one coordinate (Fourier-Motzkin).
 
-    The combined rows are pruned with :func:`remove_redundant` right away
-    to contain the quadratic blow-up; fine for the dimensions used here.
+    Rows free of the coordinate come first, then the sum of every (upper,
+    lower) pair of rows scaled to a unit coefficient, upper-major.  The
+    combined rows are pruned with :func:`remove_redundant` right away to
+    contain the quadratic blow-up; fine for the dimensions used here.
     """
     col = h.A[:, index]
-    rest = np.delete(h.A, index, axis=1)
-    scale = np.linalg.norm(h.A, axis=1)
-    zero = np.abs(col) <= FACET_TOL * scale
-    pos = (col > 0) & ~zero
-    neg = (col < 0) & ~zero
-
-    rows: list[np.ndarray] = [np.append(rest[i], h.b[i]) for i in np.where(zero)[0]]
-    for i in np.where(pos)[0]:
-        ri = np.append(rest[i], h.b[i]) / col[i]
-        for j in np.where(neg)[0]:
-            rj = np.append(rest[j], h.b[j]) / -col[j]
-            combined = ri + rj
-            if np.linalg.norm(combined[:-1]) > FACET_TOL:
-                rows.append(combined)
-            elif combined[-1] > FACET_TOL:
-                raise EmptyRegionError("projection of an infeasible system")
-    if not rows:
+    rows = np.column_stack([np.delete(h.A, index, axis=1), h.b])
+    zero = np.abs(col) <= FACET_TOL * np.linalg.norm(h.A, axis=1)
+    upper, lower = ~zero & (col > 0), ~zero & (col < 0)
+    pairs = rows[upper, None] / col[upper, None, None] + rows[None, lower] / -col[None, lower, None]
+    pairs = pairs.reshape(-1, rows.shape[1])
+    kept = np.linalg.norm(pairs[:, :-1], axis=1) > FACET_TOL
+    if np.any(pairs[~kept, -1] > FACET_TOL):
+        raise EmptyRegionError("projection of an infeasible system")
+    stacked = np.vstack([rows[zero], pairs[kept]])
+    if not len(stacked):
         raise ValueError("projection produced an unconstrained region")
-    stacked = np.array(rows)
     return remove_redundant(HPolytope(stacked[:, :-1], stacked[:, -1]))
 
 
-def triangulate(v: VPolytope) -> list[Tetrahedron]:
+def triangulate(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a full-dimensional 3-D polytope into interior-disjoint tetrahedra.
 
-    Fans the triangulated hull boundary from an interior point, so the
-    volumes add up to the polytope volume exactly.
+    Fans the triangulated hull boundary of the (n, 3) ``vertices`` from an
+    interior point, so the volumes add up to the polytope volume exactly.
+    Returns the (T, 4, 3) corner array, interior point first, and the T
+    volumes; flat tetrahedra are dropped.
     """
-    if v.dim != 3:
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.shape[1] != 3:
         raise ValueError("triangulation is defined for 3-D polytopes")
-    verts = v.vertices
-    centered = verts - verts.mean(axis=0)
+    centered = vertices - vertices.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
-    if len(verts) < 4 or svals[-1] <= FACET_TOL * max(1.0, svals[0]):
+    if len(vertices) < 4 or svals[-1] <= FACET_TOL * max(1.0, svals[0]):
         raise DegenerateRegionError("polytope is flat; no 3-D triangulation")
-    hull = ConvexHull(verts)
-    center = verts[np.unique(hull.vertices)].mean(axis=0)
-    tets = []
-    for simplex in hull.simplices:
-        corners = (tuple(center),) + tuple(tuple(verts[k]) for k in simplex)
-        tet = Tetrahedron(corners)
-        if tet.volume > 0.0:
-            tets.append(tet)
-    return tets
+    hull = ConvexHull(vertices)
+    center = vertices[np.unique(hull.vertices)].mean(axis=0)
+    faces = vertices[hull.simplices]
+    corners = np.concatenate([np.broadcast_to(center, (len(faces), 1, 3)), faces], axis=1)
+    volumes = np.abs(np.linalg.det(faces - center)) / 6.0
+    flat = volumes == 0.0
+    return corners[~flat], volumes[~flat]
 
 
 def _fold_to_barycentric(stu: np.ndarray) -> np.ndarray:
@@ -285,8 +239,9 @@ def _fold_to_barycentric(stu: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_uniform(v: VPolytope, count: int, seed: int) -> np.ndarray:
-    """``count`` uniform samples from a full-dimensional 3-D polytope.
+def sample_uniform(vertices: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """``count`` uniform samples from the full-dimensional 3-D polytope
+    spanned by the (n, 3) ``vertices``.
 
     Tetrahedra of a triangulation are picked with probability proportional
     to their volume; inside a tetrahedron the parallelepiped-fold transform
@@ -294,12 +249,10 @@ def sample_uniform(v: VPolytope, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    tets = triangulate(v)
-    volumes = np.array([t.volume for t in tets])
+    corners, volumes = triangulate(vertices)
     rng = np.random.default_rng(seed)
-    choice = rng.choice(len(tets), size=count, p=volumes / volumes.sum())
+    choice = rng.choice(len(volumes), size=count, p=volumes / volumes.sum())
     stu = _fold_to_barycentric(rng.random((count, 3)))
-    corners = np.array([t.vertices for t in tets])
     base = corners[:, 0, :]
     edges = corners[:, 1:, :] - base[:, None, :]
     return base[choice] + np.einsum("nk,nkd->nd", stu, edges[choice])
@@ -322,8 +275,8 @@ def least_squares_hyperplane(points: np.ndarray, values: np.ndarray) -> np.ndarr
     return coeffs
 
 
-def format_polytope(p: HPolytope | VPolytope, label: str = "") -> str:
-    """Plain-text facet/vertex dump for debugging."""
+def format_polytope(p: HPolytope | np.ndarray, label: str = "") -> str:
+    """Plain-text dump of an H-polytope's facets or of a vertex array, for debugging."""
     lines = [f"# {label}" if label else "#"]
     if isinstance(p, HPolytope):
         lines.append(f"# H-polytope, dim={p.dim}, rows={p.n_rows}")
@@ -331,7 +284,7 @@ def format_polytope(p: HPolytope | VPolytope, label: str = "") -> str:
             terms = " ".join(f"{c:+.12g}*x{j}" for j, c in enumerate(row))
             lines.append(f"{terms} {off:+.12g} <= 0")
     else:
-        lines.append(f"# V-polytope, dim={p.dim}, vertices={len(p.vertices)}")
-        for vert in p.vertices:
+        lines.append(f"# V-polytope, dim={p.shape[1]}, vertices={len(p)}")
+        for vert in p:
             lines.append(" ".join(f"{c:.12g}" for c in vert))
     return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ from .gas import GasConstants, compression_power
 from .network import CompressorStationArc, CompressorUnit, StationSpec
 from .polytope import (
     EmptyRegionError,
-    HalfSpace,
     HPolytope,
     enumerate_vertices,
     least_squares_hyperplane,
@@ -66,18 +65,11 @@ def lift_unit_range(
     if pl_lb <= 0.0 or pr_ub <= 0.0 or unit.max_delta_p <= 0.0:
         raise ValueError("lifting caps must be positive")
     rstz = constants.specific_gas_constant * constants.temperature * unit.inlet_z_factor
-    rows = []
-    offsets = []
-    for a0, a1, a2 in unit.operating_range_2d:
-        rows.append((a0, a2, a1 * rstz))
-        offsets.append(0.0)
-    rows.append((-1.0, 1.0, 0.0))
-    offsets.append(-unit.max_delta_p)
-    rows.append((-1.0, 0.0, 0.0))
-    offsets.append(pl_lb)
-    rows.append((0.0, 1.0, 0.0))
-    offsets.append(-pr_ub)
-    return HPolytope(np.array(rows, dtype=float), np.array(offsets, dtype=float))
+    facets = np.array(unit.operating_range_2d, dtype=float)
+    caps = [(-1.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]  # pr - pl, pl, pr
+    A = np.vstack([facets[:, [0, 2, 1]] * (1.0, 1.0, rstz), caps])
+    b = np.concatenate([np.zeros(len(facets)), (-unit.max_delta_p, pl_lb, -pr_ub)])
+    return HPolytope(A, b)
 
 
 def linearize_power_bound(
@@ -86,8 +78,9 @@ def linearize_power_bound(
     constants: GasConstants,
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int | None = None,
-) -> HalfSpace:
-    """Fitted half space a0 + a1 pl + a2 pr + a3 q - P_max <= 0.
+) -> tuple[np.ndarray, float]:
+    """Fitted half space a0 + a1 pl + a2 pr + a3 q - P_max <= 0, returned as
+    its coefficients (a1, a2, a3) and offset a0 - P_max.
 
     Samples the lifted range uniformly, evaluates the drive power at every
     point and fits the coefficients by ordinary least squares.  The fit is
@@ -101,8 +94,8 @@ def linearize_power_bound(
     powers = compression_power(
         q, pl, np.maximum(pr, pl), unit.inlet_z_factor, unit.adiabatic_efficiency, constants
     )
-    a0, a1, a2, a3 = least_squares_hyperplane(points, powers)
-    return HalfSpace((a1, a2, a3), a0 - unit.max_power)
+    fit = least_squares_hyperplane(points, powers)
+    return fit[1:], fit[0] - unit.max_power
 
 
 @lru_cache(maxsize=UNIT_RANGE_MEMO_SIZE)
@@ -123,9 +116,9 @@ def unit_polytope(
     that cannot be built raises again on every call.
     """
     lifted = lift_unit_range(unit, pl_lb, pr_ub, constants)
-    power = linearize_power_bound(lifted, unit, constants, count, seed)
-    A = np.vstack([lifted.A, np.array(power.coefficients)])
-    b = np.concatenate([lifted.b, [power.offset]])
+    coefficients, offset = linearize_power_bound(lifted, unit, constants, count, seed)
+    A = np.vstack([lifted.A, coefficients])
+    b = np.append(lifted.b, offset)
     A.flags.writeable = False
     b.flags.writeable = False
     return HPolytope(A, b)
@@ -144,25 +137,15 @@ def stage_polytope(unit_polytopes: list[HPolytope]) -> HPolytope:
     if len(unit_polytopes) == 1:
         return unit_polytopes[0]
     n = len(unit_polytopes)
-    dim = 3 + (n - 1)
-    rows: list[np.ndarray] = []
-    offsets: list[float] = []
-    for i, poly in enumerate(unit_polytopes):
-        for row, off in zip(poly.A, poly.b):
-            full = np.zeros(dim)
-            full[0] = row[0]
-            full[1] = row[1]
-            if i < n - 1:
-                full[3 + i] = row[2]
-            else:
-                full[2] = row[2]
-                full[3:] = -row[2]
-            rows.append(full)
-            offsets.append(off)
-    product = HPolytope(np.array(rows), np.array(offsets))
-    for _ in range(n - 1):
-        product = project_out(product, 3)
-    return product
+    blocks = [np.zeros((p.n_rows, 3 + (n - 1))) for p in unit_polytopes]
+    for i, (block, poly) in enumerate(zip(blocks, unit_polytopes)):
+        block[:, :2] = poly.A[:, :2]
+        if i < n - 1:
+            block[:, 3 + i] = poly.A[:, 2]
+        else:  # the last unit carries q - (q_1 + .. + q_{n-1})
+            block[:, 2] = poly.A[:, 2]
+            block[:, 3:] = -poly.A[:, 2:]
+    return _project_extra(blocks, unit_polytopes)
 
 
 def configuration_polytope(stage_polytopes: list[HPolytope]) -> HPolytope:
@@ -178,23 +161,21 @@ def configuration_polytope(stage_polytopes: list[HPolytope]) -> HPolytope:
     n = len(stage_polytopes)
     if n == 1:
         return remove_redundant(stage_polytopes[0]).normalized()
-    dim = 3 + (n - 1)
-    rows: list[np.ndarray] = []
-    offsets: list[float] = []
-    for i, poly in enumerate(stage_polytopes):
+    blocks = [np.zeros((p.n_rows, 3 + (n - 1))) for p in stage_polytopes]
+    for i, (block, poly) in enumerate(zip(blocks, stage_polytopes)):
         col_in = 0 if i == 0 else 3 + (i - 1)
         col_out = 1 if i == n - 1 else 3 + i
-        for row, off in zip(poly.A, poly.b):
-            full = np.zeros(dim)
-            full[col_in] += row[0]
-            full[col_out] += row[1]
-            full[2] += row[2]
-            rows.append(full)
-            offsets.append(off)
-    chained = HPolytope(np.array(rows), np.array(offsets))
-    for _ in range(n - 1):
-        chained = project_out(chained, 3)
-    return chained.normalized()
+        block[:, [col_in, col_out, 2]] += poly.A
+    return _project_extra(blocks, stage_polytopes).normalized()
+
+
+def _project_extra(blocks: list[np.ndarray], members: list[HPolytope]) -> HPolytope:
+    """Stack the members' rows, placed in ``blocks`` over (pl, pr, q, extra..),
+    and project the extra coordinates out."""
+    h = HPolytope(np.vstack(blocks), np.concatenate([p.b for p in members]))
+    for _ in range(len(members) - 1):
+        h = project_out(h, 3)
+    return h
 
 
 def _lift_caps(spec: StationSpec, station: CompressorStationArc) -> tuple[float, float]:
@@ -239,10 +220,7 @@ def build_station_ranges(
             raise EmptyRegionError(
                 f"configuration {config.id!r} on station {station.id!r} has an empty operating range"
             ) from exc
-        out[config.id] = tuple(
-            (float(row[0]), float(row[1]), float(row[2]), float(off))
-            for row, off in zip(poly.A, poly.b)
-        )
+        out[config.id] = tuple(map(tuple, np.column_stack([poly.A, poly.b]).tolist()))
     return out
 
 

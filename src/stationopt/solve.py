@@ -47,9 +47,9 @@ class SolveSettings:
     time_limit: float  # seconds
 
     def __post_init__(self) -> None:
-        if self.relative_gap < 0.0 or self.absolute_gap < 0.0:
+        if not (self.relative_gap >= 0.0 and self.absolute_gap >= 0.0):
             raise ValueError("optimality gaps must be nonnegative")
-        if self.time_limit <= 0.0:
+        if not self.time_limit > 0.0:
             raise ValueError("time limit must be positive")
 
 

@@ -157,6 +157,25 @@ def reference_fold_to_barycentric(stu: np.ndarray) -> np.ndarray:
     return np.column_stack([s, t, u])
 
 
+def reference_project_out(h, index: int):
+    """Fourier-Motzkin elimination one row pair at a time, in the row order
+    ``polytope.project_out`` promises (rows free of the coordinate, then the
+    (upper, lower) pairs upper-major), reduced by ``remove_redundant``."""
+    from stationopt.polytope import FACET_TOL, HPolytope, remove_redundant
+
+    col = h.A[:, index]
+    rest = np.delete(h.A, index, axis=1)
+    zero = np.abs(col) <= FACET_TOL * np.linalg.norm(h.A, axis=1)
+    rows = [np.append(rest[i], h.b[i]) for i in np.where(zero)[0]]
+    for i in np.where(~zero & (col > 0))[0]:
+        for j in np.where(~zero & (col < 0))[0]:
+            combined = np.append(rest[i], h.b[i]) / col[i] + np.append(rest[j], h.b[j]) / -col[j]
+            if np.linalg.norm(combined[:-1]) > FACET_TOL:
+                rows.append(combined)
+    stacked = np.array(rows)
+    return remove_redundant(HPolytope(stacked[:, :-1], stacked[:, -1]))
+
+
 def reference_sample_uniform(v, count: int, seed: int) -> np.ndarray:
     """Seeded uniform samples with every sample's four corners gathered (n x 4 x 3).
 
@@ -165,11 +184,10 @@ def reference_sample_uniform(v, count: int, seed: int) -> np.ndarray:
     """
     from stationopt.polytope import triangulate
 
-    tets = triangulate(v)
-    corners = np.array([t.vertices for t in tets])
+    corners, _ = triangulate(v)
     volumes = np.array([abs(float(np.linalg.det(c[1:] - c[0]))) / 6.0 for c in corners])
     rng = np.random.default_rng(seed)
-    choice = rng.choice(len(tets), size=count, p=volumes / volumes.sum())
+    choice = rng.choice(len(corners), size=count, p=volumes / volumes.sum())
     stu = reference_fold_to_barycentric(rng.random((count, 3)))
     corners = corners[choice]
     base = corners[:, 0, :]

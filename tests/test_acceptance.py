@@ -87,8 +87,7 @@ def test_criterion_01_geometry_oracle_suite():
         expect = project_vertices_hull(verts, drop=2)
         assert hausdorff_convex_2d(got, expect) < 1e-7, f"projection mismatch, seed {seed}"
 
-        tets = triangulate(enumerate_vertices(h))
-        total = sum(t.volume for t in tets)
+        total = triangulate(enumerate_vertices(h))[1].sum()
         oracle = divergence_volume(A, b, verts)
         assert abs(total - oracle) < 1e-9, f"volume mismatch, seed {seed}"
     elapsed = time.perf_counter() - started
@@ -110,7 +109,7 @@ def test_criterion_02_sampling_statistics():
         verts = enumerate_vertices(HPolytope(A, b))
         pts = sample_uniform(verts, N, seed=2024)
         assert all(HPolytope(A, b).contains(p, tol=1e-9) for p in pts[:200])
-        lo, hi = verts.vertices.min(axis=0), verts.vertices.max(axis=0)
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
         split = lo + (hi - lo) * 0.25 if probs_fn else 0.5 * (lo + hi)
         cells = octant_cells(lo, hi, split)
         counts = cell_counts(pts, cells)
@@ -210,14 +209,14 @@ def test_criterion_04_composition_correctness():
     b2 = box((1.5, 2.5), (2, 3), (1, 4))
     stage = stage_polytope([b1, b2])
     assert match_vertex_sets(
-        enumerate_vertices(stage).vertices, oracle_parallel([b1, b2]), 1e-7
+        enumerate_vertices(stage), oracle_parallel([b1, b2]), 1e-7
     )
 
     s1 = box((1, 2), (2, 3), (0, 5))
     s2 = box((2.5, 4), (5, 6), (1, 4))
     config = configuration_polytope([s1, s2])
     assert match_vertex_sets(
-        enumerate_vertices(config).vertices, oracle_serial([s1, s2]), 1e-7
+        enumerate_vertices(config), oracle_serial([s1, s2]), 1e-7
     )
 
     for seed in range(3):
@@ -227,9 +226,9 @@ def test_criterion_04_composition_correctness():
             lo = rng.uniform(0.5, 1.5, size=3)
             hi = lo + rng.uniform(0.5, 2.0, size=3)
             polys.append(box((lo[0], hi[0]), (lo[1], hi[1]), (lo[2], hi[2])))
-        base = enumerate_vertices(stage_polytope(polys)).vertices
+        base = enumerate_vertices(stage_polytope(polys))
         for perm in itertools.permutations(range(3)):
-            other = enumerate_vertices(stage_polytope([polys[i] for i in perm])).vertices
+            other = enumerate_vertices(stage_polytope([polys[i] for i in perm]))
             assert match_vertex_sets(base, other, 1e-7)
     report(4, "stage/configuration composition matches the product-then-project oracle")
 

@@ -19,7 +19,13 @@ from stationopt.algorithm import (
 )
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, regrid_instance, template_grid
-from stationopt.model import ObjectiveWeights, build_full, build_stationary_fixed, switch_cost
+from stationopt.model import (
+    ObjectiveWeights,
+    build_fixed_transient,
+    build_full,
+    build_stationary_fixed,
+    switch_cost,
+)
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import check_assignment, default_settings_for, solve
 
@@ -478,6 +484,47 @@ class TestSolveStation:
         plan.states[1].arc_flows["V1"] = 55.0
         inst, x = complete_plan_assignment(spec, scen, WEIGHTS, plan)
         assert any("valve" in v.name or "balance" in v.name for v in check_assignment(inst.model, x))
+
+
+@pytest.fixture(scope="module")
+def bypass():
+    """mini_station at zero lift whose mode o_by closes the valve and
+    sends the flow through the compressor station in bypass."""
+    doc = mini_station(lift=0.0)
+    doc["operationModes"][0]["assignment"] = {"V1": "cl", "CS1": "by"}
+    return loaded(doc)
+
+
+class TestStationBypass:
+    def test_plan_bypasses_the_station_at_every_step(self, bypass):
+        spec, scen = bypass
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station()
+        assert plan.sequence.modes[1:] == ("o_by",) * scen.n_future
+        assert plan.diagnostics["replay_violations"] == []
+        # only the 20 (1000 m^3/h) demand mismatch over 12 h is paid, at 100 per 1000 m^3
+        assert plan.objective == pytest.approx(24000.0, rel=1e-9)
+        assert all(state.arc_flows["CS1"] > 0.0 for state in plan.states[1:])
+
+    def test_fixed_models_tie_the_station_end_pressures(self, bypass):
+        spec, scen = bypass
+        k = scen.n_future
+        psf = [(build_stationary_fixed(spec, scen, WEIGHTS, "o_by", t), [t]) for t in range(1, k + 1)]
+        pf = build_fixed_transient(spec, scen, WEIGHTS, ["o_by"] * k, ["f_fwd"] * k, scen.initial_state)
+        for inst, times in [*psf, (pf, list(range(1, k + 1)))]:
+            rows = [row for row in inst.model.rows if row.name.startswith("cs_")]
+            assert [row.name for row in rows] == [f"cs_bypass(CS1,{t})" for t in times]
+            for row, t in zip(rows, times):
+                pl, pr = (inst.handle("p", v, t).index for v in ("B1", "B2"))
+                assert (row.coeffs, row.sense, row.rhs) == ({pl: 1.0, pr: -1.0}, "==", 0.0)
+
+    def test_replay_fills_the_bypass_copies_from_the_plan(self, bypass):
+        spec, scen = bypass
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station()
+        inst, x = plan.replay
+        for t, state in enumerate(plan.states[1:], start=1):
+            mid = 0.5 * (state.pressures["B1"] + state.pressures["B2"])
+            assert inst.value(x, "p_by", "CS1", t) == pytest.approx(mid, rel=1e-12)
+            assert inst.value(x, "q_by", "CS1", t) == pytest.approx(state.arc_flows["CS1"], rel=1e-12)
 
 
 class TestComputeGap:

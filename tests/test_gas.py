@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,24 @@ CONSTANTS = GasConstants(
     pseudo_critical_temperature=190.0,
     normal_density=0.785,
 )
+
+
+class TestGasConstants:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "specific_gas_constant",
+            "temperature",
+            "pseudo_critical_pressure",
+            "pseudo_critical_temperature",
+            "normal_density",
+            "isentropic_exponent",
+            "gravity",
+        ],
+    )
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            replace(CONSTANTS, **{field: math.nan})
 
 
 class TestNikuradse:

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from stationopt.algorithm import StationSolver
+from stationopt.cli import main
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes
 from stationopt.io import (
     SchemaError,
@@ -169,6 +171,10 @@ class TestWeights:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             ObjectiveWeights(slack_pressure=0.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="slack_flow"):
+            ObjectiveWeights(slack_flow=math.nan)
 
 
 class TestFixedValves:
@@ -463,6 +469,35 @@ class TestMalformedDocuments:
                     assert all(isinstance(v, Violation) for v in issues)
                     outcomes["violations" if issues else "loaded"] += 1
         assert min(outcomes.values()) > 0, outcomes
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize(
+        "where,value,path",
+        [
+            (("arcs", 1, "flowUB"), math.inf, "$.arcs[1].flowUB: must be finite"),
+            (("arcs", 1, "flowLB"), -(10**400), "$.arcs[1].flowLB: must be finite"),
+            (("nodes", 0, "pressureUB"), math.nan, "$.nodes[0].pressureUB: must be finite"),
+            (("scenario", "pressureDemand", "B2", 2), math.nan, "$.scenario.pressureDemand.B2[2]: must be finite"),
+            (("scenario", "initialState", "arcFlows", "V1"), -math.inf,
+             "$.scenario.initialState.arcFlows.V1: must be finite"),
+        ],
+        ids=["flow-ub-infinity", "flow-lb-huge-integer", "pressure-ub-nan", "pressure-demand-nan", "initial-flow-minus-infinity"],
+    )
+    def test_non_finite_number_exits_2_naming_its_path(self, tmp_path, capsys, command, where, value, path):
+        file = tmp_path / "inst.json"
+        file.write_text(json.dumps(edited(mini_station, where, value)))  # NaN / Infinity literals
+        assert main([command, str(file)]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_repeated_key_exits_2_naming_file_and_key(self, tmp_path, capsys):
+        text = json.dumps(medium_station(), indent=1)
+        repeat = text.replace('"maxPower": 14000000.0,', '"maxPower": 14000000.0, "maxPower": 1.0,', 1)
+        assert repeat != text
+        file = tmp_path / "inst.json"
+        file.write_text(repeat)
+        assert main(["validate", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert str(file) in err and "repeated key 'maxPower'" in err
 
 
 class TestInterpolation:

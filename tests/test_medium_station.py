@@ -53,7 +53,7 @@ class TestStructure:
             A = np.array([[w, x, y] for w, x, y, _ in facets])
             b = np.array([z for _, _, _, z in facets])
             verts = enumerate_vertices(HPolytope(A, b))
-            return max(pr - pl for pl, pr, _ in verts.vertices)
+            return max(pr - pl for pl, pr, _ in verts)
 
         assert max_lift("s12") > max_lift("c12") + 1e5
         assert max_lift("s12") > max_lift("c1") + 1e5

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from stationopt.fixtures import mini_station, mini_station_pipes, two_unit_station
 from stationopt.io import SchemaError, load_instance
-from stationopt.network import mode_available, validate
+from stationopt.network import Configuration, FlowCondition, Violation, mode_available, validate
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,136 @@ class TestValidate:
         spec, scen = load_instance(doc)
         issues = [str(v) for v in validate(spec, scen)]
         assert any("another fence group" in s for s in issues)
+
+
+def replaced(obj, fields: dict):
+    """``obj`` with each named field replaced by ``fields[name](obj)``."""
+    return replace(obj, **{name: new(obj) for name, new in fields.items()})
+
+
+def with_spec(**fields):
+    """A break of a loaded (spec, scenario) pair that replaces spec fields."""
+    return lambda spec, scen: (replaced(spec, fields), scen)
+
+
+def with_scenario(**fields):
+    return lambda spec, scen: (spec, replaced(scen, fields))
+
+
+def with_state(**fields):
+    return with_scenario(initial_state=lambda sc: replaced(sc.initial_state, fields))
+
+
+def with_station(**fields):
+    return with_spec(stations=lambda sp: {"CS1": replaced(sp.stations["CS1"], fields)})
+
+
+def with_tokens(mode_id, **tokens):
+    def modes(spec):
+        mode = spec.operation_modes[mode_id]
+        return {**spec.operation_modes, mode_id: replace(mode, assignment={**mode.assignment, **tokens})}
+
+    return with_spec(operation_modes=modes)
+
+
+# one break per relational rule of validate, on the loaded mini_station_pipes
+# (boundary nodes B1, B2; inner nodes N1, N2; k = 6 future steps)
+RELATIONAL_BREAKS = {
+    "exit-bound-on-inner-node": (
+        with_spec(nodes=lambda sp: {**sp.nodes, "N1": replace(sp.nodes["N1"], exit_pressure_ub=60e5)}),
+        Violation("node N1", "exit pressure bound on a non-boundary node"),
+    ),
+    "foreign-unit-in-configuration": (
+        with_station(
+            configurations=lambda st: (*st.configurations, Configuration("c9", (frozenset({"U9"}),)))
+        ),
+        Violation("configuration c9", "references units not on station CS1: ['U9']"),
+    ),
+    "assignment-to-unknown-arc": (
+        with_tokens("o_by", X9="op"),
+        Violation("operation mode o_by", "assignment for unknown arc 'X9'"),
+    ),
+    "invalid-valve-token": (
+        with_tokens("o_by", V1="by"),
+        Violation("operation mode o_by", "invalid valve token 'by' for 'V1'"),
+    ),
+    "invalid-station-token": (
+        with_tokens("o_cp", CS1="c9"),
+        Violation("operation mode o_cp", "invalid station token 'c9' for 'CS1'"),
+    ),
+    "direction-node-not-boundary": (
+        with_spec(
+            flow_directions=lambda sp: {
+                "f_fwd": replace(sp.flow_directions["f_fwd"], outflow_nodes=frozenset({"B2", "N2"}))
+            }
+        ),
+        Violation("flow direction f_fwd", "'N2' is not a boundary node"),
+    ),
+    "pair-with-unknown-mode": (
+        with_spec(valid_pairs=lambda sp: sp.valid_pairs | {("o_x", "f_fwd")}),
+        Violation("valid pairs", "unknown operation mode 'o_x'"),
+    ),
+    "pair-with-unknown-direction": (
+        with_spec(valid_pairs=lambda sp: sp.valid_pairs | {("o_by", "f_x")}),
+        Violation("valid pairs", "unknown flow direction 'f_x'"),
+    ),
+    "group-node-not-boundary": (
+        with_spec(fence_groups=lambda sp: {**sp.fence_groups, "g_in": ("B1", "N1")}),
+        Violation("fence group g_in", "'N1' is not a boundary node"),
+    ),
+    "condition-on-unknown-direction": (
+        with_spec(flow_conditions=lambda sp: (FlowCondition("f_x", ("B1",), ("B2",)),)),
+        Violation("flow condition on f_x", "unknown flow direction 'f_x'"),
+    ),
+    "condition-node-set-split": (
+        with_spec(flow_conditions=lambda sp: (FlowCondition("f_fwd", ("B1", "B2"), ("B2",)),)),
+        Violation(
+            "flow condition on f_fwd", "first node set must lie entirely in the inflow or the outflow side"
+        ),
+    ),
+    "condition-node-not-boundary": (
+        with_spec(flow_conditions=lambda sp: (FlowCondition("f_fwd", ("B1",), ("N2",)),)),
+        Violation("flow condition on f_fwd", "'N2' is not a boundary node"),
+    ),
+    "unknown-unavailable-unit": (
+        with_spec(unavailability=lambda sp: {"U9": ((0.0, 3600.0),)}),
+        Violation("unavailability", "unknown compressor unit 'U9'"),
+    ),
+    "pressure-demand-length": (
+        with_scenario(
+            pressure_demand=lambda sc: {**sc.pressure_demand, "B1": sc.pressure_demand["B1"][:-1]}
+        ),
+        Violation("scenario", "pressure demand for 'B1' must have 6 values"),
+    ),
+    "missing-flow-demand": (
+        with_scenario(flow_demand=lambda sc: {"g_in": sc.flow_demand["g_in"]}),
+        Violation("scenario", "missing flow demand for fence group 'g_out'"),
+    ),
+    "flow-demand-length": (
+        with_scenario(
+            flow_demand=lambda sc: {**sc.flow_demand, "g_in": np.append(sc.flow_demand["g_in"], 0.0)}
+        ),
+        Violation("scenario", "flow demand for 'g_in' must have 6 values"),
+    ),
+    "unknown-initial-mode": (
+        with_state(operation_mode=lambda st: "o_x"),
+        Violation("initial state", "unknown operation mode 'o_x'"),
+    ),
+    "missing-initial-pressure": (
+        with_state(pressures=lambda st: {v: p for v, p in st.pressures.items() if v != "N1"}),
+        Violation("initial state", "missing pressure for node 'N1'"),
+    ),
+    "invalid-regulator-token": (
+        with_state(regulator_modes=lambda st: {"RG1": "op"}),
+        Violation("initial state", "invalid regulator mode 'op' for 'RG1'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RELATIONAL_BREAKS)
+def test_each_relational_rule_reports_its_violation(piped, name):
+    break_rule, violation = RELATIONAL_BREAKS[name]
+    assert violation in validate(*break_rule(*piped))
 
 
 class TestModeAvailable:

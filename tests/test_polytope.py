@@ -4,10 +4,8 @@ import pytest
 from stationopt.polytope import (
     DegenerateRegionError,
     EmptyRegionError,
-    HalfSpace,
     HPolytope,
     UnboundedRegionError,
-    VPolytope,
     enumerate_vertices,
     format_polytope,
     least_squares_hyperplane,
@@ -26,6 +24,7 @@ from oracles import (
     normal_equations_fit,
     project_vertices_hull,
     random_bounded_hpolytope,
+    reference_project_out,
 )
 
 
@@ -42,9 +41,13 @@ def unit_simplex() -> HPolytope:
 
 
 class TestRepresentations:
-    def test_halfspace_rejects_zero_normal(self):
-        with pytest.raises(ValueError):
-            HalfSpace((0.0, 0.0), 1.0)
+    def test_hpolytope_rejects_zero_row(self):
+        with pytest.raises(ValueError, match="zero rows"):
+            HPolytope(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+
+    def test_hpolytope_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="row counts"):
+            HPolytope(np.eye(2), np.ones(3))
 
     def test_fix_coordinate(self):
         square = unit_cube().fix_coordinate(2, 0.5)
@@ -55,7 +58,7 @@ class TestRepresentations:
     def test_dump_roundtrips_visually(self):
         text = format_polytope(unit_cube(), "cube")
         assert "H-polytope" in text and "x0" in text
-        textv = format_polytope(VPolytope(np.eye(3)), "tri")
+        textv = format_polytope(np.eye(3), "tri")
         assert "V-polytope" in textv
 
 
@@ -65,19 +68,19 @@ class TestEnumerateVertices:
         expect = np.array(
             [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float
         )
-        assert match_vertex_sets(v.vertices, expect, 1e-9)
+        assert match_vertex_sets(v, expect, 1e-9)
 
     def test_unit_simplex(self):
         v = enumerate_vertices(unit_simplex())
         expect = np.vstack([np.zeros(3), np.eye(3)])
-        assert match_vertex_sets(v.vertices, expect, 1e-9)
+        assert match_vertex_sets(v, expect, 1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_plane_triples(self, seed):
         A, b = random_bounded_hpolytope(seed)
         got = enumerate_vertices(HPolytope(A, b))
         expect = brute_force_vertices(A, b)
-        assert match_vertex_sets(got.vertices, expect, 1e-7)
+        assert match_vertex_sets(got, expect, 1e-7)
 
     def test_unbounded_raises(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -122,7 +125,7 @@ class TestRemoveRedundant:
         reduced = remove_redundant(extra)
         assert reduced.n_rows == 6
         assert match_vertex_sets(
-            enumerate_vertices(reduced).vertices, enumerate_vertices(h).vertices, 1e-9
+            enumerate_vertices(reduced), enumerate_vertices(h), 1e-9
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -132,7 +135,7 @@ class TestRemoveRedundant:
         reduced = remove_redundant(h)
         assert reduced.n_rows <= h.n_rows
         assert match_vertex_sets(
-            enumerate_vertices(reduced).vertices, enumerate_vertices(h).vertices, 1e-7
+            enumerate_vertices(reduced), enumerate_vertices(h), 1e-7
         )
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -201,6 +204,25 @@ class TestProjectOut:
         expect = project_vertices_hull(brute_force_vertices(A, b), drop=2)
         assert hausdorff_convex_2d(got, expect) < 1e-7
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_pairwise_loop_reference(self, seed):
+        A, b = random_bounded_hpolytope(300 + seed, extra_planes=8, dim=3 + seed % 2)
+        h = HPolytope(A, b)
+        for index in range(h.dim):
+            got, expect = project_out(h, index), reference_project_out(h, index)
+            assert np.array_equal(got.A, expect.A) and np.array_equal(got.b, expect.b)
+
+    def test_contradicting_pair_raises_empty(self):
+        # x <= 0 and x >= 1 leave 0 <= -1 once x is eliminated
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(EmptyRegionError):
+            project_out(HPolytope(A, np.array([0.0, 1.0, -1.0, 0.0])), 0)
+
+    def test_no_row_left_raises(self):
+        # a slab in x alone says nothing about y
+        with pytest.raises(ValueError, match="unconstrained"):
+            project_out(HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, 0.0])), 0)
+
     def test_commutes_across_coordinates(self):
         A, b = random_bounded_hpolytope(7, extra_planes=4, dim=4)
         h = HPolytope(A, b)
@@ -217,7 +239,7 @@ class TestProjectOut:
         p = project_out(HPolytope(A, b), 3)
         assert p.dim == 3
         assert match_vertex_sets(
-            enumerate_vertices(p).vertices, enumerate_vertices(unit_cube()).vertices, 1e-9
+            enumerate_vertices(p), enumerate_vertices(unit_cube()), 1e-9
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -226,7 +248,7 @@ class TestProjectOut:
 
         A, b = random_bounded_hpolytope(300 + seed, extra_planes=5, dim=4)
         projected = project_out(HPolytope(A, b), 3)
-        got = enumerate_vertices(projected).vertices
+        got = enumerate_vertices(projected)
         pts = np.delete(brute_force_vertices(A, b), 3, axis=1)
         hull = ConvexHull(pts)
         expect = []
@@ -238,25 +260,24 @@ class TestProjectOut:
 
 class TestTriangulate:
     def test_tetrahedron_total_volume(self):
-        v = VPolytope(np.vstack([np.zeros(3), np.eye(3)]))
-        tets = triangulate(v)
-        assert sum(t.volume for t in tets) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        corners, volumes = triangulate(np.vstack([np.zeros(3), np.eye(3)]))
+        assert corners.shape == (4, 4, 3)
+        assert volumes.sum() == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_cube_volume_one(self):
-        v = enumerate_vertices(unit_cube())
-        tets = triangulate(v)
-        assert sum(t.volume for t in tets) == pytest.approx(1.0, abs=1e-12)
+        _, volumes = triangulate(enumerate_vertices(unit_cube()))
+        assert volumes.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_volume_matches_divergence_oracle(self, seed):
         A, b = random_bounded_hpolytope(200 + seed)
         verts = enumerate_vertices(HPolytope(A, b))
-        total = sum(t.volume for t in triangulate(verts))
-        oracle = divergence_volume(A, b, verts.vertices)
+        total = triangulate(verts)[1].sum()
+        oracle = divergence_volume(A, b, verts)
         assert total == pytest.approx(oracle, abs=1e-9)
 
     def test_flat_input_raises(self):
-        flat = VPolytope(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float))
+        flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
         with pytest.raises(DegenerateRegionError):
             triangulate(flat)
 
@@ -275,14 +296,14 @@ class TestSampleUniform:
         assert np.array_equal(sample_uniform(v, 1, seed=7), sample_uniform(v, 1, seed=7))
 
     def test_tetrahedron_mean_near_centroid(self):
-        v = VPolytope(np.vstack([np.zeros(3), np.eye(3)]))
+        v = np.vstack([np.zeros(3), np.eye(3)])
         pts = sample_uniform(v, 10_000, seed=11)
         mean = pts.mean(axis=0)
         # centroid of the unit simplex is (1/4, 1/4, 1/4); CLT bound
         assert np.all(np.abs(mean - 0.25) < 0.02)
 
     def test_degenerate_raises(self):
-        flat = VPolytope(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float))
+        flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float)
         with pytest.raises(DegenerateRegionError):
             sample_uniform(flat, 10, seed=0)
 

@@ -136,25 +136,23 @@ class TestPowerBound:
             )
         )
         lifted = lift_unit_range(thin, 30e5, 70e5, CONSTANTS)
-        hs = linearize_power_bound(lifted, thin, CONSTANTS, count=2000, seed=1)
-        verts = enumerate_vertices(lifted).vertices
-        values = verts @ np.array(hs.coefficients) + hs.offset
+        coeffs, offset = linearize_power_bound(lifted, thin, CONSTANTS, count=2000, seed=1)
+        values = enumerate_vertices(lifted) @ coeffs + offset
         # fitted power is ~0, so the facet sits far below the power cap
         assert np.all(values < -0.5 * thin.max_power)
 
     def test_seeded_reproducibility(self):
         unit = fixture_unit()
         lifted = lift_unit_range(unit, 30e5, 70e5, CONSTANTS)
-        h1 = linearize_power_bound(lifted, unit, CONSTANTS, count=5000, seed=11)
-        h2 = linearize_power_bound(lifted, unit, CONSTANTS, count=5000, seed=11)
-        assert h1 == h2
+        c1, o1 = linearize_power_bound(lifted, unit, CONSTANTS, count=5000, seed=11)
+        c2, o2 = linearize_power_bound(lifted, unit, CONSTANTS, count=5000, seed=11)
+        assert np.array_equal(c1, c2) and o1 == o2
 
     def test_fit_quality_against_independent_sampler(self):
         unit = fixture_unit()
         lifted = lift_unit_range(unit, 30e5, 70e5, CONSTANTS)
-        hs = linearize_power_bound(lifted, unit, CONSTANTS, count=20000, seed=3)
-        coeffs = np.array(hs.coefficients)
-        intercept = hs.offset + unit.max_power
+        coeffs, offset = linearize_power_bound(lifted, unit, CONSTANTS, count=20000, seed=3)
+        intercept = offset + unit.max_power
 
         from oracles import rejection_sample
 
@@ -173,7 +171,7 @@ class TestPowerBound:
         # evaluating the samples as arrays changes the fit only by rounding
         unit = fixture_unit()
         lifted = lift_unit_range(unit, 30e5, 70e5, CONSTANTS)
-        hs = linearize_power_bound(lifted, unit, CONSTANTS)
+        coeffs, offset = linearize_power_bound(lifted, unit, CONSTANTS)
         points = sample_uniform(enumerate_vertices(lifted), DEFAULT_SAMPLE_COUNT, seed_for_unit(unit.id))
         powers = np.array(
             [
@@ -183,7 +181,7 @@ class TestPowerBound:
         )
         a0, a1, a2, a3 = least_squares_hyperplane(points, powers)
         np.testing.assert_allclose(
-            (*hs.coefficients, hs.offset), (a1, a2, a3, a0 - unit.max_power), rtol=1e-12, atol=0.0
+            (*coeffs, offset), (a1, a2, a3, a0 - unit.max_power), rtol=1e-12, atol=0.0
         )
 
     def test_default_seed_is_stable_per_unit(self):
@@ -248,7 +246,7 @@ class TestStagePolytope:
         stage = stage_polytope([b1, box((1, 2), (2, 3), (0, 5))])
         expect = enumerate_vertices(box((1, 2), (2, 3), (0, 10)))
         got = enumerate_vertices(stage)
-        assert match_vertex_sets(got.vertices, expect.vertices, 1e-7)
+        assert match_vertex_sets(got, expect, 1e-7)
 
     def test_matches_product_oracle(self):
         p1 = box((1, 2), (2, 3.5), (0, 5))
@@ -256,7 +254,7 @@ class TestStagePolytope:
         stage = stage_polytope([p1, p2])
         got = enumerate_vertices(stage)
         expect = product_oracle_parallel([p1, p2])
-        assert match_vertex_sets(got.vertices, expect, 1e-6)
+        assert match_vertex_sets(got, expect, 1e-6)
 
     def test_disjoint_inlet_ranges_empty(self):
         p1 = box((1, 2), (2, 3), (0, 5))
@@ -274,7 +272,7 @@ class TestStagePolytope:
             polys.append(box((lo[0], hi[0]), (lo[1], hi[1]), (lo[2], hi[2])))
         a = enumerate_vertices(stage_polytope(polys))
         b2 = enumerate_vertices(stage_polytope([polys[2], polys[0], polys[1]]))
-        assert match_vertex_sets(a.vertices, b2.vertices, 1e-6)
+        assert match_vertex_sets(a, b2, 1e-6)
 
 
 class TestConfigurationPolytope:
@@ -282,7 +280,7 @@ class TestConfigurationPolytope:
         b1 = box((1, 2), (2, 3), (0, 5))
         config = configuration_polytope([b1])
         assert match_vertex_sets(
-            enumerate_vertices(config).vertices, enumerate_vertices(b1).vertices, 1e-9
+            enumerate_vertices(config), enumerate_vertices(b1), 1e-9
         )
 
     def test_two_chained_boxes(self):
@@ -291,7 +289,7 @@ class TestConfigurationPolytope:
         config = configuration_polytope([s1, s2])
         got = enumerate_vertices(config)
         expect = chained_oracle_serial([s1, s2])
-        assert match_vertex_sets(got.vertices, expect, 1e-6)
+        assert match_vertex_sets(got, expect, 1e-6)
         # incoming pressure from stage 1, outgoing from stage 2, flow intersected
         lo, hi = config.bounding_box()
         assert np.allclose(lo, (1.0, 5.0, 1.0), atol=1e-7)
@@ -332,8 +330,8 @@ class TestConfigurationPolytope:
         ab = configuration_polytope([ratio_stage, delta_stage])
         ba = configuration_polytope([delta_stage, ratio_stage])
         # witness: a vertex of one region outside the other
-        va = enumerate_vertices(ab).vertices
-        vb = enumerate_vertices(ba).vertices
+        va = enumerate_vertices(ab)
+        vb = enumerate_vertices(ba)
         outside = [p for p in vb if not ab.contains(p, tol=1e-7)]
         outside += [p for p in va if not ba.contains(p, tol=1e-7)]
         assert outside

@@ -165,6 +165,11 @@ class TestDefaultSettings:
         with pytest.raises(ValueError):
             SolveSettings(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("args", [(np.nan, 1e-2, 10.0), (1e-4, np.nan, 10.0), (1e-4, 1e-2, np.nan)])
+    def test_nan_settings_rejected(self, args):
+        with pytest.raises(ValueError):
+            SolveSettings(*args)
+
 
 class TestChecker:
     def test_clean_solution_passes(self):
