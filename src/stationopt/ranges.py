@@ -5,12 +5,12 @@ lift each unit's 2-D operating range into (p_in, p_out, q), cut it with a
 fitted linear power bound, compose parallel units into stages and stages
 into serial configurations, and emit the final facet sets F_c.
 
-A unit's range depends only on plant data (its 2-D facets, pressure-
-increase and power caps, efficiency and z-factor, the gas constants and
-the lifting caps from the end-node pressure bounds) and on the sample
-count and seed, so :func:`unit_polytope` builds each distinct one once
-per process; re-planning the same plant under another demand scenario
-only composes the configurations again.
+A station's facet sets depend only on plant data (its units, the stage
+sets of its configurations, the gas constants and the lifting caps from
+the end-node pressure bounds) and on the sample count and seed, so
+:func:`build_station_ranges` builds each distinct station once per
+process; re-planning the same plant under another demand scenario costs
+no sampling, fit or LP.
 
 All quantities are SI (Pa, kg/s, W).
 """
@@ -36,8 +36,8 @@ from .polytope import (
 )
 
 DEFAULT_SAMPLE_COUNT = 50_000
-# distinct unit ranges kept per process; a plant has a handful of units
-UNIT_RANGE_MEMO_SIZE = 256
+# distinct station ranges kept per process; a network has a handful of stations
+STATION_RANGE_MEMO_SIZE = 256
 
 
 def seed_for_unit(unit_id: str, base_seed: int = 0) -> int:
@@ -98,7 +98,6 @@ def linearize_power_bound(
     return fit[1:], fit[0] - unit.max_power
 
 
-@lru_cache(maxsize=UNIT_RANGE_MEMO_SIZE)
 def unit_polytope(
     unit: CompressorUnit,
     pl_lb: float,
@@ -107,21 +106,10 @@ def unit_polytope(
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int | None = None,
 ) -> HPolytope:
-    """Lifted range with the power facet appended (composition input).
-
-    Memoised for the life of the process: the frozen unit and constants,
-    the caps, ``count`` and ``seed`` decide the result, so equal arguments
-    return the same polytope without sampling, fitting or an LP.  Its
-    arrays are read-only because every later caller shares them.  A range
-    that cannot be built raises again on every call.
-    """
+    """Lifted range with the power facet appended (composition input)."""
     lifted = lift_unit_range(unit, pl_lb, pr_ub, constants)
     coefficients, offset = linearize_power_bound(lifted, unit, constants, count, seed)
-    A = np.vstack([lifted.A, coefficients])
-    b = np.append(lifted.b, offset)
-    A.flags.writeable = False
-    b.flags.writeable = False
-    return HPolytope(A, b)
+    return HPolytope(np.vstack([lifted.A, coefficients]), np.append(lifted.b, offset))
 
 
 def stage_polytope(unit_polytopes: list[HPolytope]) -> HPolytope:
@@ -186,6 +174,45 @@ def _lift_caps(spec: StationSpec, station: CompressorStationArc) -> tuple[float,
     return pl_lb, pr_ub
 
 
+@lru_cache(maxsize=STATION_RANGE_MEMO_SIZE)
+def _station_facets(
+    station_id: str,
+    units: tuple[CompressorUnit, ...],
+    stages_by_config: tuple[tuple[str, tuple[frozenset[str], ...]], ...],
+    caps: tuple[float, float],
+    constants: GasConstants,
+    count: int,
+    base_seed: int,
+) -> tuple[tuple[str, tuple], ...]:
+    """(configuration id, F_c facets) pairs of one station.
+
+    Memoised for the life of the process: the station id, its frozen
+    units, each configuration's id and ordered stage sets, the lifting
+    caps, the constants, ``count`` and ``base_seed`` decide the facets, so
+    equal arguments return the same tuples without sampling, fitting or an
+    LP.  Exceptions are not cached: a station that cannot be built raises
+    again on every call.
+    """
+    unit_polys = {}
+    for u in units:
+        try:
+            unit_polys[u.id] = unit_polytope(u, *caps, constants, count, seed_for_unit(u.id, base_seed))
+        except ValueError as exc:
+            raise type(exc)(f"unit {u.id!r} on station {station_id!r}: {exc}") from exc
+    out = []
+    for config_id, config_stages in stages_by_config:
+        where = f"configuration {config_id!r} on station {station_id!r}"
+        try:
+            stages = [stage_polytope([unit_polys[u] for u in sorted(stage)]) for stage in config_stages]
+            poly = configuration_polytope(stages)
+        except EmptyRegionError as exc:
+            raise EmptyRegionError(f"{where} has an empty operating range") from exc
+        except ValueError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+        out.append((config_id, tuple(map(tuple, np.column_stack([poly.A, poly.b]).tolist()))))
+    return tuple(out)
+
+
 def build_station_ranges(
     spec: StationSpec,
     station: CompressorStationArc,
@@ -196,32 +223,22 @@ def build_station_ranges(
 
     The lifting caps come from the station's end-node pressure bounds
     (:func:`_lift_caps`).  A unit range that cannot be built raises its
-    error with the unit and station named; an empty configuration region
-    raises :class:`EmptyRegionError` naming the configuration.  The CLI
-    reports both as validation failures.
+    error with the unit and station named, and a configuration range that
+    cannot be composed or reduced raises its error with the configuration
+    and station named (an empty one as :class:`EmptyRegionError` "has an
+    empty operating range").  The CLI reports both as validation failures.
+    Equal stations are built once per process (:func:`_station_facets`).
     """
-    pl_lb, pr_ub = _lift_caps(spec, station)
-    unit_polys = {}
-    for u in station.units:
-        try:
-            unit_polys[u.id] = unit_polytope(
-                u, pl_lb, pr_ub, spec.constants, count, seed_for_unit(u.id, base_seed)
-            )
-        except ValueError as exc:
-            raise type(exc)(f"unit {u.id!r} on station {station.id!r}: {exc}") from exc
-    out = {}
-    for config in station.configurations:
-        try:
-            stages = [
-                stage_polytope([unit_polys[u] for u in sorted(stage)]) for stage in config.stages
-            ]
-            poly = configuration_polytope(stages)
-        except EmptyRegionError as exc:
-            raise EmptyRegionError(
-                f"configuration {config.id!r} on station {station.id!r} has an empty operating range"
-            ) from exc
-        out[config.id] = tuple(map(tuple, np.column_stack([poly.A, poly.b]).tolist()))
-    return out
+    facets = _station_facets(
+        station.id,
+        station.units,
+        tuple((c.id, c.stages) for c in station.configurations),
+        _lift_caps(spec, station),
+        spec.constants,
+        count,
+        base_seed,
+    )
+    return dict(facets)
 
 
 def build_spec_ranges(

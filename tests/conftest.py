@@ -10,12 +10,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 def linprog_calls(monkeypatch):
     """List that grows by one entry per LP solved through stationopt.polytope.
 
-    Clears the unit-range memo first, so the count is that of a fresh build
-    whatever ran before.
+    Clears the station-range memo first, so the count is that of a fresh
+    build whatever ran before.
     """
     from stationopt import polytope, ranges
 
-    ranges.unit_polytope.cache_clear()
+    ranges._station_facets.cache_clear()
 
     calls = []
     solve = polytope.linprog

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stationopt.cli import main
-from stationopt.fixtures import mini_station, mini_station_pipes, seeded_instance
+from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance
 
 
 @pytest.fixture()
@@ -82,6 +82,18 @@ class TestValidateCommand:
         assert main(["validate", str(write_doc(tmp_path, doc))]) == 2
         err = capsys.readouterr().err
         assert "operating-range construction failed: unit 'U1' on station 'CS1': polytope is unbounded" in err
+
+    def test_degenerate_configuration_names_it(self, tmp_path, capsys):
+        # U1 ratio <= 1.4 and U2 ratio >= 1.4: the parallel c12 is a flat slice
+        doc = medium_station()
+        doc["units"][0]["operatingRange2D"].append([-1.4, 0.0, 1.0])
+        doc["units"][1]["operatingRange2D"].append([1.4, 0.0, -1.0])
+        assert main(["validate", str(write_doc(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "operating-range construction failed: configuration 'c12' on station 'CS1': "
+            "polytope is not full-dimensional"
+        ) in err
 
     def test_malformed_facets_exit_2(self, tmp_path, capsys):
         doc = mini_station()

@@ -22,7 +22,9 @@ from stationopt.polytope import (
 from stationopt.ranges import (
     DEFAULT_SAMPLE_COUNT,
     _lift_caps,
+    _station_facets,
     build_spec_ranges,
+    build_station_ranges,
     configuration_polytope,
     lift_unit_range,
     linearize_power_bound,
@@ -453,50 +455,79 @@ def _lower_outlet_cap(doc):
     next(n for n in doc["nodes"] if n["id"] == "N2")["pressureUB"] = 69.0
 
 
-# a document edit and build arguments that each change one memo key input
+def _rename_unit(doc):
+    # a unit's id seeds its sampler
+    doc.update(json.loads(json.dumps(doc).replace('"U1"', '"U7"')))
+
+
+def _swap_serial_stages(doc):
+    # s12 runs U2 before U1; the two units differ in maxPower
+    station = next(a for a in doc["arcs"] if a["id"] == "CS1")
+    next(c for c in station["configurations"] if c["id"] == "s12")["stages"] = [["U2"], ["U1"]]
+
+
+# a document, an edit of it and build arguments that each change one memo
+# key input
 MEMO_CHANGES = {
-    "maxPower": (_more_power, {}),
-    "end-node pressure bound": (_lower_outlet_cap, {}),
-    "count": (None, {"count": 2_000}),
-    "base_seed": (None, {"base_seed": 1}),
+    "maxPower": (mini_station_pipes, _more_power, {}),
+    "end-node pressure bound": (mini_station_pipes, _lower_outlet_cap, {}),
+    "count": (mini_station_pipes, None, {"count": 2_000}),
+    "base_seed": (mini_station_pipes, None, {"base_seed": 1}),
+    "unit id": (mini_station_pipes, _rename_unit, {}),
+    "stage set": (medium_station, _swap_serial_stages, {}),
 }
 
 
-class TestUnitRangeMemo:
-    def test_second_build_reuses_the_unit_range(self, linprog_calls):
-        spec, _ = load_instance(mini_station_pipes())
+class TestStationRangeMemo:
+    def test_second_build_solves_no_lp(self, linprog_calls):
+        spec, _ = load_instance(medium_station())
         first = build_spec_ranges(spec)
-        assert len(linprog_calls) == 2
+        assert len(linprog_calls) == 7
         second = build_spec_ranges(spec)
-        # only the reduction of the single-stage configuration runs again
-        assert len(linprog_calls) == 3
+        assert len(linprog_calls) == 7
         assert built_facets(second) == built_facets(first)
 
     @pytest.mark.parametrize("change", MEMO_CHANGES)
     def test_changed_input_is_a_miss(self, change):
-        edit, kwargs = MEMO_CHANGES[change]
-        unit_polytope.cache_clear()
-        before = built_facets(build_spec_ranges(load_instance(mini_station_pipes())[0]))
-        doc = mini_station_pipes()
+        make_doc, edit, kwargs = MEMO_CHANGES[change]
+        _station_facets.cache_clear()
+        before = built_facets(build_spec_ranges(load_instance(make_doc())[0]))
+        doc = make_doc()
         if edit is not None:
             edit(doc)
         spec, _ = load_instance(doc)
         changed = built_facets(build_spec_ranges(spec, **kwargs))
-        assert unit_polytope.cache_info().misses == 2
+        assert _station_facets.cache_info().misses == 2
         assert changed != before
-        unit_polytope.cache_clear()
+        _station_facets.cache_clear()
         assert built_facets(build_spec_ranges(spec, **kwargs)) == changed
 
-    def test_cached_arrays_are_read_only(self):
-        poly = unit_polytope(fixture_unit(), 30e5, 70e5, CONSTANTS, count=1000, seed=5)
-        assert unit_polytope(fixture_unit(), 30e5, 70e5, CONSTANTS, count=1000, seed=5) is poly
-        for array in (poly.A, poly.b):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    def test_cached_facets_are_immutable(self):
+        spec, _ = load_instance(medium_station())
+        station = spec.stations["CS1"]
+        first = build_station_ranges(spec, station)
+        first.clear()  # the caller's dict is its own
+        second = build_station_ranges(spec, station)
+        third = build_station_ranges(spec, station)
+        assert set(second) == {"c1", "c2", "c12", "s12"}
+        for config_id, facets in second.items():
+            assert facets is third[config_id]
+            assert type(facets) is tuple
+            assert all(type(row) is tuple and all(type(x) is float for x in row) for row in facets)
 
-    def test_seeded_instances_share_two_unit_ranges(self):
+    def test_seeded_instances_share_two_station_ranges(self):
         # one plant under different demands and outages
-        unit_polytope.cache_clear()
+        _station_facets.cache_clear()
         for i in range(10):
             build_spec_ranges(load_instance(seeded_instance(i))[0])
-        assert unit_polytope.cache_info().misses == 2
+        assert _station_facets.cache_info().misses == 2
+
+    def test_failing_build_raises_on_every_call(self, linprog_calls):
+        doc = mini_station()
+        doc["units"][0]["operatingRange2D"][0][0] = 0.0  # ratio >= 0: unbounded lift
+        spec, _ = load_instance(doc)
+        for calls in (1, 2):
+            with pytest.raises(UnboundedRegionError, match="^unit 'U1' on station 'CS1': "):
+                build_spec_ranges(spec)
+            assert len(linprog_calls) == calls
+        assert _station_facets.cache_info().currsize == 0

@@ -5,10 +5,17 @@ import pytest
 import scipy.optimize._milp as scipy_milp
 from scipy.optimize._highspy._highs_options import HighsOptionsManager
 
-from stationopt.fixtures import mini_station
-from stationopt.io import load_instance
+import stationopt.solve as solve_module
+from stationopt.fixtures import mini_station, seeded_instance
+from stationopt.io import load_instance, load_weights
 from stationopt.linmodel import BuildInfeasibleError, LinearModel
-from stationopt.model import ObjectiveWeights, build_stationary, build_stationary_fixed, switch_cost
+from stationopt.model import (
+    ObjectiveWeights,
+    build_full,
+    build_stationary,
+    build_stationary_fixed,
+    switch_cost,
+)
 from stationopt.ranges import build_spec_ranges
 from stationopt.units import PA_PER_BAR
 from stationopt.solve import (
@@ -108,6 +115,34 @@ class TestHighsOptions:
         manager = HighsOptionsManager()
         for key in ("mip_rel_gap", "mip_abs_gap", "time_limit", "mip_heuristic_run_feasibility_jump"):
             assert manager.get_option_type(key) != -1, key
+
+
+class TestPresolveDifferential:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_full_model_agrees_without_presolve(self, seed, monkeypatch):
+        # presolve may reduce the model but not move its optimum: both runs
+        # land within the published gap of each other, and neither bound
+        # lies above the other run's objective
+        doc = seeded_instance(seed)
+        spec, scen = load_instance(doc)
+        inst = build_full(build_spec_ranges(spec, 2_000), scen, load_weights(doc))
+        settings = default_settings_for("P")
+        on = solve(inst, settings)
+        honest = solve_module.milp
+        calls = []
+
+        def without_presolve(*args, options, **kwargs):
+            calls.append(options["presolve"])
+            return honest(*args, options={**options, "presolve": False}, **kwargs)
+
+        monkeypatch.setattr(solve_module, "milp", without_presolve)
+        off = solve(inst, settings)
+        assert calls and all(calls)  # the backend asked for presolve and did not get it
+        assert (on.status, off.status) == ("optimal", "optimal")
+        gap = max(settings.absolute_gap, settings.relative_gap * max(abs(on.objective), abs(off.objective)))
+        assert abs(on.objective - off.objective) <= gap
+        assert on.bound <= off.objective + gap
+        assert off.bound <= on.objective + gap
 
 
 class TestStationaryOracle:
