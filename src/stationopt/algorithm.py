@@ -30,6 +30,7 @@ from .model import (
     build_stationary_fixed,
     change_indicators,
     mode_indicators,
+    step_inputs,
     switch_cost,
 )
 from .network import Scenario, StateSnapshot, StationSpec, mode_available
@@ -198,17 +199,22 @@ class StationSolver:
     stationary evaluations that all three stages share.
 
     A sequence costs the stationary value of each step plus the switch
-    cost of each mode change (:func:`~stationopt.model.switch_cost`).  Two
-    memos sit in front of the backend.  ``_psf_cache`` maps ``(mode, t)``
-    to the decoded stationary value and skips the build; a lookup adds the
-    switch cost from its previous mode.  ``_memo`` maps ``(variant,
-    fingerprint)`` of a built ``Psf`` or ``Ps`` model to its
-    :class:`~stationopt.solve.SolveResult`: when the demand repeats from
-    step to step, stationary models differ only in their names, and HiGHS
-    returns the same result for the same numbers.  Each caller decodes a
-    result through its own instance's handles.  ``counters`` counts
-    backend solves and ``memo_hits`` the solves the memo saved.  Smoothing
-    windows always solve.
+    cost of each mode change (:func:`~stationopt.model.switch_cost`).
+    Three memos sit in front of the backend.  ``_psf_steps`` maps ``(mode,
+    t)`` to the decoded stationary value; a lookup adds the switch cost
+    from its previous mode.  ``_values`` maps what a stationary build
+    reads -- the variant, the mode (``Psf``) or the previous mode and the
+    candidates (``Ps``), and the step's
+    :func:`~stationopt.model.step_inputs` -- to the decoded value, so a
+    step whose numbers repeat an earlier one is answered without a build.
+    ``_memo`` maps ``(variant, fingerprint)`` of a built model to its
+    :class:`~stationopt.solve.SolveResult`, for steps whose differing
+    numbers fold away in the build; HiGHS returns the same result for the
+    same numbers, and each caller decodes a result through its own
+    instance's handles.  ``counters`` counts backend solves and
+    ``memo_hits`` the stationary solves the memos saved: each ``Ps``
+    evaluation and each new ``(mode, t)`` that a solved result answers.
+    Smoothing windows always solve.
     """
 
     def __init__(
@@ -222,7 +228,9 @@ class StationSolver:
         self.scen = scen
         self.weights = weights or ObjectiveWeights()
         self.backend = backend
-        self._psf_cache: dict = {}
+        self._inputs = [None] + [step_inputs(spec, scen, t) for t in range(1, scen.n_future + 1)]
+        self._psf_steps: dict = {}
+        self._values: dict = {}
         self._memo: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
         self.memo_hits = {"Psf": 0, "Ps": 0}
@@ -245,40 +253,60 @@ class StationSolver:
             raise BackendError(res.message or "stationary solve failed")
         return res
 
+    def _stationary(self, key: tuple, build, decode):
+        """``decode(inst, result)`` of the stationary model ``build()``
+        makes, or None where that model is infeasible; built at most once
+        per ``key`` (variant first).
+
+        A repeated key counts as a memo hit when its first evaluation
+        reached :meth:`_solve_stationary`, as a rebuild would have.
+        """
+        entry = self._values.get(key)
+        if entry is not None:
+            value, solved = entry
+            self.memo_hits[key[0]] += solved
+            return value
+        try:
+            inst = build()
+        except BuildInfeasibleError:
+            # contradictory constant rows (e.g. a mode without a valid
+            # flow direction) are plain infeasibility to the algorithm
+            self._values[key] = None, False
+            return None
+        res = self._solve_stationary(inst, key[0])
+        value = decode(inst, res) if res.ok else None
+        self._values[key] = value, True
+        return value
+
     # -- stationary evaluations ------------------------------------------
 
     def psf_value(self, mode: str, t: int, prev_mode: str):
         """(feasible, objective, direction) of step t in ``mode`` after
         ``prev_mode``: the fixed stationary value plus the switch cost."""
-        if (mode, t) not in self._psf_cache:
-            self._psf_cache[mode, t] = self._stationary_value(mode, t)
-        feasible, value, direction = self._psf_cache[mode, t]
-        return feasible, value + switch_cost(self.spec, self.weights, prev_mode, mode), direction
-
-    def _stationary_value(self, mode: str, t: int):
-        """(feasible, objective, direction) of the fixed stationary model."""
-        try:
-            inst = build_stationary_fixed(self.spec, self.scen, self.weights, mode, t)
-        except BuildInfeasibleError:
-            # contradictory constant rows (e.g. a mode without a valid
-            # flow direction) are plain infeasibility to the algorithm
+        if (mode, t) not in self._psf_steps:
+            self._psf_steps[mode, t] = self._stationary(
+                ("Psf", mode, self._inputs[t]),
+                lambda: build_stationary_fixed(self.spec, self.scen, self.weights, mode, t),
+                lambda inst, res: (res.objective, inst.direction_at(res.assignment, t)),
+            )
+        value = self._psf_steps[mode, t]
+        if value is None:
             return False, math.inf, None
-        res = self._solve_stationary(inst, "Psf")
-        if not res.ok:
-            return False, math.inf, None
-        return True, res.objective, inst.direction_at(res.assignment, t)
+        objective, direction = value
+        return True, objective + switch_cost(self.spec, self.weights, prev_mode, mode), direction
 
     def ps_best(self, t: int, valid_modes, prev_mode: str):
         """(feasible, objective, mode, direction) over a candidate mode set."""
-        try:
-            inst = build_stationary(self.spec, self.scen, self.weights, t, prev_mode, valid_modes)
-        except BuildInfeasibleError:
+        value = self._stationary(
+            ("Ps", prev_mode, tuple(valid_modes), self._inputs[t]),
+            lambda: build_stationary(self.spec, self.scen, self.weights, t, prev_mode, valid_modes),
+            lambda inst, res: (
+                res.objective, inst.mode_at(res.assignment, t), inst.direction_at(res.assignment, t)
+            ),
+        )
+        if value is None:
             return False, math.inf, None, None
-        res = self._solve_stationary(inst, "Ps")
-        if not res.ok:
-            return False, math.inf, None, None
-        mode = inst.mode_at(res.assignment, t)
-        return True, res.objective, mode, inst.direction_at(res.assignment, t)
+        return (True, *value)
 
     def sequence_objective(self, modes) -> float:
         """Sum of the per-step fixed stationary optima; +inf when any step

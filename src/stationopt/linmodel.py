@@ -22,6 +22,7 @@ import numpy as np
 from scipy import sparse
 
 SENSES = ("<=", ">=", "==")
+_SENSE_INDEX = {sense: i for i, sense in enumerate(SENSES)}
 CONSTANT_ROW_TOL = 1e-9  # relative slack for a row left without variables
 
 
@@ -29,11 +30,28 @@ class BuildInfeasibleError(ValueError):
     """A constant-only constraint is violated already at build time."""
 
 
-@dataclass(frozen=True)
 class VarRef:
-    """Handle of one model variable."""
+    """Handle of one model variable; equal and hashed by its index.
 
-    index: int
+    A plain slotted class: a model makes one per column, and a frozen
+    dataclass costs about three times as much to construct.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other):
+        if type(other) is not VarRef:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+    def __repr__(self) -> str:
+        return f"VarRef(index={self.index!r})"
 
 
 @dataclass
@@ -191,10 +209,6 @@ class LinearModel:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def _changed(self) -> None:
-        self._arrays = None
-        self._fingerprint = None
-
     def add_var(
         self, name: str, lb: float, ub: float, integer: bool = False, unit: float = 1.0
     ) -> VarRef:
@@ -203,13 +217,13 @@ class LinearModel:
         ``unit`` is the SI value of one solver unit: a pressure column in Pa
         passes ``units.PA_PER_BAR`` so that the solver sees it in bar.
         """
-        if not np.isfinite(lb) or not np.isfinite(ub):
+        if not (math.isfinite(lb) and math.isfinite(ub)):
             raise ValueError(f"variable {name!r} needs finite bounds, got [{lb}, {ub}]")
         if lb > ub:
             raise BuildInfeasibleError(f"variable {name!r} has empty domain [{lb}, {ub}]")
         if not unit > 0.0 or (integer and unit != 1.0):
             raise ValueError(f"variable {name!r} cannot have solver unit {unit}")
-        self._changed()
+        self._arrays = self._fingerprint = None
         self.var_names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
@@ -226,17 +240,20 @@ class LinearModel:
         ``unit`` overrides the row's solver unit (see :class:`SolverView`)
         for a row that touches a scaled column but is not measured in it.
         """
-        if sense not in SENSES:
+        sense_index = _SENSE_INDEX.get(sense)
+        if sense_index is None:
             raise ValueError(f"unknown sense {sense!r}")
         coeffs: dict = {}
         const = 0.0
         for coef, handle in pairs:
-            if isinstance(handle, VarRef):
-                coeffs[handle.index] = coeffs.get(handle.index, 0.0) + float(coef)
+            if type(handle) is VarRef:
+                index = handle.index
+                coeffs[index] = coeffs.get(index, 0.0) + float(coef)
             else:
                 const += float(coef) * float(handle)
         rhs_eff = float(rhs) - const
-        coeffs = {i: c for i, c in coeffs.items() if c != 0.0}
+        if 0.0 in coeffs.values():
+            coeffs = {i: c for i, c in coeffs.items() if c != 0.0}
         if not coeffs:
             slack = CONSTANT_ROW_TOL * max(1.0, abs(rhs_eff))
             ok = {
@@ -247,19 +264,19 @@ class LinearModel:
             if not ok:
                 raise BuildInfeasibleError(f"constant row {name!r} is violated: 0 {sense} {rhs_eff}")
             return
-        self._changed()
+        self._arrays = self._fingerprint = None
         self.row_names.append(name)
         self._cols.extend(coeffs)
         self._vals.extend(coeffs.values())
         self._ptr.append(len(self._cols))
-        self._sense.append(SENSES.index(sense))
+        self._sense.append(sense_index)
         self._rhs.append(rhs_eff)
-        self._row_unit.append(np.nan if unit is None else float(unit))
+        self._row_unit.append(math.nan if unit is None else float(unit))
 
     def add_objective(self, category: str, handle, coef: float) -> None:
         """Linear objective contribution; constants keep their category."""
-        self._changed()
-        if isinstance(handle, VarRef):
+        self._arrays = self._fingerprint = None
+        if type(handle) is VarRef:
             self.objective[handle.index] = self.objective.get(handle.index, 0.0) + float(coef)
             self.objective_terms.append((category, handle.index, float(coef)))
         else:
@@ -296,7 +313,7 @@ class LinearModel:
             derived = np.maximum(1.0, np.maximum.reduceat(col_unit[a.cols], a.ptr[:-1]))
             row_unit = np.where(np.isnan(a.row_unit), derived, a.row_unit)
             data = a.vals * col_unit[a.cols] / row_unit[a.row_of]
-            A = sparse.csc_array((data, (a.row_of, a.cols)), shape=(self.n_rows, self.n_vars))
+            A = sparse.csr_array((data, a.cols, a.ptr), shape=(self.n_rows, self.n_vars)).tocsc()
             rhs = a.rhs / row_unit
             row_lo = np.where(a.sense == SENSES.index("<="), -np.inf, rhs)
             row_hi = np.where(a.sense == SENSES.index(">="), np.inf, rhs)

@@ -150,6 +150,28 @@ def switch_cost(spec: StationSpec, weights: ObjectiveWeights, prev: str, mode: s
     return total
 
 
+def step_inputs(spec: StationSpec, scen: Scenario, t: int) -> bytes:
+    """Every number a stationary build reads at step ``t``, as bytes.
+
+    The step length; node pressure bounds, arc and pipe flow bounds and
+    boundary inflow bounds at t; the pressure and flow demands at index
+    ``t - 1`` (demand arrays start at step 1); and which operation modes
+    are available.  For the same modes, two steps with equal bytes give
+    ``Psf`` and ``Ps`` models that differ only in their names.  Bytes,
+    not floats, so that the key tells 0.0 from -0.0 like the fingerprint.
+    """
+    values = [scen.step_length(t)]
+    for node in spec.nodes.values():
+        values += (node.pressure_lb[t], node.pressure_ub[t])
+    for arc in spec.arcs().values():
+        values += (arc.flow_lb[t], arc.flow_ub[t])
+    for v in spec.boundary_nodes():
+        values += (scen.inflow_lb[v][t], scen.inflow_ub[v][t], scen.pressure_demand[v][t - 1])
+    values += (scen.flow_demand[g][t - 1] for g in spec.fence_groups)
+    values += (float(mode_available(spec, scen.time_grid, o, t)) for o in spec.operation_modes)
+    return np.array(values, dtype=float).tobytes()
+
+
 def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> ModelInstance:
     times = list(range(1, scen.n_future + 1))
     b = _Builder(spec, scen, weights, "P", times, snapshot=scen.initial_state)
@@ -255,6 +277,7 @@ class _Builder:
         for t in self.times:
             if t not in self.fixed_modes and not self.valid_modes[t]:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
+        self._incidence = self._node_incidence()
 
     # -- fixed and past decisions -------------------------------------------
 
@@ -319,8 +342,9 @@ class _Builder:
                 self.h[("ql", a, t)] = q
                 self.h[("qr", a, t)] = q
                 self.h[("q", a, t)] = q
-        for a in sorted(spec.non_pipe_arcs()):
-            arc = spec.non_pipe_arcs()[a]
+        non_pipe = spec.non_pipe_arcs()
+        for a in sorted(non_pipe):
+            arc = non_pipe[a]
             self.h[("q", a, t)] = add_q(f"q({a},{t})", arc.flow_lb[t], arc.flow_ub[t])
         for v in sorted(spec.boundary_nodes()):
             self.h[("d", v, t)] = add_q(
@@ -623,21 +647,25 @@ class _Builder:
                 f"configuration {config.id!r} on station {arc_id!r} has no built operating range"
             )
 
-    def _emit_node_balance(self, v: str, t: int) -> None:
+    def _node_incidence(self) -> dict:
+        """Per node, the (sign, handle kind, id) of each flow into or out
+        of it, in balance-row order: pipe ends, then other arcs, each in
+        catalog order, then the boundary inflow."""
         spec = self.spec
-        pairs = []
+        out: dict = {v: [] for v in spec.nodes}
         for a, pipe in spec.pipes.items():
-            if pipe.to_node == v:
-                pairs.append((1.0, self.h[("qr", a, t)]))
-            if pipe.from_node == v:
-                pairs.append((-1.0, self.h[("ql", a, t)]))
+            out[pipe.to_node].append((1.0, "qr", a))
+            out[pipe.from_node].append((-1.0, "ql", a))
         for a, arc in spec.non_pipe_arcs().items():
-            if arc.to_node == v:
-                pairs.append((1.0, self.h[("q", a, t)]))
-            if arc.from_node == v:
-                pairs.append((-1.0, self.h[("q", a, t)]))
-        if spec.nodes[v].is_boundary:
-            pairs.append((1.0, self.h[("d", v, t)]))
+            out[arc.to_node].append((1.0, "q", a))
+            out[arc.from_node].append((-1.0, "q", a))
+        for v in spec.boundary_nodes():
+            out[v].append((1.0, "d", v))
+        return out
+
+    def _emit_node_balance(self, v: str, t: int) -> None:
+        h = self.h
+        pairs = [(sign, h[(kind, a, t)]) for sign, kind, a in self._incidence[v]]
         if pairs:
             self.instance.model.add_row(f"balance({v},{t})", pairs, "==", 0.0)
 

@@ -203,6 +203,13 @@ class InProcessBackend:
         return status, x, bound, res.message or ""
 
 
+# C stdio's fflush, resolved once: a CDLL and its function pointer cost
+# more than the rest of the redirect
+_fflush = ctypes.CDLL(None).fflush
+_fflush.argtypes = [ctypes.c_void_p]
+_fflush.restype = ctypes.c_int
+
+
 @contextmanager
 def _stdout_to_devnull():
     """Point file descriptor 1 at ``/dev/null`` for the block.
@@ -212,16 +219,13 @@ def _stdout_to_devnull():
     written inside it leaks out later (a pipe is block-buffered).
     """
     sys.stdout.flush()
-    fflush = ctypes.CDLL(None).fflush
-    fflush.argtypes = [ctypes.c_void_p]
-    fflush.restype = ctypes.c_int
     saved = os.dup(1)
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(devnull, 1)
         yield
     finally:
-        fflush(None)
+        _fflush(None)
         os.dup2(saved, 1)
         os.close(devnull)
         os.close(saved)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stationopt import algorithm as algorithm_module
 from stationopt.algorithm import (
     InitialSolutionAbort,
     ModeSequence,
@@ -23,7 +24,9 @@ from stationopt.model import (
     ObjectiveWeights,
     build_fixed_transient,
     build_full,
+    build_stationary,
     build_stationary_fixed,
+    step_inputs,
     switch_cost,
 )
 from stationopt.ranges import build_spec_ranges
@@ -286,21 +289,23 @@ class TestInitialSolution:
         assert all(d == "f_fwd" for d in seq.directions[1:])
 
 
-class TestImprovementHeuristic:
-    def merge_fixture(self):
-        """Initial o_by; o_c1 is best but its unit dies at step 3; o_c2 is
-        slightly worse per step (undersized pressure cap) but survives."""
-        doc = two_unit_station()
-        doc["scenario"]["initialState"]["operationMode"] = "o_by"
-        doc["scenario"]["initialState"]["arcFlows"] = {"CS1": 0.0, "V1": 700.0}
-        doc["units"][1]["maxDeltaP"] = 9.75  # demanded lift is 10 bar
-        step = 3 * HOUR
-        doc["unavailability"] = {"U1": [[3 * step + 60.0, 1e9]]}
-        doc["scenario"]["flowDemand"]["g_out"] = [-(700.0 - 8.0)] * 4
-        return loaded(doc)
+def merge_fixture(outage_step=3, max_delta_p=9.75):
+    """Initial o_by; o_c1 is best but its unit dies at step ``outage_step``;
+    o_c2 is slightly worse per step (U2's pressure cap ``max_delta_p`` bar
+    is below the demanded 10 bar lift) but survives."""
+    doc = two_unit_station()
+    doc["scenario"]["initialState"]["operationMode"] = "o_by"
+    doc["scenario"]["initialState"]["arcFlows"] = {"CS1": 0.0, "V1": 700.0}
+    doc["units"][1]["maxDeltaP"] = max_delta_p
+    step = 3 * HOUR
+    doc["unavailability"] = {"U1": [[outage_step * step + 60.0, 1e9]]}
+    doc["scenario"]["flowDemand"]["g_out"] = [-(700.0 - 8.0)] * 4
+    return loaded(doc)
 
+
+class TestImprovementHeuristic:
     def test_phase_merge_reduces_changes(self):
-        spec, scen = self.merge_fixture()
+        spec, scen = merge_fixture()
         solver = StationSolver(spec, scen, WEIGHTS)
         initial = solver.initial_solution()
         # greedy picks the per-step best o_c1, then is forced off it
@@ -310,7 +315,7 @@ class TestImprovementHeuristic:
         assert solver.sequence_objective(improved.modes) < solver.sequence_objective(initial.modes)
 
     def test_matches_exhaustive_search_on_merge_fixture(self):
-        spec, scen = self.merge_fixture()
+        spec, scen = merge_fixture()
         solver = StationSolver(spec, scen, WEIGHTS)
         improved = solver.improvement_heuristic(solver.initial_solution())
         got = solver.sequence_objective(improved.modes)
@@ -333,7 +338,7 @@ class TestImprovementHeuristic:
         assert out.modes == seq.modes
 
     def test_objective_never_increases(self):
-        spec, scen = self.merge_fixture()
+        spec, scen = merge_fixture()
         solver = StationSolver(spec, scen, WEIGHTS)
         initial = solver.initial_solution()
         improved = solver.improvement_heuristic(initial)
@@ -598,12 +603,44 @@ class TestPinnedPlanObjectives:
 
 
 class TestStationaryMemo:
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """Patch the two stationary builders the solver calls; the counts."""
+        counts = {"Psf": 0, "Ps": 0}
+        for name, variant in (("build_stationary_fixed", "Psf"), ("build_stationary", "Ps")):
+            def counted(*args, _build=getattr(algorithm_module, name), _variant=variant, **kwargs):
+                counts[_variant] += 1
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(algorithm_module, name, counted)
+        return counts
+
+    def test_repeated_step_is_answered_without_a_build(self, monkeypatch):
+        # seeded_instance(0) repeats its demand: steps 2-4 read the numbers
+        # of step 1, so one Psf and one Ps model are built, and the three
+        # repeats of each still count as solves saved
+        spec, scen = load_instance(seeded_instance(0))
+        spec = build_spec_ranges(spec, count=2000)
+        builds = self.counted_builds(monkeypatch)
+        solver = StationSolver(spec, scen, WEIGHTS)
+        solver.initial_solution()
+        assert len({step_inputs(spec, scen, t) for t in range(1, 5)}) == 1
+        assert builds == {"Psf": 1, "Ps": 1}
+        assert solver.counters == {"Psf": 1, "Ps": 1, "Pf": 0}
+        assert solver.memo_hits == {"Psf": 3, "Ps": 3}
+        # a second pass builds nothing; its (mode, t) lookups are no new
+        # evaluations, while each Ps call still is one, answered unsolved
+        solver.initial_solution()
+        assert builds == {"Psf": 1, "Ps": 1}
+        assert solver.counters == {"Psf": 1, "Ps": 1, "Pf": 0}
+        assert solver.memo_hits == {"Psf": 3, "Ps": 7}
+
     def test_memo_hit_equals_a_fresh_solve(self):
         spec, scen = load_instance(seeded_instance(0))
         spec = build_spec_ranges(spec, count=2000)
         solver = StationSolver(spec, scen, WEIGHTS)
         solver.initial_solution()
-        psf = [key for key in solver._psf_cache if solver._psf_cache[key][0]]
+        psf = [step for step, value in solver._psf_steps.items() if value is not None]
         assert len(psf) == 4 and solver.counters["Psf"] == 1
         for mode, t in psf:
             inst = build_stationary_fixed(spec, scen, WEIGHTS, mode, t)
@@ -612,10 +649,20 @@ class TestStationaryMemo:
             assert (served.status, served.objective) == (fresh.status, fresh.objective)
             assert served.assignment.tobytes() == fresh.assignment.tobytes()
             direction = inst.direction_at(fresh.assignment, t)
-            assert solver._psf_cache[(mode, t)] == (True, fresh.objective, direction)
+            key = ("Psf", mode, step_inputs(spec, scen, t))
+            assert solver._values[key] == ((fresh.objective, direction), True)
             for prev in spec.operation_modes:
                 cost = switch_cost(spec, WEIGHTS, prev, mode)
                 assert solver.psf_value(mode, t, prev) == (True, fresh.objective + cost, direction)
+        for key, (value, solved) in solver._values.items():
+            if key[0] != "Ps":
+                continue
+            _, prev, candidates, inputs = key
+            t = next(t for t in range(1, 5) if step_inputs(spec, scen, t) == inputs)
+            inst = build_stationary(spec, scen, WEIGHTS, t, prev, list(candidates))
+            fresh = solve(inst, default_settings_for("Ps"))
+            assert solved
+            assert value == (fresh.objective, inst.mode_at(fresh.assignment, t), inst.direction_at(fresh.assignment, t))
 
     def test_smoothing_windows_always_solve(self, mini):
         spec, scen = mini
@@ -642,8 +689,22 @@ class TestExactOracle:
         assert best <= heuristic
         assert best == pytest.approx(heuristic, rel=1e-9)
 
-    def test_matches_exhaustive_search_where_stage_one_falls_short(self):
-        spec, scen = TestImprovementHeuristic().merge_fixture()
+    @pytest.mark.parametrize(
+        "outage_step, max_delta_p, stage_one, optimum",
+        [
+            (2, 9.5, 18500.0, 17800.0),
+            (2, 9.75, 16250.0, 14800.0),
+            (2, 9.9, 14900.0, 13000.0),
+            (3, 9.75, 15500.0, 14800.0),
+            (3, 9.9, 14600.0, 13000.0),
+        ],
+    )
+    def test_matches_exhaustive_search_where_stage_one_falls_short(
+        self, outage_step, max_delta_p, stage_one, optimum
+    ):
+        # greedy stage 1 takes o_c1 until U1 dies; only stage 2's merge of
+        # the o_c1 phase into o_c2 reaches the optimum
+        spec, scen = merge_fixture(outage_step, max_delta_p)
         solver = StationSolver(spec, scen, WEIGHTS)
         best, modes = exact_stationary_sequence(solver)
         exhaustive = min(
@@ -652,8 +713,9 @@ class TestExactOracle:
             if transitions_work(spec, ("o_by",) + combo, scen.time_grid)
         )
         assert best == exhaustive
+        assert best == pytest.approx(optimum, rel=1e-9)
         initial = solver.initial_solution()
-        assert best < solver.sequence_objective(initial.modes)
+        assert solver.sequence_objective(initial.modes) == pytest.approx(stage_one, rel=1e-9)
         assert solver.sequence_objective(solver.improvement_heuristic(initial).modes) == best
 
 

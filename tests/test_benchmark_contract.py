@@ -63,7 +63,8 @@ def test_tracer_installs_and_sizes_a_built_model(tracing):
     assert not hasattr(solve_module.milp, "__wrapped__")
 
 
-def test_one_untraced_pass_runs_clean(tmp_path):
+def run_pass(tmp_path, pass_id: int, trace: str) -> dict:
+    """One ``one_pass.py`` pass over ``mini_station`` with its lower bound."""
     instance = tmp_path / "mini.json"
     instance.write_text(json.dumps(mini_station()))
     manifest = tmp_path / "manifest.json"
@@ -73,10 +74,24 @@ def test_one_untraced_pass_runs_clean(tmp_path):
     }))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "one_pass.py"), str(manifest), "0", "0"],
+        [sys.executable, str(ROOT / "perfbench" / "one_pass.py"), str(manifest), str(pass_id), trace],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    (op,) = json.loads(proc.stdout)["operations"]
+    result = json.loads(proc.stdout)
+    (op,) = result["operations"]
     assert op["failure"] is None, op
     assert op["stage"] == "answer" and op["gap"] is not None
+    return result
+
+
+def test_one_untraced_pass_runs_clean(tmp_path):
+    run_pass(tmp_path, 0, "0")
+
+
+def test_two_traced_passes_repeat_their_counters(tmp_path, tracing):
+    first, second = (run_pass(tmp_path, i, "1")["counts"] for i in range(2))
+    for name in ("model.builds.Psf", "model.builds.Pf", "model.builds.P", "highs.calls", "solve.checks"):
+        assert first.get(name, 0) > 0, name
+    counters = tracing.DETERMINISTIC
+    assert {n: first.get(n, 0) for n in counters} == {n: second.get(n, 0) for n in counters}

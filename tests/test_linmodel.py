@@ -3,14 +3,16 @@ row-by-row reference, and the fingerprint that names a model's numbers."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from stationopt.algorithm import StationSolver, complete_plan_assignment
 from stationopt.fixtures import medium_station, mini_station_pipes
 from stationopt.io import load_instance, regrid_instance, template_grid
-from stationopt.linmodel import LinearModel
+from stationopt.linmodel import LinearModel, VarRef
 from stationopt.model import (
     ObjectiveWeights,
     build_fixed_transient,
+    build_full,
     build_stationary,
     build_stationary_fixed,
 )
@@ -161,3 +163,38 @@ class TestRowRecords:
         a = m.arrays()
         assert a.ptr.tolist() == [0, 2, 4, 5]
         assert a.row_of.tolist() == [0, 0, 1, 1, 2]
+
+
+class TestSolverView:
+    @pytest.mark.parametrize("doc", [mini_station_pipes, medium_station], ids=lambda d: d.__name__)
+    def test_matrix_equals_the_triplet_reference(self, doc):
+        # the view forms its CSC matrix from the row pointer; the reference
+        # forms it from (row, column) triplets, as the view once did
+        spec, scen = load_instance(doc())
+        spec = build_spec_ranges(spec, count=2000)
+        mode = scen.initial_state.operation_mode
+        models = [
+            build_full(spec, scen, WEIGHTS).model,
+            build_stationary(spec, scen, WEIGHTS, 1, mode).model,
+            build_stationary_fixed(spec, scen, WEIGHTS, mode, 1).model,
+        ]
+        for m in models:
+            a, A = m.arrays(), m.solver_view().A
+            derived = np.maximum(1.0, np.maximum.reduceat(a.col_unit[a.cols], a.ptr[:-1]))
+            row_unit = np.where(np.isnan(a.row_unit), derived, a.row_unit)
+            data = a.vals * a.col_unit[a.cols] / row_unit[a.row_of]
+            ref = sparse.csc_array((data, (a.row_of, a.cols)), shape=(m.n_rows, m.n_vars))
+            assert A.format == "csc" and A.shape == ref.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(A, part), getattr(ref, part)), (m.name, part)
+
+
+class TestVarRef:
+    def test_equal_and_hashed_by_index(self):
+        m = LinearModel("m")
+        x = m.add_var("x", 0.0, 1.0)
+        assert x == VarRef(0) and x != VarRef(1)
+        assert hash(x) == hash(VarRef(0)) == hash((0,))
+        assert x != 0 and x != (0,)
+        assert {x: "x"}[VarRef(0)] == "x"
+        assert repr(x) == "VarRef(index=0)"

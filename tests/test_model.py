@@ -1,13 +1,14 @@
 import dataclasses
+import functools
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from stationopt.fixtures import mini_station, mini_station_pipes, two_unit_station
+from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.gas import nikuradse_friction
-from stationopt.io import load_instance
+from stationopt.io import load_instance, regrid_instance, template_grid
 from stationopt.linmodel import BuildInfeasibleError
 from stationopt.model import (
     ObjectiveWeights,
@@ -16,6 +17,7 @@ from stationopt.model import (
     build_stationary,
     build_stationary_fixed,
     change_indicators,
+    step_inputs,
     switch_cost,
 )
 from stationopt.ranges import build_spec_ranges
@@ -624,3 +626,105 @@ class TestExitPressureBehavior:
         p_b2 = inst.value(res.assignment, "p", "B2", 1)
         assert p_b2 <= 68.0e5 + 1.0
         assert inst.value(res.assignment, "sp-", "B2", 1) >= 1.0e5 - 1.0
+
+
+def per_step_arrays(obj, path=()):
+    """(path, array) of every 1-D array reachable from a spec or scenario
+    through dataclass fields, dict values and tuple items."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1:
+            yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from per_step_arrays(getattr(obj, f.name), path + (f.name,))
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from per_step_arrays(value, path + (key,))
+    elif isinstance(obj, (tuple, list)):
+        for i, value in enumerate(obj):
+            yield from per_step_arrays(value, path + (i,))
+
+
+def stationary_fingerprints(spec, scen, t):
+    """The fingerprint of ``Psf`` in every mode and of ``Ps`` after every
+    previous mode at step t ("infeasible" where the build says so)."""
+    out = {}
+    modes = sorted(spec.operation_modes)
+    builds = [(("Psf", o), lambda o=o: build_stationary_fixed(spec, scen, WEIGHTS, o, t)) for o in modes]
+    builds += [(("Ps", o), lambda o=o: build_stationary(spec, scen, WEIGHTS, t, o, modes)) for o in modes]
+    for key, build in builds:
+        try:
+            out[key] = build().model.fingerprint()
+        except BuildInfeasibleError:
+            out[key] = "infeasible"
+    return out
+
+
+class TestStepInputs:
+    """``step_inputs`` keys the solver's stationary memo: a step whose key
+    repeats is answered without a build, so the key must change wherever
+    a stationary model's numbers change."""
+
+    @pytest.mark.parametrize("doc", [mini_station_pipes, medium_station], ids=lambda d: d.__name__)
+    def test_key_changes_with_every_per_step_number(self, doc):
+        spec, scen = load_instance(doc())
+        spec = build_spec_ranges(spec, count=2000)
+        steps = range(1, scen.n_future + 1)
+
+        def snapshot():
+            return [(step_inputs(spec, scen, t), stationary_fingerprints(spec, scen, t)) for t in steps]
+
+        base = snapshot()
+        arrays = list(per_step_arrays(spec, ("spec",))) + list(per_step_arrays(scen, ("scen",)))
+        assert {"pressure_lb", "pressure_ub", "flow_lb", "flow_ub", "time_grid"} <= {p[-1] for p, _ in arrays}
+        assert {"pressure_demand", "flow_demand", "inflow_lb", "inflow_ub"} <= {p[1] for p, _ in arrays}
+        changed = 0
+        for path, array in arrays:
+            # one interior step: index t of a (k + 1)-array, t - 1 of a demand
+            i = array.size // 2
+            old = array[i]
+            array.flags.writeable = True
+            # a zero also flips its sign, which the fingerprint sees
+            for new in [old * 1.01 + 1.0] + ([-old] if old == 0.0 else []):
+                array[i] = new
+                try:
+                    after = snapshot()
+                finally:
+                    array[i] = old
+                for t, ((key0, fps0), (key1, fps1)) in zip(steps, zip(base, after)):
+                    moved = [name for name in fps0 if fps0[name] != fps1[name]]
+                    changed += bool(moved)
+                    assert not moved or key1 != key0, (path, new, t, moved)
+        # each unit out for one second at the start of step t
+        for unit in sorted({u.id for st in spec.stations.values() for u in st.units}):
+            for t in steps:
+                window = (float(scen.time_grid[t]), float(scen.time_grid[t]) + 1.0)
+                out = dataclasses.replace(spec, unavailability={**spec.unavailability, unit: (window,)})
+                key1 = step_inputs(out, scen, t)
+                fps = stationary_fingerprints(out, scen, t)
+                moved = [name for name, fp in fps.items() if fp != base[t - 1][1][name]]
+                changed += bool(moved)
+                assert not moved or key1 != base[t - 1][0], (unit, t, moved)
+        assert changed > 0
+
+    @pytest.mark.parametrize(
+        "doc, steps",
+        [(mini_station, None), (mini_station_pipes, None), (two_unit_station, None), (medium_station, None),
+         (mini_station_pipes, "96")]
+        + [(functools.partial(seeded_instance, s), None) for s in range(40)],
+        ids=["mini_station", "mini_station_pipes", "two_unit_station", "medium_station", "mini_station_pipes@96"]
+        + [f"seeded_{s}" for s in range(40)],
+    )
+    def test_equal_keys_give_equal_fingerprints(self, doc, steps):
+        spec, scen = load_instance(doc())
+        if steps is not None:
+            spec, scen = regrid_instance(spec, scen, template_grid(steps))
+        spec = build_spec_ranges(spec, count=2000)
+        by_key: dict = {}
+        for t in range(1, scen.n_future + 1):
+            by_key.setdefault(step_inputs(spec, scen, t), []).append(t)
+        for repeats in by_key.values():
+            first, *rest = (stationary_fingerprints(spec, scen, t) for t in repeats)
+            assert all(fps == first for fps in rest), repeats
+        if steps == "96":
+            assert len(by_key) < scen.n_future
