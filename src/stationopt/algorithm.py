@@ -200,20 +200,13 @@ class StationSolver:
 
     A sequence costs the stationary value of each step plus the switch
     cost of each mode change (:func:`~stationopt.model.switch_cost`).
-    Three memos sit in front of the backend.  ``_psf_steps`` maps ``(mode,
-    t)`` to the decoded stationary value; a lookup adds the switch cost
-    from its previous mode.  ``_values`` maps what a stationary build
-    reads -- the variant, the mode (``Psf``) or the previous mode and the
-    candidates (``Ps``), and the step's
-    :func:`~stationopt.model.step_inputs` -- to the decoded value, so a
-    step whose numbers repeat an earlier one is answered without a build.
-    ``_memo`` maps ``(variant, fingerprint)`` of a built model to its
-    :class:`~stationopt.solve.SolveResult`, for steps whose differing
-    numbers fold away in the build; HiGHS returns the same result for the
-    same numbers, and each caller decodes a result through its own
-    instance's handles.  ``counters`` counts backend solves and
-    ``memo_hits`` the stationary solves the memos saved: each ``Ps``
-    evaluation and each new ``(mode, t)`` that a solved result answers.
+    One memo, ``_values``, sits in front of the backend.  It maps what a
+    stationary build reads to the decoded value, None where the model is
+    infeasible: ``("Psf", mode, inputs)`` and ``("Ps", previous mode,
+    candidates available at t, inputs)``, where ``inputs`` is the step's
+    :func:`~stationopt.model.step_inputs`.  A step whose numbers repeat an
+    earlier one is answered without a build.  ``counters`` counts backend
+    solves and ``memo_hits`` the stationary lookups the memo answered.
     Smoothing windows always solve.
     """
 
@@ -229,9 +222,7 @@ class StationSolver:
         self.weights = weights or ObjectiveWeights()
         self.backend = backend
         self._inputs = [None] + [step_inputs(spec, scen, t) for t in range(1, scen.n_future + 1)]
-        self._psf_steps: dict = {}
         self._values: dict = {}
-        self._memo: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
         self.memo_hits = {"Psf": 0, "Ps": 0}
 
@@ -241,41 +232,25 @@ class StationSolver:
         self.counters[variant] += 1
         return res
 
-    def _solve_stationary(self, inst, variant: str):
-        """The result of a ``Psf`` or ``Ps`` model, solved once per fingerprint."""
-        key = (variant, inst.model.fingerprint())
-        res = self._memo.get(key)
-        if res is None:
-            res = self._memo[key] = self._solve(inst, variant)
-        else:
-            self.memo_hits[variant] += 1
-        if res.status == "error":
-            raise BackendError(res.message or "stationary solve failed")
-        return res
-
     def _stationary(self, key: tuple, build, decode):
         """``decode(inst, result)`` of the stationary model ``build()``
         makes, or None where that model is infeasible; built at most once
-        per ``key`` (variant first).
-
-        A repeated key counts as a memo hit when its first evaluation
-        reached :meth:`_solve_stationary`, as a rebuild would have.
-        """
-        entry = self._values.get(key)
-        if entry is not None:
-            value, solved = entry
-            self.memo_hits[key[0]] += solved
-            return value
+        per ``key`` (variant first)."""
+        if key in self._values:
+            self.memo_hits[key[0]] += 1
+            return self._values[key]
         try:
             inst = build()
         except BuildInfeasibleError:
             # contradictory constant rows (e.g. a mode without a valid
             # flow direction) are plain infeasibility to the algorithm
-            self._values[key] = None, False
-            return None
-        res = self._solve_stationary(inst, key[0])
-        value = decode(inst, res) if res.ok else None
-        self._values[key] = value, True
+            value = None
+        else:
+            res = self._solve(inst, key[0])
+            if res.status == "error":
+                raise BackendError(res.message or "stationary solve failed")
+            value = decode(inst, res) if res.ok else None
+        self._values[key] = value
         return value
 
     # -- stationary evaluations ------------------------------------------
@@ -283,13 +258,11 @@ class StationSolver:
     def psf_value(self, mode: str, t: int, prev_mode: str):
         """(feasible, objective, direction) of step t in ``mode`` after
         ``prev_mode``: the fixed stationary value plus the switch cost."""
-        if (mode, t) not in self._psf_steps:
-            self._psf_steps[mode, t] = self._stationary(
-                ("Psf", mode, self._inputs[t]),
-                lambda: build_stationary_fixed(self.spec, self.scen, self.weights, mode, t),
-                lambda inst, res: (res.objective, inst.direction_at(res.assignment, t)),
-            )
-        value = self._psf_steps[mode, t]
+        value = self._stationary(
+            ("Psf", mode, self._inputs[t]),
+            lambda: build_stationary_fixed(self.spec, self.scen, self.weights, mode, t),
+            lambda inst, res: (res.objective, inst.direction_at(res.assignment, t)),
+        )
         if value is None:
             return False, math.inf, None
         objective, direction = value
@@ -297,8 +270,10 @@ class StationSolver:
 
     def ps_best(self, t: int, valid_modes, prev_mode: str):
         """(feasible, objective, mode, direction) over a candidate mode set."""
+        grid = self.scen.time_grid
+        available = tuple(o for o in valid_modes if mode_available(self.spec, grid, o, t))
         value = self._stationary(
-            ("Ps", prev_mode, tuple(valid_modes), self._inputs[t]),
+            ("Ps", prev_mode, available, self._inputs[t]),
             lambda: build_stationary(self.spec, self.scen, self.weights, t, prev_mode, valid_modes),
             lambda inst, res: (
                 res.objective, inst.mode_at(res.assignment, t), inst.direction_at(res.assignment, t)

@@ -13,7 +13,6 @@ identical models.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -117,7 +116,7 @@ class LinearModel:
     """Variables, rows and objective of one model, appended in build order.
 
     The model is append-only: the ``add_*`` methods are the only writers,
-    and each drops the cached arrays and fingerprint.
+    and ``add_var`` and ``add_row`` drop the cached arrays.
     """
 
     def __init__(self, name: str):
@@ -139,7 +138,6 @@ class LinearModel:
         # (category, var index or None, coefficient or constant value)
         self.objective_terms: list[tuple[str, int | None, float]] = []
         self._arrays: ModelArrays | None = None
-        self._fingerprint: str | None = None
 
     @property
     def n_vars(self) -> int:
@@ -184,31 +182,6 @@ class LinearModel:
             )
         return self._arrays
 
-    def fingerprint(self) -> str:
-        """Hash of every number a solve depends on, names excluded.
-
-        It covers bounds, integrality, solver units, the objective (in its
-        insertion order, which the objective's sum follows) and constant,
-        and the row arrays.  Two models with equal fingerprints are the same
-        problem to the backend, the checker and the objective, column for
-        column; only what their columns mean may differ.
-        """
-        if self._fingerprint is None:
-            a = self.arrays()
-            digest = hashlib.blake2b(digest_size=20)
-            parts = (
-                a.lb, a.ub, a.integer, a.col_unit,
-                np.fromiter(self.objective, dtype=np.int64, count=len(self.objective)),
-                np.fromiter(self.objective.values(), dtype=float, count=len(self.objective)),
-                np.array([self.objective_constant]),
-                a.ptr, a.cols, a.vals, a.sense, a.rhs, a.row_unit,
-            )
-            for part in parts:
-                digest.update(np.int64(part.size).tobytes())
-                digest.update(part.tobytes())
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
     def add_var(
         self, name: str, lb: float, ub: float, integer: bool = False, unit: float = 1.0
     ) -> VarRef:
@@ -223,7 +196,7 @@ class LinearModel:
             raise BuildInfeasibleError(f"variable {name!r} has empty domain [{lb}, {ub}]")
         if not unit > 0.0 or (integer and unit != 1.0):
             raise ValueError(f"variable {name!r} cannot have solver unit {unit}")
-        self._arrays = self._fingerprint = None
+        self._arrays = None
         self.var_names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
@@ -264,7 +237,7 @@ class LinearModel:
             if not ok:
                 raise BuildInfeasibleError(f"constant row {name!r} is violated: 0 {sense} {rhs_eff}")
             return
-        self._arrays = self._fingerprint = None
+        self._arrays = None
         self.row_names.append(name)
         self._cols.extend(coeffs)
         self._vals.extend(coeffs.values())
@@ -275,7 +248,6 @@ class LinearModel:
 
     def add_objective(self, category: str, handle, coef: float) -> None:
         """Linear objective contribution; constants keep their category."""
-        self._arrays = self._fingerprint = None
         if type(handle) is VarRef:
             self.objective[handle.index] = self.objective.get(handle.index, 0.0) + float(coef)
             self.objective_terms.append((category, handle.index, float(coef)))

@@ -154,11 +154,12 @@ def step_inputs(spec: StationSpec, scen: Scenario, t: int) -> bytes:
     """Every number a stationary build reads at step ``t``, as bytes.
 
     The step length; node pressure bounds, arc and pipe flow bounds and
-    boundary inflow bounds at t; the pressure and flow demands at index
-    ``t - 1`` (demand arrays start at step 1); and which operation modes
-    are available.  For the same modes, two steps with equal bytes give
-    ``Psf`` and ``Ps`` models that differ only in their names.  Bytes,
-    not floats, so that the key tells 0.0 from -0.0 like the fingerprint.
+    boundary inflow bounds at t; and the pressure and flow demands at
+    index ``t - 1`` (demand arrays start at step 1).  For the same mode
+    (``Psf``), or the same previous mode and the same candidates available
+    at t (``Ps``), two steps with equal bytes give models that differ only
+    in their names; mode availability is read only through the candidate
+    filter.  Bytes, not floats, so that the key tells 0.0 from -0.0.
     """
     values = [scen.step_length(t)]
     for node in spec.nodes.values():
@@ -168,7 +169,6 @@ def step_inputs(spec: StationSpec, scen: Scenario, t: int) -> bytes:
     for v in spec.boundary_nodes():
         values += (scen.inflow_lb[v][t], scen.inflow_ub[v][t], scen.pressure_demand[v][t - 1])
     values += (scen.flow_demand[g][t - 1] for g in spec.fence_groups)
-    values += (float(mode_available(spec, scen.time_grid, o, t)) for o in spec.operation_modes)
     return np.array(values, dtype=float).tobytes()
 
 

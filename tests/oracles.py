@@ -5,13 +5,16 @@ enumeration is brute force over plane subsets, volume comes from the
 divergence theorem on the H-representation, sampling is plain rejection
 (and, to pin the seeded sampler bit for bit, its earlier scatter kernel),
 the hyperplane fit solves the normal equations directly, the row
-checker walks the model's ``Row`` records one by one, and the exact
-stationary sequence is a dynamic programme over every mode at every step
-rather than the greedy start and phase replacements it checks.
+checker walks the model's ``Row`` records one by one, the fingerprint
+hashes a built model's numbers instead of the inputs the solver's
+stationary memo keys on, and the exact stationary sequence is a dynamic
+programme over every mode at every step rather than the greedy start and
+phase replacements it checks.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -378,6 +381,30 @@ def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
         if gap > CHECK_TOL * scale:
             out.append((row.name, gap))
     return out
+
+
+def fingerprint(model) -> str:
+    """Hash of every number a solve of ``model`` depends on, names excluded.
+
+    It covers bounds, integrality, solver units, the objective (in its
+    insertion order, which the objective's sum follows) and constant,
+    and the row arrays.  Two models with equal fingerprints are the same
+    problem to the backend, the checker and the objective, column for
+    column; only what their columns mean may differ.
+    """
+    a = model.arrays()
+    digest = hashlib.blake2b(digest_size=20)
+    parts = (
+        a.lb, a.ub, a.integer, a.col_unit,
+        np.fromiter(model.objective, dtype=np.int64, count=len(model.objective)),
+        np.fromiter(model.objective.values(), dtype=float, count=len(model.objective)),
+        np.array([model.objective_constant]),
+        a.ptr, a.cols, a.vals, a.sense, a.rhs, a.row_unit,
+    )
+    for part in parts:
+        digest.update(np.int64(part.size).tobytes())
+        digest.update(part.tobytes())
+    return digest.hexdigest()
 
 
 def exact_stationary_sequence(solver) -> tuple:

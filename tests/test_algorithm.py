@@ -29,6 +29,7 @@ from stationopt.model import (
     step_inputs,
     switch_cost,
 )
+from stationopt.network import mode_available
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import check_assignment, default_settings_for, solve
 
@@ -163,9 +164,6 @@ class TestNotSoonInfeasible:
             grid = scen.time_grid
             t = 1
             got = not_soon_infeasible(spec, grid, t, "o_cp", "o_by")
-
-            from stationopt.network import mode_available
-
             blocked = [
                 tp for tp in range(t + 1, scen.n_future + 1)
                 if not mode_available(spec, grid, "o_cp", tp)
@@ -617,8 +615,8 @@ class TestStationaryMemo:
 
     def test_repeated_step_is_answered_without_a_build(self, monkeypatch):
         # seeded_instance(0) repeats its demand: steps 2-4 read the numbers
-        # of step 1, so one Psf and one Ps model are built, and the three
-        # repeats of each still count as solves saved
+        # of step 1, so one Psf and one Ps model are built, and the memo
+        # answers the three repeats of each
         spec, scen = load_instance(seeded_instance(0))
         spec = build_spec_ranges(spec, count=2000)
         builds = self.counted_builds(monkeypatch)
@@ -628,41 +626,86 @@ class TestStationaryMemo:
         assert builds == {"Psf": 1, "Ps": 1}
         assert solver.counters == {"Psf": 1, "Ps": 1, "Pf": 0}
         assert solver.memo_hits == {"Psf": 3, "Ps": 3}
-        # a second pass builds nothing; its (mode, t) lookups are no new
-        # evaluations, while each Ps call still is one, answered unsolved
+        # a second pass builds nothing: the memo answers all its lookups
         solver.initial_solution()
         assert builds == {"Psf": 1, "Ps": 1}
         assert solver.counters == {"Psf": 1, "Ps": 1, "Pf": 0}
-        assert solver.memo_hits == {"Psf": 3, "Ps": 7}
+        assert solver.memo_hits == {"Psf": 7, "Ps": 7}
 
-    def test_memo_hit_equals_a_fresh_solve(self):
-        spec, scen = load_instance(seeded_instance(0))
+    def test_availability_does_not_split_a_fixed_mode_step(self, monkeypatch):
+        # seeded_instance(12) has U1 out over [11100, 21300) s and a steady
+        # demand: Psf fixes its mode and reads no availability, so each
+        # mode is built once, while Ps sees the outage in its candidates
+        spec, scen = load_instance(seeded_instance(12))
+        spec = build_spec_ranges(spec, count=2000)
+        builds = self.counted_builds(monkeypatch)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
+        assert builds == {"Psf": 2, "Ps": 3}
+        assert plan.diagnostics["solve_counts"] == {"Psf": 2, "Ps": 3, "Pf": 1}
+
+    def test_ps_key_holds_the_available_candidates(self, monkeypatch):
+        # steps 1 and 2 of seeded_instance(12) read the same numbers, but
+        # U1 blocks its modes at step 1 only: two Ps models, not one
+        spec, scen = load_instance(seeded_instance(12))
+        spec = build_spec_ranges(spec, count=2000)
+        assert step_inputs(spec, scen, 1) == step_inputs(spec, scen, 2)
+        grid = scen.time_grid
+        assert not mode_available(spec, grid, "o_cp", 1) and mode_available(spec, grid, "o_cp", 2)
+        builds = self.counted_builds(monkeypatch)
+        solver = StationSolver(spec, scen, WEIGHTS)
+        modes = sorted(spec.operation_modes)
+        prev = scen.initial_state.operation_mode
+        best = [solver.ps_best(t, modes, prev) for t in (1, 2)]
+        assert builds == {"Psf": 0, "Ps": 2}
+        assert best[0] != best[1]
+        for t, value in zip((1, 2), best):
+            inst = build_stationary(spec, scen, WEIGHTS, t, prev, modes)
+            fresh = solve(inst, default_settings_for("Ps"))
+            mode, direction = inst.mode_at(fresh.assignment, t), inst.direction_at(fresh.assignment, t)
+            assert value == (True, fresh.objective, mode, direction)
+
+    @pytest.mark.parametrize("seed, spanning", [(0, 0), (12, 2)])
+    def test_memo_hit_equals_a_fresh_solve(self, seed, spanning):
+        # every entry holds at each step its key stands for, also across
+        # steps whose available modes differ (``spanning`` Psf entries)
+        spec, scen = load_instance(seeded_instance(seed))
         spec = build_spec_ranges(spec, count=2000)
         solver = StationSolver(spec, scen, WEIGHTS)
         solver.initial_solution()
-        psf = [step for step, value in solver._psf_steps.items() if value is not None]
-        assert len(psf) == 4 and solver.counters["Psf"] == 1
-        for mode, t in psf:
-            inst = build_stationary_fixed(spec, scen, WEIGHTS, mode, t)
-            served = solver._memo[("Psf", inst.model.fingerprint())]
-            fresh = solve(inst, default_settings_for("Psf"))
-            assert (served.status, served.objective) == (fresh.status, fresh.objective)
-            assert served.assignment.tobytes() == fresh.assignment.tobytes()
-            direction = inst.direction_at(fresh.assignment, t)
-            key = ("Psf", mode, step_inputs(spec, scen, t))
-            assert solver._values[key] == ((fresh.objective, direction), True)
-            for prev in spec.operation_modes:
-                cost = switch_cost(spec, WEIGHTS, prev, mode)
-                assert solver.psf_value(mode, t, prev) == (True, fresh.objective + cost, direction)
-        for key, (value, solved) in solver._values.items():
-            if key[0] != "Ps":
-                continue
-            _, prev, candidates, inputs = key
-            t = next(t for t in range(1, 5) if step_inputs(spec, scen, t) == inputs)
-            inst = build_stationary(spec, scen, WEIGHTS, t, prev, list(candidates))
-            fresh = solve(inst, default_settings_for("Ps"))
-            assert solved
-            assert value == (fresh.objective, inst.mode_at(fresh.assignment, t), inst.direction_at(fresh.assignment, t))
+        grid, steps = scen.time_grid, range(1, scen.n_future + 1)
+
+        def available(t, candidates):
+            return tuple(o for o in candidates if mode_available(spec, grid, o, t))
+
+        def key_at(key, t):
+            """The key the solver forms at step t for the model ``key`` names."""
+            if key[0] == "Psf":
+                return "Psf", key[1], step_inputs(spec, scen, t)
+            return "Ps", key[1], available(t, key[2]), step_inputs(spec, scen, t)
+
+        def fresh(key, t):
+            """A fresh build and solve at step t, decoded as the solver does."""
+            if key[0] == "Psf":
+                inst = build_stationary_fixed(spec, scen, WEIGHTS, key[1], t)
+                res = solve(inst, default_settings_for("Psf"))
+                assert res.ok
+                return res.objective, inst.direction_at(res.assignment, t)
+            inst = build_stationary(spec, scen, WEIGHTS, t, key[1], list(key[2]))
+            res = solve(inst, default_settings_for("Ps"))
+            assert res.ok
+            return res.objective, inst.mode_at(res.assignment, t), inst.direction_at(res.assignment, t)
+
+        spans = 0
+        for key, value in solver._values.items():
+            at = [t for t in steps if key_at(key, t) == key]
+            assert at and all(value == fresh(key, t) for t in at), key
+            if key[0] == "Psf":
+                spans += len({available(t, spec.operation_modes) for t in at}) > 1
+                for t, prev in itertools.product(at, spec.operation_modes):
+                    cost = switch_cost(spec, WEIGHTS, prev, key[1])
+                    assert solver.psf_value(key[1], t, prev) == (True, value[0] + cost, value[1])
+        assert solver.counters["Psf"] == sum(key[0] == "Psf" for key in solver._values)
+        assert spans == spanning
 
     def test_smoothing_windows_always_solve(self, mini):
         spec, scen = mini

@@ -20,9 +20,12 @@ from stationopt.model import (
     step_inputs,
     switch_cost,
 )
+from stationopt.network import mode_available
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
 from stationopt.units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, normvol_to_massflow
+
+from oracles import fingerprint
 
 WEIGHTS = ObjectiveWeights()
 
@@ -654,10 +657,18 @@ def stationary_fingerprints(spec, scen, t):
     builds += [(("Ps", o), lambda o=o: build_stationary(spec, scen, WEIGHTS, t, o, modes)) for o in modes]
     for key, build in builds:
         try:
-            out[key] = build().model.fingerprint()
+            out[key] = fingerprint(build().model)
         except BuildInfeasibleError:
             out[key] = "infeasible"
     return out
+
+
+def stationary_keys(spec, scen, t):
+    """What the solver's memo keys a step on, per variant: ``Psf`` on its
+    ``step_inputs``, ``Ps`` also on the candidates available at t."""
+    inputs = step_inputs(spec, scen, t)
+    available = tuple(o for o in sorted(spec.operation_modes) if mode_available(spec, scen.time_grid, o, t))
+    return {"Psf": inputs, "Ps": (available, inputs)}
 
 
 class TestStepInputs:
@@ -672,7 +683,14 @@ class TestStepInputs:
         steps = range(1, scen.n_future + 1)
 
         def snapshot():
-            return [(step_inputs(spec, scen, t), stationary_fingerprints(spec, scen, t)) for t in steps]
+            return [(stationary_keys(spec, scen, t), stationary_fingerprints(spec, scen, t)) for t in steps]
+
+        def moved_without_key(before, after):
+            """The variants whose fingerprint moved, and those of them
+            whose key stayed."""
+            (keys0, fps0), (keys1, fps1) = before, after
+            moved = {name for name in fps0 if fps0[name] != fps1[name]}
+            return moved, [name for name in sorted(moved) if keys0[name[0]] == keys1[name[0]]]
 
         base = snapshot()
         arrays = list(per_step_arrays(spec, ("spec",))) + list(per_step_arrays(scen, ("scen",)))
@@ -691,21 +709,24 @@ class TestStepInputs:
                     after = snapshot()
                 finally:
                     array[i] = old
-                for t, ((key0, fps0), (key1, fps1)) in zip(steps, zip(base, after)):
-                    moved = [name for name in fps0 if fps0[name] != fps1[name]]
+                for t, before, now in zip(steps, base, after):
+                    moved, unkeyed = moved_without_key(before, now)
                     changed += bool(moved)
-                    assert not moved or key1 != key0, (path, new, t, moved)
-        # each unit out for one second at the start of step t
+                    assert not unkeyed, (path, new, t, unkeyed)
+        # each unit out for one second at the start of step t: only the
+        # available candidates change, which Psf does not read
+        ps_moved = 0
         for unit in sorted({u.id for st in spec.stations.values() for u in st.units}):
             for t in steps:
                 window = (float(scen.time_grid[t]), float(scen.time_grid[t]) + 1.0)
                 out = dataclasses.replace(spec, unavailability={**spec.unavailability, unit: (window,)})
-                key1 = step_inputs(out, scen, t)
-                fps = stationary_fingerprints(out, scen, t)
-                moved = [name for name, fp in fps.items() if fp != base[t - 1][1][name]]
-                changed += bool(moved)
-                assert not moved or key1 != base[t - 1][0], (unit, t, moved)
-        assert changed > 0
+                now = stationary_keys(out, scen, t), stationary_fingerprints(out, scen, t)
+                moved, unkeyed = moved_without_key(base[t - 1], now)
+                assert now[0]["Psf"] == base[t - 1][0]["Psf"]
+                assert all(variant == "Ps" for variant, _ in moved), (unit, t, moved)
+                ps_moved += bool(moved)
+                assert not unkeyed, (unit, t, unkeyed)
+        assert changed > 0 and ps_moved > 0
 
     @pytest.mark.parametrize(
         "doc, steps",
@@ -722,9 +743,12 @@ class TestStepInputs:
         spec = build_spec_ranges(spec, count=2000)
         by_key: dict = {}
         for t in range(1, scen.n_future + 1):
-            by_key.setdefault(step_inputs(spec, scen, t), []).append(t)
-        for repeats in by_key.values():
-            first, *rest = (stationary_fingerprints(spec, scen, t) for t in repeats)
-            assert all(fps == first for fps in rest), repeats
+            fps = stationary_fingerprints(spec, scen, t)
+            for variant, key in stationary_keys(spec, scen, t).items():
+                part = {name: fp for name, fp in fps.items() if name[0] == variant}
+                by_key.setdefault((variant, key), []).append((t, part))
+        for (variant, _), repeats in by_key.items():
+            (_, first), *rest = repeats
+            assert all(part == first for _, part in rest), (variant, [t for t, _ in repeats])
         if steps == "96":
-            assert len(by_key) < scen.n_future
+            assert len([key for key in by_key if key[0] == "Psf"]) < scen.n_future
