@@ -63,32 +63,33 @@ class ModeSequence:
             raise ValueError("modes and directions must have equal length")
 
 
-def transitions_work(spec: StationSpec, modes, time_grid) -> bool:
-    """Whether the mode switches of a sequence fit their transition times.
+def switch_ready(spec: StationSpec, time_grid, ready: float, t: int, prev: str, new: str) -> float | None:
+    """The earliest instant at which a switch after step t may start, or
+    None when the step from ``prev`` to ``new`` at t does not fit.
 
-    Every phase must be active at least half the incoming plus half the
-    outgoing transition time; the first phase only covers the outgoing
-    half (the transition into it predates the horizon) and the last phase
-    is exempt (it is assumed to stay active long enough).
+    A switch occupies the interval of its transition time centred on
+    ``time_grid[t]``; that interval must not start before ``ready``, the
+    end of the previous switch interval (the grid origin for the first).
+    Staying in a mode keeps ``ready``.
     """
-    changes = [t for t in range(1, len(modes)) if modes[t] != modes[t - 1]]
-    for j, t in enumerate(changes):
-        theta_out = spec.transition_time(modes[t - 1], modes[t])
-        if j == 0:
-            # first phase: no known transition into it, only the outgoing half
-            phase_start = time_grid[0]
-            theta_in = 0.0
-        else:
-            c_prev = changes[j - 1]
-            phase_start = time_grid[c_prev]
-            theta_in = spec.transition_time(modes[c_prev - 1], modes[c_prev])
-        if time_grid[t] - phase_start < (theta_in + theta_out) / 2.0 - 1e-9:
+    if new == prev:
+        return ready
+    half = spec.transition_time(prev, new) / 2.0
+    if time_grid[t] - ready < half - 1e-9:
+        return None
+    return time_grid[t] + half
+
+
+def transitions_work(spec: StationSpec, modes, time_grid) -> bool:
+    """Whether the mode switches of a sequence fit their transition times
+    (:func:`switch_ready` at every step).  The last switch interval may
+    reach past the horizon."""
+    ready = time_grid[0]
+    for t in range(1, len(modes)):
+        ready = switch_ready(spec, time_grid, ready, t, modes[t - 1], modes[t])
+        if ready is None:
             return False
     return True
-
-
-def all_modes_available(spec: StationSpec, time_grid, modes) -> bool:
-    return all(mode_available(spec, time_grid, modes[t], t) for t in range(1, len(modes)))
 
 
 def not_soon_infeasible(
@@ -97,25 +98,21 @@ def not_soon_infeasible(
     """Guard against stepping into a mode that later traps the station.
 
     If the candidate mode becomes unavailable at some future step, there
-    must be an escape: another available mode reachable before that step,
-    with both half transitions (into the candidate, out of it) fitting in
-    the elapsed time.
+    must be an escape: another mode, available at some step up to that
+    one, whose switch fits after the one into the candidate at t.
     """
     k = len(time_grid) - 1
     blocked = [tp for tp in range(t + 1, k + 1) if not mode_available(spec, time_grid, new_mode, tp)]
     if not blocked:
         return True
-    t_star = blocked[0]
-    half_in = spec.transition_time(old_mode, new_mode) / 2.0
-    for t_out in range(t + 1, t_star + 1):
-        for m in spec.operation_modes:
-            if m == new_mode:
-                continue
-            if not mode_available(spec, time_grid, m, t_out):
-                continue
-            if time_grid[t_out] - time_grid[t] >= half_in + spec.transition_time(new_mode, m) / 2.0:
-                return True
-    return False
+    ready = time_grid[t] + spec.transition_time(old_mode, new_mode) / 2.0
+    return any(
+        m != new_mode
+        and mode_available(spec, time_grid, m, t_out)
+        and switch_ready(spec, time_grid, ready, t_out, new_mode, m) is not None
+        for t_out in range(t + 1, blocked[0] + 1)
+        for m in spec.operation_modes
+    )
 
 
 def convex_combination_cs(station, x: str, y: str) -> set:
@@ -287,10 +284,11 @@ class StationSolver:
         """Sum of the per-step fixed stationary optima; +inf when any step
         is infeasible or uses an unavailable mode (whose selection variable
         would be fixed to zero, contradicting the mode choice)."""
+        steps = range(1, len(modes))
+        if not all(mode_available(self.spec, self.scen.time_grid, modes[t], t) for t in steps):
+            return math.inf
         total = 0.0
-        for t in range(1, len(modes)):
-            if not mode_available(self.spec, self.scen.time_grid, modes[t], t):
-                return math.inf
+        for t in steps:
             feasible, value, _ = self.psf_value(modes[t], t, modes[t - 1])
             if not feasible:
                 return math.inf
@@ -304,6 +302,7 @@ class StationSolver:
         grid = scen.time_grid
         modes = [scen.initial_state.operation_mode]
         directions: list = [None]
+        ready = grid[0]
         for t in range(1, scen.n_future + 1):
             old = modes[-1]
             feasible, cost, direction = self.psf_value(old, t, old)
@@ -319,7 +318,7 @@ class StationSolver:
                 o
                 for o in sorted(spec.operation_modes)
                 if mode_available(spec, grid, o, t)
-                and transitions_work(spec, modes + [o], grid)
+                and switch_ready(spec, grid, ready, t, old, o) is not None
                 and not_soon_infeasible(spec, grid, t, o, old)
             ]
             ok, _, best, best_dir = (False, math.inf, None, None)
@@ -327,6 +326,7 @@ class StationSolver:
                 ok, _, best, best_dir = self.ps_best(t, valid, old)
             if not ok:
                 raise InitialSolutionAbort(f"no usable operation mode for time step {t}")
+            ready = switch_ready(spec, grid, ready, t, old, best)
             modes.append(best)
             directions.append(best_dir)
         return ModeSequence(tuple(modes), tuple(directions))
@@ -356,8 +356,6 @@ class StationSolver:
                     trial = list(modes)
                     for pos in positions:
                         trial[pos] = candidate
-                    if not all_modes_available(spec, grid, trial):
-                        continue
                     if not transitions_work(spec, trial, grid):
                         continue
                     improvement = current - self.sequence_objective(trial)

@@ -386,15 +386,7 @@ def load_instance(source):
                 stage_list = cd["stages"]
                 stages = tuple(frozenset(stage.strings()) for stage in stage_list.items())
                 stage_list.check(stages and all(stages), "must be a nonempty list of nonempty stages")
-                facets = cd.get("facets")
-                configs.append(
-                    Configuration(
-                        cd["id"].string(),
-                        stages,
-                        None if facets.value is None
-                        else tuple(f.numbers(4, "4 numbers (w, x, y, z)") for f in facets.items()),
-                    )
-                )
+                configs.append(Configuration(cd["id"].string(), stages))
             z_l = papay_z(pa_to_bar(end_pressure(from_node)), constants)
             member_units = []
             for unit_id in ad["units"].distinct(key=None):

@@ -270,9 +270,6 @@ class LinearModel:
             out[category] = out.get(category, 0.0) + float(value)
         return out
 
-    def row_activity(self, row: Row, assignment: np.ndarray) -> float:
-        return float(sum(coef * assignment[idx] for idx, coef in row.coeffs.items()))
-
     def solver_view(self) -> SolverView:
         """The model in solver units (see :class:`SolverView`)."""
         a = self.arrays()

@@ -395,6 +395,9 @@ def validate(spec: StationSpec, scen: Scenario) -> list[Violation]:
         for bounds, label in ((scen.inflow_lb, "lower"), (scen.inflow_ub, "upper")):
             if vid not in bounds:
                 add(Violation("scenario", f"missing inflow {label} bound for {vid!r}"))
+        lb, ub = scen.inflow_lb.get(vid), scen.inflow_ub.get(vid)
+        if lb is not None and ub is not None and np.any(lb > ub):
+            add(Violation("scenario", f"inflow lower bound exceeds upper bound for {vid!r}"))
     for gid in spec.fence_groups:
         if gid not in scen.flow_demand:
             add(Violation("scenario", f"missing flow demand for fence group {gid!r}"))

@@ -352,6 +352,11 @@ def facet_rows(A: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> np.ndarray:
     return np.array(keep)
 
 
+def row_activity(row, x: np.ndarray) -> float:
+    """A ``Row`` record's left-hand side at ``x``, one coefficient at a time."""
+    return float(sum(coef * x[idx] for idx, coef in row.coeffs.items()))
+
+
 def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
     """(name, amount) of every violation, one column and one row at a time.
 
@@ -370,7 +375,7 @@ def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
         if model.integer[idx] and abs(value - round(value)) > 1e-5:
             out.append((f"integrality({model.var_names[idx]})", abs(value - round(value))))
     for row in model.rows:
-        act = model.row_activity(row, x)
+        act = row_activity(row, x)
         scale = max(1.0, abs(row.rhs), max(abs(c * x[i]) for i, c in row.coeffs.items()))
         if row.sense == "<=":
             gap = act - row.rhs

@@ -10,7 +10,6 @@ from stationopt.algorithm import (
     ModeSequence,
     SmoothingError,
     StationSolver,
-    all_modes_available,
     complete_plan_assignment,
     compute_gap,
     convex_combination,
@@ -20,6 +19,7 @@ from stationopt.algorithm import (
 )
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, regrid_instance, template_grid
+from stationopt.linmodel import BuildInfeasibleError
 from stationopt.model import (
     ObjectiveWeights,
     build_fixed_transient,
@@ -29,7 +29,7 @@ from stationopt.model import (
     step_inputs,
     switch_cost,
 )
-from stationopt.network import mode_available
+from stationopt.network import StationSpec, mode_available
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import check_assignment, default_settings_for, solve
 
@@ -181,6 +181,18 @@ class TestNotSoonInfeasible:
                             expect = True
             assert got == expect, f"seed {seed}"
 
+    @pytest.mark.parametrize("miss, fits", [(5e-10, True), (2e-9, False)])
+    def test_escape_uses_the_switch_tolerance(self, miss, fits):
+        # o_cp, entered at step 1 (30 min), dies at step 2, whose instant
+        # lies ``miss`` s short of what the switch back to o_by (100 min)
+        # needs; the rule forgives up to 1e-9 s
+        grid = np.array([0.0, 3 * HOUR, 3 * HOUR + 3900.0 - miss, 7 * HOUR, 10 * HOUR])
+        doc = mini_station(unavailability={"U1": [[float(grid[2]), 1e9]]})
+        doc["transitionTimes"] = {"o_by": {"o_cp": 30.0}, "o_cp": {"o_by": 100.0}}
+        spec, _ = load_instance(doc)
+        assert transitions_work(spec, ["o_by", "o_cp", "o_by"], grid[:3]) is fits
+        assert not_soon_infeasible(spec, grid, 1, "o_cp", "o_by") is fits
+
 
 class TestConvexCombination:
     def test_station_tokens_bypass_pair(self, two_unit):
@@ -279,6 +291,24 @@ class TestInitialSolution:
         with pytest.raises(InitialSolutionAbort):
             solver.initial_solution()
 
+    def test_candidate_filter_does_not_rescan_the_prefix(self, monkeypatch):
+        # U1 is out for most of every fourth step, so stage 1 switches
+        # twice in every four steps of the 48
+        step = 3 * HOUR
+        windows = [[t * step + 300.0, (t + 1) * step - 300.0] for t in range(2, 48, 4)]
+        spec, scen = loaded(mini_station(steps=48, lift=12.0, unavailability={"U1": windows}), count=2000)
+        calls = []
+        lookup = StationSpec.transition_time
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return lookup(self, a, b)
+
+        monkeypatch.setattr(StationSpec, "transition_time", counted)
+        seq = StationSolver(spec, scen, WEIGHTS).initial_solution()
+        assert seq.modes.count("o_by") == 12
+        assert len(calls) <= 3 * scen.n_future
+
     def test_directions_recorded_from_deciding_solve(self, mini):
         spec, scen = mini
         solver = StationSolver(spec, scen, WEIGHTS)
@@ -321,7 +351,7 @@ class TestImprovementHeuristic:
         mode_ids = sorted(spec.operation_modes)
         for combo in itertools.product(mode_ids, repeat=scen.n_future):
             modes = ("o_by",) + combo
-            if not all_modes_available(spec, scen.time_grid, modes):
+            if not all(mode_available(spec, scen.time_grid, m, t) for t, m in enumerate(modes) if t):
                 continue
             if not transitions_work(spec, modes, scen.time_grid):
                 continue
@@ -341,7 +371,7 @@ class TestImprovementHeuristic:
         initial = solver.initial_solution()
         improved = solver.improvement_heuristic(initial)
         assert solver.sequence_objective(improved.modes) <= solver.sequence_objective(initial.modes)
-        assert all_modes_available(spec, scen.time_grid, improved.modes)
+        assert all(mode_available(spec, scen.time_grid, m, t) for t, m in enumerate(improved.modes) if t)
         assert transitions_work(spec, improved.modes, scen.time_grid)
 
 
@@ -408,6 +438,20 @@ class TestSmoothing:
         seq = ModeSequence(("o_cp",) * 5, (None,) + ("f_fwd",) * 4)
         with pytest.raises(SmoothingError, match="time step 1"):
             solver.transient_smoothing(seq, h=4)
+
+    def test_contradictory_window_names_its_start(self, mini, monkeypatch):
+        spec, scen = mini
+
+        def contradictory(*args):
+            raise BuildInfeasibleError("constant row 'x' is violated: 0 <= -1")
+
+        monkeypatch.setattr(algorithm_module, "build_fixed_transient", contradictory)
+        solver = StationSolver(spec, scen, WEIGHTS)
+        seq = ModeSequence(("o_cp",) * 5, (None,) + ("f_fwd",) * 4)
+        with pytest.raises(SmoothingError, match="window starting at time step 1: constant row 'x'") as info:
+            solver.transient_smoothing(seq, h=4)
+        assert info.value.window_start == 1
+        assert solver.counters["Pf"] == 0
 
     def test_retry_recorded(self, mini):
         spec, scen = mini

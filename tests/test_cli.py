@@ -46,6 +46,12 @@ def bad_initial_pressure_doc(case):
     return doc
 
 
+def inverted_inflow_doc():
+    doc = mini_station()
+    doc["scenario"]["inflowLB"]["B1"] = [-2000.0, -2000.0, 3000.0, -2000.0, -2000.0]  # UB is 2000
+    return doc
+
+
 class TestValidateCommand:
     def test_good_instance(self, instance_path, capsys):
         assert main(["validate", str(instance_path)]) == 0
@@ -95,12 +101,11 @@ class TestValidateCommand:
             "polytope is not full-dimensional"
         ) in err
 
-    def test_malformed_facets_exit_2(self, tmp_path, capsys):
-        doc = mini_station()
-        doc["arcs"][0]["configurations"][0]["facets"] = [[0.0, 0.0, 1.0, 0.0], [1.0, 2.0]]
-        path = write_doc(tmp_path, doc)
-        assert main(["validate", str(path)]) == 2
-        assert "schema error: $.arcs[0].configurations[0].facets[1]" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_inverted_inflow_bounds_exit_2(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, inverted_inflow_doc())
+        assert main([command, str(path)]) == 2
+        assert "inflow lower bound exceeds upper bound for 'B1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["missing", "zero"])
     def test_bad_initial_pressure_exits_2(self, tmp_path, capsys, case):
@@ -342,4 +347,22 @@ def test_bound_above_plan_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"]) == 4
     err = capsys.readouterr().err
     assert "lower-bound solve failed" in err and "lies above" in err
+    assert not (tmp_path / "inst.plan.json").exists()
+
+
+def test_bound_above_plan_from_the_solve_exits_4(tmp_path, capsys, monkeypatch):
+    # a lower-bound result that claims a bound above the plan reaches the
+    # gap computation, which refuses it
+    from stationopt import cli
+    from stationopt.solve import SolveResult
+
+    def above(inst, settings, initial=None, backend=None):
+        objective = inst.model.objective_value(initial)
+        return SolveResult("optimal", objective, objective + 100.0, initial, 0.0)
+
+    monkeypatch.setattr(cli, "solve", above)
+    path = write_doc(tmp_path, mini_station())
+    assert main(["solve", str(path), "--lower-bound"]) == 4
+    err = capsys.readouterr().err
+    assert "lower-bound solve failed: lower bound" in err and "lies above the objective" in err
     assert not (tmp_path / "inst.plan.json").exists()

@@ -110,26 +110,11 @@ class TestLoadSave:
         with pytest.raises(SchemaError, match=path):
             load_instance(doc)
 
-    @pytest.mark.parametrize(
-        "facets,path",
-        [
-            ([["a", 0, 0, 1], [1, 2]], r"\.configurations\[0\]\.facets\[0\]\[0\]: expected a number"),
-            ([[0, 0, 1, 1], [1, 2]], r"\.configurations\[0\]\.facets\[1\]: expected 4 numbers"),
-        ],
-        ids=["text-entry", "short-row"],
-    )
-    def test_malformed_configuration_facets(self, facets, path):
+    def test_unknown_arc_kind_names_its_path(self):
         doc = mini_station()
-        doc["arcs"][0]["configurations"][0]["facets"] = facets
-        with pytest.raises(SchemaError, match=r"\$\.arcs\[0\]" + path):
+        doc["arcs"][0]["kind"] = "pump"
+        with pytest.raises(SchemaError, match=r"\$\.arcs\[0\]\.kind: unknown arc kind 'pump'"):
             load_instance(doc)
-
-    def test_configuration_facets_load_as_floats(self):
-        doc = mini_station()
-        doc["arcs"][0]["configurations"][0]["facets"] = [[-1, 0, 0, 4e6]]
-        spec, _ = load_instance(doc)
-        (facet,) = spec.stations["CS1"].configurations[0].facets
-        assert facet == (-1.0, 0.0, 0.0, 4e6) and all(type(x) is float for x in facet)
 
     def test_malformed_pipe_flow_names_its_entry(self):
         doc = mini_station_pipes()
@@ -235,6 +220,52 @@ class TestFixedValves:
         doc["scenario"]["initialState"]["arcFlows"]["VF"] = 0.0
         with pytest.raises(SchemaError, match="boundary"):
             load_instance(doc)
+
+    def test_parallel_fixed_valve_is_vacuous(self):
+        doc = self.base()
+        doc["arcs"].append(dict(doc["arcs"][-1], id="VF2"))  # a second VF, N2 -> N3
+        spec, scen = load_instance(doc)
+        assert spec.valve_rewrites["removedArcs"] == {
+            "VF": "fixed open (contracted)", "VF2": "fixed open (vacuous)"
+        }
+        assert "VF2" not in spec.valves and validate(spec, scen) == []
+
+    def test_contraction_into_a_self_loop_rejected(self):
+        doc = self.base()
+        doc["arcs"].append(
+            {"id": "V2", "kind": "valve", "from": "N2", "to": "N3", "flowLB": -10.0, "flowUB": 10.0}
+        )
+        with pytest.raises(SchemaError, match=r"\$\.arcs\[5\]: fixed-open valve contraction .* self-loop"):
+            load_instance(doc)
+
+    def exit_merge_doc(self):
+        """The regulator feeds the inner node N3, which has an exit bound of
+        66 bar and a fixed-open valve into the boundary node B2 (68 bar)."""
+        doc = mini_station_pipes()
+        doc["arcs"][3]["to"] = "N3"
+        doc["nodes"].append(
+            {"id": "N3", "kind": "inner", "pressureLB": 30.0, "pressureUB": 70.0, "exitPressureUB": 66.0}
+        )
+        doc["arcs"].append(
+            {"id": "VF", "kind": "valve", "from": "N3", "to": "B2", "flowLB": -2000.0, "flowUB": 2000.0,
+             "fixedMode": "op"}
+        )
+        return doc
+
+    def test_exit_bounds_merge_to_the_lower(self):
+        spec, scen = load_instance(self.exit_merge_doc())
+        assert spec.valve_rewrites["mergedNodes"] == {"N3": "B2"}
+        assert spec.regulators["RG1"].to_node == "B2"
+        assert spec.nodes["B2"].exit_pressure_ub == pytest.approx(bar_to_pa(66.0))
+        assert validate(spec, scen) == []
+
+    def test_flow_condition_follows_a_merged_node(self):
+        doc = self.exit_merge_doc()
+        doc["flowConditions"] = [{"direction": "f_fwd", "smaller": ["B1"], "larger": ["N3"]}]
+        spec, scen = load_instance(doc)
+        (cond,) = spec.flow_conditions
+        assert (cond.smaller, cond.larger) == (("B1",), ("B2",))
+        assert validate(spec, scen) == []
 
     def test_merged_bounds_are_intersected(self):
         doc = self.base()

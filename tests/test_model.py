@@ -25,7 +25,7 @@ from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
 from stationopt.units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, normvol_to_massflow
 
-from oracles import fingerprint
+from oracles import fingerprint, row_activity
 
 WEIGHTS = ObjectiveWeights()
 
@@ -166,9 +166,9 @@ class TestPipeRows:
             x[inst.handle("p", v, 2).index] = 50e5
         x[inst.handle("ql", "P1", 2).index] = 120.0
         x[inst.handle("qr", "P1", 2).index] = 120.0
-        assert inst.model.row_activity(row, x) == pytest.approx(row.rhs)
+        assert row_activity(row, x) == pytest.approx(row.rhs)
         x[inst.handle("qr", "P1", 2).index] = 121.0
-        assert inst.model.row_activity(row, x) != pytest.approx(row.rhs)
+        assert row_activity(row, x) != pytest.approx(row.rhs)
 
 
 class TestValveAndRegulatorRows:
@@ -205,7 +205,7 @@ class TestValveAndRegulatorRows:
         x[pr.index] = 60e5
         x[q.index] = 10.0
         for row in rows_named(m, "rg_"):
-            act = m.row_activity(row, x)
+            act = row_activity(row, x)
             ok = {"<=": act <= row.rhs + 1e-9, ">=": act >= row.rhs - 1e-9, "==": abs(act - row.rhs) < 1e-9}
             assert ok[row.sense], row.name
         # bypass with unequal pressures violates the collapsed pair
@@ -214,8 +214,8 @@ class TestValveAndRegulatorRows:
             row
             for row in rows_named(m, "rg_p_")
             if not {
-                "<=": m.row_activity(row, x) <= row.rhs + 1e-9,
-                ">=": m.row_activity(row, x) >= row.rhs - 1e-9,
+                "<=": row_activity(row, x) <= row.rhs + 1e-9,
+                ">=": row_activity(row, x) >= row.rhs - 1e-9,
             }[row.sense]
         ]
         assert bad
@@ -514,8 +514,8 @@ class TestBuildVariant:
         assert row.rhs == pytest.approx((80.0 - 30.0) * 1e5)
 
 
-# Operating range of mini_station's configuration c1, given in the document
-# so that no range construction runs: w pl + x pr + y q + z <= 0 in Pa, Pa
+# Operating range of mini_station's configuration c1, attached to the loaded
+# spec so that no range construction runs: w pl + x pr + y q + z <= 0 in Pa, Pa
 # and kg/s; the last row is a flow facet, the others are pressure facets.
 PINNED_FACETS = [
     [-1.0, 0.0, 0.0, 4.0e6],
@@ -540,9 +540,11 @@ class TestPinnedOutput:
 
     @pytest.fixture(scope="class")
     def models(self):
-        doc = mini_station()
-        doc["arcs"][0]["configurations"][0]["facets"] = PINNED_FACETS
-        spec, scen = load_instance(doc)
+        spec, scen = load_instance(mini_station())
+        station = spec.stations["CS1"]
+        (config,) = station.configurations
+        pinned = dataclasses.replace(station, configurations=(config.with_facets(PINNED_FACETS),))
+        spec = dataclasses.replace(spec, stations={"CS1": pinned})
         pf_modes = ["o_cp", "o_by", "o_by", "o_cp"]
         return {
             "P": build_full(spec, scen, WEIGHTS),

@@ -199,6 +199,10 @@ RELATIONAL_BREAKS = {
         ),
         Violation("scenario", "flow demand for 'g_in' must have 6 values"),
     ),
+    "inflow-bounds-inverted": (
+        with_scenario(inflow_lb=lambda sc: {**sc.inflow_lb, "B1": sc.inflow_ub["B1"] + 1.0}),
+        Violation("scenario", "inflow lower bound exceeds upper bound for 'B1'"),
+    ),
     "unknown-initial-mode": (
         with_state(operation_mode=lambda st: "o_x"),
         Violation("initial state", "unknown operation mode 'o_x'"),
