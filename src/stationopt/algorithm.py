@@ -29,7 +29,9 @@ from .model import (
     build_stationary,
     build_stationary_fixed,
     change_indicators,
+    instantiate_fixed_transient,
     mode_indicators,
+    step_bounds,
     step_inputs,
     switch_cost,
 )
@@ -204,7 +206,15 @@ class StationSolver:
     :func:`~stationopt.model.step_inputs`.  A step whose numbers repeat an
     earlier one is answered without a build.  ``counters`` counts backend
     solves and ``memo_hits`` the stationary lookups the memo answered.
-    Smoothing windows always solve.
+
+    Smoothing windows always solve, but windows that share a pattern are
+    built once.  ``_templates`` maps everything a window build reads
+    except the start state's pressures and flows, its demands and its
+    absolute steps (weights, modes, directions, start mode and regulator
+    modes, the step bounds and step lengths of its steps and the step
+    before) to the first build of that pattern; a later window of the
+    pattern is that build patched
+    (:func:`~stationopt.model.instantiate_fixed_transient`).
     """
 
     def __init__(
@@ -220,6 +230,11 @@ class StationSolver:
         self.backend = backend
         self._inputs = [None] + [step_inputs(spec, scen, t) for t in range(1, scen.n_future + 1)]
         self._values: dict = {}
+        self._bounds = [
+            np.array(step_bounds(spec, scen, t), dtype=float).tobytes() for t in range(scen.n_future + 1)
+        ]
+        self._lengths = np.diff(np.asarray(scen.time_grid, dtype=float))
+        self._templates: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
         self.memo_hits = {"Psf": 0, "Ps": 0}
 
@@ -413,11 +428,27 @@ class StationSolver:
             diagnostics=diagnostics,
         )
 
+    def _window_model(self, weights: ObjectiveWeights, modes: tuple, dirs: tuple, snapshot: StateSnapshot):
+        """The fixed transient model of one window: the template of its
+        pattern patched, or a fresh build kept as that template."""
+        t0, last = snapshot.time_index, snapshot.time_index + len(modes)
+        key = (
+            weights, modes, dirs, snapshot.operation_mode, tuple(sorted(snapshot.regulator_modes.items())),
+            b"".join(self._bounds[t0 : last + 1]) + self._lengths[t0:last].tobytes(),
+        )
+        template = self._templates.get(key)
+        if template is not None:
+            return instantiate_fixed_transient(template, snapshot)
+        inst = build_fixed_transient(self.spec, self.scen, weights, modes, dirs, snapshot)
+        if inst.sites is not None:
+            self._templates[key] = inst
+        return inst
+
     def _solve_window(self, seq: ModeSequence, snapshot: StateSnapshot, times, diagnostics):
-        modes = [seq.modes[t] for t in times]
-        dirs = [seq.directions[t] for t in times]
+        modes = tuple(seq.modes[t] for t in times)
+        dirs = tuple(seq.directions[t] for t in times)
         try:
-            inst = build_fixed_transient(self.spec, self.scen, self.weights, modes, dirs, snapshot)
+            inst = self._window_model(self.weights, modes, dirs, snapshot)
         except BuildInfeasibleError as exc:
             raise SmoothingError(times[0], str(exc)) from exc
         res = self._solve(inst, "Pf")
@@ -426,8 +457,7 @@ class StationSolver:
         if not res.ok:
             # one retry with the demand slacks made dominant, in case the
             # window is only numerically borderline
-            scaled = self.weights.scaled(10.0)
-            inst = build_fixed_transient(self.spec, self.scen, scaled, modes, dirs, snapshot)
+            inst = self._window_model(self.weights.scaled(10.0), modes, dirs, snapshot)
             res = self._solve(inst, "Pf")
             diagnostics["retried_windows"].append(times[0])
             if not res.ok:

@@ -4,18 +4,23 @@ A :class:`LinearModel` is a plain catalog of variables (finite bounds,
 optional integrality, a solver unit), rows (sparse coefficients, sense,
 right-hand side) and a linear objective split into named categories.  The
 rows are stored as flat COO data (row pointer, columns, values); the
-model reads them as numpy arrays, built once on first read.  The model
-itself is in SI; :meth:`LinearModel.solver_view` derives the arrays an
-in-process solver sees, with every column in its declared unit.  The
-export writes deterministic CPLEX-style LP text in SI, byte-identical for
+model reads them as numpy arrays, built once on first read.  Names are
+strings or records ``(label, *args)`` formatted only when read (see
+:func:`format_name`).  The model itself is in SI;
+:meth:`LinearModel.solver_view` derives the arrays an in-process solver
+sees, with every column in its declared unit.  :meth:`LinearModel.patched`
+copies a complete model with new column upper bounds and right-hand sides
+and shares the rest, the solver view's matrix included.  The export
+writes deterministic CPLEX-style LP text in SI, byte-identical for
 identical models.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +32,26 @@ CONSTANT_ROW_TOL = 1e-9  # relative slack for a row left without variables
 
 class BuildInfeasibleError(ValueError):
     """A constant-only constraint is violated already at build time."""
+
+
+def format_name(name, shift: int = 0) -> str:
+    """A variable or row name as text.
+
+    ``name`` is a string, returned as it is, or a record ``(label, *args)``
+    whose string arguments are ids and whose int arguments are time steps;
+    it reads ``label(arg,...)`` with every step moved by ``shift``.
+    """
+    if type(name) is str:
+        return name
+    args = ",".join([a if type(a) is str else str(a + shift) for a in name[1:]])
+    return f"{name[0]}({args})"
+
+
+def _bounds_error(name, lb: float, ub: float, shift: int = 0):
+    """The error :meth:`LinearModel.add_var` raises for bounds it cannot take."""
+    if not (math.isfinite(lb) and math.isfinite(ub)):
+        raise ValueError(f"variable {format_name(name, shift)!r} needs finite bounds, got [{lb}, {ub}]")
+    raise BuildInfeasibleError(f"variable {format_name(name, shift)!r} has empty domain [{lb}, {ub}]")
 
 
 class VarRef:
@@ -116,17 +141,21 @@ class LinearModel:
     """Variables, rows and objective of one model, appended in build order.
 
     The model is append-only: the ``add_*`` methods are the only writers,
-    and ``add_var`` and ``add_row`` drop the cached arrays.
+    and they drop the cached arrays, names and solver-view structure.  A
+    model that :meth:`patched` has copied shares its lists with the copy,
+    so neither takes further appends.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self.var_names: list[str] = []
+        self._var_keys: list = []  # names as given (see format_name)
+        self._row_keys: list = []
+        self._shift = 0  # steps the names are moved by when formatted
+        self._names: tuple | None = None  # (var_names, row_names), formatted on first read
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.integer: list[bool] = []
         self.unit: list[float] = []  # SI value of one solver unit, per column
-        self.row_names: list[str] = []
         self._ptr: list[int] = [0]
         self._cols: list[int] = []
         self._vals: list[float] = []
@@ -138,14 +167,32 @@ class LinearModel:
         # (category, var index or None, coefficient or constant value)
         self.objective_terms: list[tuple[str, int | None, float]] = []
         self._arrays: ModelArrays | None = None
+        self._view: tuple | None = None  # what solver_view derives from the structure alone
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self._var_keys)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_names)
+        return len(self._row_keys)
+
+    @property
+    def var_names(self) -> list[str]:
+        return self._formatted()[0]
+
+    @property
+    def row_names(self) -> list[str]:
+        return self._formatted()[1]
+
+    def _formatted(self) -> tuple:
+        if self._names is None:
+            shift = self._shift
+            self._names = (
+                [format_name(n, shift) for n in self._var_keys],
+                [format_name(n, shift) for n in self._row_keys],
+            )
+        return self._names
 
     @property
     def rows(self) -> list[Row]:
@@ -183,28 +230,26 @@ class LinearModel:
         return self._arrays
 
     def add_var(
-        self, name: str, lb: float, ub: float, integer: bool = False, unit: float = 1.0
+        self, name, lb: float, ub: float, integer: bool = False, unit: float = 1.0
     ) -> VarRef:
         """One variable with SI bounds.
 
         ``unit`` is the SI value of one solver unit: a pressure column in Pa
         passes ``units.PA_PER_BAR`` so that the solver sees it in bar.
         """
-        if not (math.isfinite(lb) and math.isfinite(ub)):
-            raise ValueError(f"variable {name!r} needs finite bounds, got [{lb}, {ub}]")
-        if lb > ub:
-            raise BuildInfeasibleError(f"variable {name!r} has empty domain [{lb}, {ub}]")
+        if not (math.isfinite(lb) and math.isfinite(ub)) or lb > ub:
+            _bounds_error(name, lb, ub)
         if not unit > 0.0 or (integer and unit != 1.0):
-            raise ValueError(f"variable {name!r} cannot have solver unit {unit}")
-        self._arrays = None
-        self.var_names.append(name)
+            raise ValueError(f"variable {format_name(name)!r} cannot have solver unit {unit}")
+        self._arrays = self._view = self._names = None
+        self._var_keys.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.integer.append(bool(integer))
         self.unit.append(float(unit))
-        return VarRef(len(self.var_names) - 1)
+        return VarRef(len(self._var_keys) - 1)
 
-    def add_row(self, name: str, pairs, sense: str, rhs: float, unit: float | None = None) -> None:
+    def add_row(self, name, pairs, sense: str, rhs: float, unit: float | None = None) -> None:
         """One linear row from (coefficient, handle) pairs.
 
         Handles are :class:`VarRef` or plain numbers; constants fold into
@@ -235,10 +280,12 @@ class LinearModel:
                 "==": abs(rhs_eff) <= slack,
             }[sense]
             if not ok:
-                raise BuildInfeasibleError(f"constant row {name!r} is violated: 0 {sense} {rhs_eff}")
+                raise BuildInfeasibleError(
+                    f"constant row {format_name(name)!r} is violated: 0 {sense} {rhs_eff}"
+                )
             return
-        self._arrays = None
-        self.row_names.append(name)
+        self._arrays = self._view = self._names = None
+        self._row_keys.append(name)
         self._cols.extend(coeffs)
         self._vals.extend(coeffs.values())
         self._ptr.append(len(self._cols))
@@ -248,6 +295,7 @@ class LinearModel:
 
     def add_objective(self, category: str, handle, coef: float) -> None:
         """Linear objective contribution; constants keep their category."""
+        self._view = None
         if type(handle) is VarRef:
             self.objective[handle.index] = self.objective.get(handle.index, 0.0) + float(coef)
             self.objective_terms.append((category, handle.index, float(coef)))
@@ -271,31 +319,72 @@ class LinearModel:
         return out
 
     def solver_view(self) -> SolverView:
-        """The model in solver units (see :class:`SolverView`)."""
+        """The model in solver units (see :class:`SolverView`).
+
+        The objective, the matrix, the row units and the lower bounds are
+        derived once per model structure; the upper bounds and the row
+        bounds on every call.
+        """
         a = self.arrays()
-        col_unit = a.col_unit
-        c = np.zeros(self.n_vars)
-        c[list(self.objective)] = list(self.objective.values())
-        A = None
+        c, A, row_unit, lb, integer = self._view_structure()
         row_lo = row_hi = np.zeros(0)
-        if self.n_rows:
-            derived = np.maximum(1.0, np.maximum.reduceat(col_unit[a.cols], a.ptr[:-1]))
-            row_unit = np.where(np.isnan(a.row_unit), derived, a.row_unit)
-            data = a.vals * col_unit[a.cols] / row_unit[a.row_of]
-            A = sparse.csr_array((data, a.cols, a.ptr), shape=(self.n_rows, self.n_vars)).tocsc()
+        if A is not None:
             rhs = a.rhs / row_unit
             row_lo = np.where(a.sense == SENSES.index("<="), -np.inf, rhs)
             row_hi = np.where(a.sense == SENSES.index(">="), np.inf, rhs)
         return SolverView(
-            c=c * col_unit,
+            c=c,
             A=A,
             row_lo=row_lo,
             row_hi=row_hi,
-            lb=a.lb / col_unit,
-            ub=a.ub / col_unit,
-            integer=a.integer.astype(int),
-            col_unit=col_unit,
+            lb=lb,
+            ub=a.ub / a.col_unit,
+            integer=integer,
+            col_unit=a.col_unit,
         )
+
+    def _view_structure(self) -> tuple:
+        if self._view is None:
+            a = self.arrays()
+            col_unit = a.col_unit
+            c = np.zeros(self.n_vars)
+            c[list(self.objective)] = list(self.objective.values())
+            A = row_unit = None
+            if self.n_rows:
+                derived = np.maximum(1.0, np.maximum.reduceat(col_unit[a.cols], a.ptr[:-1]))
+                row_unit = np.where(np.isnan(a.row_unit), derived, a.row_unit)
+                data = a.vals * col_unit[a.cols] / row_unit[a.row_of]
+                A = sparse.csr_array((data, a.cols, a.ptr), shape=(self.n_rows, self.n_vars)).tocsc()
+            self._view = (c * col_unit, A, row_unit, a.lb / col_unit, a.integer.astype(int))
+        return self._view
+
+    def patched(self, shift: int, ub: dict, rhs: dict) -> "LinearModel":
+        """A copy with new upper bounds ``ub`` and right-hand sides ``rhs``
+        (each index -> value) and its names moved by ``shift`` steps.
+
+        The copy shares every other list, the objective and the solver
+        view's structure with this model.  An upper bound the copy cannot
+        take raises as :meth:`add_var` would, the first in ``ub`` order.
+        """
+        a = self.arrays()
+        out = copy.copy(self)
+        out._view = self._view_structure()
+        out._shift = self._shift + shift
+        out._names = None
+        out.ub = list(self.ub)
+        for i, value in ub.items():
+            lb = self.lb[i]
+            if not (math.isfinite(lb) and math.isfinite(value)) or lb > value:
+                _bounds_error(self._var_keys[i], lb, value, out._shift)
+            out.ub[i] = value
+        out._rhs = list(self._rhs)
+        for r, value in rhs.items():
+            out._rhs[r] = value
+        new_ub, new_rhs = a.ub.copy(), a.rhs.copy()
+        new_ub[list(ub)] = list(ub.values())
+        new_rhs[list(rhs)] = list(rhs.values())
+        out._arrays = replace(a, ub=new_ub, rhs=new_rhs)
+        return out
 
     def lp_text(self) -> str:
         """Deterministic LP-format text of the model.

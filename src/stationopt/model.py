@@ -14,6 +14,16 @@ step between two fixed modes costs :func:`switch_cost`, summed from the
 :func:`change_indicators` the builder writes.  The fixed stationary model
 keeps its mode at the step before, so it has no switch cost.
 
+A fixed transient build also records where the numbers that differ
+between windows of one pattern land: the start state's pressures and
+flows enter the table as marked constants, so the rows they fold into
+are noted with their constant terms in order, as are the demand
+right-hand sides and the slack caps.  :func:`instantiate_fixed_transient`
+recomputes just those numbers for another window in the builder's own
+arithmetic and shares the rest of the build.  Names are kept as records
+of a label and its arguments, the time steps marked as ints, and are
+formatted when read, so a copy re-dates them by a shift.
+
 Internally the models use Pa, kg/s and seconds.  The objective converts
 the file-facing weights (bar, 1000 m^3/h, hours) once per build.  Every
 pressure variable is declared with solver unit ``PA_PER_BAR`` and every
@@ -24,7 +34,7 @@ sees pressures in bar and flows in tens of kg/s (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,6 +87,7 @@ class ModelInstance:
         self.scen = scen
         self.times = list(times)
         self.handles: dict = {}
+        self.sites: _Sites | None = None  # set by build_fixed_transient
 
     def handle(self, *key):
         return self.handles[key]
@@ -150,24 +161,32 @@ def switch_cost(spec: StationSpec, weights: ObjectiveWeights, prev: str, mode: s
     return total
 
 
-def step_inputs(spec: StationSpec, scen: Scenario, t: int) -> bytes:
-    """Every number a stationary build reads at step ``t``, as bytes.
-
-    The step length; node pressure bounds, arc and pipe flow bounds and
-    boundary inflow bounds at t; and the pressure and flow demands at
-    index ``t - 1`` (demand arrays start at step 1).  For the same mode
-    (``Psf``), or the same previous mode and the same candidates available
-    at t (``Ps``), two steps with equal bytes give models that differ only
-    in their names; mode availability is read only through the candidate
-    filter.  Bytes, not floats, so that the key tells 0.0 from -0.0.
-    """
-    values = [scen.step_length(t)]
+def step_bounds(spec: StationSpec, scen: Scenario, t: int) -> list:
+    """The bounds a build reads at step ``t``: node pressure bounds, arc and
+    pipe flow bounds and boundary inflow bounds."""
+    values = []
     for node in spec.nodes.values():
         values += (node.pressure_lb[t], node.pressure_ub[t])
     for arc in spec.arcs().values():
         values += (arc.flow_lb[t], arc.flow_ub[t])
     for v in spec.boundary_nodes():
-        values += (scen.inflow_lb[v][t], scen.inflow_ub[v][t], scen.pressure_demand[v][t - 1])
+        values += (scen.inflow_lb[v][t], scen.inflow_ub[v][t])
+    return values
+
+
+def step_inputs(spec: StationSpec, scen: Scenario, t: int) -> bytes:
+    """Every number a stationary build reads at step ``t``, as bytes.
+
+    The step length, the :func:`step_bounds` at t, and the pressure and
+    flow demands at index ``t - 1`` (demand arrays start at step 1).  For
+    the same mode (``Psf``), or the same previous mode and the same
+    candidates available at t (``Ps``), two steps with equal bytes give
+    models that differ only in their names; mode availability is read
+    only through the candidate filter.  Bytes, not floats, so that the key
+    tells 0.0 from -0.0.
+    """
+    values = [scen.step_length(t), *step_bounds(spec, scen, t)]
+    values += (scen.pressure_demand[v][t - 1] for v in spec.boundary_nodes())
     values += (scen.flow_demand[g][t - 1] for g in spec.fence_groups)
     return np.array(values, dtype=float).tobytes()
 
@@ -209,21 +228,13 @@ def build_fixed_transient(
     directions,
     snapshot: StateSnapshot,
 ) -> ModelInstance:
+    """The transient window after ``snapshot`` with every mode and
+    direction fixed.  Its ``sites`` record serves
+    :func:`instantiate_fixed_transient`; it is None where a row that reads
+    the start state or a demand folds away."""
     modes = tuple(modes)
     directions = tuple(directions)
-    if len(modes) != len(directions):
-        raise ValueError("mode and direction sequences differ in length")
-    t_start = snapshot.time_index + 1
-    times = list(range(t_start, t_start + len(modes)))
-    if times[-1] > scen.n_future:
-        raise ValueError("sequence extends past the time grid")
-    for t, (o, f) in zip(times, zip(modes, directions)):
-        if (o, f) not in spec.valid_pairs:
-            raise ValueError(f"({o!r}, {f!r}) is not a valid mode/direction pair")
-        if not mode_available(spec, scen.time_grid, o, t):
-            raise ValueError(f"fixed mode {o!r} is unavailable at time step {t}")
-    fixed_modes = dict(zip(times, modes))
-    fixed_dirs = dict(zip(times, directions))
+    times = _window_times(spec, scen, modes, directions, snapshot)
     b = _Builder(
         spec,
         scen,
@@ -231,10 +242,102 @@ def build_fixed_transient(
         "Pf",
         times,
         snapshot=snapshot,
-        fixed_modes=fixed_modes,
-        fixed_dirs=fixed_dirs,
+        fixed_modes=dict(zip(times, modes)),
+        fixed_dirs=dict(zip(times, directions)),
+        sites=_Sites(modes, directions),
     )
-    return b.build()
+    inst = b.build()
+    inst.sites = b.sites
+    return inst
+
+
+def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot) -> ModelInstance:
+    """The window after ``snapshot`` with the modes and directions of
+    ``template``, a :func:`build_fixed_transient` result with ``sites``,
+    without a build.
+
+    It equals a fresh build of that window, names, handles and arrays
+    included, when the window reads the template's pattern: the same
+    weights, start mode and regulator modes, and the same
+    :func:`step_bounds` and step lengths at its steps and the step before.
+    The caller keys on these.  The copy takes the start state's pressures
+    and flows, the demands and the slack caps at its own steps, each
+    combined in the builder's order, and raises where the fresh build
+    would.
+    """
+    spec, scen, sites = template.spec, template.scen, template.sites
+    times = _window_times(spec, scen, sites.modes, sites.directions, snapshot)
+    shift = times[0] - template.times[0]
+
+    def value(x):
+        if type(x) is not _Param:
+            return x
+        kind, key = x.key[:2]
+        if kind == "p":
+            return snapshot.pressures[key]
+        if kind == "q":
+            return snapshot.arc_flows[key]
+        return getattr(scen, kind)[key][x.key[2] + shift - 1]
+
+    ub = {}
+    for cols, cap, v, t in sites.caps:
+        ub.update(dict.fromkeys(cols, cap(spec, scen, v, t + shift)))
+    rhs = {}
+    for row, row_rhs, constants in sites.rows:
+        const = 0.0
+        for coef, h in constants:
+            const += float(coef) * float(h if type(h) is not _Param else value(h))
+        rhs[row] = float(value(row_rhs)) - const
+    inst = ModelInstance("Pf", template.model.patched(shift, ub, rhs), spec, scen, times)
+    inst.handles = {key[:-1] + (key[-1] + shift,): h for key, h in template.handles.items()}
+    t0 = times[0] - 1
+    for v, p in snapshot.pressures.items():
+        inst.handles[("p", v, t0)] = p
+    for a, q in snapshot.arc_flows.items():
+        inst.handles[("q", a, t0)] = q
+    return inst
+
+
+def _window_times(spec: StationSpec, scen: Scenario, modes: tuple, directions: tuple, snapshot) -> list:
+    """The steps of a fixed transient window; raises for a window no build can take."""
+    if len(modes) != len(directions):
+        raise ValueError("mode and direction sequences differ in length")
+    t_start = snapshot.time_index + 1
+    times = list(range(t_start, t_start + len(modes)))
+    if times[-1] > scen.n_future:
+        raise ValueError("sequence extends past the time grid")
+    for t, o, f in zip(times, modes, directions):
+        if (o, f) not in spec.valid_pairs:
+            raise ValueError(f"({o!r}, {f!r}) is not a valid mode/direction pair")
+        if not mode_available(spec, scen.time_grid, o, t):
+            raise ValueError(f"fixed mode {o!r} is unavailable at time step {t}")
+    return times
+
+
+class _Param(float):
+    """A start-state value or a demand in a build that records its sites:
+    the number itself, and ``key`` to find it for another window, one of
+    ``("p", node)``, ``("q", arc)`` and ``(demand kind, id, step)``."""
+
+    __slots__ = ("key",)
+
+    def __new__(cls, value, key: tuple):
+        self = super().__new__(cls, value)
+        self.key = key
+        return self
+
+
+@dataclass
+class _Sites:
+    """Where the numbers that differ between windows of one pattern land
+    in a fixed transient build: ``caps`` holds (columns, cap function,
+    node, step) per slack pair, ``rows`` (row, right-hand side, constant
+    terms) per row whose right-hand side reads a :class:`_Param`."""
+
+    modes: tuple
+    directions: tuple
+    caps: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +358,7 @@ class _Builder:
         fixed_modes: dict | None = None,
         fixed_dirs: dict | None = None,
         valid_modes=None,
+        sites: _Sites | None = None,
     ):
         self.spec = spec
         self.scen = scen
@@ -278,6 +382,9 @@ class _Builder:
             if t not in self.fixed_modes and not self.valid_modes[t]:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
         self._incidence = self._node_incidence()
+        # with ``sites`` the build records where its window parameters land
+        self.sites = sites
+        self._row = self._recorded_row if sites is not None else self.instance.model.add_row
 
     # -- fixed and past decisions -------------------------------------------
 
@@ -287,9 +394,9 @@ class _Builder:
         t0 = self.times[0] - 1
         snap = self.snapshot
         for v, p in snap.pressures.items():
-            self.h[("p", v, t0)] = p
+            self.h[("p", v, t0)] = p if self.sites is None else _Param(p, ("p", v))
         for a, q in snap.arc_flows.items():
-            self.h[("q", a, t0)] = q
+            self.h[("q", a, t0)] = q if self.sites is None else _Param(q, ("q", a))
         for a, mode in snap.regulator_modes.items():
             for token in REGULATOR_TOKENS:
                 self.h[("rg", token, a, t0)] = float(token == mode)
@@ -316,6 +423,33 @@ class _Builder:
         self._emit_objective()
         return self.instance
 
+    def _recorded_row(self, name, pairs, sense: str, rhs: float, unit: float | None = None) -> None:
+        """``add_row``, noting each row that reads a window parameter: its
+        index, its right-hand side and its constant terms in order."""
+        m = self.instance.model
+        row = m.n_rows
+        m.add_row(name, pairs, sense, rhs, unit)
+        if self.sites is None:
+            return
+        constants = [(coef, h) for coef, h in pairs if type(h) is not VarRef]
+        if type(rhs) is _Param or any(type(h) is _Param for _, h in constants):
+            if m.n_rows == row:
+                # folded into a check that another window's numbers could fail
+                self.sites = None
+            else:
+                self.sites.rows.append((row, rhs, constants))
+
+    def _add_slacks(self, add, kind: str, v: str, t: int, cap) -> None:
+        """The slack pair ``kind+``/``kind-`` of node v at step t, each
+        bounded by ``cap(spec, scen, v, t)``."""
+        ub = cap(self.spec, self.scen, v, t)
+        cols = []
+        for sign, word in (("+", "pos"), ("-", "neg")):
+            self.h[(kind + sign, v, t)] = ref = add((f"{kind}_{word}", v, t), 0.0, ub)
+            cols.append(ref.index)
+        if self.sites is not None:
+            self.sites.caps.append((cols, cap, v, t))
+
     def _add_pa(self, name: str, lb: float, ub: float) -> VarRef:
         """A pressure-valued variable in Pa, seen by the solver in bar."""
         return self.instance.model.add_var(name, lb, ub, unit=PA_PER_BAR)
@@ -331,24 +465,24 @@ class _Builder:
         add_pa, add_q = self._add_pa, self._add_q
         for v in sorted(spec.nodes):
             node = spec.nodes[v]
-            self.h[("p", v, t)] = add_pa(f"p({v},{t})", node.pressure_lb[t], node.pressure_ub[t])
+            self.h[("p", v, t)] = add_pa(("p", v, t), node.pressure_lb[t], node.pressure_ub[t])
         for a in sorted(spec.pipes):
             pipe = spec.pipes[a]
             if self.transient:
-                self.h[("ql", a, t)] = add_q(f"ql({a},{t})", pipe.flow_lb[t], pipe.flow_ub[t])
-                self.h[("qr", a, t)] = add_q(f"qr({a},{t})", pipe.flow_lb[t], pipe.flow_ub[t])
+                self.h[("ql", a, t)] = add_q(("ql", a, t), pipe.flow_lb[t], pipe.flow_ub[t])
+                self.h[("qr", a, t)] = add_q(("qr", a, t), pipe.flow_lb[t], pipe.flow_ub[t])
             else:
-                q = add_q(f"q({a},{t})", pipe.flow_lb[t], pipe.flow_ub[t])
+                q = add_q(("q", a, t), pipe.flow_lb[t], pipe.flow_ub[t])
                 self.h[("ql", a, t)] = q
                 self.h[("qr", a, t)] = q
                 self.h[("q", a, t)] = q
         non_pipe = spec.non_pipe_arcs()
         for a in sorted(non_pipe):
             arc = non_pipe[a]
-            self.h[("q", a, t)] = add_q(f"q({a},{t})", arc.flow_lb[t], arc.flow_ub[t])
+            self.h[("q", a, t)] = add_q(("q", a, t), arc.flow_lb[t], arc.flow_ub[t])
         for v in sorted(spec.boundary_nodes()):
             self.h[("d", v, t)] = add_q(
-                f"d({v},{t})", self.scen.inflow_lb[v][t], self.scen.inflow_ub[v][t]
+                ("d", v, t), self.scen.inflow_lb[v][t], self.scen.inflow_ub[v][t]
             )
 
         # with a fixed mode, om/op/cs/cfg are constants already and the
@@ -357,52 +491,42 @@ class _Builder:
         if om_free:
             for o in sorted(spec.operation_modes):
                 valid = o in self.valid_modes[t]
-                self.h[("om", o, t)] = add(f"om({o},{t})", 0.0, 1.0, integer=True) if valid else 0.0
+                self.h[("om", o, t)] = add(("om", o, t), 0.0, 1.0, integer=True) if valid else 0.0
         if t not in self.fixed_dirs:
             for f in sorted(spec.flow_directions):
-                self.h[("fd", f, t)] = add(f"fd({f},{t})", 0.0, 1.0, integer=True)
+                self.h[("fd", f, t)] = add(("fd", f, t), 0.0, 1.0, integer=True)
         if om_free:
             for a in sorted(spec.valves):
-                self.h[("op", a, t)] = add(f"op({a},{t})", 0.0, 1.0, integer=True)
+                self.h[("op", a, t)] = add(("op", a, t), 0.0, 1.0, integer=True)
             for a in sorted(spec.stations):
                 st = spec.stations[a]
                 nl = spec.nodes[st.from_node]
                 nr = spec.nodes[st.to_node]
                 plub, prub = nl.pressure_ub[t], nr.pressure_ub[t]
                 qlb, qub = st.flow_lb[t], st.flow_ub[t]
-                self.h[("cs_by", a, t)] = add(f"cs_by({a},{t})", 0.0, 1.0, integer=True)
-                self.h[("cs_cl", a, t)] = add(f"cs_cl({a},{t})", 0.0, 1.0, integer=True)
-                self.h[("p_by", a, t)] = add_pa(f"p_by({a},{t})", 0.0, min(plub, prub))
-                self.h[("q_by", a, t)] = add_q(f"q_by({a},{t})", min(0.0, qlb), max(0.0, qub))
-                self.h[("p_cl_l", a, t)] = add_pa(f"p_cl_l({a},{t})", 0.0, plub)
-                self.h[("p_cl_r", a, t)] = add_pa(f"p_cl_r({a},{t})", 0.0, prub)
+                self.h[("cs_by", a, t)] = add(("cs_by", a, t), 0.0, 1.0, integer=True)
+                self.h[("cs_cl", a, t)] = add(("cs_cl", a, t), 0.0, 1.0, integer=True)
+                self.h[("p_by", a, t)] = add_pa(("p_by", a, t), 0.0, min(plub, prub))
+                self.h[("q_by", a, t)] = add_q(("q_by", a, t), min(0.0, qlb), max(0.0, qub))
+                self.h[("p_cl_l", a, t)] = add_pa(("p_cl_l", a, t), 0.0, plub)
+                self.h[("p_cl_r", a, t)] = add_pa(("p_cl_r", a, t), 0.0, prub)
                 for c in st.configurations:
-                    self.h[("cfg", c.id, a, t)] = add(f"cfg({c.id},{a},{t})", 0.0, 1.0, integer=True)
-                    self.h[("p_cfg_l", c.id, a, t)] = add_pa(f"p_cfg_l({c.id},{a},{t})", 0.0, plub)
-                    self.h[("p_cfg_r", c.id, a, t)] = add_pa(f"p_cfg_r({c.id},{a},{t})", 0.0, prub)
+                    self.h[("cfg", c.id, a, t)] = add(("cfg", c.id, a, t), 0.0, 1.0, integer=True)
+                    self.h[("p_cfg_l", c.id, a, t)] = add_pa(("p_cfg_l", c.id, a, t), 0.0, plub)
+                    self.h[("p_cfg_r", c.id, a, t)] = add_pa(("p_cfg_r", c.id, a, t), 0.0, prub)
                     self.h[("q_cfg", c.id, a, t)] = add_q(
-                        f"q_cfg({c.id},{a},{t})", 0.0, max(0.0, qub)
+                        ("q_cfg", c.id, a, t), 0.0, max(0.0, qub)
                     )
 
         for a in sorted(spec.regulators):
             for token in REGULATOR_TOKENS:
-                self.h[("rg", token, a, t)] = add(f"rg_{token}({a},{t})", 0.0, 1.0, integer=True)
+                self.h[("rg", token, a, t)] = add((f"rg_{token}", a, t), 0.0, 1.0, integer=True)
 
         for v in sorted(spec.boundary_nodes()):
-            node = spec.nodes[v]
-            p_demand = self.scen.pressure_demand[v][t - 1]
-            cap = float(node.pressure_ub[t] + abs(p_demand))
-            self.h[("sp+", v, t)] = add_pa(f"sp_pos({v},{t})", 0.0, cap)
-            self.h[("sp-", v, t)] = add_pa(f"sp_neg({v},{t})", 0.0, cap)
+            self._add_slacks(add_pa, "sp", v, t, _pressure_slack_cap)
         grouped = {v for g in spec.fence_groups.values() for v in g}
         for v in sorted(grouped):
-            cap = float(
-                abs(self.scen.inflow_lb[v][t])
-                + abs(self.scen.inflow_ub[v][t])
-                + max(abs(d) for g, d in self._group_demands(t) if v in spec.fence_groups[g])
-            )
-            self.h[("sd+", v, t)] = add_q(f"sd_pos({v},{t})", 0.0, cap + 1.0)
-            self.h[("sd-", v, t)] = add_q(f"sd_neg({v},{t})", 0.0, cap + 1.0)
+            self._add_slacks(add_q, "sd", v, t, _flow_slack_cap)
 
         # change variables: constants where the modes on both sides are fixed
         mode, prev = self.fixed_modes.get(t), self.fixed_modes.get(t - 1)
@@ -411,15 +535,15 @@ class _Builder:
             for key, value in change_indicators(spec, prev, mode).items():
                 self.h[key + (t,)] = value
         else:
-            self.h[("d_om", t)] = add(f"d_om({t})", 0.0, 1.0, integer=True)
+            self.h[("d_om", t)] = add(("d_om", t), 0.0, 1.0, integer=True)
         if self.transient:
             # stationary variants drop regulator change tracking entirely
             for a in sorted(spec.regulators):
-                self.h[("d_rg", a, t)] = add(f"d_rg({a},{t})", 0.0, 1.0, integer=True)
+                self.h[("d_rg", a, t)] = add(("d_rg", a, t), 0.0, 1.0, integer=True)
         if not both_fixed:
             for a in sorted(spec.stations):
                 for u in spec.stations[a].units:
-                    self.h[("d_us", u.id, a, t)] = add(f"d_us({u.id},{a},{t})", 0.0, 1.0, integer=True)
+                    self.h[("d_us", u.id, a, t)] = add(("d_us", u.id, a, t), 0.0, 1.0, integer=True)
 
         if self.transient:
             for a in sorted(spec.regulators):
@@ -432,7 +556,7 @@ class _Builder:
         for label, _, lb, ub in self._tracked(arc, a):
             add = self._add_q if label == "q" else self._add_pa
             span = max(ub[t] - lb[t - 1], ub[t - 1] - lb[t], 0.0)
-            self.h[(f"{kind}_{label}", a, t)] = add(f"trk_{kind}_{label}({a},{t})", 0.0, span)
+            self.h[(f"{kind}_{label}", a, t)] = add((f"trk_{kind}_{label}", a, t), 0.0, span)
 
     def _tracked(self, arc, a: str):
         """(label, handle key without the step, lower and upper bounds) of
@@ -443,10 +567,6 @@ class _Builder:
             ("pr", ("p", arc.to_node), nr.pressure_lb, nr.pressure_ub),
             ("q", ("q", a), arc.flow_lb, arc.flow_ub),
         )
-
-    def _group_demands(self, t: int):
-        for g in self.spec.fence_groups:
-            yield g, self.scen.flow_demand[g][t - 1]
 
     # -- rows ---------------------------------------------------------------
 
@@ -474,7 +594,6 @@ class _Builder:
         spec = self.spec
         pipe = spec.pipes[a]
         c = spec.constants
-        m = self.instance.model
         rstz = c.specific_gas_constant * c.temperature * pipe.z_factor
         fric_coef = (
             _friction(pipe) * pipe.length / (4.0 * pipe.diameter * pipe.area)
@@ -487,14 +606,14 @@ class _Builder:
             dt = self.scen.time_grid[t] - self.scen.time_grid[t0]
             cont = 2.0 * rstz * dt / (pipe.length * pipe.area)
             pl0, pr0 = self.h[("p", pipe.from_node, t0)], self.h[("p", pipe.to_node, t0)]
-            m.add_row(
-                f"pipe_cont({a},{t})",
+            self._row(
+                ("pipe_cont", a, t),
                 [(1.0, pl), (1.0, pr), (-1.0, pl0), (-1.0, pr0), (cont, qr), (-cont, ql)],
                 "==",
                 0.0,
             )
-            m.add_row(
-                f"pipe_mom({a},{t})",
+            self._row(
+                ("pipe_mom", a, t),
                 [
                     (1.0 + grav, pr),
                     (-1.0 + grav, pl),
@@ -505,8 +624,8 @@ class _Builder:
                 0.0,
             )
         else:
-            m.add_row(
-                f"pipe_mom({a},{t})",
+            self._row(
+                ("pipe_mom", a, t),
                 [
                     (1.0 + grav, pr),
                     (-1.0 + grav, pl),
@@ -519,8 +638,8 @@ class _Builder:
     def _emit_resistor(self, a: str, t: int) -> None:
         res = self.spec.resistors[a]
         coef = res.drag * res.velo_const / (2.0 * res.area)
-        self.instance.model.add_row(
-            f"resistor({a},{t})",
+        self._row(
+            ("resistor", a, t),
             [
                 (1.0, self.h[("p", res.from_node, t)]),
                 (-1.0, self.h[("p", res.to_node, t)]),
@@ -533,54 +652,51 @@ class _Builder:
     def _emit_valve(self, a: str, t: int) -> None:
         spec = self.spec
         valve = spec.valves[a]
-        m = self.instance.model
         nl, nr = spec.nodes[valve.from_node], spec.nodes[valve.to_node]
         pl, pr = self.h[("p", valve.from_node, t)], self.h[("p", valve.to_node, t)]
         q = self.h[("q", a, t)]
         op = self.h[("op", a, t)]
         hi = nl.pressure_ub[t] - nr.pressure_lb[t]
         lo = nl.pressure_lb[t] - nr.pressure_ub[t]
-        m.add_row(f"valve_p_hi({a},{t})", [(1.0, pl), (-1.0, pr), (hi, op)], "<=", hi)
-        m.add_row(f"valve_p_lo({a},{t})", [(1.0, pl), (-1.0, pr), (lo, op)], ">=", lo)
-        m.add_row(f"valve_q_hi({a},{t})", [(1.0, q), (-valve.flow_ub[t], op)], "<=", 0.0)
-        m.add_row(f"valve_q_lo({a},{t})", [(1.0, q), (-valve.flow_lb[t], op)], ">=", 0.0)
+        self._row(("valve_p_hi", a, t), [(1.0, pl), (-1.0, pr), (hi, op)], "<=", hi)
+        self._row(("valve_p_lo", a, t), [(1.0, pl), (-1.0, pr), (lo, op)], ">=", lo)
+        self._row(("valve_q_hi", a, t), [(1.0, q), (-valve.flow_ub[t], op)], "<=", 0.0)
+        self._row(("valve_q_lo", a, t), [(1.0, q), (-valve.flow_lb[t], op)], ">=", 0.0)
 
     def _emit_regulator(self, a: str, t: int) -> None:
         spec = self.spec
         rg = spec.regulators[a]
-        m = self.instance.model
         nl, nr = spec.nodes[rg.from_node], spec.nodes[rg.to_node]
         pl, pr = self.h[("p", rg.from_node, t)], self.h[("p", rg.to_node, t)]
         q = self.h[("q", a, t)]
         by, cl, ac = (self.h[("rg", token, a, t)] for token in REGULATOR_TOKENS)
-        m.add_row(f"rg_mode({a},{t})", [(1.0, cl), (1.0, by), (1.0, ac)], "==", 1.0)
+        self._row(("rg_mode", a, t), [(1.0, cl), (1.0, by), (1.0, ac)], "==", 1.0)
         hi = nl.pressure_ub[t] - nr.pressure_lb[t]
         lo = nl.pressure_lb[t] - nr.pressure_ub[t]
-        m.add_row(f"rg_p_hi({a},{t})", [(1.0, pl), (-1.0, pr), (hi, by)], "<=", hi)
-        m.add_row(f"rg_p_lo({a},{t})", [(1.0, pl), (-1.0, pr), (lo, by), (lo, ac)], ">=", lo)
-        m.add_row(f"rg_q_hi({a},{t})", [(1.0, q), (rg.flow_ub[t], cl)], "<=", rg.flow_ub[t])
-        m.add_row(f"rg_q_lo({a},{t})", [(1.0, q)], ">=", 0.0)
+        self._row(("rg_p_hi", a, t), [(1.0, pl), (-1.0, pr), (hi, by)], "<=", hi)
+        self._row(("rg_p_lo", a, t), [(1.0, pl), (-1.0, pr), (lo, by), (lo, ac)], ">=", lo)
+        self._row(("rg_q_hi", a, t), [(1.0, q), (rg.flow_ub[t], cl)], "<=", rg.flow_ub[t])
+        self._row(("rg_q_lo", a, t), [(1.0, q)], ">=", 0.0)
 
     def _emit_station(self, a: str, t: int) -> None:
         spec = self.spec
         st = spec.stations[a]
-        m = self.instance.model
         pl, pr = self.h[("p", st.from_node, t)], self.h[("p", st.to_node, t)]
         q = self.h[("q", a, t)]
         if t in self.fixed_modes:
             # mode fixed: apply the active branch directly on the originals
             token = spec.operation_modes[self.fixed_modes[t]].assignment[a]
             if token == "by":
-                m.add_row(f"cs_bypass({a},{t})", [(1.0, pl), (-1.0, pr)], "==", 0.0)
+                self._row(("cs_bypass", a, t), [(1.0, pl), (-1.0, pr)], "==", 0.0)
             elif token == "cl":
-                m.add_row(f"cs_closed({a},{t})", [(1.0, q)], "==", 0.0)
+                self._row(("cs_closed", a, t), [(1.0, q)], "==", 0.0)
             else:
                 config = st.configuration(token)
                 self._require_facets(config, a)
-                m.add_row(f"cs_q_lo({a},{t})", [(1.0, q)], ">=", 0.0)
+                self._row(("cs_q_lo", a, t), [(1.0, q)], ">=", 0.0)
                 for i, (w, x, y, z) in enumerate(config.facets):
-                    m.add_row(
-                        f"cs_facet({config.id},{a},{t},{i})",
+                    self._row(
+                        ("cs_facet", config.id, a, t, str(i)),
                         [(w, pl), (x, pr), (y, q)],
                         "<=",
                         -z,
@@ -594,7 +710,7 @@ class _Builder:
         p_cl_l, p_cl_r = self.h[("p_cl_l", a, t)], self.h[("p_cl_r", a, t)]
         cfgs = [self.h[("cfg", c.id, a, t)] for c in st.configurations]
         sel = [(1.0, by), (1.0, cl)] + [(1.0, g) for g in cfgs]
-        m.add_row(f"cs_select({a},{t})", sel, "==", 1.0)
+        self._row(("cs_select", a, t), sel, "==", 1.0)
         link_l = [(1.0, p_by), (1.0, p_cl_l)] + [
             (1.0, self.h[("p_cfg_l", c.id, a, t)]) for c in st.configurations
         ]
@@ -602,17 +718,17 @@ class _Builder:
             (1.0, self.h[("p_cfg_r", c.id, a, t)]) for c in st.configurations
         ]
         link_q = [(1.0, q_by)] + [(1.0, self.h[("q_cfg", c.id, a, t)]) for c in st.configurations]
-        m.add_row(f"cs_link_pl({a},{t})", [(-1.0, pl)] + link_l, "==", 0.0)
-        m.add_row(f"cs_link_pr({a},{t})", [(-1.0, pr)] + link_r, "==", 0.0)
-        m.add_row(f"cs_link_q({a},{t})", [(-1.0, q)] + link_q, "==", 0.0)
+        self._row(("cs_link_pl", a, t), [(-1.0, pl)] + link_l, "==", 0.0)
+        self._row(("cs_link_pr", a, t), [(-1.0, pr)] + link_r, "==", 0.0)
+        self._row(("cs_link_q", a, t), [(-1.0, q)] + link_q, "==", 0.0)
 
         nl, nr = spec.nodes[st.from_node], spec.nodes[st.to_node]
         plub, prub = nl.pressure_ub[t], nr.pressure_ub[t]
         qlb, qub = st.flow_lb[t], st.flow_ub[t]
 
         def bound_pair(label, var, lo, hi, indicator):
-            m.add_row(f"cs_bnd_lo({label},{a},{t})", [(1.0, var), (-lo, indicator)], ">=", 0.0)
-            m.add_row(f"cs_bnd_hi({label},{a},{t})", [(1.0, var), (-hi, indicator)], "<=", 0.0)
+            self._row(("cs_bnd_lo", label, a, t), [(1.0, var), (-lo, indicator)], ">=", 0.0)
+            self._row(("cs_bnd_hi", label, a, t), [(1.0, var), (-hi, indicator)], "<=", 0.0)
 
         for c in st.configurations:
             g = self.h[("cfg", c.id, a, t)]
@@ -628,8 +744,8 @@ class _Builder:
             self._require_facets(c, a)
             g = self.h[("cfg", c.id, a, t)]
             for i, (w, x, y, z) in enumerate(c.facets):
-                m.add_row(
-                    f"cs_facet({c.id},{a},{t},{i})",
+                self._row(
+                    ("cs_facet", c.id, a, t, str(i)),
                     [
                         (w, self.h[("p_cfg_l", c.id, a, t)]),
                         (x, self.h[("p_cfg_r", c.id, a, t)]),
@@ -667,33 +783,32 @@ class _Builder:
         h = self.h
         pairs = [(sign, h[(kind, a, t)]) for sign, kind, a in self._incidence[v]]
         if pairs:
-            self.instance.model.add_row(f"balance({v},{t})", pairs, "==", 0.0)
+            self._row(("balance", v, t), pairs, "==", 0.0)
 
     def _emit_station_logic(self, t: int) -> None:
         spec = self.spec
-        m = self.instance.model
 
         if t not in self.fixed_modes:  # a fixed mode satisfies these rows by construction
-            m.add_row(
-                f"om_choice({t})",
+            self._row(
+                ("om_choice", t),
                 [(1.0, self.h[("om", o, t)]) for o in spec.operation_modes],
                 "==",
                 1.0,
             )
             for a in sorted(spec.valves):
-                self._coupling_row(f"valve_coupling({a},{t})", ("op", a, t), a, "op")
+                self._coupling_row(("valve_coupling", a, t), ("op", a, t), a, "op")
             for a in sorted(spec.stations):
-                self._coupling_row(f"cs_by_coupling({a},{t})", ("cs_by", a, t), a, "by")
+                self._coupling_row(("cs_by_coupling", a, t), ("cs_by", a, t), a, "by")
                 # the closed-mode coupling row is implied by the remaining
                 # couplings together with mode selection; omitted
                 for c in spec.stations[a].configurations:
                     self._coupling_row(
-                        f"cs_cfg_coupling({c.id},{a},{t})", ("cfg", c.id, a, t), a, c.id
+                        ("cs_cfg_coupling", c.id, a, t), ("cfg", c.id, a, t), a, c.id
                     )
 
         if t not in self.fixed_dirs:
-            m.add_row(
-                f"fd_choice({t})",
+            self._row(
+                ("fd_choice", t),
                 [(1.0, self.h[("fd", f, t)]) for f in sorted(spec.flow_directions)],
                 "==",
                 1.0,
@@ -702,9 +817,8 @@ class _Builder:
             om = self.h[("om", o, t)]
             if isinstance(om, float) and om == 0.0:
                 continue
-            partners = sorted(f for (oo, f) in spec.valid_pairs if oo == o)
-            pairs = [(1.0, om)] + [(-1.0, self.h[("fd", f, t)]) for f in partners]
-            m.add_row(f"om_fd_coupling({o},{t})", pairs, "<=", 0.0)
+            pairs = [(1.0, om)] + [(-1.0, self.h[("fd", f, t)]) for f in spec.direction_partners[o]]
+            self._row(("om_fd_coupling", o, t), pairs, "<=", 0.0)
 
         for v in sorted(spec.boundary_nodes()):
             d = self.h[("d", v, t)]
@@ -712,14 +826,14 @@ class _Builder:
             dub = self.scen.inflow_ub[v][t]
             not_out = [f for f, fd in spec.flow_directions.items() if v not in fd.outflow_nodes]
             not_in = [f for f, fd in spec.flow_directions.items() if v not in fd.inflow_nodes]
-            m.add_row(
-                f"fd_inflow_lo({v},{t})",
+            self._row(
+                ("fd_inflow_lo", v, t),
                 [(1.0, d)] + [(dlb, self.h[("fd", f, t)]) for f in not_out],
                 ">=",
                 dlb,
             )
-            m.add_row(
-                f"fd_inflow_hi({v},{t})",
+            self._row(
+                ("fd_inflow_hi", v, t),
                 [(1.0, d)] + [(dub, self.h[("fd", f, t)]) for f in not_in],
                 "<=",
                 dub,
@@ -728,8 +842,8 @@ class _Builder:
             if node.exit_pressure_ub is not None:
                 outs = [f for f, fd in spec.flow_directions.items() if v in fd.outflow_nodes]
                 gap = node.pressure_ub[t] - node.exit_pressure_ub
-                m.add_row(
-                    f"exit_pressure({v},{t})",
+                self._row(
+                    ("exit_pressure", v, t),
                     [(1.0, self.h[("p", v, t)])] + [(gap, self.h[("fd", f, t)]) for f in outs],
                     "<=",
                     node.pressure_ub[t],
@@ -749,7 +863,7 @@ class _Builder:
             pairs = [(sgn(v), self.h[("d", v, t)]) for v in cond.smaller]
             pairs += [(-sgn(v), self.h[("d", v, t)]) for v in cond.larger]
             pairs.append((c1, fd_handle))
-            m.add_row(f"flow_condition({idx},{t})", pairs, "<=", c1)
+            self._row(("flow_condition", str(idx), t), pairs, "<=", c1)
 
     def _coupling_row(self, name: str, key: tuple, a: str, token: str) -> None:
         """Indicator ``key`` equals the sum of the modes assigning ``token`` to arc ``a``."""
@@ -760,7 +874,7 @@ class _Builder:
             for o, mode in self.spec.operation_modes.items()
             if mode.assignment[a] == token
         ]
-        self.instance.model.add_row(name, pairs, "==", 0.0)
+        self._row(name, pairs, "==", 0.0)
 
     def _condition_big_m(self, cond, t: int) -> float:
         direction = self.spec.flow_directions[cond.direction]
@@ -779,19 +893,24 @@ class _Builder:
                 c1 += min(0.0, dub[v])
         return c1
 
+    def _demand(self, kind: str, key: str, t: int) -> float:
+        """``scen.<kind>[key]`` at step t, ``kind`` one of ``pressure_demand``
+        and ``flow_demand`` (demand arrays start at step 1)."""
+        value = getattr(self.scen, kind)[key][t - 1]
+        return value if self.sites is None else _Param(value, (kind, key, t))
+
     def _emit_slacks(self, t: int) -> None:
         spec = self.spec
-        m = self.instance.model
         for v in sorted(spec.boundary_nodes()):
-            m.add_row(
-                f"slack_pressure({v},{t})",
+            self._row(
+                ("slack_pressure", v, t),
                 [
                     (1.0, self.h[("p", v, t)]),
                     (-1.0, self.h[("sp+", v, t)]),
                     (1.0, self.h[("sp-", v, t)]),
                 ],
                 "==",
-                self.scen.pressure_demand[v][t - 1],
+                self._demand("pressure_demand", v, t),
             )
         for g, members in sorted(spec.fence_groups.items()):
             pairs = []
@@ -801,11 +920,10 @@ class _Builder:
                     (-1.0, self.h[("sd+", v, t)]),
                     (1.0, self.h[("sd-", v, t)]),
                 ]
-            m.add_row(f"slack_flow({g},{t})", pairs, "==", self.scen.flow_demand[g][t - 1])
+            self._row(("slack_flow", g, t), pairs, "==", self._demand("flow_demand", g, t))
 
     def _emit_changes(self, t: int) -> None:
         spec = self.spec
-        m = self.instance.model
         d_om = self.h[("d_om", t)]
         if isinstance(d_om, VarRef):
             for o in sorted(spec.operation_modes):
@@ -825,16 +943,15 @@ class _Builder:
                 pairs = [(1.0, d_us)]
                 pairs += [(-1.0, self.h[("cfg", c, a, t)]) for c in using]
                 pairs += [(1.0, self.h[("cfg", c, a, t - 1)]) for c in using]
-                m.add_row(f"unit_start({u.id},{a},{t})", pairs, ">=", 0.0)
+                self._row(("unit_start", u.id, a, t), pairs, ">=", 0.0)
 
     def _change_rows(self, change, key: tuple, t: int) -> None:
         """``change`` is at least |indicator ``key`` at t - at t-1| (0/1
         values); the rows are named after the key, e.g. ``om_change_lo(o,t)``."""
-        m = self.instance.model
-        kind, args = key[0], ",".join(key[1:] + (str(t),))
+        kind, args = key[0], key[1:] + (t,)
         now, before = self.h[key + (t,)], self.h[key + (t - 1,)]
-        m.add_row(f"{kind}_change_lo({args})", [(1.0, change), (-1.0, now), (1.0, before)], ">=", 0.0)
-        m.add_row(f"{kind}_change_hi({args})", [(1.0, change), (1.0, now), (1.0, before)], "<=", 2.0)
+        self._row((f"{kind}_change_lo", *args), [(1.0, change), (-1.0, now), (1.0, before)], ">=", 0.0)
+        self._row((f"{kind}_change_hi", *args), [(1.0, change), (1.0, now), (1.0, before)], "<=", 2.0)
 
     def _emit_trackers(self, t: int) -> None:
         spec = self.spec
@@ -848,20 +965,19 @@ class _Builder:
     def _tracker_rows(self, kind: str, arc, a: str, t: int, relax) -> None:
         """Trackers bound the change of pl, pr and q over the step unless a
         relaxing indicator (bypass, closed, mode change) is on."""
-        m = self.instance.model
         tp = t - 1
         for label, key, lb, ub in self._tracked(arc, a):
             tracker = self.h[(f"{kind}_{label}", a, t)]
             now, before = self.h[key + (t,)], self.h[key + (tp,)]
             up_m, down_m = ub[t] - lb[tp], ub[tp] - lb[t]
-            m.add_row(
-                f"trk_{kind}_{label}_up({a},{t})",
+            self._row(
+                (f"trk_{kind}_{label}_up", a, t),
                 [(1.0, now), (-1.0, before), (-1.0, tracker)] + [(-up_m, h) for h in relax],
                 "<=",
                 0.0,
             )
-            m.add_row(
-                f"trk_{kind}_{label}_dn({a},{t})",
+            self._row(
+                (f"trk_{kind}_{label}_dn", a, t),
                 [(1.0, before), (-1.0, now), (-1.0, tracker)] + [(-down_m, h) for h in relax],
                 "<=",
                 0.0,
@@ -914,6 +1030,17 @@ class _Builder:
                 tracker_terms("rg", a, t)
             for a in sorted(spec.stations):
                 tracker_terms("cs", a, t)
+
+
+def _pressure_slack_cap(spec: StationSpec, scen: Scenario, v: str, t: int) -> float:
+    """Upper bound of the pressure slacks of boundary node v at step t."""
+    return float(spec.nodes[v].pressure_ub[t] + abs(scen.pressure_demand[v][t - 1]))
+
+
+def _flow_slack_cap(spec: StationSpec, scen: Scenario, v: str, t: int) -> float:
+    """Upper bound of the flow slacks of fenced node v at step t."""
+    demand = max(abs(scen.flow_demand[g][t - 1]) for g, members in spec.fence_groups.items() if v in members)
+    return float(abs(scen.inflow_lb[v][t]) + abs(scen.inflow_ub[v][t]) + demand) + 1.0
 
 
 def _facet_unit(w: float, x: float, y: float) -> float | None:

@@ -5,12 +5,15 @@ values, plus the validation and lookup services everything downstream
 relies on.  All values here are internal SI (Pa, kg/s, seconds); the
 loaders in :mod:`stationopt.io` convert from file-facing units.
 
-Instances are immutable after construction and safe to share.
+Instances are immutable after construction and safe to share; a
+:class:`StationSpec` computes its per-mode lookups (unit sets, direction
+partners) once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -207,12 +210,23 @@ class StationSpec:
 
     def mode_units(self, mode_id: str) -> frozenset[str]:
         """All compressor units the mode runs (union over its stations)."""
-        mode = self.operation_modes[mode_id]
-        used: frozenset[str] = frozenset()
-        for arc_id, token in mode.assignment.items():
-            if arc_id in self.stations:
-                used = used | self.stations[arc_id].token_units(token)
-        return used
+        return self._units_by_mode[mode_id]
+
+    @cached_property
+    def _units_by_mode(self) -> dict:
+        out = {}
+        for o, mode in self.operation_modes.items():
+            used: frozenset[str] = frozenset()
+            for arc_id, token in mode.assignment.items():
+                if arc_id in self.stations:
+                    used = used | self.stations[arc_id].token_units(token)
+            out[o] = used
+        return out
+
+    @cached_property
+    def direction_partners(self) -> dict:
+        """Per operation mode, the sorted flow directions it forms a valid pair with."""
+        return {o: tuple(sorted(f for oo, f in self.valid_pairs if oo == o)) for o in self.operation_modes}
 
 
 @dataclass(frozen=True)

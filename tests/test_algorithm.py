@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import hashlib
 import itertools
 import math
 
@@ -18,7 +21,7 @@ from stationopt.algorithm import (
     transitions_work,
 )
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
-from stationopt.io import load_instance, regrid_instance, template_grid
+from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
 from stationopt.linmodel import BuildInfeasibleError
 from stationopt.model import (
     ObjectiveWeights,
@@ -26,12 +29,13 @@ from stationopt.model import (
     build_full,
     build_stationary,
     build_stationary_fixed,
+    instantiate_fixed_transient,
     step_inputs,
     switch_cost,
 )
 from stationopt.network import StationSpec, mode_available
 from stationopt.ranges import build_spec_ranges
-from stationopt.solve import check_assignment, default_settings_for, solve
+from stationopt.solve import InProcessBackend, check_assignment, default_settings_for, solve
 
 from oracles import brute_transition_check, exact_stationary_sequence
 
@@ -819,3 +823,198 @@ class TestDegenerateData:
         assert not feasible and cost == math.inf and direction is None
         seq = solver.initial_solution()
         assert seq.modes == ("o_cp",) * 5
+
+
+def record_windows(solver):
+    """Make ``solver`` note every smoothing window model it makes; the list
+    of (weights, modes, directions, snapshot, instance) it fills."""
+    windows = []
+    make = solver._window_model
+
+    def recording(weights, modes, dirs, snapshot):
+        inst = make(weights, modes, dirs, snapshot)
+        windows.append((weights, modes, dirs, snapshot, inst))
+        return inst
+
+    solver._window_model = recording
+    return windows
+
+
+def window_differences(inst, fresh) -> list:
+    """The parts in which a window model differs from a fresh build of the
+    same window: LP text, arrays, solver view, objective and handles."""
+    out = []
+    m, f = inst.model, fresh.model
+    digest = [hashlib.sha256(x.lp_text().encode()).hexdigest() for x in (m, f)]
+    if digest[0] != digest[1]:
+        out.append("lp_text")
+    if (inst.kind, inst.times, m.name) != (fresh.kind, fresh.times, f.name):
+        out.append("identity")
+    for part in dataclasses.fields(m.arrays()):
+        a, b = getattr(m.arrays(), part.name), getattr(f.arrays(), part.name)
+        if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+            out.append(f"arrays.{part.name}")
+    view, ref = m.solver_view(), f.solver_view()
+    for part in ("c", "row_lo", "row_hi", "lb", "ub", "integer", "col_unit"):
+        a, b = getattr(view, part), getattr(ref, part)
+        if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+            out.append(f"view.{part}")
+    for part in ("indptr", "indices", "data"):
+        if getattr(view.A, part).tobytes() != getattr(ref.A, part).tobytes():
+            out.append(f"view.A.{part}")
+    if (m.objective_terms, m.objective, repr(m.objective_constant)) != (
+        f.objective_terms, f.objective, repr(f.objective_constant)
+    ):
+        out.append("objective")
+    if inst.handles != fresh.handles:
+        out.append("handles")
+    return out
+
+
+def assert_windows_fresh(spec, scen, windows):
+    """Every recorded window equals a fresh build; the number patched."""
+    patched = 0
+    for weights, modes, dirs, snapshot, inst in windows:
+        fresh = build_fixed_transient(spec, scen, weights, modes, dirs, snapshot)
+        assert window_differences(inst, fresh) == [], (snapshot.time_index, weights)
+        patched += inst.sites is None
+    return patched
+
+
+class TestWindowTemplates:
+    """Smoothing windows of one pattern are patched from one build, and
+    each equals a fresh build of its own window."""
+
+    @pytest.mark.parametrize(
+        "doc, steps",
+        [(mini_station, None), (mini_station_pipes, None), (mini_station_pipes, "96"), (medium_station, "24")]
+        + [(functools.partial(seeded_instance, s), None) for s in range(10)],
+        ids=["mini_station", "mini_station_pipes", "mini_station_pipes@96", "medium_station@24"]
+        + [f"seeded_instance({s})" for s in range(10)],
+    )
+    def test_every_window_equals_a_fresh_build(self, doc, steps):
+        spec, scen = load_instance(doc())
+        if steps is not None:
+            spec, scen = regrid_instance(spec, scen, template_grid(steps))
+        spec = build_spec_ranges(spec, count=2000)
+        solver = StationSolver(spec, scen, WEIGHTS)
+        windows = record_windows(solver)
+        plan = solver.solve_station(h=4)
+        assert len(windows) == plan.diagnostics["solve_counts"]["Pf"]
+        patched = assert_windows_fresh(spec, scen, windows)
+        assert patched == len(windows) - len(solver._templates)
+        if steps == "96":
+            # one pattern: every window after the first is patched
+            assert (len(windows), len(solver._templates)) == (93, 1)
+
+    def test_retried_windows_equal_fresh_builds(self):
+        # a backend that fails the first solve of every window sends each
+        # one through the retry with scaled weights, whose template serves
+        # the later retries
+        spec, scen = load_instance(mini_station_pipes())
+        spec, scen = regrid_instance(spec, scen, template_grid("24"))
+        spec = build_spec_ranges(spec, count=2000)
+        real = InProcessBackend()
+        calls = {"n": 0}
+
+        class FlakyBackend:
+            def solve_raw(self, model, settings):
+                calls["n"] += 1
+                if calls["n"] % 2:
+                    return "infeasible", None, None, "spurious"
+                return real.solve_raw(model, settings)
+
+        solver = StationSolver(spec, scen, WEIGHTS)
+        seq = solver.improvement_heuristic(solver.initial_solution())
+        solver.backend = FlakyBackend()
+        windows = record_windows(solver)
+        plan = solver.transient_smoothing(seq, 4)
+        assert plan.diagnostics["retried_windows"] == list(range(1, 22))
+        assert {w for w, *_ in windows} == {WEIGHTS, WEIGHTS.scaled(10.0)}
+        patched = assert_windows_fresh(spec, scen, windows)
+        assert patched == len(windows) - len(solver._templates) and patched > 0
+
+    MODES, DIRS = ("o_cp", "o_cp"), ("f_fwd", "f_fwd")
+
+    def template_and_error(self, spec, scen, t0):
+        """(instantiation error, fresh build error) of the two-step window
+        after step ``t0``, patched from the window after the initial state."""
+        template = build_fixed_transient(spec, scen, WEIGHTS, self.MODES, self.DIRS, scen.initial_state)
+        assert template.sites is not None
+        later = self.later(scen, t0)
+        with pytest.raises(ValueError) as patched:
+            instantiate_fixed_transient(template, later)
+        with pytest.raises(ValueError) as fresh:
+            build_fixed_transient(template.spec, scen, WEIGHTS, self.MODES, self.DIRS, later)
+        return patched.value, fresh.value
+
+    @staticmethod
+    def later(scen, t0):
+        return dataclasses.replace(scen.initial_state, time_index=t0)
+
+    def test_unavailable_mode_raises_as_the_build(self):
+        step = 3 * 3600.0
+        spec, scen = loaded(mini_station(steps=6, unavailability={"U1": [[4 * step + 1.0, 1e9]]}), count=2000)
+        patched, fresh = self.template_and_error(spec, scen, 3)
+        assert (type(patched), str(patched)) == (type(fresh), str(fresh))
+        assert "unavailable at time step 4" in str(fresh)
+
+    def test_window_past_the_grid_raises_as_the_build(self, mini):
+        spec, scen = mini
+        patched, fresh = self.template_and_error(spec, scen, 3)
+        assert (type(patched), str(patched)) == (type(fresh), str(fresh))
+
+    def test_invalid_pair_raises_as_the_build(self, mini):
+        # a hit cannot carry an invalid pair, but the instantiation checks
+        # its window with the build's own rules
+        spec, scen = mini
+        template = build_fixed_transient(spec, scen, WEIGHTS, self.MODES, self.DIRS, scen.initial_state)
+        template.spec = dataclasses.replace(spec, valid_pairs=frozenset({("o_by", "f_fwd")}))
+        with pytest.raises(ValueError) as patched:
+            instantiate_fixed_transient(template, self.later(scen, 2))
+        with pytest.raises(ValueError) as fresh:
+            build_fixed_transient(template.spec, scen, WEIGHTS, self.MODES, self.DIRS, self.later(scen, 2))
+        assert str(patched.value) == str(fresh.value) == "('o_cp', 'f_fwd') is not a valid mode/direction pair"
+
+    @pytest.mark.parametrize("demand", ["pressure", "flow"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_cap_raises_as_the_build(self, mini, demand, value):
+        spec, scen = mini
+        if demand == "pressure":
+            series = scen.pressure_demand["B2"].copy()
+            series[3] = value  # step 4
+            scen = dataclasses.replace(scen, pressure_demand={**scen.pressure_demand, "B2": series})
+        else:
+            group = next(iter(spec.fence_groups))
+            series = scen.flow_demand[group].copy()
+            series[3] = value
+            scen = dataclasses.replace(scen, flow_demand={**scen.flow_demand, group: series})
+        patched, fresh = self.template_and_error(spec, scen, 2)
+        assert (type(patched), str(patched)) == (type(fresh), str(fresh))
+        assert "needs finite bounds" in str(fresh) and ",4)'" in str(fresh)
+
+
+@pytest.mark.slow
+def test_seeded_sweep_plans_and_bounds(capsys):
+    """seeded_instance(0..299) at the command line's ranges and weights:
+    every plan replays clean, every window equals a fresh build, and every
+    lower bound lies at or below its plan objective.  Prints the largest
+    gap."""
+    gaps = {}
+    for seed in range(300):
+        doc = seeded_instance(seed)
+        spec, scen = load_instance(doc)
+        spec = build_spec_ranges(spec)
+        solver = StationSolver(spec, scen, load_weights(doc))
+        windows = record_windows(solver)
+        plan = solver.solve_station(h=4)
+        assert plan.diagnostics["replay_violations"] == [], seed
+        assert_windows_fresh(spec, scen, windows)
+        inst, warm = plan.replay
+        res = solve(inst, default_settings_for("P"), initial=warm)
+        assert res.status in ("optimal", "feasible", "timeLimit"), (seed, res.message)
+        bound = max(0.0, res.bound) if res.bound > -math.inf else 0.0
+        gaps[seed] = compute_gap(plan.objective, bound)  # raises for a bound above the plan
+    worst = max(gaps, key=gaps.get)
+    with capsys.disabled():
+        print(f"\nseeded_instance(0..299): largest gap {gaps[worst]:.2%} at seed {worst}")

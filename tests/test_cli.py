@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from stationopt.algorithm import StationSolver
 from stationopt.cli import main
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance
+from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
+from stationopt.model import build_fixed_transient
+from stationopt.ranges import build_spec_ranges
 
 
 @pytest.fixture()
@@ -197,6 +201,30 @@ class TestSolveCommand:
         plan = json.loads((tmp_path / "mini.plan.json").read_text())
         assert plan["diagnostics"]["memo_hits"] == {"Psf": 3, "Ps": 3}
         assert len(files) == solves == 3
+
+    def test_export_lp_window_files_equal_fresh_builds(self, tmp_path):
+        # 48 steps give 45 windows of two patterns: two are built, the rest
+        # patched from them, and each file is the text of a fresh build
+        path = write_doc(tmp_path, mini_station_pipes())
+        lp_dir = tmp_path / "lps"
+        assert main(["solve", str(path), "--steps", "48", "--export-lp", str(lp_dir)]) == 0
+        windows = sorted(lp_dir.glob("*_Pf_*.lp"))
+        spec, scen = load_instance(str(path))
+        weights = load_weights(str(path))
+        spec, scen = regrid_instance(spec, scen, template_grid("48"))
+        spec = build_spec_ranges(spec)
+        plan = StationSolver(spec, scen, weights).solve_station(h=4)
+        seq, retried = plan.sequence, plan.diagnostics["retried_windows"]
+        expected = []
+        for s in range(1, scen.n_future - 2):
+            for w in [weights] + [weights.scaled(10.0)] * (s in retried):
+                inst = build_fixed_transient(
+                    spec, scen, w, seq.modes[s : s + 4], seq.directions[s : s + 4], plan.states[s - 1]
+                )
+                expected.append(inst.model.lp_text())
+        assert len(windows) == len(expected) >= 45
+        for f, text in zip(windows, expected):
+            assert f.read_text() == text, f.name
 
     def test_export_lp_adds_the_lower_bound_model(self, instance_path):
         files, solves = self.exported_models(instance_path, "--lower-bound")

@@ -2,13 +2,15 @@
 row-by-row reference, and the fingerprint oracle that names a model's
 numbers."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from stationopt.algorithm import StationSolver, complete_plan_assignment
-from stationopt.fixtures import medium_station, mini_station_pipes
-from stationopt.io import load_instance, regrid_instance, template_grid
+from stationopt.fixtures import medium_station, mini_station_pipes, seeded_instance
+from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
 from stationopt.linmodel import LinearModel, VarRef
 from stationopt.model import (
     ObjectiveWeights,
@@ -18,7 +20,7 @@ from stationopt.model import (
     build_stationary_fixed,
 )
 from stationopt.ranges import build_spec_ranges
-from stationopt.solve import check_assignment, default_settings_for, solve
+from stationopt.solve import InProcessBackend, check_assignment, default_settings_for, solve
 
 from oracles import fingerprint, reference_check_assignment
 
@@ -188,6 +190,77 @@ class TestSolverView:
             assert A.format == "csc" and A.shape == ref.shape
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(A, part), getattr(ref, part)), (m.name, part)
+
+
+def view_differences(model, x) -> list:
+    """Where the solver view of ``model`` reads other numbers than the SI
+    model at the SI assignment ``x``, beyond 1e-9 relative: row activities
+    and row bounds times their row units, column bounds times the column
+    units, and the objective."""
+    view, a = model.solver_view(), model.arrays()
+    x = np.asarray(x, dtype=float)
+    xv = x / view.col_unit
+
+    def off(value, reference, scale):
+        return bool(np.any(np.abs(value - reference) > 1e-9 * scale))
+
+    out = []
+    for name, bound, si in (("lb", view.lb, a.lb), ("ub", view.ub, a.ub)):
+        if off(bound * view.col_unit, si, np.maximum(1.0, np.abs(si))):
+            out.append(name)
+    if model.n_rows:
+        # a row reads in its declared unit, else in the largest of its columns'
+        derived = np.array([max(1.0, *a.col_unit[a.cols[a.ptr[r] : a.ptr[r + 1]]]) for r in range(model.n_rows)])
+        row_unit = np.where(np.isnan(a.row_unit), derived, a.row_unit)
+        terms = a.vals * x[a.cols]
+        si = np.bincount(a.row_of, weights=terms, minlength=model.n_rows)
+        scale = np.maximum(1.0, np.maximum(np.abs(a.rhs), np.maximum.reduceat(np.abs(terms), a.ptr[:-1])))
+        if off((view.A @ xv) * row_unit, si, scale):
+            out.append("activity")
+        for name, side, free in (("row_lo", view.row_lo, a.sense == 0), ("row_hi", view.row_hi, a.sense == 1)):
+            if not np.all(np.isinf(side[free])) or off(side[~free] * row_unit[~free], a.rhs[~free], scale[~free]):
+                out.append(name)
+    terms = view.c * xv
+    total = terms.sum() + model.objective_constant
+    if off(total, model.objective_value(x), max(1.0, np.abs(terms).sum(), abs(model.objective_constant))):
+        out.append("objective")
+    return out
+
+
+class TestSolverViewDifferential:
+    """The view against the SI model on the replay's full model and every
+    model a plan solves, patched smoothing windows included."""
+
+    @pytest.mark.parametrize(
+        "doc, steps",
+        [(functools.partial(seeded_instance, s), None) for s in range(40)] + [(mini_station_pipes, "24")],
+        ids=[f"seeded_instance({s})" for s in range(40)] + ["mini_station_pipes@24"],
+    )
+    def test_view_reads_the_si_numbers(self, doc, steps):
+        doc = doc()
+        spec, scen = load_instance(doc)
+        if steps is not None:
+            spec, scen = regrid_instance(spec, scen, template_grid(steps))
+        spec = build_spec_ranges(spec, count=2000)
+        real = InProcessBackend()
+        solved = []
+
+        class Recording:
+            def solve_raw(self, model, settings):
+                out = real.solve_raw(model, settings)
+                if out[1] is not None:
+                    solved.append((model, out[1]))
+                return out
+
+        solver = StationSolver(spec, scen, load_weights(doc), backend=Recording())
+        plan = solver.solve_station(h=4)
+        kinds = [m.name.split("_", 1)[0] for m, _ in solved]
+        assert kinds.count("Pf") == plan.diagnostics["solve_counts"]["Pf"] and "Psf" in kinds
+        if steps is not None:
+            assert kinds.count("Pf") > len(solver._templates)  # some windows are patched
+        for model, x in [plan.replay] + solved:
+            model = getattr(model, "model", model)
+            assert view_differences(model, x) == [], model.name
 
 
 class TestVarRef:

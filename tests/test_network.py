@@ -279,6 +279,17 @@ class TestSpecServices:
         assert spec.mode_units("o_c1") == {"U1"}
         assert spec.mode_units("o_c12") == {"U1", "U2"}
 
+    def test_per_mode_lookups_are_computed_once(self):
+        spec, _ = load_instance(two_unit_station())
+        spec = replace(spec, valid_pairs=spec.valid_pairs | {("o_c1", "f_rev"), ("o_c1", "f_alt")})
+        assert spec.direction_partners["o_c1"] == ("f_alt", "f_fwd", "f_rev")
+        for o in spec.operation_modes:
+            assert spec.direction_partners[o] == tuple(sorted(f for oo, f in spec.valid_pairs if oo == o))
+        assert spec.direction_partners is spec.direction_partners
+        assert spec.mode_units("o_c12") is spec.mode_units("o_c12")
+        with pytest.raises(KeyError):
+            spec.mode_units("nope")
+
     def test_transition_time_lookup(self, mini):
         spec, _ = mini
         assert spec.transition_time("o_by", "o_by") == 0.0
