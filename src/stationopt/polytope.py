@@ -20,6 +20,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 FACET_TOL = 1e-9
+# rows of uniform samples drawn, folded and placed at a time
+SAMPLE_CHUNK = 8_192
 
 
 class EmptyRegionError(ValueError):
@@ -246,16 +248,26 @@ def sample_uniform(vertices: np.ndarray, count: int, seed: int) -> np.ndarray:
     Tetrahedra of a triangulation are picked with probability proportional
     to their volume; inside a tetrahedron the parallelepiped-fold transform
     avoids rejection entirely.  Deterministic for a fixed seed.
+
+    Every tetrahedron is picked first, then the points are drawn, folded
+    and placed ``SAMPLE_CHUNK`` rows at a time, so the random stream is
+    that of one draw of ``count`` points while the working set beyond the
+    result stays a few chunk-sized arrays.
     """
     if count < 1:
         raise ValueError("need at least one sample")
     corners, volumes = triangulate(vertices)
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(volumes), size=count, p=volumes / volumes.sum())
-    stu = _fold_to_barycentric(rng.random((count, 3)))
     base = corners[:, 0, :]
     edges = corners[:, 1:, :] - base[:, None, :]
-    return base[choice] + np.einsum("nk,nkd->nd", stu, edges[choice])
+    points = np.empty((count, 3))
+    for start in range(0, count, SAMPLE_CHUNK):
+        rows = slice(start, start + SAMPLE_CHUNK)
+        picked = choice[rows]
+        stu = _fold_to_barycentric(rng.random((len(picked), 3)))
+        points[rows] = base[picked] + np.einsum("nk,nkd->nd", stu, edges[picked])
+    return points
 
 
 def least_squares_hyperplane(points: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -204,7 +204,12 @@ def _station_facets(
         where = f"configuration {config_id!r} on station {station_id!r}"
         try:
             stages = [stage_polytope([unit_polys[u] for u in sorted(stage)]) for stage in config_stages]
-            poly = configuration_polytope(stages)
+            if len(config_stages) == 1 and len(config_stages[0]) > 1:
+                # project_out has reduced the parallel stage already; only the
+                # two normalisations of configuration_polytope's reduction remain
+                poly = stages[0].normalized().normalized()
+            else:
+                poly = configuration_polytope(stages)
         except EmptyRegionError as exc:
             raise EmptyRegionError(f"{where} has an empty operating range") from exc
         except ValueError as exc:

@@ -242,9 +242,9 @@ def solve(
 ) -> SolveResult:
     """Solve a model (or instance) under the given settings.
 
-    ``initial`` is a known-feasible assignment (a warm start); scipy's
+    ``initial`` is a known-feasible assignment, not a warm start: scipy's
     binding cannot inject it into HiGHS, so it serves as the fallback
-    incumbent: the result never comes back worse than it.  It also
+    incumbent, and the result never comes back worse than it.  It also
     cross-checks the backend's bound: a bound above the objective of a
     checker-clean ``initial`` by more than ``CHECK_TOL`` (relative) is
     false, and the status is ``error`` with both values in the message.

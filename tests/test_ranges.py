@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from stationopt.gas import GasConstants, compression_power
 from stationopt.io import load_instance
 from stationopt.network import CompressorUnit
 from stationopt.polytope import (
+    SAMPLE_CHUNK,
     EmptyRegionError,
     HPolytope,
     UnboundedRegionError,
@@ -383,10 +385,11 @@ def test_spec_ranges_solve_one_lp_per_qhull_call(linprog_calls):
 
 def test_composed_ranges_are_reduced_once(linprog_calls):
     # each polytope costs one Chebyshev LP: a vertex set per unit, one
-    # reduction per projection and per single stage
+    # reduction per projection and per single-unit single stage; the
+    # parallel c12 comes out of its projection reduced
     spec, _ = load_instance(medium_station())
     spec = build_spec_ranges(spec)
-    assert len(linprog_calls) == 7
+    assert len(linprog_calls) == 6
     facet_counts = {c.id: len(c.facets) for c in spec.stations["CS1"].configurations}
     assert facet_counts == {"c1": 8, "c2": 8, "c12": 11, "s12": 10}
 
@@ -436,10 +439,27 @@ def test_sampler_matches_scatter_reference(name):
         pl_lb, pr_ub = _lift_caps(spec, station)
         for unit in station.units:
             verts = enumerate_vertices(lift_unit_range(unit, pl_lb, pr_ub, spec.constants))
-            for count in (1, 2_000, DEFAULT_SAMPLE_COUNT):
+            # a full chunk, a one-sample ragged tail and a chunk-aligned end
+            for count in (1, 2_000, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK, DEFAULT_SAMPLE_COUNT):
                 for seed in (0, 5, seed_for_unit(unit.id)):
                     got = sample_uniform(verts, count, seed)
                     assert np.array_equal(got, reference_sample_uniform(verts, count, seed))
+
+
+def test_range_build_peak_memory_is_bounded():
+    # the sampler folds and places its points a chunk at a time, so a
+    # 50,000-sample build holds the points and the fit's arrays, not a
+    # gathered edge array and fold temporaries for the whole draw
+    spec, _ = load_instance(mini_station_pipes())
+    build_spec_ranges(spec)  # first-call allocations of numpy, qhull and HiGHS
+    _station_facets.cache_clear()
+    tracemalloc.start()
+    try:
+        build_spec_ranges(spec, DEFAULT_SAMPLE_COUNT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def built_facets(spec) -> dict:
@@ -482,9 +502,9 @@ class TestStationRangeMemo:
     def test_second_build_solves_no_lp(self, linprog_calls):
         spec, _ = load_instance(medium_station())
         first = build_spec_ranges(spec)
-        assert len(linprog_calls) == 7
+        assert len(linprog_calls) == 6
         second = build_spec_ranges(spec)
-        assert len(linprog_calls) == 7
+        assert len(linprog_calls) == 6
         assert built_facets(second) == built_facets(first)
 
     @pytest.mark.parametrize("change", MEMO_CHANGES)
