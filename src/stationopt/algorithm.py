@@ -31,11 +31,11 @@ from .model import (
     change_indicators,
     instantiate_fixed_transient,
     mode_indicators,
-    step_bounds,
     step_inputs,
     switch_cost,
+    window_pattern,
 )
-from .network import Scenario, StateSnapshot, StationSpec, mode_available
+from .network import REGULATOR_TOKENS, Scenario, StateSnapshot, StationSpec, mode_available
 from .solve import CHECK_TOL, BackendError, check_assignment, default_settings_for, solve
 
 
@@ -208,11 +208,10 @@ class StationSolver:
     solves and ``memo_hits`` the stationary lookups the memo answered.
 
     Smoothing windows always solve, but windows that share a pattern are
-    built once.  ``_templates`` maps everything a window build reads
-    except the start state's pressures and flows, its demands and its
-    absolute steps (weights, modes, directions, start mode and regulator
-    modes, the step bounds and step lengths of its steps and the step
-    before) to the first build of that pattern; a later window of the
+    built once.  ``_templates`` maps a window's
+    :func:`~stationopt.model.window_pattern` (what its build reads but for
+    the start state's pressures and flows, the demands and the absolute
+    steps) to the first build of that pattern; a later window of the
     pattern is that build patched
     (:func:`~stationopt.model.instantiate_fixed_transient`).
     """
@@ -230,10 +229,6 @@ class StationSolver:
         self.backend = backend
         self._inputs = [None] + [step_inputs(spec, scen, t) for t in range(1, scen.n_future + 1)]
         self._values: dict = {}
-        self._bounds = [
-            np.array(step_bounds(spec, scen, t), dtype=float).tobytes() for t in range(scen.n_future + 1)
-        ]
-        self._lengths = np.diff(np.asarray(scen.time_grid, dtype=float))
         self._templates: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
         self.memo_hits = {"Psf": 0, "Ps": 0}
@@ -431,11 +426,7 @@ class StationSolver:
     def _window_model(self, weights: ObjectiveWeights, modes: tuple, dirs: tuple, snapshot: StateSnapshot):
         """The fixed transient model of one window: the template of its
         pattern patched, or a fresh build kept as that template."""
-        t0, last = snapshot.time_index, snapshot.time_index + len(modes)
-        key = (
-            weights, modes, dirs, snapshot.operation_mode, tuple(sorted(snapshot.regulator_modes.items())),
-            b"".join(self._bounds[t0 : last + 1]) + self._lengths[t0:last].tobytes(),
-        )
+        key = window_pattern(self.spec, self.scen, weights, modes, dirs, snapshot)
         template = self._templates.get(key)
         if template is not None:
             return instantiate_fixed_transient(template, snapshot)
@@ -551,7 +542,7 @@ def complete_plan_assignment(
 
         for a in spec.regulators:
             token = state.regulator_modes[a]
-            for tok in ("by", "cl", "ac"):
+            for tok in REGULATOR_TOKENS:
                 put(1.0 if tok == token else 0.0, "rg", tok, a, t)
             put(1.0 if token != prev.regulator_modes[a] else 0.0, "d_rg", a, t)
 

@@ -466,6 +466,16 @@ def load_instance(source):
         demand.need(v, "missing boundary node demand")
 
     arc_flows = {a: initial_flow(a) for a in [*resistors, *valves, *regulators, *stations]}
+    flows = {("q", a): q for a, q in arc_flows.items()}
+    flows.update({(kind, a): q for a, ends in pipe_flows.items() for kind, q in zip(("ql", "qr"), ends)})
+    inflows = {}
+    for v in boundary:
+        # the inflow d that balances the node's other flows, summed in balance-row order
+        into = 0.0
+        for sign, kind, a in spec.node_incidence[v]:
+            if kind != "d":
+                into += sign * flows[kind, a]
+        inflows[v] = -into
     initial = StateSnapshot(
         time_index=0,
         operation_mode=state["operationMode"].string(),
@@ -473,7 +483,7 @@ def load_instance(source):
         pressures=init_pressures,
         arc_flows=arc_flows,
         pipe_flows=pipe_flows,
-        inflows={v: _node_inflow(spec, pipe_flows, arc_flows, v) for v in boundary},
+        inflows=inflows,
     )
     scenario = Scenario(
         time_grid=grid,
@@ -773,18 +783,3 @@ def read_report(path) -> dict:
         "objectiveBreakdown": {k: v.number() for k, v in plan.get("objectiveBreakdown", {}).fields()},
     }
 
-
-def _node_inflow(spec: StationSpec, pipe_flows: dict, arc_flows: dict, node: str) -> float:
-    """Boundary inflow d that balances the given end flows at a node."""
-    into = 0.0
-    for a, pipe in spec.pipes.items():
-        if pipe.to_node == node:
-            into += pipe_flows[a][1]
-        if pipe.from_node == node:
-            into -= pipe_flows[a][0]
-    for a, arc in spec.non_pipe_arcs().items():
-        if arc.to_node == node:
-            into += arc_flows[a]
-        if arc.from_node == node:
-            into -= arc_flows[a]
-    return -into

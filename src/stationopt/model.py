@@ -257,13 +257,11 @@ def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot
     without a build.
 
     It equals a fresh build of that window, names, handles and arrays
-    included, when the window reads the template's pattern: the same
-    weights, start mode and regulator modes, and the same
-    :func:`step_bounds` and step lengths at its steps and the step before.
-    The caller keys on these.  The copy takes the start state's pressures
-    and flows, the demands and the slack caps at its own steps, each
-    combined in the builder's order, and raises where the fresh build
-    would.
+    included, when the window has the template's :func:`window_pattern`;
+    the caller keys templates on it.  The copy takes the start state's
+    pressures and flows, the demands and the slack caps at its own steps,
+    each combined in the builder's order, and raises where the fresh
+    build would.
     """
     spec, scen, sites = template.spec, template.scen, template.sites
     times = _window_times(spec, scen, sites.modes, sites.directions, snapshot)
@@ -296,6 +294,25 @@ def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot
     for a, q in snapshot.arc_flows.items():
         inst.handles[("q", a, t0)] = q
     return inst
+
+
+def window_pattern(
+    spec: StationSpec, scen: Scenario, weights: ObjectiveWeights, modes, directions, snapshot: StateSnapshot
+) -> tuple:
+    """What a :func:`build_fixed_transient` of the window after ``snapshot``
+    reads but the start state's pressures and flows, the demands and the
+    absolute steps: the weights, modes, directions, start mode and regulator
+    modes, and as bytes (telling 0.0 from -0.0) the :func:`step_bounds` at
+    the window's steps and the step before and the lengths of its own steps.
+    Equal patterns give builds that :func:`instantiate_fixed_transient`
+    makes from one another."""
+    t0, last = snapshot.time_index, snapshot.time_index + len(modes)
+    values = [b for t in range(t0, last + 1) for b in step_bounds(spec, scen, t)]
+    values += (scen.step_length(t) for t in range(t0 + 1, last + 1))
+    return (
+        weights, tuple(modes), tuple(directions), snapshot.operation_mode,
+        tuple(sorted(snapshot.regulator_modes.items())), np.array(values, dtype=float).tobytes(),
+    )
 
 
 def _window_times(spec: StationSpec, scen: Scenario, modes: tuple, directions: tuple, snapshot) -> list:
@@ -381,7 +398,6 @@ class _Builder:
         for t in self.times:
             if t not in self.fixed_modes and not self.valid_modes[t]:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
-        self._incidence = self._node_incidence()
         # with ``sites`` the build records where its window parameters land
         self.sites = sites
         self._row = self._recorded_row if sites is not None else self.instance.model.add_row
@@ -763,25 +779,9 @@ class _Builder:
                 f"configuration {config.id!r} on station {arc_id!r} has no built operating range"
             )
 
-    def _node_incidence(self) -> dict:
-        """Per node, the (sign, handle kind, id) of each flow into or out
-        of it, in balance-row order: pipe ends, then other arcs, each in
-        catalog order, then the boundary inflow."""
-        spec = self.spec
-        out: dict = {v: [] for v in spec.nodes}
-        for a, pipe in spec.pipes.items():
-            out[pipe.to_node].append((1.0, "qr", a))
-            out[pipe.from_node].append((-1.0, "ql", a))
-        for a, arc in spec.non_pipe_arcs().items():
-            out[arc.to_node].append((1.0, "q", a))
-            out[arc.from_node].append((-1.0, "q", a))
-        for v in spec.boundary_nodes():
-            out[v].append((1.0, "d", v))
-        return out
-
     def _emit_node_balance(self, v: str, t: int) -> None:
         h = self.h
-        pairs = [(sign, h[(kind, a, t)]) for sign, kind, a in self._incidence[v]]
+        pairs = [(sign, h[(kind, a, t)]) for sign, kind, a in self.spec.node_incidence[v]]
         if pairs:
             self._row(("balance", v, t), pairs, "==", 0.0)
 

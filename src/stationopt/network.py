@@ -6,8 +6,8 @@ relies on.  All values here are internal SI (Pa, kg/s, seconds); the
 loaders in :mod:`stationopt.io` convert from file-facing units.
 
 Instances are immutable after construction and safe to share; a
-:class:`StationSpec` computes its per-mode lookups (unit sets, direction
-partners) once, on first use.
+:class:`StationSpec` computes its lookups (unit sets, direction partners,
+node incidence) once, on first use.
 """
 
 from __future__ import annotations
@@ -227,6 +227,19 @@ class StationSpec:
     def direction_partners(self) -> dict:
         """Per operation mode, the sorted flow directions it forms a valid pair with."""
         return {o: tuple(sorted(f for oo, f in self.valid_pairs if oo == o)) for o in self.operation_modes}
+
+    @cached_property
+    def node_incidence(self) -> dict:
+        """Per node, the (sign, flow kind, id) of each flow into (+1) or out of (-1)
+        it, in balance-row order: arc ends in catalog order, then a boundary ``d``."""
+        out: dict = {v: [] for v in self.nodes}
+        for a, arc in self.arcs().items():
+            into, out_of = ("qr", "ql") if a in self.pipes else ("q", "q")
+            out[arc.to_node].append((1.0, into, a))
+            out[arc.from_node].append((-1.0, out_of, a))
+        for v in self.boundary_nodes():
+            out[v].append((1.0, "d", v))
+        return out
 
 
 @dataclass(frozen=True)

@@ -934,6 +934,27 @@ class TestWindowTemplates:
         patched = assert_windows_fresh(spec, scen, windows)
         assert patched == len(windows) - len(solver._templates) and patched > 0
 
+    @pytest.mark.parametrize("differ", [None, "bound", "start mode"])
+    def test_windows_of_two_patterns_get_two_templates(self, differ):
+        # the windows after steps 0 and 2 of medium_station, from one start
+        # state: one pattern, or two that differ in one bound at step 4 or
+        # in the start mode
+        doc = medium_station()
+        if differ == "bound":
+            b2 = next(node for node in doc["nodes"] if node["id"] == "B2")
+            b2["pressureUB"] = [75.0, 75.0, 75.0, 75.0, 74.0, 75.0, 75.0]
+        spec, scen = loaded(doc, count=2000)
+        first = scen.initial_state
+        later = dataclasses.replace(first, time_index=2)
+        if differ == "start mode":
+            later = dataclasses.replace(later, operation_mode="o_c2")
+        solver = StationSolver(spec, scen, WEIGHTS)
+        windows = record_windows(solver)
+        for snapshot in (first, later):
+            solver._window_model(WEIGHTS, ("o_c1", "o_c12"), ("f_we", "f_wes"), snapshot)
+        patched = assert_windows_fresh(spec, scen, windows)
+        assert (len(solver._templates), patched) == ((1, 1) if differ is None else (2, 0))
+
     MODES, DIRS = ("o_cp", "o_cp"), ("f_fwd", "f_fwd")
 
     def template_and_error(self, spec, scen, t0):

@@ -322,6 +322,8 @@ def test_bundled_instance_is_loadable():
     bundled = Path(__file__).resolve().parents[1] / "src" / "stationopt" / "data" / "mini_station.json"
     spec, scen = load_instance(bundled)
     assert validate(spec, scen) == []
+    # the README's ready-to-run instance is the fixture, written out
+    assert json.loads(bundled.read_text(encoding="utf-8")) == mini_station()
 
 
 def test_backend_error_exits_4(tmp_path, capsys, monkeypatch):

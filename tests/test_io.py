@@ -73,6 +73,14 @@ class TestLoadSave:
         assert spec.nodes["B1"].pressure_ub[0] == pytest.approx(bar_to_pa(70.0))
         assert scen.n_future == 4
 
+    def test_initial_inflows_balance_the_initial_flows(self):
+        # B3 sits at the end of P3, whose initial flows are zero: its inflow
+        # is the negated zero sum, -0.0
+        _, scen = load_instance(medium_station())
+        assert repr(scen.initial_state.inflows) == (
+            "{'B1': 152.63888888888889, 'B2': -152.63888888888889, 'B3': -0.0}"
+        )
+
     def test_derived_gas_quantities(self):
         spec, _ = load_instance(mini_station_pipes())
         pipe = spec.pipes["P1"]

@@ -19,8 +19,9 @@ from stationopt.model import (
     change_indicators,
     step_inputs,
     switch_cost,
+    window_pattern,
 )
-from stationopt.network import mode_available
+from stationopt.network import REGULATOR_TOKENS, mode_available
 from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
 from stationopt.units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, normvol_to_massflow
@@ -754,3 +755,88 @@ class TestStepInputs:
             assert all(part == first for _, part in rest), (variant, [t for t, _ in repeats])
         if steps == "96":
             assert len([key for key in by_key if key[0] == "Psf"]) < scen.n_future
+
+
+def per_time_bounds(doc: dict) -> dict:
+    """``doc`` with a series over the grid instants for every node pressure
+    bound, arc flow bound and boundary inflow bound, each tightening by a
+    step per instant (true per-time bounds, which ``regrid_bounds``
+    rejects)."""
+    n = len(doc["scenario"]["timeGrid"])
+    for item in doc["nodes"] + doc["arcs"]:
+        for key, step in (("pressureLB", 0.1), ("pressureUB", -0.1), ("flowLB", 1.0), ("flowUB", -1.0)):
+            if key in item:
+                item[key] = [item[key] + step * i for i in range(n)]
+    scenario = doc["scenario"]
+    for key, step in (("inflowLB", 1.0), ("inflowUB", -1.0)):
+        scenario[key] = {v: [b + step * i for i in range(n)] for v, b in scenario[key].items()}
+    return doc
+
+
+class TestWindowPattern:
+    """``window_pattern`` keys the solver's smoothing templates: a window
+    whose pattern repeats is patched from an earlier build, so the pattern
+    must change wherever a fixed transient build's numbers change, but for
+    the start state's pressures and flows and the demands, which the patch
+    recomputes."""
+
+    MODES, DIRS = ("o_c1", "o_c12"), ("f_we", "f_wes")
+    T0 = 2  # the window's steps are 3 and 4, the step before is 2
+
+    @pytest.fixture()
+    def native(self):
+        spec, scen = load_instance(per_time_bounds(medium_station()))
+        return spec, scen, dataclasses.replace(scen.initial_state, time_index=self.T0)
+
+    def pattern(self, spec, scen, snapshot, weights=WEIGHTS):
+        return window_pattern(spec, scen, weights, self.MODES, self.DIRS, snapshot)
+
+    def test_changes_with_every_bound_and_step_length_it_reads(self, native):
+        spec, scen, snapshot = native
+        base = self.pattern(spec, scen, snapshot)
+        # grid instants T0..last bound the window's own steps; bounds are
+        # indexed by step, demands by step - 1 and never read
+        read = range(self.T0, self.T0 + len(self.MODES) + 1)
+        arrays = list(per_step_arrays(spec, ("spec",))) + list(per_step_arrays(scen, ("scen",)))
+        assert {"pressure_lb", "pressure_ub", "flow_lb", "flow_ub", "time_grid"} <= {p[-1] for p, _ in arrays}
+        assert {"pressure_demand", "flow_demand", "inflow_lb", "inflow_ub"} <= {p[1] for p, _ in arrays}
+        for path, array in arrays:
+            demand = path[1] in ("pressure_demand", "flow_demand")
+            for i in range(array.size):
+                old = array[i]
+                array[i] = old * 1.01 + 1.0
+                try:
+                    moved = self.pattern(spec, scen, snapshot) != base
+                finally:
+                    array[i] = old
+                assert moved == (not demand and i in read), (path, i)
+
+    def test_changes_with_the_start_modes_and_the_weights(self, native):
+        spec, scen, snapshot = native
+        base = self.pattern(spec, scen, snapshot)
+        for mode in spec.operation_modes:
+            if mode != snapshot.operation_mode:
+                assert self.pattern(spec, scen, dataclasses.replace(snapshot, operation_mode=mode)) != base
+        for a, token in snapshot.regulator_modes.items():
+            for other in REGULATOR_TOKENS:
+                if other != token:
+                    modes = {**snapshot.regulator_modes, a: other}
+                    changed = dataclasses.replace(snapshot, regulator_modes=modes)
+                    assert self.pattern(spec, scen, changed) != base, (a, other)
+        for f in dataclasses.fields(WEIGHTS):
+            weights = dataclasses.replace(WEIGHTS, **{f.name: getattr(WEIGHTS, f.name) * 2.0})
+            assert self.pattern(spec, scen, snapshot, weights) != base, f.name
+
+    def test_ignores_the_start_pressures_and_flows_and_the_absolute_step(self, native):
+        spec, scen, snapshot = native
+        base = self.pattern(spec, scen, snapshot)
+        for name in ("pressures", "arc_flows", "pipe_flows", "inflows"):
+            values = getattr(snapshot, name)
+            for key, value in values.items():
+                moved = tuple(x * 1.01 + 1.0 for x in value) if name == "pipe_flows" else value * 1.01 + 1.0
+                changed = dataclasses.replace(snapshot, **{name: {**values, key: moved}})
+                assert self.pattern(spec, scen, changed) == base, (name, key)
+        # on a grid and bounds that repeat, windows at two positions share it
+        spec, scen = load_instance(medium_station())
+        first, later = (dataclasses.replace(scen.initial_state, time_index=t0) for t0 in (1, self.T0))
+        assert self.pattern(spec, scen, first) == self.pattern(spec, scen, later)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stationopt.fixtures import mini_station, mini_station_pipes, two_unit_station
+from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, two_unit_station
 from stationopt.io import SchemaError, load_instance
 from stationopt.network import Configuration, FlowCondition, Violation, mode_available, validate
 
@@ -289,6 +289,21 @@ class TestSpecServices:
         assert spec.mode_units("o_c12") is spec.mode_units("o_c12")
         with pytest.raises(KeyError):
             spec.mode_units("nope")
+
+    def test_node_incidence_in_balance_row_order(self):
+        spec, _ = load_instance(medium_station())
+        incidence = spec.node_incidence
+        # the star node: pipe P2 ends here, both regulators leave
+        assert incidence["N3"] == [(1.0, "qr", "P2"), (-1.0, "q", "RG1"), (-1.0, "q", "RG2")]
+        # pipe ends before other arcs, valves before stations
+        assert incidence["N1"] == [(1.0, "qr", "P1"), (-1.0, "q", "V1"), (-1.0, "q", "CS1")]
+        for v, node in spec.nodes.items():
+            kinds = [kind for _, kind, _ in incidence[v]]
+            if node.is_boundary:
+                assert incidence[v][-1] == (1.0, "d", v) and kinds.count("d") == 1
+            else:
+                assert "d" not in kinds
+        assert spec.node_incidence is incidence
 
     def test_transition_time_lookup(self, mini):
         spec, _ = mini
