@@ -10,7 +10,9 @@ windows into one feasible control plan.
 
 Transition-time bookkeeping lives here too: a mode switch occupies a
 time interval centered on the switch instant and two such intervals must
-never overlap.
+never overlap.  The finished plan is priced by its replay into the full
+model (:func:`~stationopt.model.complete_plan_assignment`, re-exported
+here) and the row checker.
 """
 
 from __future__ import annotations
@@ -19,23 +21,20 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .linmodel import BuildInfeasibleError, VarRef
-from .model import (
+from .linmodel import BuildInfeasibleError
+from .model import (  # noqa: F401  build_full and the replay are re-exported
     ObjectiveWeights,
     build_fixed_transient,
     build_full,
     build_stationary,
     build_stationary_fixed,
-    change_indicators,
+    complete_plan_assignment,
     instantiate_fixed_transient,
-    mode_indicators,
     step_inputs,
     switch_cost,
     window_pattern,
 )
-from .network import REGULATOR_TOKENS, Scenario, StateSnapshot, StationSpec, mode_available
+from .network import Scenario, StateSnapshot, StationSpec, mode_available
 from .solve import CHECK_TOL, BackendError, check_assignment, default_settings_for, solve
 
 
@@ -479,105 +478,3 @@ class StationSolver:
         plan.diagnostics["solve_counts"] = dict(self.counters)
         plan.diagnostics["memo_hits"] = dict(self.memo_hits)
         return plan
-
-
-# ---------------------------------------------------------------------------
-# plan replay against the full model
-
-
-def complete_plan_assignment(
-    spec: StationSpec, scen: Scenario, weights: ObjectiveWeights, plan: ControlPlan
-):
-    """Extend a plan to a full assignment of the transient model P.
-
-    Binaries come from the plan's tokens, disjunctive copies from the
-    active branch, slacks and change trackers take their minimal feasible
-    values.  The result can be replayed through the row checker and the
-    objective evaluator.
-    """
-    inst = build_full(spec, scen, weights)
-    model = inst.model
-    x = np.zeros(model.n_vars)
-    seq = plan.sequence
-
-    def put(value, *key):
-        h = inst.handles.get(key)
-        if isinstance(h, VarRef):
-            x[h.index] = value
-
-    for t in range(1, scen.n_future + 1):
-        state, prev = plan.states[t], plan.states[t - 1]
-        mode, direction = seq.modes[t], seq.directions[t]
-        assignment = spec.operation_modes[mode].assignment
-
-        for v, p in state.pressures.items():
-            put(p, "p", v, t)
-        for a, q in state.arc_flows.items():
-            put(q, "q", a, t)
-        for a, (q_in, q_out) in state.pipe_flows.items():
-            put(q_in, "ql", a, t)
-            put(q_out, "qr", a, t)
-        for v, d in state.inflows.items():
-            put(d, "d", v, t)
-
-        changes = change_indicators(spec, seq.modes[t - 1], mode)
-        for key, value in {**mode_indicators(spec, mode), **changes}.items():
-            put(value, *key, t)
-        for f in spec.flow_directions:
-            put(1.0 if f == direction else 0.0, "fd", f, t)
-
-        for a, st in spec.stations.items():
-            token = assignment[a]
-            pl, pr, q = state.pressures[st.from_node], state.pressures[st.to_node], state.arc_flows[a]
-            if token == "by":
-                put(0.5 * (pl + pr), "p_by", a, t)
-                put(q, "q_by", a, t)
-            elif token == "cl":
-                put(pl, "p_cl_l", a, t)
-                put(pr, "p_cl_r", a, t)
-            else:
-                put(pl, "p_cfg_l", token, a, t)
-                put(pr, "p_cfg_r", token, a, t)
-                put(q, "q_cfg", token, a, t)
-
-        for a in spec.regulators:
-            token = state.regulator_modes[a]
-            for tok in REGULATOR_TOKENS:
-                put(1.0 if tok == token else 0.0, "rg", tok, a, t)
-            put(1.0 if token != prev.regulator_modes[a] else 0.0, "d_rg", a, t)
-
-        for kind, arcs in (("rg", spec.regulators), ("cs", spec.stations)):
-            for a, arc in arcs.items():
-                if kind == "rg":
-                    token = state.regulator_modes[a]
-                    changed = token != prev.regulator_modes[a]
-                else:
-                    token, changed = assignment[a], changes[("d_om",)]
-                relaxed = token in ("by", "cl") or changed
-                for label, now, before in (
-                    ("pl", state.pressures[arc.from_node], prev.pressures[arc.from_node]),
-                    ("pr", state.pressures[arc.to_node], prev.pressures[arc.to_node]),
-                    ("q", state.arc_flows[a], prev.arc_flows[a]),
-                ):
-                    put(0.0 if relaxed else abs(now - before), f"{kind}_{label}", a, t)
-
-        for v in spec.boundary_nodes():
-            p = state.pressures[v]
-            demand = scen.pressure_demand[v][t - 1]
-            put(max(0.0, p - demand), "sp+", v, t)
-            put(max(0.0, demand - p), "sp-", v, t)
-        for g, members in spec.fence_groups.items():
-            delta = sum(state.inflows[v] for v in members) - scen.flow_demand[g][t - 1]
-            key = "sd+" if delta >= 0.0 else "sd-"
-            remaining = abs(delta)
-            # spread the group's imbalance greedily within the slack caps
-            for v in sorted(members):
-                h = inst.handles.get((key, v, t))
-                if not isinstance(h, VarRef):
-                    continue
-                take = min(remaining, model.ub[h.index])
-                x[h.index] = take
-                remaining -= take
-                if remaining <= 0.0:
-                    break
-    return inst, x

@@ -7,7 +7,8 @@ ranges in memory on every run (``DEFAULT_SAMPLE_COUNT`` samples, seed 0);
 no range file is read or written.
 
 Exit codes: 0 success, 2 validation failure, 3 abort without solution,
-4 backend error.
+4 backend error.  A bad option, an output path that cannot be written
+included, exits 2 before planning.
 """
 
 from __future__ import annotations
@@ -189,6 +190,20 @@ def _positive_seconds(text: str) -> float:
     return float(text)
 
 
+def _output_prefix(text: str) -> str:
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write plans under {text}: {Path(text).parent} is not a directory")
+    return text
+
+
+def _export_directory(text: str) -> str:
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot make the directory {text}: {existing} is not a directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stationopt",
@@ -208,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower-bound", action="store_true",
                    help="also solve the full model for a lower bound and report the gap")
     p.add_argument("--lb-time-limit", type=_positive_seconds, default=600.0)
-    p.add_argument("--export-lp", help="directory for LP exports of every solved model")
-    p.add_argument("--out", help="output prefix (default: instance path without suffix)")
+    p.add_argument("--export-lp", type=_export_directory, help="directory for LP exports of every solved model")
+    p.add_argument("--out", type=_output_prefix, help="output prefix (default: instance path without suffix)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("report", help="aggregate written plan documents")

@@ -622,20 +622,17 @@ def interpolate_scenario(spec: StationSpec, scen: Scenario, target_grid: np.ndar
             f"target grid ends at {target_grid[-1]} s, outside the source span {source[-1]} s"
         )
 
-    def interp(train_x, train_y, at):
-        return np.interp(at, train_x, train_y)
-
     future = target_grid[1:]
     pressure_demand = {
-        v: interp(source, np.concatenate([[scen.initial_state.pressures[v]], arr]), future)
+        v: np.interp(future, source, np.concatenate([[scen.initial_state.pressures[v]], arr]))
         for v, arr in scen.pressure_demand.items()
     }
     flow_demand = {}
     for g, arr in scen.flow_demand.items():
         anchor0 = sum(scen.initial_state.inflows[v] for v in spec.fence_groups[g])
-        flow_demand[g] = interp(source, np.concatenate([[anchor0], arr]), future)
-    inflow_lb = {v: interp(source, arr, target_grid) for v, arr in scen.inflow_lb.items()}
-    inflow_ub = {v: interp(source, arr, target_grid) for v, arr in scen.inflow_ub.items()}
+        flow_demand[g] = np.interp(future, source, np.concatenate([[anchor0], arr]))
+    inflow_lb = {v: np.interp(target_grid, source, arr) for v, arr in scen.inflow_lb.items()}
+    inflow_ub = {v: np.interp(target_grid, source, arr) for v, arr in scen.inflow_ub.items()}
     return Scenario(
         time_grid=target_grid,
         pressure_demand=pressure_demand,

@@ -14,6 +14,11 @@ step between two fixed modes costs :func:`switch_cost`, summed from the
 :func:`change_indicators` the builder writes.  The fixed stationary model
 keeps its mode at the step before, so it has no switch cost.
 
+:func:`complete_plan_assignment` replays a finished plan into the full
+model, an independent reconstruction for the row checker to test; it
+shares only its reads of demands, tracked quantities and states with the
+builder.
+
 A fixed transient build also records where the numbers that differ
 between windows of one pattern land: the start state's pressures and
 flows enter the table as marked constants, so the rows they fold into
@@ -102,11 +107,6 @@ class ModelInstance:
     def direction_at(self, assignment: np.ndarray, t: int) -> str:
         return max(self.spec.flow_directions, key=lambda f: self.value(assignment, "fd", f, t))
 
-    def regulator_mode_at(self, assignment: np.ndarray, arc_id: str, t: int) -> str:
-        return max(
-            REGULATOR_TOKENS, key=lambda tok: self.value(assignment, "rg", tok, arc_id, t)
-        )
-
     def snapshot_at(self, assignment: np.ndarray, t: int) -> StateSnapshot:
         spec = self.spec
         pressures = {v: self.value(assignment, "p", v, t) for v in spec.nodes}
@@ -119,7 +119,8 @@ class ModelInstance:
             time_index=t,
             operation_mode=self.mode_at(assignment, t),
             regulator_modes={
-                a: self.regulator_mode_at(assignment, a, t) for a in spec.regulators
+                a: max(REGULATOR_TOKENS, key=lambda tok: self.value(assignment, "rg", tok, a, t))
+                for a in spec.regulators
             },
             pressures=pressures,
             arc_flows=arc_flows,
@@ -186,8 +187,8 @@ def step_inputs(spec: StationSpec, scen: Scenario, t: int) -> bytes:
     tells 0.0 from -0.0.
     """
     values = [scen.step_length(t), *step_bounds(spec, scen, t)]
-    values += (scen.pressure_demand[v][t - 1] for v in spec.boundary_nodes())
-    values += (scen.flow_demand[g][t - 1] for g in spec.fence_groups)
+    values += (_demand(scen, "pressure_demand", v, t) for v in spec.boundary_nodes())
+    values += (_demand(scen, "flow_demand", g, t) for g in spec.fence_groups)
     return np.array(values, dtype=float).tobytes()
 
 
@@ -195,6 +196,95 @@ def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> 
     times = list(range(1, scen.n_future + 1))
     b = _Builder(spec, scen, weights, "P", times, snapshot=scen.initial_state)
     return b.build()
+
+
+def complete_plan_assignment(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights, plan):
+    """Extend a plan (an :class:`~stationopt.algorithm.ControlPlan`) to a
+    full assignment of the transient model P.
+
+    Binaries come from the plan's tokens, disjunctive copies from the
+    active branch, slacks and change trackers take their minimal feasible
+    values.  The result can be replayed through the row checker and the
+    objective evaluator.
+    """
+    inst = build_full(spec, scen, weights)
+    model = inst.model
+    x = np.zeros(model.n_vars)
+    seq = plan.sequence
+
+    def put(value, *key):
+        h = inst.handles.get(key)
+        if isinstance(h, VarRef):
+            x[h.index] = value
+
+    def track(kind: str, arc, a: str, t: int, relaxed) -> None:
+        state, prev = plan.states[t], plan.states[t - 1]
+        for label, key, _, _ in _tracked(spec, arc, a):
+            change = abs(_state_value(state, *key) - _state_value(prev, *key))
+            put(0.0 if relaxed else change, f"{kind}_{label}", a, t)
+
+    for t in range(1, scen.n_future + 1):
+        state, prev = plan.states[t], plan.states[t - 1]
+        mode, direction = seq.modes[t], seq.directions[t]
+        assignment = spec.operation_modes[mode].assignment
+
+        for v, p in state.pressures.items():
+            put(p, "p", v, t)
+        for a, q in state.arc_flows.items():
+            put(q, "q", a, t)
+        for a, (q_in, q_out) in state.pipe_flows.items():
+            put(q_in, "ql", a, t)
+            put(q_out, "qr", a, t)
+        for v, d in state.inflows.items():
+            put(d, "d", v, t)
+
+        changes = change_indicators(spec, seq.modes[t - 1], mode)
+        for key, value in {**mode_indicators(spec, mode), **changes}.items():
+            put(value, *key, t)
+        for f in spec.flow_directions:
+            put(1.0 if f == direction else 0.0, "fd", f, t)
+
+        for a, st in spec.stations.items():
+            token = assignment[a]
+            pl, pr, q = state.pressures[st.from_node], state.pressures[st.to_node], state.arc_flows[a]
+            if token == "by":
+                put(0.5 * (pl + pr), "p_by", a, t)
+                put(q, "q_by", a, t)
+            elif token == "cl":
+                put(pl, "p_cl_l", a, t)
+                put(pr, "p_cl_r", a, t)
+            else:
+                put(pl, "p_cfg_l", token, a, t)
+                put(pr, "p_cfg_r", token, a, t)
+                put(q, "q_cfg", token, a, t)
+            track("cs", st, a, t, token in ("by", "cl") or changes[("d_om",)])
+
+        for a, rg in spec.regulators.items():
+            token = state.regulator_modes[a]
+            changed = token != prev.regulator_modes[a]
+            for tok in REGULATOR_TOKENS:
+                put(1.0 if tok == token else 0.0, "rg", tok, a, t)
+            put(float(changed), "d_rg", a, t)
+            track("rg", rg, a, t, token in ("by", "cl") or changed)
+
+        for v in spec.boundary_nodes():
+            p = state.pressures[v]
+            demand = _demand(scen, "pressure_demand", v, t)
+            put(max(0.0, p - demand), "sp+", v, t)
+            put(max(0.0, demand - p), "sp-", v, t)
+        for g, members in spec.fence_groups.items():
+            delta = sum(state.inflows[v] for v in members) - _demand(scen, "flow_demand", g, t)
+            key = "sd+" if delta >= 0.0 else "sd-"
+            remaining = abs(delta)
+            # spread the group's imbalance greedily within the slack caps
+            for v in sorted(members):
+                h = inst.handles[(key, v, t)]
+                take = min(remaining, model.ub[h.index])
+                x[h.index] = take
+                remaining -= take
+                if remaining <= 0.0:
+                    break
+    return inst, x
 
 
 def build_stationary(
@@ -270,12 +360,10 @@ def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot
     def value(x):
         if type(x) is not _Param:
             return x
-        kind, key = x.key[:2]
-        if kind == "p":
-            return snapshot.pressures[key]
-        if kind == "q":
-            return snapshot.arc_flows[key]
-        return getattr(scen, kind)[key][x.key[2] + shift - 1]
+        if x.key[0] in ("p", "q"):
+            return _state_value(snapshot, *x.key)
+        kind, key, t = x.key
+        return _demand(scen, kind, key, t + shift)
 
     ub = {}
     for cols, cap, v, t in sites.caps:
@@ -569,20 +657,10 @@ class _Builder:
 
     def _make_tracker_vars(self, kind: str, a: str, t: int) -> None:
         arc = self.spec.regulators[a] if kind == "rg" else self.spec.stations[a]
-        for label, _, lb, ub in self._tracked(arc, a):
+        for label, _, lb, ub in _tracked(self.spec, arc, a):
             add = self._add_q if label == "q" else self._add_pa
             span = max(ub[t] - lb[t - 1], ub[t - 1] - lb[t], 0.0)
             self.h[(f"{kind}_{label}", a, t)] = add((f"trk_{kind}_{label}", a, t), 0.0, span)
-
-    def _tracked(self, arc, a: str):
-        """(label, handle key without the step, lower and upper bounds) of
-        the inlet pressure, outlet pressure and flow of a tracked arc."""
-        nl, nr = self.spec.nodes[arc.from_node], self.spec.nodes[arc.to_node]
-        return (
-            ("pl", ("p", arc.from_node), nl.pressure_lb, nl.pressure_ub),
-            ("pr", ("p", arc.to_node), nr.pressure_lb, nr.pressure_ub),
-            ("q", ("q", a), arc.flow_lb, arc.flow_ub),
-        )
 
     # -- rows ---------------------------------------------------------------
 
@@ -895,8 +973,8 @@ class _Builder:
 
     def _demand(self, kind: str, key: str, t: int) -> float:
         """``scen.<kind>[key]`` at step t, ``kind`` one of ``pressure_demand``
-        and ``flow_demand`` (demand arrays start at step 1)."""
-        value = getattr(self.scen, kind)[key][t - 1]
+        and ``flow_demand``, as a :class:`_Param` in a build that records its sites."""
+        value = _demand(self.scen, kind, key, t)
         return value if self.sites is None else _Param(value, (kind, key, t))
 
     def _emit_slacks(self, t: int) -> None:
@@ -966,7 +1044,7 @@ class _Builder:
         """Trackers bound the change of pl, pr and q over the step unless a
         relaxing indicator (bypass, closed, mode change) is on."""
         tp = t - 1
-        for label, key, lb, ub in self._tracked(arc, a):
+        for label, key, lb, ub in _tracked(self.spec, arc, a):
             tracker = self.h[(f"{kind}_{label}", a, t)]
             now, before = self.h[key + (t,)], self.h[key + (tp,)]
             up_m, down_m = ub[t] - lb[tp], ub[tp] - lb[t]
@@ -1032,14 +1110,38 @@ class _Builder:
                 tracker_terms("cs", a, t)
 
 
+def _demand(scen: Scenario, kind: str, key: str, t: int) -> float:
+    """``scen.<kind>[key]`` at step t, ``kind`` one of ``pressure_demand``
+    and ``flow_demand``: the one read of a demand array, which starts at
+    step 1."""
+    return getattr(scen, kind)[key][t - 1]
+
+
+def _state_value(state: StateSnapshot, kind: str, key: str) -> float:
+    """The pressure (``kind`` ``"p"``) of node ``key`` or the flow (``"q"``)
+    of non-pipe arc ``key`` in ``state``."""
+    return (state.pressures if kind == "p" else state.arc_flows)[key]
+
+
+def _tracked(spec: StationSpec, arc, a: str) -> tuple:
+    """(label, handle key without the step, lower and upper bounds) of
+    the inlet pressure, outlet pressure and flow of tracked arc ``a``."""
+    nl, nr = spec.nodes[arc.from_node], spec.nodes[arc.to_node]
+    return (
+        ("pl", ("p", arc.from_node), nl.pressure_lb, nl.pressure_ub),
+        ("pr", ("p", arc.to_node), nr.pressure_lb, nr.pressure_ub),
+        ("q", ("q", a), arc.flow_lb, arc.flow_ub),
+    )
+
+
 def _pressure_slack_cap(spec: StationSpec, scen: Scenario, v: str, t: int) -> float:
     """Upper bound of the pressure slacks of boundary node v at step t."""
-    return float(spec.nodes[v].pressure_ub[t] + abs(scen.pressure_demand[v][t - 1]))
+    return float(spec.nodes[v].pressure_ub[t] + abs(_demand(scen, "pressure_demand", v, t)))
 
 
 def _flow_slack_cap(spec: StationSpec, scen: Scenario, v: str, t: int) -> float:
     """Upper bound of the flow slacks of fenced node v at step t."""
-    demand = max(abs(scen.flow_demand[g][t - 1]) for g, members in spec.fence_groups.items() if v in members)
+    demand = max(abs(_demand(scen, "flow_demand", g, t)) for g, members in spec.fence_groups.items() if v in members)
     return float(abs(scen.inflow_lb[v][t]) + abs(scen.inflow_ub[v][t]) + demand) + 1.0
 
 

@@ -10,12 +10,14 @@ model variant; HiGHS receives all three.
 
 Every returned assignment is replayed through an independent row checker
 before the result is handed back; a checker violation downgrades the
-result to an error naming the worst row.
+result to an error naming the worst row.  A non-finite entry is a
+violation, so an "optimal" NaN assignment is an error too.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import sys
 import time
@@ -96,6 +98,7 @@ class RowViolation:
         return f"{self.name}: violated by {self.amount:.3e}"
 
 
+@np.errstate(invalid="ignore")  # an infinite entry gives NaN terms, which fail their tests
 def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
     """Replay bounds, integrality and every row against an assignment.
 
@@ -104,22 +107,25 @@ def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
     feasibility tolerance with an absolute floor of ``CHECK_TOL`` itself:
     a row's scale is ``max(1, |rhs|, max_j |a_ij x_j|)`` and a column's
     ``max(1, |lb|, |ub|)``.  Columns come first, each with its bounds
-    before its integrality, then the rows, in model order.
+    before its integrality, then the rows, in model order.  Each test asks
+    whether a value lies within its tolerance, which NaN never does, and
+    bounds are finite, so a non-finite entry fails its bounds; a NaN
+    amount is reported as infinite.
     """
     a = model.arrays()
     x = np.asarray(x, dtype=float)
     out: list[RowViolation] = []
     scale = np.maximum(1.0, np.maximum(np.abs(a.lb), np.abs(a.ub)))
-    off_bounds = (x < a.lb - CHECK_TOL * scale) | (x > a.ub + CHECK_TOL * scale)
+    off_bounds = ~((x >= a.lb - CHECK_TOL * scale) & (x <= a.ub + CHECK_TOL * scale))
     fraction = np.abs(x - np.round(x))
-    off_integer = a.integer & (fraction > 1e-5)
+    off_integer = a.integer & ~(fraction <= 1e-5)
     for idx in np.flatnonzero(off_bounds | off_integer):
         name = model.var_names[idx]
         if off_bounds[idx]:
             gap = max(a.lb[idx] - x[idx], x[idx] - a.ub[idx], 0.0)
-            out.append(RowViolation(f"bounds({name})", float(gap)))
+            out.append(RowViolation(f"bounds({name})", _amount(gap)))
         if off_integer[idx]:
-            out.append(RowViolation(f"integrality({name})", float(fraction[idx])))
+            out.append(RowViolation(f"integrality({name})", _amount(fraction[idx])))
     if model.n_rows:
         terms = a.vals * x[a.cols]
         # bincount adds each row's terms in order, as a Python sum would
@@ -130,9 +136,14 @@ def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
             [act - a.rhs, a.rhs - act],
             np.abs(act - a.rhs),
         )
-        for r in np.flatnonzero(gap > CHECK_TOL * scale):
-            out.append(RowViolation(model.row_names[r], float(gap[r])))
+        for r in np.flatnonzero(~(gap <= CHECK_TOL * scale)):
+            out.append(RowViolation(model.row_names[r], _amount(gap[r])))
     return out
+
+
+def _amount(gap) -> float:
+    """A violation's size; NaN, which fails every test, counts as infinite."""
+    return math.inf if math.isnan(gap) else float(gap)
 
 
 class InProcessBackend:

@@ -251,9 +251,15 @@ class TestSolveCommand:
             (["--lower-bound", "--lb-time-limit", "0"], "must be positive, got 0"),
             (["--lower-bound", "--lb-time-limit", "-5"], "must be positive, got -5"),
             (["--lower-bound", "--lb-time-limit", "nan"], "must be positive, got nan"),
+            # {dir} is the instance's directory
+            (["--out", "{dir}/missing/x"], "under {dir}/missing/x: {dir}/missing is not a directory"),
+            (["--export-lp", "{dir}/mini.json"], "{dir}/mini.json is not a directory"),
+            (["--export-lp", "{dir}/mini.json/lp"], "{dir}/mini.json is not a directory"),
         ],
     )
     def test_bad_option_exits_2_before_planning(self, instance_path, capsys, flags, cause):
+        flags = [flag.format(dir=instance_path.parent) for flag in flags]
+        cause = cause.format(dir=instance_path.parent)
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(instance_path), *flags])
         assert exc.value.code == 2

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stationopt.algorithm import StationSolver
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.gas import nikuradse_friction
 from stationopt.io import load_instance, regrid_instance, template_grid
@@ -840,3 +841,24 @@ class TestWindowPattern:
         spec, scen = load_instance(medium_station())
         first, later = (dataclasses.replace(scen.initial_state, time_index=t0) for t0 in (1, self.T0))
         assert self.pattern(spec, scen, first) == self.pattern(spec, scen, later)
+
+
+class TestPlanReplay:
+    """``complete_plan_assignment`` writes a plan's states into the columns
+    of the full model and ``ModelInstance.snapshot_at`` reads states out of
+    them, so the two must name each column alike."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [mini_station, mini_station_pipes, two_unit_station, medium_station]
+        + [functools.partial(seeded_instance, s) for s in range(5)],
+        ids=["mini_station", "mini_station_pipes", "two_unit_station", "medium_station"]
+        + [f"seeded_{s}" for s in range(5)],
+    )
+    def test_snapshot_at_reads_back_the_replayed_states(self, doc):
+        spec, scen = load_instance(doc())
+        spec = build_spec_ranges(spec, count=2000)
+        plan = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
+        inst, x = plan.replay
+        for t in range(1, scen.n_future + 1):
+            assert repr(inst.snapshot_at(x, t)) == repr(plan.states[t]), t

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -225,6 +226,40 @@ class TestChecker:
         m.add_var("x", 0.0, 5.0, integer=True)
         assert any("bounds" in v.name for v in check_assignment(m, np.array([7.0])))
         assert any("integrality" in v.name for v in check_assignment(m, np.array([2.5])))
+
+    @pytest.fixture(scope="class")
+    def psf(self):
+        """mini_station's fixed stationary model at step 1 and its optimum."""
+        spec, scen = load_instance(mini_station())
+        spec = build_spec_ranges(spec, count=2000)
+        inst = build_stationary_fixed(spec, scen, WEIGHTS, scen.initial_state.operation_mode, 1)
+        res = solve(inst, default_settings_for("Psf"))
+        assert res.status == "optimal" and check_assignment(inst.model, res.assignment) == []
+        return inst.model, res.assignment
+
+    def test_nan_assignment_rejected(self, psf):
+        model, _ = psf
+        violations = check_assignment(model, np.full(model.n_vars, np.nan))
+        bounds = [v.name for v in violations if v.name.startswith("bounds(")]
+        assert bounds == [f"bounds({name})" for name in model.var_names]
+        assert all(v.amount == math.inf for v in violations)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_rejected(self, psf, value):
+        model, x = psf
+        for idx, name in enumerate(model.var_names):
+            y = x.copy()
+            y[idx] = value
+            violations = check_assignment(model, y)
+            assert violations[0].name == f"bounds({name})", (name, violations)
+            assert violations[0].amount == math.inf
+
+    def test_optimal_nan_assignment_is_an_error(self, psf):
+        model, _ = psf
+        nan = StubBackend("optimal", np.full(model.n_vars, np.nan), None)
+        res = solve(model, default_settings_for("Psf"), backend=nan)
+        assert res.status == "error" and res.assignment is None
+        assert "failed the row checker, worst: bounds(" in res.message
 
     def test_lying_backend_downgraded_to_error(self):
         class LyingBackend:
