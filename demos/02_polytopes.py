@@ -10,7 +10,6 @@ import numpy as np
 from stationopt.polytope import (
     HPolytope,
     enumerate_vertices,
-    format_polytope,
     project_out,
     remove_redundant,
     sample_uniform,
@@ -24,9 +23,10 @@ poly = HPolytope(A, b)
 
 print("== vertex enumeration ==")
 verts = enumerate_vertices(poly)
-print(format_polytope(verts, "cut cube"))
+print(f"  {len(verts)} vertices of the cut cube:")
+print(verts)
 
-print("== redundancy removal ==")
+print("\n== redundancy removal ==")
 padded = HPolytope(
     np.vstack([poly.A, [[1.0, 0.0, 0.0]], poly.A[:1]]),
     np.concatenate([poly.b, [-5.0], poly.b[:1]]),  # slack plane + duplicate
@@ -36,9 +36,10 @@ print(f"  {padded.n_rows} half spaces -> {reduced.n_rows} facets")
 
 print("\n== projection onto (x, y) ==")
 shadow = project_out(poly, 2)
-print(format_polytope(shadow, "shadow"))
+print(f"  {shadow.n_rows} half spaces [a_x, a_y, offset] of the shadow, a x + offset <= 0:")
+print(np.column_stack([shadow.A, shadow.b]))
 
-print("== triangulation and volume ==")
+print("\n== triangulation and volume ==")
 corners, volumes = triangulate(verts)
 print(f"  {len(corners)} tetrahedra, total volume {volumes.sum():.9f}")
 print(f"  (cube volume 1 minus the clipped corner {(3 * 1.0 - 2.2) ** 3 / 6:.9f})")

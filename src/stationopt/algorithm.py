@@ -30,6 +30,7 @@ from .model import (  # noqa: F401  build_full and the replay are re-exported
     build_stationary_fixed,
     complete_plan_assignment,
     instantiate_fixed_transient,
+    step_bounds,
     step_inputs,
     switch_cost,
     window_pattern,
@@ -203,7 +204,9 @@ class StationSolver:
     infeasible: ``("Psf", mode, inputs)`` and ``("Ps", previous mode,
     candidates available at t, inputs)``, where ``inputs`` is the step's
     :func:`~stationopt.model.step_inputs`.  A step whose numbers repeat an
-    earlier one is answered without a build.  ``counters`` counts backend
+    earlier one is answered without a build.  A stationary solve that ends
+    neither solved nor infeasible (a time limit, a backend error) raises
+    :class:`~stationopt.solve.BackendError`.  ``counters`` counts backend
     solves and ``memo_hits`` the stationary lookups the memo answered.
 
     Smoothing windows always solve, but windows that share a pattern are
@@ -212,7 +215,8 @@ class StationSolver:
     the start state's pressures and flows, the demands and the absolute
     steps) to the first build of that pattern; a later window of the
     pattern is that build patched
-    (:func:`~stationopt.model.instantiate_fixed_transient`).
+    (:func:`~stationopt.model.instantiate_fixed_transient`).  Both keys
+    slice ``_bounds``, the run's :func:`~stationopt.model.step_bounds`.
     """
 
     def __init__(
@@ -226,7 +230,8 @@ class StationSolver:
         self.scen = scen
         self.weights = weights or ObjectiveWeights()
         self.backend = backend
-        self._inputs = [None] + [step_inputs(spec, scen, t) for t in range(1, scen.n_future + 1)]
+        self._bounds = step_bounds(spec, scen)
+        self._inputs = [None] + [step_inputs(spec, scen, self._bounds, t) for t in range(1, scen.n_future + 1)]
         self._values: dict = {}
         self._templates: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
@@ -238,10 +243,10 @@ class StationSolver:
         self.counters[variant] += 1
         return res
 
-    def _stationary(self, key: tuple, build, decode):
+    def _stationary(self, key: tuple, t: int, build, decode):
         """``decode(inst, result)`` of the stationary model ``build()``
-        makes, or None where that model is infeasible; built at most once
-        per ``key`` (variant first)."""
+        makes at step t, or None where that model is infeasible; built at
+        most once per ``key`` (variant first)."""
         if key in self._values:
             self.memo_hits[key[0]] += 1
             return self._values[key]
@@ -253,41 +258,43 @@ class StationSolver:
             value = None
         else:
             res = self._solve(inst, key[0])
-            if res.status == "error":
-                raise BackendError(res.message or "stationary solve failed")
-            value = decode(inst, res) if res.ok else None
+            if res.ok:
+                value = decode(inst, res)
+            elif res.status == "infeasible":
+                value = None
+            else:
+                raise BackendError(f"{key[0]} solve at time step {t} ended {res.status}: {res.message}")
         self._values[key] = value
         return value
 
     # -- stationary evaluations ------------------------------------------
 
     def psf_value(self, mode: str, t: int, prev_mode: str):
-        """(feasible, objective, direction) of step t in ``mode`` after
-        ``prev_mode``: the fixed stationary value plus the switch cost."""
+        """(cost, direction) of step t in ``mode`` after ``prev_mode``: the
+        fixed stationary value plus the switch cost; None where infeasible."""
         value = self._stationary(
             ("Psf", mode, self._inputs[t]),
+            t,
             lambda: build_stationary_fixed(self.spec, self.scen, self.weights, mode, t),
             lambda inst, res: (res.objective, inst.direction_at(res.assignment, t)),
         )
         if value is None:
-            return False, math.inf, None
-        objective, direction = value
-        return True, objective + switch_cost(self.spec, self.weights, prev_mode, mode), direction
+            return None
+        return value[0] + switch_cost(self.spec, self.weights, prev_mode, mode), value[1]
 
     def ps_best(self, t: int, valid_modes, prev_mode: str):
-        """(feasible, objective, mode, direction) over a candidate mode set."""
+        """(objective, mode, direction) of the best mode of a candidate set
+        at step t; None where none is feasible."""
         grid = self.scen.time_grid
         available = tuple(o for o in valid_modes if mode_available(self.spec, grid, o, t))
-        value = self._stationary(
+        return self._stationary(
             ("Ps", prev_mode, available, self._inputs[t]),
+            t,
             lambda: build_stationary(self.spec, self.scen, self.weights, t, prev_mode, valid_modes),
             lambda inst, res: (
                 res.objective, inst.mode_at(res.assignment, t), inst.direction_at(res.assignment, t)
             ),
         )
-        if value is None:
-            return False, math.inf, None, None
-        return (True, *value)
 
     def sequence_objective(self, modes) -> float:
         """Sum of the per-step fixed stationary optima; +inf when any step
@@ -298,10 +305,10 @@ class StationSolver:
             return math.inf
         total = 0.0
         for t in steps:
-            feasible, value, _ = self.psf_value(modes[t], t, modes[t - 1])
-            if not feasible:
+            value = self.psf_value(modes[t], t, modes[t - 1])
+            if value is None:
                 return math.inf
-            total += value
+            total += value[0]
         return total
 
     # -- stage 1: initial sequence ----------------------------------------
@@ -314,14 +321,14 @@ class StationSolver:
         ready = grid[0]
         for t in range(1, scen.n_future + 1):
             old = modes[-1]
-            feasible, cost, direction = self.psf_value(old, t, old)
+            value = self.psf_value(old, t, old)
             if (
-                feasible
+                value is not None
                 and mode_available(spec, grid, old, t)
-                and cost < self.weights.operation_mode_change
+                and value[0] < self.weights.operation_mode_change
             ):
                 modes.append(old)
-                directions.append(direction)
+                directions.append(value[1])
                 continue
             valid = [
                 o
@@ -330,11 +337,10 @@ class StationSolver:
                 and switch_ready(spec, grid, ready, t, old, o) is not None
                 and not_soon_infeasible(spec, grid, t, o, old)
             ]
-            ok, _, best, best_dir = (False, math.inf, None, None)
-            if valid:
-                ok, _, best, best_dir = self.ps_best(t, valid, old)
-            if not ok:
+            value = self.ps_best(t, valid, old) if valid else None
+            if value is None:
                 raise InitialSolutionAbort(f"no usable operation mode for time step {t}")
+            _, best, best_dir = value
             ready = switch_ready(spec, grid, ready, t, old, best)
             modes.append(best)
             directions.append(best_dir)
@@ -375,8 +381,7 @@ class StationSolver:
                     # the evaluating stationary solves now decide the flow
                     # directions of every replaced position
                     for pos in positions:
-                        _, _, direction = self.psf_value(modes[pos], pos, modes[pos - 1])
-                        directions[pos] = direction
+                        directions[pos] = self.psf_value(modes[pos], pos, modes[pos - 1])[1]
                     improved = True
             backwards = not backwards
             sweeps_without_improvement = 0 if improved else sweeps_without_improvement + 1
@@ -425,13 +430,10 @@ class StationSolver:
     def _window_model(self, weights: ObjectiveWeights, modes: tuple, dirs: tuple, snapshot: StateSnapshot):
         """The fixed transient model of one window: the template of its
         pattern patched, or a fresh build kept as that template."""
-        key = window_pattern(self.spec, self.scen, weights, modes, dirs, snapshot)
-        template = self._templates.get(key)
-        if template is not None:
-            return instantiate_fixed_transient(template, snapshot)
-        inst = build_fixed_transient(self.spec, self.scen, weights, modes, dirs, snapshot)
-        if inst.sites is not None:
-            self._templates[key] = inst
+        key = window_pattern(self.scen, self._bounds, weights, modes, dirs, snapshot)
+        if key in self._templates:
+            return instantiate_fixed_transient(self._templates[key], snapshot)
+        inst = self._templates[key] = build_fixed_transient(self.spec, self.scen, weights, modes, dirs, snapshot)
         return inst
 
     def _solve_window(self, seq: ModeSequence, snapshot: StateSnapshot, times, diagnostics):

@@ -414,7 +414,11 @@ def load_instance(source):
         tuple(name.string() for name in pair.row(2, "[mode, direction]"))
         for pair in root["validPairs"].items()
     )
-    fence_groups = {gd["id"].string(): gd["nodes"].strings() for gd in root.get("fenceGroups", []).distinct()}
+    fence_groups = {}
+    for gd in root.get("fenceGroups", []).distinct():
+        gid, members = gd["id"].string(), gd["nodes"].strings()
+        gd["nodes"].check(members, "must be a nonempty list")
+        fence_groups[gid] = members
     conditions = tuple(
         FlowCondition(cd["direction"].string(), cd["smaller"].strings(), cd["larger"].strings())
         for cd in root.get("flowConditions", []).items()

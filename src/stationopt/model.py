@@ -162,34 +162,33 @@ def switch_cost(spec: StationSpec, weights: ObjectiveWeights, prev: str, mode: s
     return total
 
 
-def step_bounds(spec: StationSpec, scen: Scenario, t: int) -> list:
-    """The bounds a build reads at step ``t``: node pressure bounds, arc and
-    pipe flow bounds and boundary inflow bounds."""
-    values = []
+def step_bounds(spec: StationSpec, scen: Scenario) -> np.ndarray:
+    """The bounds a build reads, one row per step 0..k: node pressure bounds,
+    arc and pipe flow bounds and boundary inflow bounds, lower before upper."""
+    columns = []
     for node in spec.nodes.values():
-        values += (node.pressure_lb[t], node.pressure_ub[t])
+        columns += (node.pressure_lb, node.pressure_ub)
     for arc in spec.arcs().values():
-        values += (arc.flow_lb[t], arc.flow_ub[t])
+        columns += (arc.flow_lb, arc.flow_ub)
     for v in spec.boundary_nodes():
-        values += (scen.inflow_lb[v][t], scen.inflow_ub[v][t])
-    return values
+        columns += (scen.inflow_lb[v], scen.inflow_ub[v])
+    return np.column_stack(columns)
 
 
-def step_inputs(spec: StationSpec, scen: Scenario, t: int) -> bytes:
+def step_inputs(spec: StationSpec, scen: Scenario, bounds: np.ndarray, t: int) -> bytes:
     """Every number a stationary build reads at step ``t``, as bytes.
 
-    The step length, the :func:`step_bounds` at t, and the pressure and
-    flow demands at index ``t - 1`` (demand arrays start at step 1).  For
-    the same mode (``Psf``), or the same previous mode and the same
-    candidates available at t (``Ps``), two steps with equal bytes give
-    models that differ only in their names; mode availability is read
-    only through the candidate filter.  Bytes, not floats, so that the key
-    tells 0.0 from -0.0.
+    The step length, row t of ``bounds`` (the run's :func:`step_bounds`),
+    and the pressure and flow demands at index ``t - 1`` (demand arrays
+    start at step 1).  For the same mode (``Psf``), or the same previous
+    mode and the same candidates available at t (``Ps``), two steps with
+    equal bytes give models that differ only in their names; mode
+    availability is read only through the candidate filter.  Bytes, not
+    floats, so that the key tells 0.0 from -0.0.
     """
-    values = [scen.step_length(t), *step_bounds(spec, scen, t)]
-    values += (_demand(scen, "pressure_demand", v, t) for v in spec.boundary_nodes())
-    values += (_demand(scen, "flow_demand", g, t) for g in spec.fence_groups)
-    return np.array(values, dtype=float).tobytes()
+    demands = [_demand(scen, "pressure_demand", v, t) for v in spec.boundary_nodes()]
+    demands += (_demand(scen, "flow_demand", g, t) for g in spec.fence_groups)
+    return np.concatenate(([scen.step_length(t)], bounds[t], demands)).tobytes()
 
 
 def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> ModelInstance:
@@ -320,12 +319,11 @@ def build_fixed_transient(
 ) -> ModelInstance:
     """The transient window after ``snapshot`` with every mode and
     direction fixed.  Its ``sites`` record serves
-    :func:`instantiate_fixed_transient`; it is None where a row that reads
-    the start state or a demand folds away."""
+    :func:`instantiate_fixed_transient`, so every build is a template."""
     modes = tuple(modes)
     directions = tuple(directions)
     times = _window_times(spec, scen, modes, directions, snapshot)
-    b = _Builder(
+    return _Builder(
         spec,
         scen,
         weights,
@@ -335,10 +333,7 @@ def build_fixed_transient(
         fixed_modes=dict(zip(times, modes)),
         fixed_dirs=dict(zip(times, directions)),
         sites=_Sites(modes, directions),
-    )
-    inst = b.build()
-    inst.sites = b.sites
-    return inst
+    ).build()
 
 
 def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot) -> ModelInstance:
@@ -385,21 +380,20 @@ def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot
 
 
 def window_pattern(
-    spec: StationSpec, scen: Scenario, weights: ObjectiveWeights, modes, directions, snapshot: StateSnapshot
+    scen: Scenario, bounds: np.ndarray, weights: ObjectiveWeights, modes, directions, snapshot: StateSnapshot
 ) -> tuple:
     """What a :func:`build_fixed_transient` of the window after ``snapshot``
     reads but the start state's pressures and flows, the demands and the
     absolute steps: the weights, modes, directions, start mode and regulator
-    modes, and as bytes (telling 0.0 from -0.0) the :func:`step_bounds` at
-    the window's steps and the step before and the lengths of its own steps.
-    Equal patterns give builds that :func:`instantiate_fixed_transient`
-    makes from one another."""
+    modes, and as bytes (telling 0.0 from -0.0) the rows of ``bounds`` (the
+    run's :func:`step_bounds`) at the window's steps and the step before,
+    followed by the lengths of its own steps.  Equal patterns give builds
+    that :func:`instantiate_fixed_transient` makes from one another."""
     t0, last = snapshot.time_index, snapshot.time_index + len(modes)
-    values = [b for t in range(t0, last + 1) for b in step_bounds(spec, scen, t)]
-    values += (scen.step_length(t) for t in range(t0 + 1, last + 1))
+    numbers = bounds[t0:last + 1].tobytes() + np.diff(scen.time_grid[t0:last + 1]).tobytes()
     return (
         weights, tuple(modes), tuple(directions), snapshot.operation_mode,
-        tuple(sorted(snapshot.regulator_modes.items())), np.array(values, dtype=float).tobytes(),
+        tuple(sorted(snapshot.regulator_modes.items())), numbers,
     )
 
 
@@ -487,7 +481,7 @@ class _Builder:
             if t not in self.fixed_modes and not self.valid_modes[t]:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
         # with ``sites`` the build records where its window parameters land
-        self.sites = sites
+        self.sites = self.instance.sites = sites
         self._row = self._recorded_row if sites is not None else self.instance.model.add_row
 
     # -- fixed and past decisions -------------------------------------------
@@ -529,19 +523,15 @@ class _Builder:
 
     def _recorded_row(self, name, pairs, sense: str, rhs: float, unit: float | None = None) -> None:
         """``add_row``, noting each row that reads a window parameter: its
-        index, its right-hand side and its constant terms in order."""
+        index, its right-hand side and its constant terms in order.  Every
+        such row keeps a column (pipe flows, a tracker or a slack)."""
         m = self.instance.model
         row = m.n_rows
         m.add_row(name, pairs, sense, rhs, unit)
-        if self.sites is None:
-            return
         constants = [(coef, h) for coef, h in pairs if type(h) is not VarRef]
         if type(rhs) is _Param or any(type(h) is _Param for _, h in constants):
-            if m.n_rows == row:
-                # folded into a check that another window's numbers could fail
-                self.sites = None
-            else:
-                self.sites.rows.append((row, rhs, constants))
+            assert m.n_rows > row, f"row {name} reads a window parameter but folded away"
+            self.sites.rows.append((row, rhs, constants))
 
     def _add_slacks(self, add, kind: str, v: str, t: int, cap) -> None:
         """The slack pair ``kind+``/``kind-`` of node v at step t, each

@@ -285,18 +285,3 @@ def least_squares_hyperplane(points: np.ndarray, values: np.ndarray) -> np.ndarr
     if rank < d + 1:
         raise ValueError("design matrix is rank deficient")
     return coeffs
-
-
-def format_polytope(p: HPolytope | np.ndarray, label: str = "") -> str:
-    """Plain-text dump of an H-polytope's facets or of a vertex array, for debugging."""
-    lines = [f"# {label}" if label else "#"]
-    if isinstance(p, HPolytope):
-        lines.append(f"# H-polytope, dim={p.dim}, rows={p.n_rows}")
-        for row, off in zip(p.A, p.b):
-            terms = " ".join(f"{c:+.12g}*x{j}" for j, c in enumerate(row))
-            lines.append(f"{terms} {off:+.12g} <= 0")
-    else:
-        lines.append(f"# V-polytope, dim={p.shape[1]}, vertices={len(p)}")
-        for vert in p:
-            lines.append(" ".join(f"{c:.12g}" for c in vert))
-    return "\n".join(lines) + "\n"

@@ -7,9 +7,10 @@ divergence theorem on the H-representation, sampling is plain rejection
 the hyperplane fit solves the normal equations directly, the row
 checker walks the model's ``Row`` records one by one, the fingerprint
 hashes a built model's numbers instead of the inputs the solver's
-stationary memo keys on, and the exact stationary sequence is a dynamic
-programme over every mode at every step rather than the greedy start and
-phase replacements it checks.
+stationary memo keys on, the bounds of a step are gathered one element
+at a time rather than sliced from the per-run table, and the exact
+stationary sequence is a dynamic programme over every mode at every step
+rather than the greedy start and phase replacements it checks.
 """
 
 from __future__ import annotations
@@ -412,6 +413,21 @@ def fingerprint(model) -> str:
     return digest.hexdigest()
 
 
+def reference_step_bounds(spec, scen, t: int) -> np.ndarray:
+    """The bounds a build reads at step ``t``, gathered one element at a
+    time in the key layout: per node its pressure bounds, per arc (pipes
+    included) its flow bounds, per boundary node its inflow bounds, lower
+    before upper."""
+    values = []
+    for node in spec.nodes.values():
+        values += (node.pressure_lb[t], node.pressure_ub[t])
+    for arc in spec.arcs().values():
+        values += (arc.flow_lb[t], arc.flow_ub[t])
+    for v in spec.boundary_nodes():
+        values += (scen.inflow_lb[v][t], scen.inflow_ub[v][t])
+    return np.array(values, dtype=float)
+
+
 def exact_stationary_sequence(solver) -> tuple:
     """(objective, modes) of a mode sequence that minimises the objective
     of stages 1-2 exactly: the sum over steps t of S(m_t, t) plus the
@@ -421,10 +437,11 @@ def exact_stationary_sequence(solver) -> tuple:
     A dynamic programme whose states are (mode, phase start, incoming
     mode): the rule for a switch reads only the current phase's start and
     the transition into it.  The phase holding position 0 starts at 0 and
-    has no incoming mode.  S(m, t) is ``solver.psf_value(m, t, m)``.  The
-    costs of a path are summed in the order ``sequence_objective`` sums
-    them, so the optimum is never above the objective of a sequence the
-    rules admit, bit for bit.  (math.inf, None) when no sequence exists.
+    has no incoming mode.  S(m, t) is the cost of ``solver.psf_value(m, t,
+    m)``.  The costs of a path are summed in the order
+    ``sequence_objective`` sums them, so the optimum is never above the
+    objective of a sequence the rules admit, bit for bit.  (math.inf, None)
+    when no sequence exists.
     """
     from stationopt.model import switch_cost
     from stationopt.network import mode_available
@@ -436,9 +453,9 @@ def exact_stationary_sequence(solver) -> tuple:
         stationary = {}
         for m in sorted(spec.operation_modes):
             if mode_available(spec, grid, m, t):
-                feasible, value, _ = solver.psf_value(m, t, m)
-                if feasible:
-                    stationary[m] = value
+                value = solver.psf_value(m, t, m)
+                if value is not None:
+                    stationary[m] = value[0]
         reached: dict = {}
         for (mode, start, incoming), (cost, modes) in labels.items():
             for m, value in stationary.items():

@@ -249,7 +249,7 @@ def test_criterion_05_model_decomposition_audit():
         chained = solver.sequence_objective(modes)
         assert math.isfinite(chained)
         directions = [None] + [
-            solver.psf_value(modes[t], t, modes[t - 1])[2] for t in range(1, len(modes))
+            solver.psf_value(modes[t], t, modes[t - 1])[1] for t in range(1, len(modes))
         ]
         inst = build_fixed_transient(
             spec, scen, weights, modes[1:], directions[1:], scen.initial_state

@@ -30,12 +30,13 @@ from stationopt.model import (
     build_stationary,
     build_stationary_fixed,
     instantiate_fixed_transient,
+    step_bounds,
     step_inputs,
     switch_cost,
 )
 from stationopt.network import StationSpec, mode_available
 from stationopt.ranges import build_spec_ranges
-from stationopt.solve import InProcessBackend, check_assignment, default_settings_for, solve
+from stationopt.solve import BackendError, InProcessBackend, check_assignment, default_settings_for, solve
 
 from oracles import brute_transition_check, exact_stationary_sequence
 
@@ -670,7 +671,8 @@ class TestStationaryMemo:
         builds = self.counted_builds(monkeypatch)
         solver = StationSolver(spec, scen, WEIGHTS)
         solver.initial_solution()
-        assert len({step_inputs(spec, scen, t) for t in range(1, 5)}) == 1
+        bounds = step_bounds(spec, scen)
+        assert len({step_inputs(spec, scen, bounds, t) for t in range(1, 5)}) == 1
         assert builds == {"Psf": 1, "Ps": 1}
         assert solver.counters == {"Psf": 1, "Ps": 1, "Pf": 0}
         assert solver.memo_hits == {"Psf": 3, "Ps": 3}
@@ -696,7 +698,8 @@ class TestStationaryMemo:
         # U1 blocks its modes at step 1 only: two Ps models, not one
         spec, scen = load_instance(seeded_instance(12))
         spec = build_spec_ranges(spec, count=2000)
-        assert step_inputs(spec, scen, 1) == step_inputs(spec, scen, 2)
+        bounds = step_bounds(spec, scen)
+        assert step_inputs(spec, scen, bounds, 1) == step_inputs(spec, scen, bounds, 2)
         grid = scen.time_grid
         assert not mode_available(spec, grid, "o_cp", 1) and mode_available(spec, grid, "o_cp", 2)
         builds = self.counted_builds(monkeypatch)
@@ -710,7 +713,7 @@ class TestStationaryMemo:
             inst = build_stationary(spec, scen, WEIGHTS, t, prev, modes)
             fresh = solve(inst, default_settings_for("Ps"))
             mode, direction = inst.mode_at(fresh.assignment, t), inst.direction_at(fresh.assignment, t)
-            assert value == (True, fresh.objective, mode, direction)
+            assert value == (fresh.objective, mode, direction)
 
     @pytest.mark.parametrize("seed, spanning", [(0, 0), (12, 2)])
     def test_memo_hit_equals_a_fresh_solve(self, seed, spanning):
@@ -721,6 +724,7 @@ class TestStationaryMemo:
         solver = StationSolver(spec, scen, WEIGHTS)
         solver.initial_solution()
         grid, steps = scen.time_grid, range(1, scen.n_future + 1)
+        bounds = step_bounds(spec, scen)
 
         def available(t, candidates):
             return tuple(o for o in candidates if mode_available(spec, grid, o, t))
@@ -728,8 +732,8 @@ class TestStationaryMemo:
         def key_at(key, t):
             """The key the solver forms at step t for the model ``key`` names."""
             if key[0] == "Psf":
-                return "Psf", key[1], step_inputs(spec, scen, t)
-            return "Ps", key[1], available(t, key[2]), step_inputs(spec, scen, t)
+                return "Psf", key[1], step_inputs(spec, scen, bounds, t)
+            return "Ps", key[1], available(t, key[2]), step_inputs(spec, scen, bounds, t)
 
         def fresh(key, t):
             """A fresh build and solve at step t, decoded as the solver does."""
@@ -751,7 +755,7 @@ class TestStationaryMemo:
                 spans += len({available(t, spec.operation_modes) for t in at}) > 1
                 for t, prev in itertools.product(at, spec.operation_modes):
                     cost = switch_cost(spec, WEIGHTS, prev, key[1])
-                    assert solver.psf_value(key[1], t, prev) == (True, value[0] + cost, value[1])
+                    assert solver.psf_value(key[1], t, prev) == (value[0] + cost, value[1])
         assert solver.counters["Psf"] == sum(key[0] == "Psf" for key in solver._values)
         assert spans == spanning
 
@@ -762,6 +766,31 @@ class TestStationaryMemo:
         solver.transient_smoothing(seq, 4)
         solver.transient_smoothing(seq, 4)
         assert solver.counters["Pf"] == 2 * (scen.n_future - 3)
+
+
+class TestStationaryStatus:
+    """A stationary solve that ends neither solved nor infeasible raises,
+    naming its variant and step, instead of entering the memo as
+    infeasible."""
+
+    @pytest.mark.parametrize("variant", ["Psf", "Ps"])
+    def test_time_limit_raises(self, mini, variant):
+        real = InProcessBackend()
+
+        class TimeLimited:
+            """HiGHS' own answer, relabelled ``timeLimit`` for one variant."""
+
+            def solve_raw(self, model, settings):
+                status, x, bound, message = real.solve_raw(model, settings)
+                if model.name.split("_", 1)[0] == variant:
+                    status = "timeLimit"
+                return status, x, bound, message
+
+        solver = StationSolver(*mini, WEIGHTS, backend=TimeLimited())
+        with pytest.raises(BackendError, match=f"^{variant} solve at time step 1 ended timeLimit"):
+            solver.solve_station(h=4)
+        assert solver.counters[variant] == 1
+        assert not any(key[0] == variant for key in solver._values)
 
 
 class TestExactOracle:
@@ -819,8 +848,7 @@ class TestDegenerateData:
         # model carries the contradictory row 1 <= sum of no partners
         spec2 = dataclasses.replace(spec, valid_pairs=frozenset({("o_cp", "f_fwd")}))
         solver = StationSolver(spec2, scen, WEIGHTS)
-        feasible, cost, direction = solver.psf_value("o_by", 1, "o_cp")
-        assert not feasible and cost == math.inf and direction is None
+        assert solver.psf_value("o_by", 1, "o_cp") is None
         seq = solver.initial_solution()
         assert seq.modes == ("o_cp",) * 5
 

@@ -413,6 +413,7 @@ class TestMalformedDocuments:
              r"\$\.arcs\[0\]\.configurations\[0\]\.stages: must be a nonempty list"),
             (mini_station, ("arcs", 0, "configurations", 0, "stages"), [["U1"], []],
              r"\$\.arcs\[0\]\.configurations\[0\]\.stages: must be a nonempty list of nonempty stages"),
+            (mini_station, ("fenceGroups", 0, "nodes"), [], r"\$\.fenceGroups\[0\]\.nodes: must be a nonempty list"),
             (mini_station, ("transitionTimes", "o_by", "o_cp"), -5.0,
              r"\$\.transitionTimes\.o_by\.o_cp: must be nonnegative"),
             (mini_station, ("unavailability",), {"U1": [[7200.0, 3600.0]]},
@@ -431,8 +432,8 @@ class TestMalformedDocuments:
             "pipe-roughness-negative", "pipe-slope-steep", "resistor-drag-negative", "resistor-diameter-zero",
             "regulator-flow-lb-negative",
             "max-power-zero", "max-delta-p-zero", "efficiency-above-one", "operating-range-empty",
-            "stages-empty", "stage-empty", "transition-time-negative", "unavailability-window-reversed",
-            "time-grid-late-start", "time-grid-repeated-instant",
+            "stages-empty", "stage-empty", "fence-nodes-empty", "transition-time-negative",
+            "unavailability-window-reversed", "time-grid-late-start", "time-grid-repeated-instant",
         ],
     )
     def test_malformed_document_names_its_path(self, base, where, value, path):

@@ -18,6 +18,7 @@ from stationopt.model import (
     build_stationary,
     build_stationary_fixed,
     change_indicators,
+    step_bounds,
     step_inputs,
     switch_cost,
     window_pattern,
@@ -27,7 +28,7 @@ from stationopt.ranges import build_spec_ranges
 from stationopt.solve import default_settings_for, solve
 from stationopt.units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, normvol_to_massflow
 
-from oracles import fingerprint, row_activity
+from oracles import fingerprint, reference_step_bounds, row_activity
 
 WEIGHTS = ObjectiveWeights()
 
@@ -635,6 +636,28 @@ class TestExitPressureBehavior:
         assert inst.value(res.assignment, "sp-", "B2", 1) >= 1.0e5 - 1.0
 
 
+class TestStepBounds:
+    """``step_bounds`` is the per-run table both solver keys slice: row t
+    holds the bounds a build reads at step t in the key layout."""
+
+    @pytest.mark.parametrize(
+        "doc, steps",
+        [(mini_station, None), (mini_station_pipes, None), (two_unit_station, None), (medium_station, None),
+         (mini_station_pipes, "96"), (medium_station, "24")]
+        + [(functools.partial(seeded_instance, s), None) for s in range(10)],
+        ids=["mini_station", "mini_station_pipes", "two_unit_station", "medium_station", "mini_station_pipes@96",
+             "medium_station@24"] + [f"seeded_{s}" for s in range(10)],
+    )
+    def test_row_t_holds_the_bounds_of_step_t(self, doc, steps):
+        spec, scen = load_instance(doc())
+        if steps is not None:
+            spec, scen = regrid_instance(spec, scen, template_grid(steps))
+        table = step_bounds(spec, scen)
+        assert table.shape[0] == scen.n_future + 1
+        for t in range(scen.n_future + 1):
+            assert table[t].tobytes() == reference_step_bounds(spec, scen, t).tobytes(), t
+
+
 def per_step_arrays(obj, path=()):
     """(path, array) of every 1-D array reachable from a spec or scenario
     through dataclass fields, dict values and tuple items."""
@@ -670,7 +693,7 @@ def stationary_fingerprints(spec, scen, t):
 def stationary_keys(spec, scen, t):
     """What the solver's memo keys a step on, per variant: ``Psf`` on its
     ``step_inputs``, ``Ps`` also on the candidates available at t."""
-    inputs = step_inputs(spec, scen, t)
+    inputs = step_inputs(spec, scen, step_bounds(spec, scen), t)
     available = tuple(o for o in sorted(spec.operation_modes) if mode_available(spec, scen.time_grid, o, t))
     return {"Psf": inputs, "Ps": (available, inputs)}
 
@@ -790,7 +813,7 @@ class TestWindowPattern:
         return spec, scen, dataclasses.replace(scen.initial_state, time_index=self.T0)
 
     def pattern(self, spec, scen, snapshot, weights=WEIGHTS):
-        return window_pattern(spec, scen, weights, self.MODES, self.DIRS, snapshot)
+        return window_pattern(scen, step_bounds(spec, scen), weights, self.MODES, self.DIRS, snapshot)
 
     def test_changes_with_every_bound_and_step_length_it_reads(self, native):
         spec, scen, snapshot = native

@@ -7,7 +7,6 @@ from stationopt.polytope import (
     HPolytope,
     UnboundedRegionError,
     enumerate_vertices,
-    format_polytope,
     least_squares_hyperplane,
     project_out,
     remove_redundant,
@@ -54,12 +53,6 @@ class TestRepresentations:
         assert square.dim == 2
         assert square.contains((0.5, 0.5))
         assert not square.contains((1.5, 0.5))
-
-    def test_dump_roundtrips_visually(self):
-        text = format_polytope(unit_cube(), "cube")
-        assert "H-polytope" in text and "x0" in text
-        textv = format_polytope(np.eye(3), "tri")
-        assert "V-polytope" in textv
 
 
 class TestEnumerateVertices:

@@ -11,7 +11,8 @@ equal:
     PYTHONPATH=src python tools/plan_digest.py > after.txt
 
 The package comes from ``PYTHONPATH``, so the same script digests any
-checkout.
+checkout.  ``tools/plan_digest.txt`` holds the output of the verified
+versions, and CI diffs each run against it.
 """
 
 import functools
