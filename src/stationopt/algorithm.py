@@ -205,7 +205,7 @@ class StationSolver:
     candidates available at t, inputs)``, where ``inputs`` is the step's
     :func:`~stationopt.model.step_inputs`.  A step whose numbers repeat an
     earlier one is answered without a build.  A stationary solve that ends
-    neither solved nor infeasible (a time limit, a backend error) raises
+    neither optimal nor infeasible (a time limit, a backend error) raises
     :class:`~stationopt.solve.BackendError`.  ``counters`` counts backend
     solves and ``memo_hits`` the stationary lookups the memo answered.
 
@@ -217,6 +217,9 @@ class StationSolver:
     pattern is that build patched
     (:func:`~stationopt.model.instantiate_fixed_transient`).  Both keys
     slice ``_bounds``, the run's :func:`~stationopt.model.step_bounds`.
+    A window whose solve reaches its time limit with a checker-clean point
+    takes that point, and the plan lists it in
+    ``diagnostics["time_limited_windows"]``.
     """
 
     def __init__(
@@ -258,7 +261,7 @@ class StationSolver:
             value = None
         else:
             res = self._solve(inst, key[0])
-            if res.ok:
+            if res.ok and res.status == "optimal":
                 value = decode(inst, res)
             elif res.status == "infeasible":
                 value = None
@@ -409,7 +412,9 @@ class StationSolver:
             raise ValueError("the rolling horizon must span at least 2 steps")
         k = self.scen.n_future
         states: list = [self.scen.initial_state]
-        diagnostics: dict = {"smoothing_solves": 0, "retried_windows": [], "window_wall_times": []}
+        diagnostics: dict = {
+            "smoothing_solves": 0, "retried_windows": [], "time_limited_windows": [], "window_wall_times": []
+        }
 
         window_starts = [1] if h >= k else list(range(1, k - h + 2))
         for s in window_starts:
@@ -454,6 +459,9 @@ class StationSolver:
             diagnostics["retried_windows"].append(times[0])
             if not res.ok:
                 raise SmoothingError(times[0], res.message or res.status)
+        if res.status == "timeLimit":
+            # a checker-clean point is the window's answer, if not a proven optimum
+            diagnostics["time_limited_windows"].append(times[0])
         return inst, res
 
     # -- the full procedure -------------------------------------------------

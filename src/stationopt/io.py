@@ -720,7 +720,10 @@ def write_plan(prefix, spec: StationSpec, scen: Scenario, plan, extra: dict | No
         "diagnostics": {
             k: v
             for k, v in plan.diagnostics.items()
-            if k in ("smoothing_solves", "retried_windows", "max_replay_violation", "solve_counts", "memo_hits")
+            if k in (
+                "smoothing_solves", "retried_windows", "time_limited_windows", "max_replay_violation",
+                "solve_counts", "memo_hits",
+            )
         },
         "valveRewrites": spec.valve_rewrites,
     }

@@ -2,9 +2,10 @@
 
 A :class:`LinearModel` is a plain catalog of variables (finite bounds,
 optional integrality, a solver unit), rows (sparse coefficients, sense,
-right-hand side) and a linear objective split into named categories.  The
-rows are stored as flat COO data (row pointer, columns, values); the
-model reads them as numpy arrays, built once on first read.  Names are
+right-hand side) and a linear objective split into named categories.  Its
+numbers live in typed ``array.array`` buffers, the rows as flat COO data
+(row pointer, columns, values); the model reads them as numpy arrays,
+copied once on first read.  Names are
 strings or records ``(label, *args)`` formatted only when read (see
 :func:`format_name`).  The model itself is in SI;
 :meth:`LinearModel.solver_view` derives the arrays an in-process solver
@@ -20,6 +21,7 @@ from __future__ import annotations
 import copy
 import math
 import re
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,9 +143,12 @@ class LinearModel:
     """Variables, rows and objective of one model, appended in build order.
 
     The model is append-only: the ``add_*`` methods are the only writers,
-    and they drop the cached arrays, names and solver-view structure.  A
-    model that :meth:`patched` has copied shares its lists with the copy,
-    so neither takes further appends.
+    and they drop the cached arrays, names, row units and solver-view
+    structure.  Every per-column and per-row number sits in a typed buffer (``"d"``
+    for floats, ``"q"`` for indices, ``"b"`` for flags and senses), which
+    holds 8 bytes or fewer per entry where a list holds a boxed number.  A
+    model that :meth:`patched` has copied shares its buffers with the
+    copy, so neither takes further appends.
     """
 
     def __init__(self, name: str):
@@ -152,22 +157,23 @@ class LinearModel:
         self._row_keys: list = []
         self._shift = 0  # steps the names are moved by when formatted
         self._names: tuple | None = None  # (var_names, row_names), formatted on first read
-        self.lb: list[float] = []
-        self.ub: list[float] = []
-        self.integer: list[bool] = []
-        self.unit: list[float] = []  # SI value of one solver unit, per column
-        self._ptr: list[int] = [0]
-        self._cols: list[int] = []
-        self._vals: list[float] = []
-        self._sense: list[int] = []
-        self._rhs: list[float] = []
-        self._row_unit: list[float] = []  # NaN: derived from the columns
+        self.lb = array("d")
+        self.ub = array("d")
+        self.integer = array("b")  # 1 for an integer column
+        self.unit = array("d")  # SI value of one solver unit, per column
+        self._ptr = array("q", [0])
+        self._cols = array("q")
+        self._vals = array("d")
+        self._sense = array("b")  # index into SENSES
+        self._rhs = array("d")
+        self._row_unit = array("d")  # NaN: derived from the columns
         self.objective: dict = {}
         self.objective_constant = 0.0
         # (category, var index or None, coefficient or constant value)
         self.objective_terms: list[tuple[str, int | None, float]] = []
         self._arrays: ModelArrays | None = None
         self._view: tuple | None = None  # what solver_view derives from the structure alone
+        self._row_units: np.ndarray | None = None
 
     @property
     def n_vars(self) -> int:
@@ -211,7 +217,11 @@ class LinearModel:
         return out
 
     def arrays(self) -> ModelArrays:
-        """The columns and rows as arrays (see :class:`ModelArrays`)."""
+        """The columns and rows as arrays (see :class:`ModelArrays`).
+
+        Each is a copy of its buffer: a view would pin the buffer, and the
+        next append would raise ``BufferError``.
+        """
         if self._arrays is None:
             ptr = np.array(self._ptr, dtype=np.int64)
             self._arrays = ModelArrays(
@@ -284,7 +294,7 @@ class LinearModel:
                     f"constant row {format_name(name)!r} is violated: 0 {sense} {rhs_eff}"
                 )
             return
-        self._arrays = self._view = self._names = None
+        self._arrays = self._view = self._names = self._row_units = None
         self._row_keys.append(name)
         self._cols.extend(coeffs)
         self._vals.extend(coeffs.values())
@@ -326,10 +336,10 @@ class LinearModel:
         bounds on every call.
         """
         a = self.arrays()
-        c, A, row_unit, lb, integer = self._view_structure()
+        c, A, lb, integer = self._view_structure()
         row_lo = row_hi = np.zeros(0)
         if A is not None:
-            rhs = a.rhs / row_unit
+            rhs = a.rhs / self.row_units()
             row_lo = np.where(a.sense == SENSES.index("<="), -np.inf, rhs)
             row_hi = np.where(a.sense == SENSES.index(">="), np.inf, rhs)
         return SolverView(
@@ -343,41 +353,49 @@ class LinearModel:
             col_unit=a.col_unit,
         )
 
+    def row_units(self) -> np.ndarray:
+        """Each row's solver unit (see :class:`SolverView`): its declared
+        unit, or else the largest unit among its columns, at least 1.
+        Derived once per model structure."""
+        if self._row_units is None:
+            a = self.arrays()
+            derived = np.maximum(1.0, np.maximum.reduceat(a.col_unit[a.cols], a.ptr[:-1]))
+            self._row_units = np.where(np.isnan(a.row_unit), derived, a.row_unit)
+        return self._row_units
+
     def _view_structure(self) -> tuple:
         if self._view is None:
             a = self.arrays()
             col_unit = a.col_unit
             c = np.zeros(self.n_vars)
             c[list(self.objective)] = list(self.objective.values())
-            A = row_unit = None
+            A = None
             if self.n_rows:
-                derived = np.maximum(1.0, np.maximum.reduceat(col_unit[a.cols], a.ptr[:-1]))
-                row_unit = np.where(np.isnan(a.row_unit), derived, a.row_unit)
-                data = a.vals * col_unit[a.cols] / row_unit[a.row_of]
+                data = a.vals * col_unit[a.cols] / self.row_units()[a.row_of]
                 A = sparse.csr_array((data, a.cols, a.ptr), shape=(self.n_rows, self.n_vars)).tocsc()
-            self._view = (c * col_unit, A, row_unit, a.lb / col_unit, a.integer.astype(int))
+            self._view = (c * col_unit, A, a.lb / col_unit, a.integer.astype(int))
         return self._view
 
     def patched(self, shift: int, ub: dict, rhs: dict) -> "LinearModel":
         """A copy with new upper bounds ``ub`` and right-hand sides ``rhs``
         (each index -> value) and its names moved by ``shift`` steps.
 
-        The copy shares every other list, the objective and the solver
+        The copy shares every other buffer, the objective and the solver
         view's structure with this model.  An upper bound the copy cannot
         take raises as :meth:`add_var` would, the first in ``ub`` order.
         """
         a = self.arrays()
+        self._view_structure()  # derived here, so the copy shares it and the row units
         out = copy.copy(self)
-        out._view = self._view_structure()
         out._shift = self._shift + shift
         out._names = None
-        out.ub = list(self.ub)
+        out.ub = self.ub[:]
         for i, value in ub.items():
             lb = self.lb[i]
             if not (math.isfinite(lb) and math.isfinite(value)) or lb > value:
                 _bounds_error(self._var_keys[i], lb, value, out._shift)
             out.ub[i] = value
-        out._rhs = list(self._rhs)
+        out._rhs = self._rhs[:]
         for r, value in rhs.items():
             out._rhs[r] = value
         new_ub, new_rhs = a.ub.copy(), a.rhs.copy()

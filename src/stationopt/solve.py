@@ -86,7 +86,12 @@ class SolveResult:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("optimal", "feasible") and self.assignment is not None
+        """Whether the result carries an assignment, which :func:`solve`
+        hands back only once it has passed the row checker.  The status
+        says what else is known of it: proven ``optimal``, the best found
+        by a ``timeLimit``, or ``feasible`` without a proof (the caller's
+        ``initial``, for one)."""
+        return self.assignment is not None
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,13 @@ def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
 
     Violations are measured relative to the row's own magnitude (big-M
     rows in Pa live around 1e6), so ``CHECK_TOL`` is a relative
-    feasibility tolerance with an absolute floor of ``CHECK_TOL`` itself:
-    a row's scale is ``max(1, |rhs|, max_j |a_ij x_j|)`` and a column's
-    ``max(1, |lb|, |ub|)``.  Columns come first, each with its bounds
+    feasibility tolerance with an absolute floor of ``CHECK_TOL`` solver
+    units, the units the backend holds the model in
+    (:meth:`~stationopt.linmodel.LinearModel.solver_view`): a row's scale
+    is ``max(u_r, |rhs|, max_j |a_ij x_j|)`` with ``u_r`` its solver unit,
+    and a column's ``max(col_unit, |lb|, |ub|)``.  A pressure row's floor
+    is thus ``CHECK_TOL`` bar, where HiGHS holds it to about 1e-7 bar, not
+    ``CHECK_TOL`` Pa.  Columns come first, each with its bounds
     before its integrality, then the rows, in model order.  Each test asks
     whether a value lies within its tolerance, which NaN never does, and
     bounds are finite, so a non-finite entry fails its bounds; a NaN
@@ -115,7 +124,7 @@ def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
     a = model.arrays()
     x = np.asarray(x, dtype=float)
     out: list[RowViolation] = []
-    scale = np.maximum(1.0, np.maximum(np.abs(a.lb), np.abs(a.ub)))
+    scale = np.maximum(a.col_unit, np.maximum(np.abs(a.lb), np.abs(a.ub)))
     off_bounds = ~((x >= a.lb - CHECK_TOL * scale) & (x <= a.ub + CHECK_TOL * scale))
     fraction = np.abs(x - np.round(x))
     off_integer = a.integer & ~(fraction <= 1e-5)
@@ -130,7 +139,9 @@ def check_assignment(model: LinearModel, x: np.ndarray) -> list[RowViolation]:
         terms = a.vals * x[a.cols]
         # bincount adds each row's terms in order, as a Python sum would
         act = np.bincount(a.row_of, weights=terms, minlength=model.n_rows)
-        scale = np.maximum(1.0, np.maximum(np.abs(a.rhs), np.maximum.reduceat(np.abs(terms), a.ptr[:-1])))
+        scale = np.maximum(
+            model.row_units(), np.maximum(np.abs(a.rhs), np.maximum.reduceat(np.abs(terms), a.ptr[:-1]))
+        )
         gap = np.select(
             [a.sense == SENSES.index("<="), a.sense == SENSES.index(">=")],
             [act - a.rhs, a.rhs - act],
@@ -261,12 +272,15 @@ def solve(
     false, and the status is ``error`` with both values in the message.
     The returned assignment always passes the independent row checker;
     otherwise the status is ``error`` with the worst row in the message.
+    An ``infeasible`` or ``error`` status returns no assignment.
     """
     model = target.model if isinstance(target, ModelInstance) else target
     backend = backend or _DEFAULT_BACKEND
     started = time.perf_counter()
     status, x, bound, message = backend.solve_raw(model, settings)
     wall = time.perf_counter() - started
+    if status not in ("optimal", "feasible", "timeLimit"):
+        x = None
 
     if x is not None:
         x = _snap_integers(model, x)
@@ -296,7 +310,7 @@ def solve(
             "of the checker-clean initial assignment",
         )
 
-    if x is not None and status in ("optimal", "feasible", "timeLimit"):
+    if x is not None:
         violations = check_assignment(model, x)
         if violations:
             worst = max(violations, key=lambda v: v.amount)

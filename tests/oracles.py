@@ -362,22 +362,25 @@ def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
     """(name, amount) of every violation, one column and one row at a time.
 
     The same rules as ``solve.check_assignment``: a column's scale is
-    ``max(1, |lb|, |ub|)``, a row's ``max(1, |rhs|, max_j |a_ij x_j|)``, both
-    times ``CHECK_TOL``; an integer column may be 1e-5 off integral.
+    ``max(unit, |lb|, |ub|)``, a row's ``max(u, |rhs|, max_j |a_ij x_j|)``,
+    both times ``CHECK_TOL``, where a row's solver unit ``u`` is its
+    declared unit or else the largest unit among its columns, at least 1;
+    an integer column may be 1e-5 off integral.
     """
     from stationopt.solve import CHECK_TOL
 
     out: list[tuple[str, float]] = []
     for idx in range(model.n_vars):
         lb, ub, value = model.lb[idx], model.ub[idx], x[idx]
-        scale = max(1.0, abs(lb), abs(ub))
+        scale = max(model.unit[idx], abs(lb), abs(ub))
         if value < lb - CHECK_TOL * scale or value > ub + CHECK_TOL * scale:
             out.append((f"bounds({model.var_names[idx]})", max(lb - value, value - ub, 0.0)))
         if model.integer[idx] and abs(value - round(value)) > 1e-5:
             out.append((f"integrality({model.var_names[idx]})", abs(value - round(value))))
     for row in model.rows:
         act = row_activity(row, x)
-        scale = max(1.0, abs(row.rhs), max(abs(c * x[i]) for i, c in row.coeffs.items()))
+        unit = row.unit if row.unit is not None else max(1.0, *(model.unit[i] for i in row.coeffs))
+        scale = max(unit, abs(row.rhs), max(abs(c * x[i]) for i, c in row.coeffs.items()))
         if row.sense == "<=":
             gap = act - row.rhs
         elif row.sense == ">=":

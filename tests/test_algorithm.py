@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from stationopt.algorithm import (
     transitions_work,
 )
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
-from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
+from stationopt.io import load_instance, load_weights, regrid_instance, template_grid, write_plan
 from stationopt.linmodel import BuildInfeasibleError
 from stationopt.model import (
     ObjectiveWeights,
@@ -791,6 +792,34 @@ class TestStationaryStatus:
             solver.solve_station(h=4)
         assert solver.counters[variant] == 1
         assert not any(key[0] == variant for key in solver._values)
+
+
+class TestTimeLimitedWindow:
+    def test_clean_time_limited_point_is_the_windows_answer(self, tmp_path):
+        spec, scen = loaded(mini_station_pipes())
+        real = InProcessBackend()
+
+        class TimeLimited:
+            """HiGHS' own answer, relabelled ``timeLimit`` for every ``Pf`` window."""
+
+            def solve_raw(self, model, settings):
+                status, x, bound, message = real.solve_raw(model, settings)
+                if model.name.split("_", 1)[0] == "Pf":
+                    status = "timeLimit"
+                return status, x, bound, message
+
+        plan = StationSolver(spec, scen, WEIGHTS, backend=TimeLimited()).solve_station(h=4)
+        # six steps at h = 4 make the windows starting at 1, 2 and 3
+        assert plan.diagnostics["time_limited_windows"] == [1, 2, 3]
+        assert plan.diagnostics["retried_windows"] == []
+        assert plan.diagnostics["replay_violations"] == []
+        reference = StationSolver(spec, scen, WEIGHTS).solve_station(h=4)
+        assert reference.diagnostics["time_limited_windows"] == []
+        assert plan.objective == reference.objective
+        assert repr(plan.states) == repr(reference.states)
+        json_path, _ = write_plan(tmp_path / "plan", spec, scen, plan)
+        with open(json_path, encoding="utf-8") as fh:
+            assert json.load(fh)["diagnostics"]["time_limited_windows"] == [1, 2, 3]
 
 
 class TestExactOracle:

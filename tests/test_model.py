@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -885,3 +886,20 @@ class TestPlanReplay:
         inst, x = plan.replay
         for t in range(1, scen.n_future + 1):
             assert repr(inst.snapshot_at(x, t)) == repr(plan.states[t]), t
+
+
+def test_full_model_footprint_is_bounded():
+    # the container keeps its numbers in typed buffers, 8 bytes or fewer
+    # per entry, where lists of boxed floats and ints held about 3.6 MiB
+    spec, scen = load_instance(mini_station_pipes())
+    spec, scen = regrid_instance(spec, scen, template_grid("96"))
+    spec = build_spec_ranges(spec, count=2000)
+    build_full(spec, scen, WEIGHTS)  # first-call allocations
+    tracemalloc.start()
+    try:
+        inst = build_full(spec, scen, WEIGHTS)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.model.n_vars == 4320 and inst.model.n_rows == 7680
+    assert kept < 3.0 * 2**20

@@ -7,7 +7,7 @@ import scipy.optimize._milp as scipy_milp
 from scipy.optimize._highspy._highs_options import HighsOptionsManager
 
 import stationopt.solve as solve_module
-from stationopt.fixtures import mini_station, seeded_instance
+from stationopt.fixtures import medium_station, mini_station, seeded_instance
 from stationopt.io import load_instance, load_weights
 from stationopt.linmodel import BuildInfeasibleError, LinearModel
 from stationopt.model import (
@@ -358,6 +358,45 @@ class TestBoundCrossCheck:
             backend=StubBackend("feasible", [5.0], None),
         )
         assert res.status == "feasible"
+
+
+class TestCheckerFloorsInSolverUnits:
+    """A row's absolute floor is ``CHECK_TOL`` in the row's solver unit,
+    so a pressure row holds to ``CHECK_TOL`` bar, as HiGHS holds it."""
+
+    @pytest.fixture(scope="class")
+    def p_optimum(self):
+        """medium_station's full model, its optimum and a ``p_cfg`` copy
+        whose configuration is off there."""
+        spec, scen = load_instance(medium_station())
+        spec = build_spec_ranges(spec, count=2000)
+        inst = build_full(spec, scen, WEIGHTS)
+        res = solve(inst, default_settings_for("P", 600.0))
+        assert res.status == "optimal"
+        names = inst.model.var_names
+        index = {name: i for i, name in enumerate(names)}
+        off = next(
+            i for i, name in enumerate(names)
+            if name.startswith("p_cfg") and res.assignment[index["cfg" + name[name.index("("):]]] == 0.0
+        )
+        return inst.model, res.assignment, off
+
+    def solve_moved(self, p_optimum, pa: float):
+        model, x, off = p_optimum
+        moved = x.copy()
+        moved[off] += pa
+        return solve(model, default_settings_for("P", 600.0), backend=StubBackend("optimal", moved, None))
+
+    def test_pa_off_a_perspective_row_is_within_its_bar_floor(self, p_optimum):
+        # cs_bnd_hi reads p_cfg <= ub * cfg, so 5e-6 Pa with cfg = 0 breaks
+        # it by 5e-11 bar
+        res = self.solve_moved(p_optimum, 5e-6)
+        assert res.status == "optimal" and res.assignment is not None
+
+    def test_one_pa_off_is_still_rejected(self, p_optimum):
+        res = self.solve_moved(p_optimum, 1.0)
+        assert res.status == "error" and res.assignment is None
+        assert "worst: cs_bnd_hi(" in res.message
 
 
 def pressure_model() -> tuple:

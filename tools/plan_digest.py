@@ -1,12 +1,17 @@
-"""One digest line per plan of a fixed document set.
+"""Digest lines for the plans and lower bounds of a fixed document set.
 
 For the four fixtures, ``mini_station_pipes`` re-gridded to 96 steps and
 ``seeded_instance(0..39)`` (operating ranges from 2,000 samples, seed 0;
 rolling horizon 4), it prints the label, the plan objective's ``repr`` and
 a sha256 over the mode sequence, the states, the objective breakdown, the
 replay violations, the solve counts, the memo hits and the bytes of the
-replay assignment.  Two code versions plan alike when their outputs are
-equal:
+replay assignment.  For every document but ``mini_station_pipes@96`` a
+second line digests the plan's lower bound: the full model ``P`` solved
+from the plan's replay, as ``stationopt solve --lower-bound`` does, with
+``default_settings_for("P", 600.0)``; it reads the label, ``bound``, the
+status, the bound's ``repr`` and a sha256 over the bytes of the returned
+assignment (``-`` without one).  Two code versions plan and bound alike
+when their outputs are equal:
 
     PYTHONPATH=src python tools/plan_digest.py > after.txt
 
@@ -22,6 +27,7 @@ from stationopt.algorithm import StationSolver
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
 from stationopt.ranges import build_spec_ranges
+from stationopt.solve import default_settings_for, solve
 
 DOCUMENTS = [
     ("mini_station", mini_station, None),
@@ -30,16 +36,22 @@ DOCUMENTS = [
     ("medium_station", medium_station, None),
     ("mini_station_pipes@96", mini_station_pipes, "96"),
 ] + [(f"seeded_instance({s})", functools.partial(seeded_instance, s), None) for s in range(40)]
+# on a 2-core VM its P solve takes about 16 s, the other 44 together about 0.5 s
+UNBOUNDED = {"mini_station_pipes@96"}
 
 
-def digest(make, steps) -> tuple:
-    """(objective repr, sha256 hex) of the plan of one document."""
+def plan_of(make, steps):
+    """The plan of one document."""
     doc = make()
     spec, scen = load_instance(doc)
     if steps is not None:
         spec, scen = regrid_instance(spec, scen, template_grid(steps))
     spec = build_spec_ranges(spec, count=2000)
-    plan = StationSolver(spec, scen, load_weights(doc)).solve_station(h=4)
+    return StationSolver(spec, scen, load_weights(doc)).solve_station(h=4)
+
+
+def digest(plan) -> tuple:
+    """(objective repr, sha256 hex) of a plan."""
     d = plan.diagnostics
     h = hashlib.sha256()
     for part in (plan.sequence, plan.states, plan.breakdown, d["replay_violations"], d["solve_counts"], d["memo_hits"]):
@@ -48,6 +60,17 @@ def digest(make, steps) -> tuple:
     return repr(plan.objective), h.hexdigest()
 
 
+def bound_digest(plan) -> tuple:
+    """(status, bound repr, sha256 hex or "-") of a plan's lower-bound solve."""
+    inst, x = plan.replay
+    res = solve(inst, default_settings_for("P", 600.0), initial=x)
+    sha = "-" if res.assignment is None else hashlib.sha256(res.assignment.tobytes()).hexdigest()
+    return res.status, repr(res.bound), sha
+
+
 if __name__ == "__main__":
     for label, make, steps in DOCUMENTS:
-        print(label, *digest(make, steps))
+        plan = plan_of(make, steps)
+        print(label, *digest(plan))
+        if label not in UNBOUNDED:
+            print(label, "bound", *bound_digest(plan))
