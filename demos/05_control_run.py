@@ -13,7 +13,7 @@ The command line offers the same flow:
 import tempfile
 from pathlib import Path
 
-from stationopt.algorithm import StationSolver, compute_gap
+from stationopt.algorithm import StationSolver
 from stationopt.fixtures import mini_station_pipes
 from stationopt.io import (
     load_instance,
@@ -23,7 +23,6 @@ from stationopt.io import (
     write_plan,
 )
 from stationopt.ranges import build_spec_ranges
-from stationopt.solve import default_settings_for, solve
 
 doc = mini_station_pipes()
 spec, scen = load_instance(doc)
@@ -54,10 +53,9 @@ shares = plan.phase_shares
 print("  phase shares " + ", ".join(f"{k} {v:.0%}" for k, v in shares.items()))
 
 print("\n== lower bound from the full model ==")
-inst, warm = plan.replay  # the full model and the plan's assignment of it
-res = solve(inst, default_settings_for("P", 300.0), initial=warm)
-print(f"  direct solve: {res.status}, bound {res.bound:.2f}")
-print(f"  gap of the three-stage plan: {compute_gap(plan.objective, res.bound):.4f}")
+bound, gap, res = solver.lower_bound(plan, 300.0)  # P solved from the plan's replay
+print(f"  direct solve: {res.status}, bound {bound:.2f}")
+print(f"  gap of the three-stage plan: {gap:.4f}")
 
 with tempfile.TemporaryDirectory() as tmp:
     json_path, csv_path = write_plan(Path(tmp) / "demo", spec, scen, plan)

@@ -12,7 +12,8 @@ Transition-time bookkeeping lives here too: a mode switch occupies a
 time interval centered on the switch instant and two such intervals must
 never overlap.  The finished plan is priced by its replay into the full
 model (:func:`~stationopt.model.complete_plan_assignment`, re-exported
-here) and the row checker.
+here) and the row checker, and bounded by the full model solved from
+that replay (:meth:`StationSolver.lower_bound`).
 """
 
 from __future__ import annotations
@@ -488,3 +489,26 @@ class StationSolver:
         plan.diagnostics["solve_counts"] = dict(self.counters)
         plan.diagnostics["memo_hits"] = dict(self.memo_hits)
         return plan
+
+    def lower_bound(self, plan: ControlPlan, time_limit: float) -> tuple:
+        """(bound, gap, result) of the full model ``P`` solved from a plan.
+
+        Solves the model of ``plan.replay`` under ``P``'s published
+        settings with the replayed assignment as ``initial``, so the result
+        is never worse than the plan.  Zero is always a valid bound for the
+        nonnegative objective, so a solve that ends without a dual bound
+        (a time limit, or a backend error answered by the replay) still
+        reports a gap <= 1.  A result with status ``error``, or a bound
+        above the plan objective (:func:`compute_gap`), raises
+        :class:`~stationopt.solve.BackendError`.
+        """
+        inst, warm = plan.replay
+        res = solve(inst, default_settings_for("P", time_limit), initial=warm, backend=self.backend)
+        if res.status == "error":
+            raise BackendError(res.message)
+        bound = max(0.0, res.bound)
+        try:
+            gap = compute_gap(plan.objective, bound)
+        except ValueError as exc:
+            raise BackendError(str(exc)) from exc
+        return bound, gap, res

@@ -18,12 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .algorithm import (
-    InitialSolutionAbort,
-    SmoothingError,
-    StationSolver,
-    compute_gap,
-)
+from .algorithm import InitialSolutionAbort, SmoothingError, StationSolver
 from .io import (
     SchemaError,
     load_instance,
@@ -35,7 +30,7 @@ from .io import (
 )
 from .network import validate
 from .ranges import build_spec_ranges
-from .solve import BackendError, default_settings_for, solve
+from .solve import BackendError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -123,21 +118,12 @@ def cmd_solve(args) -> int:
 
     extra = {}
     if args.lower_bound:
-        inst, warm = plan.replay
-        res = solve(inst, default_settings_for("P", args.lb_time_limit), initial=warm, backend=backend)
-        if res.status in ("error",):
-            print(f"lower-bound solve failed: {res.message}", file=sys.stderr)
-            return EXIT_BACKEND
-        # zero is always a valid bound for the nonnegative objective, so a
-        # run that timed out without a dual bound still reports a gap <= 1
-        bound = max(0.0, res.bound) if res.bound > -float("inf") else 0.0
         try:
-            extra["gap"] = compute_gap(plan.objective, bound)
-        except ValueError as exc:
+            bound, gap, res = solver.lower_bound(plan, args.lb_time_limit)
+        except BackendError as exc:
             print(f"lower-bound solve failed: {exc}", file=sys.stderr)
             return EXIT_BACKEND
-        extra["lowerBound"] = bound
-        extra["lowerBoundStatus"] = res.status
+        extra = {"gap": gap, "lowerBound": bound, "lowerBoundStatus": res.status}
 
     prefix = args.out or str(Path(args.instance).with_suffix(""))
     if args.steps is not None:

@@ -14,12 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from stationopt.algorithm import (
-    StationSolver,
-    complete_plan_assignment,
-    compute_gap,
-    transitions_work,
-)
+from stationopt.algorithm import StationSolver, transitions_work
 from stationopt.fixtures import mini_station, mini_station_pipes, seeded_instance
 from stationopt.gas import (
     GasConstants,
@@ -267,14 +262,13 @@ def test_criterion_06_algorithm_vs_exact():
         doc = seeded_instance(seed)
         spec, scen = loaded(doc)
         weights = load_weights(doc)
-        plan = StationSolver(spec, scen, weights).solve_station(h=4)
+        solver = StationSolver(spec, scen, weights)
+        plan = solver.solve_station(h=4)
         assert plan.diagnostics["max_replay_violation"] <= 1e-6
 
-        inst = build_full(spec, scen, weights)
-        _, warm = complete_plan_assignment(spec, scen, weights, plan)
-        res = solve(inst, default_settings_for("P", 600.0), initial=warm)
+        _, gap, res = solver.lower_bound(plan, 600.0)
         assert res.status in ("optimal", "feasible", "timeLimit")
-        gaps.append(compute_gap(plan.objective, res.bound))
+        gaps.append(gap)
     elapsed = time.perf_counter() - started
     assert all(g <= 0.25 for g in gaps), gaps
     assert sum(1 for g in gaps if g <= 0.10) >= 5, gaps

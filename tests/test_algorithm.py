@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,7 +38,14 @@ from stationopt.model import (
 )
 from stationopt.network import StationSpec, mode_available
 from stationopt.ranges import build_spec_ranges
-from stationopt.solve import BackendError, InProcessBackend, check_assignment, default_settings_for, solve
+from stationopt.solve import (
+    TEN_HOURS,
+    BackendError,
+    InProcessBackend,
+    check_assignment,
+    default_settings_for,
+    solve,
+)
 
 from oracles import brute_transition_check, exact_stationary_sequence
 
@@ -594,7 +602,7 @@ class TestComputeGap:
         assert compute_gap(123.0, 0.0) == pytest.approx(1.0)
 
     def test_negative_bound_is_not_clamped(self):
-        # the CLI clamps bounds to 0 before calling compute_gap
+        # StationSolver.lower_bound clamps bounds to 0 before calling compute_gap
         assert compute_gap(123.0, -5.0) == pytest.approx(128.0 / 123.0)
 
     def test_zero_objective_with_positive_bound(self):
@@ -607,6 +615,59 @@ class TestComputeGap:
         with pytest.raises(ValueError, match="lies above"):
             compute_gap(18585.2395, 18586.0415)
         assert compute_gap(100.0, 100.0 + 1e-5) == 0.0
+
+
+def altered_p(alter):
+    """A backend whose ``P`` answers are HiGHS' own passed through
+    ``alter(status, x, bound, message)``; the stage solves are HiGHS'."""
+    real = InProcessBackend()
+
+    class Altered:
+        def solve_raw(self, model, settings):
+            answer = real.solve_raw(model, settings)
+            return alter(*answer) if model.name.startswith("P_") else answer
+
+    return Altered()
+
+
+class TestLowerBound:
+    @pytest.fixture(scope="class")
+    def mini2000(self):
+        return loaded(mini_station(), count=2000)
+
+    def bounded(self, mini2000, alter):
+        solver = StationSolver(*mini2000, WEIGHTS, backend=altered_p(alter))
+        plan = solver.solve_station(h=4)
+        return plan, solver.lower_bound
+
+    def test_highs_answer_closes_the_gap(self, mini2000):
+        plan, lower_bound = self.bounded(mini2000, lambda *answer: answer)
+        bound, gap, res = lower_bound(plan, 60.0)
+        assert res.status == "optimal"
+        assert bound == plan.objective
+        assert gap == 0.0
+
+    @pytest.mark.parametrize(
+        "answer",
+        [("timeLimit", None, None, "time limit reached"), ("error", None, None, "backend exploded")],
+        ids=["timeLimit", "error"],
+    )
+    def test_no_bound_falls_back_to_the_replay(self, mini2000, answer):
+        plan, lower_bound = self.bounded(mini2000, lambda *_: answer)
+        bound, gap, res = lower_bound(plan, 60.0)
+        # the replayed plan answers, and zero bounds the nonnegative objective
+        assert res.status == "feasible"
+        assert np.array_equal(res.assignment, plan.replay[1])
+        assert (bound, gap) == (0.0, 1.0)
+
+    def test_inflated_bound_raises(self, mini2000):
+        plan, lower_bound = self.bounded(mini2000, lambda s, x, b, m: (s, x, b + 100.0, m))
+        with pytest.raises(BackendError, match="lies above") as info:
+            lower_bound(plan, 60.0)
+        named = re.search(r"bound (\S+) lies above the objective (\S+) ", str(info.value))
+        claimed, objective = map(float, named.groups())
+        assert objective == plan.objective
+        assert claimed > plan.objective + 99.0
 
 
 class TestSeededRegressions:
@@ -1088,11 +1149,9 @@ def test_seeded_sweep_plans_and_bounds(capsys):
         plan = solver.solve_station(h=4)
         assert plan.diagnostics["replay_violations"] == [], seed
         assert_windows_fresh(spec, scen, windows)
-        inst, warm = plan.replay
-        res = solve(inst, default_settings_for("P"), initial=warm)
+        # raises for an error status or a bound above the plan
+        _, gaps[seed], res = solver.lower_bound(plan, TEN_HOURS)
         assert res.status in ("optimal", "feasible", "timeLimit"), (seed, res.message)
-        bound = max(0.0, res.bound) if res.bound > -math.inf else 0.0
-        gaps[seed] = compute_gap(plan.objective, bound)  # raises for a bound above the plan
     worst = max(gaps, key=gaps.get)
     with capsys.disabled():
         print(f"\nseeded_instance(0..299): largest gap {gaps[worst]:.2%} at seed {worst}")

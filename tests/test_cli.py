@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -366,6 +367,20 @@ def test_lower_bound_reuses_the_replayed_full_model(tmp_path, monkeypatch):
     assert kinds.count("P") == 1
 
 
+def test_lower_bound_fields_are_the_library_call(tmp_path, monkeypatch):
+    from stationopt import cli
+
+    monkeypatch.setattr(cli, "build_spec_ranges", functools.partial(build_spec_ranges, count=2000))
+    path = write_doc(tmp_path, mini_station())
+    assert main(["solve", str(path), "--lower-bound", "--lb-time-limit", "60"]) == 0
+    written = json.loads((tmp_path / "inst.plan.json").read_text(encoding="utf-8"))
+
+    spec, scen = load_instance(mini_station())
+    solver = StationSolver(build_spec_ranges(spec, count=2000), scen, load_weights(mini_station()))
+    bound, gap, res = solver.lower_bound(solver.solve_station(h=4), 60.0)
+    assert (written["lowerBound"], written["gap"], written["lowerBoundStatus"]) == (bound, gap, res.status)
+
+
 def test_bound_above_plan_exits_4(tmp_path, capsys, monkeypatch):
     from stationopt import solve as solve_mod
 
@@ -389,16 +404,29 @@ def test_bound_above_plan_exits_4(tmp_path, capsys, monkeypatch):
 def test_bound_above_plan_from_the_solve_exits_4(tmp_path, capsys, monkeypatch):
     # a lower-bound result that claims a bound above the plan reaches the
     # gap computation, which refuses it
-    from stationopt import cli
+    from stationopt import algorithm
     from stationopt.solve import SolveResult
 
+    stage_solve = algorithm.solve
+
     def above(inst, settings, initial=None, backend=None):
+        if initial is None:  # a stage solve
+            return stage_solve(inst, settings, backend=backend)
         objective = inst.model.objective_value(initial)
         return SolveResult("optimal", objective, objective + 100.0, initial, 0.0)
 
-    monkeypatch.setattr(cli, "solve", above)
+    monkeypatch.setattr(algorithm, "solve", above)
     path = write_doc(tmp_path, mini_station())
     assert main(["solve", str(path), "--lower-bound"]) == 4
     err = capsys.readouterr().err
     assert "lower-bound solve failed: lower bound" in err and "lies above the objective" in err
     assert not (tmp_path / "inst.plan.json").exists()
+
+
+def test_package_root_binds_no_public_names():
+    # every library name has one home, its module
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import stationopt; print(sorted(n for n in vars(stationopt) if not n.startswith('_')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -6,12 +6,12 @@ rolling horizon 4), it prints the label, the plan objective's ``repr`` and
 a sha256 over the mode sequence, the states, the objective breakdown, the
 replay violations, the solve counts, the memo hits and the bytes of the
 replay assignment.  For every document but ``mini_station_pipes@96`` a
-second line digests the plan's lower bound: the full model ``P`` solved
-from the plan's replay, as ``stationopt solve --lower-bound`` does, with
-``default_settings_for("P", 600.0)``; it reads the label, ``bound``, the
-status, the bound's ``repr`` and a sha256 over the bytes of the returned
-assignment (``-`` without one).  Two code versions plan and bound alike
-when their outputs are equal:
+second line digests the plan's lower bound, ``StationSolver.lower_bound``
+with a 600 s limit, as ``stationopt solve --lower-bound`` calls it; it
+reads the label, ``bound``, the status of the full model's solve, that
+solve's bound ``repr`` and a sha256 over the bytes of its assignment
+(``-`` without one).  Two code versions plan and bound alike when their
+outputs are equal:
 
     PYTHONPATH=src python tools/plan_digest.py > after.txt
 
@@ -27,7 +27,6 @@ from stationopt.algorithm import StationSolver
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
 from stationopt.ranges import build_spec_ranges
-from stationopt.solve import default_settings_for, solve
 
 DOCUMENTS = [
     ("mini_station", mini_station, None),
@@ -41,13 +40,14 @@ UNBOUNDED = {"mini_station_pipes@96"}
 
 
 def plan_of(make, steps):
-    """The plan of one document."""
+    """(solver, plan) of one document."""
     doc = make()
     spec, scen = load_instance(doc)
     if steps is not None:
         spec, scen = regrid_instance(spec, scen, template_grid(steps))
     spec = build_spec_ranges(spec, count=2000)
-    return StationSolver(spec, scen, load_weights(doc)).solve_station(h=4)
+    solver = StationSolver(spec, scen, load_weights(doc))
+    return solver, solver.solve_station(h=4)
 
 
 def digest(plan) -> tuple:
@@ -60,17 +60,16 @@ def digest(plan) -> tuple:
     return repr(plan.objective), h.hexdigest()
 
 
-def bound_digest(plan) -> tuple:
+def bound_digest(solver, plan) -> tuple:
     """(status, bound repr, sha256 hex or "-") of a plan's lower-bound solve."""
-    inst, x = plan.replay
-    res = solve(inst, default_settings_for("P", 600.0), initial=x)
+    _, _, res = solver.lower_bound(plan, 600.0)
     sha = "-" if res.assignment is None else hashlib.sha256(res.assignment.tobytes()).hexdigest()
     return res.status, repr(res.bound), sha
 
 
 if __name__ == "__main__":
     for label, make, steps in DOCUMENTS:
-        plan = plan_of(make, steps)
+        solver, plan = plan_of(make, steps)
         print(label, *digest(plan))
         if label not in UNBOUNDED:
-            print(label, "bound", *bound_digest(plan))
+            print(label, "bound", *bound_digest(solver, plan))
