@@ -33,7 +33,7 @@ variants = {
 }
 for label, inst in variants.items():
     m = inst.model
-    print(f"  {label}: {m.n_vars:4d} vars ({sum(m.integer):3d} binary), {len(m.rows):4d} rows")
+    print(f"  {label}: {m.n_vars:4d} vars ({sum(m.arrays().integer):3d} binary), {len(m.rows):4d} rows")
 
 print("\n== solving each variant ==")
 for label, inst in variants.items():

@@ -4,16 +4,17 @@ A :class:`LinearModel` is a plain catalog of variables (finite bounds,
 optional integrality, a solver unit), rows (sparse coefficients, sense,
 right-hand side) and a linear objective split into named categories.  Its
 numbers live in typed ``array.array`` buffers, the rows as flat COO data
-(row pointer, columns, values); the model reads them as numpy arrays,
-copied once on first read.  Names are
-strings or records ``(label, *args)`` formatted only when read (see
-:func:`format_name`).  The model itself is in SI;
+(row pointer, columns, values); every reader sees them through
+:meth:`LinearModel.arrays` as read-only numpy views.  A model is appended
+to while it is built and only read after that: a read model takes no
+appends.  Names are strings or records ``(label, *args)`` formatted only
+when read (see :func:`format_name`).  The model itself is in SI;
 :meth:`LinearModel.solver_view` derives the arrays an in-process solver
 sees, with every column in its declared unit.  :meth:`LinearModel.patched`
-copies a complete model with new column upper bounds and right-hand sides
-and shares the rest, the solver view's matrix included.  The export
-writes deterministic CPLEX-style LP text in SI, byte-identical for
-identical models.
+copies a read model with new column upper bounds and right-hand sides and
+shares the rest, the solver view's matrix included.  The export writes
+deterministic CPLEX-style LP text in SI, byte-identical for identical
+models.
 """
 
 from __future__ import annotations
@@ -142,13 +143,12 @@ class ModelArrays:
 class LinearModel:
     """Variables, rows and objective of one model, appended in build order.
 
-    The model is append-only: the ``add_*`` methods are the only writers,
-    and they drop the cached arrays, names, row units and solver-view
-    structure.  Every per-column and per-row number sits in a typed buffer (``"d"``
-    for floats, ``"q"`` for indices, ``"b"`` for flags and senses), which
-    holds 8 bytes or fewer per entry where a list holds a boxed number.  A
-    model that :meth:`patched` has copied shares its buffers with the
-    copy, so neither takes further appends.
+    The ``add_*`` methods are the only writers.  Every per-column and
+    per-row number sits in a typed buffer (``"d"`` floats, ``"q"`` indices,
+    ``"b"`` flags and senses), 8 bytes or fewer per entry where a list
+    holds a boxed number.  The first read of :meth:`arrays` closes the
+    model: it views the buffers, which :meth:`patched` copies share, so
+    every later ``add_*`` call raises ``ValueError``.
     """
 
     def __init__(self, name: str):
@@ -157,10 +157,10 @@ class LinearModel:
         self._row_keys: list = []
         self._shift = 0  # steps the names are moved by when formatted
         self._names: tuple | None = None  # (var_names, row_names), formatted on first read
-        self.lb = array("d")
-        self.ub = array("d")
-        self.integer = array("b")  # 1 for an integer column
-        self.unit = array("d")  # SI value of one solver unit, per column
+        self._lb = array("d")
+        self._ub = array("d")
+        self._integer = array("b")  # 1 for an integer column
+        self._unit = array("d")  # SI value of one solver unit, per column
         self._ptr = array("q", [0])
         self._cols = array("q")
         self._vals = array("d")
@@ -171,7 +171,7 @@ class LinearModel:
         self.objective_constant = 0.0
         # (category, var index or None, coefficient or constant value)
         self.objective_terms: list[tuple[str, int | None, float]] = []
-        self._arrays: ModelArrays | None = None
+        self._arrays: ModelArrays | None = None  # set on first read, which closes the model
         self._view: tuple | None = None  # what solver_view derives from the structure alone
         self._row_units: np.ndarray | None = None
 
@@ -203,41 +203,44 @@ class LinearModel:
     @property
     def rows(self) -> list[Row]:
         """The rows as :class:`Row` records, derived afresh on each read."""
-        out = []
-        for r, name in enumerate(self.row_names):
-            lo, hi = self._ptr[r], self._ptr[r + 1]
-            unit = self._row_unit[r]
-            out.append(Row(
-                name,
-                dict(zip(self._cols[lo:hi], self._vals[lo:hi])),
-                SENSES[self._sense[r]],
-                self._rhs[r],
-                None if math.isnan(unit) else unit,
-            ))
-        return out
+        a = self.arrays()
+        ptr, cols, vals = a.ptr.tolist(), a.cols.tolist(), a.vals.tolist()
+        units = [None if math.isnan(unit) else unit for unit in a.row_unit.tolist()]
+        return [
+            Row(name, dict(zip(cols[lo:hi], vals[lo:hi])), SENSES[sense], rhs, unit)
+            for name, lo, hi, sense, rhs, unit
+            in zip(self.row_names, ptr, ptr[1:], a.sense.tolist(), a.rhs.tolist(), units)
+        ]
 
     def arrays(self) -> ModelArrays:
-        """The columns and rows as arrays (see :class:`ModelArrays`).
+        """The columns and rows as read-only arrays (see :class:`ModelArrays`).
 
-        Each is a copy of its buffer: a view would pin the buffer, and the
-        next append would raise ``BufferError``.
+        Each views its buffer, and ``row_of`` is derived.  The first call
+        closes the model: a view pins its buffer, so no append may follow.
         """
         if self._arrays is None:
-            ptr = np.array(self._ptr, dtype=np.int64)
-            self._arrays = ModelArrays(
-                lb=np.array(self.lb, dtype=float),
-                ub=np.array(self.ub, dtype=float),
-                integer=np.array(self.integer, dtype=bool),
-                col_unit=np.array(self.unit, dtype=float),
+            ptr = np.frombuffer(self._ptr, dtype=np.int64)
+            fields = dict(
+                lb=np.frombuffer(self._lb, dtype=float),
+                ub=np.frombuffer(self._ub, dtype=float),
+                integer=np.frombuffer(self._integer, dtype=bool),
+                col_unit=np.frombuffer(self._unit, dtype=float),
                 ptr=ptr,
-                cols=np.array(self._cols, dtype=np.int64),
-                vals=np.array(self._vals, dtype=float),
+                cols=np.frombuffer(self._cols, dtype=np.int64),
+                vals=np.frombuffer(self._vals, dtype=float),
                 row_of=np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(ptr)),
-                sense=np.array(self._sense, dtype=np.int8),
-                rhs=np.array(self._rhs, dtype=float),
-                row_unit=np.array(self._row_unit, dtype=float),
+                sense=np.frombuffer(self._sense, dtype=np.int8),
+                rhs=np.frombuffer(self._rhs, dtype=float),
+                row_unit=np.frombuffer(self._row_unit, dtype=float),
             )
+            for field in fields.values():
+                field.flags.writeable = False
+            self._arrays = ModelArrays(**fields)
         return self._arrays
+
+    def _refuse_if_read(self) -> None:
+        if self._arrays is not None:
+            raise ValueError(f"model {self.name!r} has been read and takes no appends")
 
     def add_var(
         self, name, lb: float, ub: float, integer: bool = False, unit: float = 1.0
@@ -247,16 +250,17 @@ class LinearModel:
         ``unit`` is the SI value of one solver unit: a pressure column in Pa
         passes ``units.PA_PER_BAR`` so that the solver sees it in bar.
         """
+        self._refuse_if_read()
         if not (math.isfinite(lb) and math.isfinite(ub)) or lb > ub:
             _bounds_error(name, lb, ub)
         if not unit > 0.0 or (integer and unit != 1.0):
             raise ValueError(f"variable {format_name(name)!r} cannot have solver unit {unit}")
-        self._arrays = self._view = self._names = None
+        self._names = None
         self._var_keys.append(name)
-        self.lb.append(float(lb))
-        self.ub.append(float(ub))
-        self.integer.append(bool(integer))
-        self.unit.append(float(unit))
+        self._lb.append(float(lb))
+        self._ub.append(float(ub))
+        self._integer.append(bool(integer))
+        self._unit.append(float(unit))
         return VarRef(len(self._var_keys) - 1)
 
     def add_row(self, name, pairs, sense: str, rhs: float, unit: float | None = None) -> None:
@@ -268,6 +272,7 @@ class LinearModel:
         ``unit`` overrides the row's solver unit (see :class:`SolverView`)
         for a row that touches a scaled column but is not measured in it.
         """
+        self._refuse_if_read()
         sense_index = _SENSE_INDEX.get(sense)
         if sense_index is None:
             raise ValueError(f"unknown sense {sense!r}")
@@ -294,7 +299,7 @@ class LinearModel:
                     f"constant row {format_name(name)!r} is violated: 0 {sense} {rhs_eff}"
                 )
             return
-        self._arrays = self._view = self._names = self._row_units = None
+        self._names = None
         self._row_keys.append(name)
         self._cols.extend(coeffs)
         self._vals.extend(coeffs.values())
@@ -305,7 +310,7 @@ class LinearModel:
 
     def add_objective(self, category: str, handle, coef: float) -> None:
         """Linear objective contribution; constants keep their category."""
-        self._view = None
+        self._refuse_if_read()
         if type(handle) is VarRef:
             self.objective[handle.index] = self.objective.get(handle.index, 0.0) + float(coef)
             self.objective_terms.append((category, handle.index, float(coef)))
@@ -380,27 +385,23 @@ class LinearModel:
         """A copy with new upper bounds ``ub`` and right-hand sides ``rhs``
         (each index -> value) and its names moved by ``shift`` steps.
 
-        The copy shares every other buffer, the objective and the solver
-        view's structure with this model.  An upper bound the copy cannot
-        take raises as :meth:`add_var` would, the first in ``ub`` order.
+        The copy shares every other array, the objective and the solver
+        view's structure with this closed model.  An upper bound the copy
+        cannot take raises as :meth:`add_var` would, the first in ``ub`` order.
         """
         a = self.arrays()
         self._view_structure()  # derived here, so the copy shares it and the row units
-        out = copy.copy(self)
-        out._shift = self._shift + shift
-        out._names = None
-        out.ub = self.ub[:]
         for i, value in ub.items():
-            lb = self.lb[i]
+            lb = a.lb[i]
             if not (math.isfinite(lb) and math.isfinite(value)) or lb > value:
-                _bounds_error(self._var_keys[i], lb, value, out._shift)
-            out.ub[i] = value
-        out._rhs = self._rhs[:]
-        for r, value in rhs.items():
-            out._rhs[r] = value
+                _bounds_error(self._var_keys[i], lb, value, self._shift + shift)
         new_ub, new_rhs = a.ub.copy(), a.rhs.copy()
         new_ub[list(ub)] = list(ub.values())
         new_rhs[list(rhs)] = list(rhs.values())
+        new_ub.flags.writeable = new_rhs.flags.writeable = False
+        out = copy.copy(self)
+        out._shift = self._shift + shift
+        out._names = None
         out._arrays = replace(a, ub=new_ub, rhs=new_rhs)
         return out
 
@@ -430,9 +431,10 @@ class LinearModel:
             op = {"<=": "<=", ">=": ">=", "==": "="}[row.sense]
             out.append(f" c{i}_{_lp_name(row.name)}: {lhs} {op} {_num(row.rhs)}")
         out.append("Bounds")
-        for idx in range(self.n_vars):
-            out.append(f" {_num(self.lb[idx])} <= {self._vn(idx)} <= {_num(self.ub[idx])}")
-        integers = [self._vn(idx) for idx in range(self.n_vars) if self.integer[idx]]
+        a = self.arrays()
+        for idx, (lb, ub) in enumerate(zip(a.lb.tolist(), a.ub.tolist())):
+            out.append(f" {_num(lb)} <= {self._vn(idx)} <= {_num(ub)}")
+        integers = [self._vn(idx) for idx, is_int in enumerate(a.integer.tolist()) if is_int]
         if integers:
             out.append("Generals")
             out.append(" " + " ".join(integers))

@@ -209,6 +209,7 @@ def complete_plan_assignment(spec: StationSpec, scen: Scenario, weights: Objecti
     inst = build_full(spec, scen, weights)
     model = inst.model
     x = np.zeros(model.n_vars)
+    caps = model.arrays().ub
     seq = plan.sequence
 
     def put(value, *key):
@@ -278,7 +279,7 @@ def complete_plan_assignment(spec: StationSpec, scen: Scenario, weights: Objecti
             # spread the group's imbalance greedily within the slack caps
             for v in sorted(members):
                 h = inst.handles[(key, v, t)]
-                take = min(remaining, model.ub[h.index])
+                take = min(remaining, caps[h.index])
                 x[h.index] = take
                 remaining -= take
                 if remaining <= 0.0:
@@ -680,7 +681,8 @@ class _Builder:
         c = spec.constants
         rstz = c.specific_gas_constant * c.temperature * pipe.z_factor
         fric_coef = (
-            _friction(pipe) * pipe.length / (4.0 * pipe.diameter * pipe.area)
+            nikuradse_friction(pipe.diameter, pipe.roughness)
+            * pipe.length / (4.0 * pipe.diameter * pipe.area)
         )
         grav = c.gravity * pipe.slope * pipe.length / (2.0 * rstz)
         pl, pr = self.h[("p", pipe.from_node, t)], self.h[("p", pipe.to_node, t)]
@@ -1144,7 +1146,3 @@ def _facet_unit(w: float, x: float, y: float) -> float | None:
     facet reads in bar like any other row over pressure columns.
     """
     return KG_S_PER_SOLVER_FLOW if abs(y) >= max(abs(w), abs(x)) else None
-
-
-def _friction(pipe) -> float:
-    return nikuradse_friction(pipe.diameter, pipe.roughness)

@@ -369,17 +369,18 @@ def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
     """
     from stationopt.solve import CHECK_TOL
 
+    a = model.arrays()
     out: list[tuple[str, float]] = []
     for idx in range(model.n_vars):
-        lb, ub, value = model.lb[idx], model.ub[idx], x[idx]
-        scale = max(model.unit[idx], abs(lb), abs(ub))
+        lb, ub, value = a.lb[idx], a.ub[idx], x[idx]
+        scale = max(a.col_unit[idx], abs(lb), abs(ub))
         if value < lb - CHECK_TOL * scale or value > ub + CHECK_TOL * scale:
             out.append((f"bounds({model.var_names[idx]})", max(lb - value, value - ub, 0.0)))
-        if model.integer[idx] and abs(value - round(value)) > 1e-5:
+        if a.integer[idx] and abs(value - round(value)) > 1e-5:
             out.append((f"integrality({model.var_names[idx]})", abs(value - round(value))))
     for row in model.rows:
         act = row_activity(row, x)
-        unit = row.unit if row.unit is not None else max(1.0, *(model.unit[i] for i in row.coeffs))
+        unit = row.unit if row.unit is not None else max(1.0, *(a.col_unit[i] for i in row.coeffs))
         scale = max(unit, abs(row.rhs), max(abs(c * x[i]) for i, c in row.coeffs.items()))
         if row.sense == "<=":
             gap = act - row.rhs

@@ -76,12 +76,12 @@ class TestCompressorStationRows:
     def test_disjunctive_copies_contain_zero(self, mini):
         spec, scen = mini
         inst = build_stationary(spec, scen, WEIGHTS, 1, "o_cp")
-        m = inst.model
+        a = inst.model.arrays()
         for key in ("p_by", "q_by", "p_cl_l", "p_cl_r"):
             h = inst.handle(key, "CS1", 1)
-            assert m.lb[h.index] <= 0.0 <= m.ub[h.index]
+            assert a.lb[h.index] <= 0.0 <= a.ub[h.index]
         h = inst.handle("q_cfg", "c1", "CS1", 1)
-        assert m.lb[h.index] == 0.0
+        assert a.lb[h.index] == 0.0
 
     def test_no_closed_flow_copy_exists(self, mini):
         spec, scen = mini
@@ -227,7 +227,7 @@ class TestValveAndRegulatorRows:
     def test_regulator_flow_nonnegative(self, piped):
         spec, scen = piped
         inst = build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", 1)
-        assert inst.model.lb[inst.handle("q", "RG1", 1).index] == 0.0
+        assert inst.model.arrays().lb[inst.handle("q", "RG1", 1).index] == 0.0
         assert rows_named(inst.model, "rg_q_lo")
 
 
@@ -455,7 +455,7 @@ class TestBuildVariant:
         spec = build_spec_ranges(spec, count=3000)
         snapshot = scen.initial_state
         inst = build_fixed_transient(spec, scen, WEIGHTS, ["o_cp"], ["f_fwd"], snapshot)
-        assert sum(inst.model.integer) == 2 * 3 + 2
+        assert sum(inst.model.arrays().integer) == 2 * 3 + 2
 
     def test_singleton_stationary_equals_fixed(self, mini):
         spec, scen = mini
@@ -503,8 +503,8 @@ class TestBuildVariant:
         for row in inst.model.rows:
             assert all(np.isfinite(c) for c in row.coeffs.values())
             assert np.isfinite(row.rhs)
-        assert all(np.isfinite(b) for b in inst.model.lb)
-        assert all(np.isfinite(b) for b in inst.model.ub)
+        assert all(np.isfinite(b) for b in inst.model.arrays().lb)
+        assert all(np.isfinite(b) for b in inst.model.arrays().ub)
 
     def test_big_m_values_follow_bounds(self):
         doc = mini_station()
@@ -576,7 +576,7 @@ class TestSolverUnits:
         models = [build_full(spec, scen, WEIGHTS).model]
         models.append(build_stationary(*mini, WEIGHTS, 1, "o_cp").model)
         for m in models:
-            for name, unit, integer in zip(m.var_names, m.unit, m.integer):
+            for name, unit, integer in zip(m.var_names, m.arrays().col_unit, m.arrays().integer):
                 if name.startswith(PRESSURE_COLUMNS):
                     assert unit == PA_PER_BAR, name
                 elif name.startswith(FLOW_COLUMNS):
@@ -894,12 +894,17 @@ def test_full_model_footprint_is_bounded():
     spec, scen = load_instance(mini_station_pipes())
     spec, scen = regrid_instance(spec, scen, template_grid("96"))
     spec = build_spec_ranges(spec, count=2000)
-    build_full(spec, scen, WEIGHTS)  # first-call allocations
+    build_full(spec, scen, WEIGHTS).model.solver_view()  # first-call allocations
     tracemalloc.start()
     try:
         inst = build_full(spec, scen, WEIGHTS)
         kept, _ = tracemalloc.get_traced_memory()
+        inst.model.solver_view()
+        read, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert inst.model.n_vars == 4320 and inst.model.n_rows == 7680
     assert kept < 3.0 * 2**20
+    # a read model views its buffers: about 3.2 MiB, where copies of them
+    # kept 3.8 MiB
+    assert read < 3.5 * 2**20, read / 2**20

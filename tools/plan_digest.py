@@ -4,13 +4,14 @@ For the four fixtures, ``mini_station_pipes`` re-gridded to 96 steps and
 ``seeded_instance(0..39)`` (operating ranges from 2,000 samples, seed 0;
 rolling horizon 4), it prints the label, the plan objective's ``repr`` and
 a sha256 over the mode sequence, the states, the objective breakdown, the
-replay violations, the solve counts, the memo hits and the bytes of the
-replay assignment.  For every document but ``mini_station_pipes@96`` a
-second line digests the plan's lower bound, ``StationSolver.lower_bound``
-with a 600 s limit, as ``stationopt solve --lower-bound`` calls it; it
-reads the label, ``bound``, the status of the full model's solve, that
-solve's bound ``repr`` and a sha256 over the bytes of its assignment
-(``-`` without one).  Two code versions plan and bound alike when their
+replay violations, the solve counts, the memo hits, the bytes of the
+replay assignment and the LP text of the replayed full model.  For every
+document but ``mini_station_pipes@96`` a second line digests the plan's
+lower bound, ``StationSolver.lower_bound`` with a 600 s limit, as
+``stationopt solve --lower-bound`` calls it; it reads the label,
+``bound``, the status of the full model's solve, that solve's bound
+``repr`` and a sha256 over the bytes of its assignment (``-`` without
+one).  Two code versions plan and bound alike when their
 outputs are equal:
 
     PYTHONPATH=src python tools/plan_digest.py > after.txt
@@ -57,6 +58,7 @@ def digest(plan) -> tuple:
     for part in (plan.sequence, plan.states, plan.breakdown, d["replay_violations"], d["solve_counts"], d["memo_hits"]):
         h.update(repr(part).encode())
     h.update(plan.replay[1].tobytes())
+    h.update(plan.replay[0].model.lp_text().encode())
     return repr(plan.objective), h.hexdigest()
 
 
