@@ -241,7 +241,7 @@ def _fold_to_barycentric(stu: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_uniform(vertices: np.ndarray, count: int, seed: int) -> np.ndarray:
+def sample_uniform(vertices: np.ndarray, count: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """``count`` uniform samples from the full-dimensional 3-D polytope
     spanned by the (n, 3) ``vertices``.
 
@@ -252,36 +252,45 @@ def sample_uniform(vertices: np.ndarray, count: int, seed: int) -> np.ndarray:
     Every tetrahedron is picked first, then the points are drawn, folded
     and placed ``SAMPLE_CHUNK`` rows at a time, so the random stream is
     that of one draw of ``count`` points while the working set beyond the
-    result stays a few chunk-sized arrays.
+    picks and the result stays a few chunk-sized arrays.  The result is
+    written into ``out``, a float (count, 3) array such as a view of a
+    larger design matrix, and returned; without ``out`` a new array is
+    allocated.  A wrong ``out`` raises before anything is drawn.
     """
     if count < 1:
         raise ValueError("need at least one sample")
+    if out is None:
+        out = np.empty((count, 3))
+    elif out.shape != (count, 3) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 ({count}, 3) array, got {out.dtype} {out.shape}")
     corners, volumes = triangulate(vertices)
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(volumes), size=count, p=volumes / volumes.sum())
     base = corners[:, 0, :]
     edges = corners[:, 1:, :] - base[:, None, :]
-    points = np.empty((count, 3))
     for start in range(0, count, SAMPLE_CHUNK):
         rows = slice(start, start + SAMPLE_CHUNK)
         picked = choice[rows]
         stu = _fold_to_barycentric(rng.random((len(picked), 3)))
-        points[rows] = base[picked] + np.einsum("nk,nkd->nd", stu, edges[picked])
-    return points
+        out[rows] = base[picked] + np.einsum("nk,nkd->nd", stu, edges[picked])
+    return out
 
 
-def least_squares_hyperplane(points: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Ordinary least-squares fit ``values ~ a0 + a . points``.
+def least_squares_hyperplane(design: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Ordinary least-squares fit ``values ~ design @ coeffs``.
 
-    Returns ``(a0, a1, .., ad)``; raises on a rank-deficient design matrix.
+    ``design`` is the (n, d + 1) design matrix whose column 0 is ones, so
+    the fit is ``values ~ a0 + a . points`` for the points in columns 1..d.
+    It is solved as given, without a copy made here.  Returns
+    ``(a0, a1, .., ad)``; raises with fewer than d + 1 rows or on a
+    rank-deficient design matrix.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    design = np.atleast_2d(np.asarray(design, dtype=float))
     values = np.asarray(values, dtype=float).ravel()
-    n, d = points.shape
-    if n < d + 1:
-        raise ValueError(f"need at least {d + 1} points, got {n}")
-    X = np.column_stack([np.ones(n), points])
-    coeffs, _, rank, _ = np.linalg.lstsq(X, values, rcond=None)
-    if rank < d + 1:
+    n, k = design.shape
+    if n < k:
+        raise ValueError(f"need at least {k} points, got {n}")
+    coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < k:
         raise ValueError("design matrix is rank deficient")
     return coeffs

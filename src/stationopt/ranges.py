@@ -26,6 +26,7 @@ import numpy as np
 from .gas import GasConstants, compression_power
 from .network import CompressorStationArc, CompressorUnit, StationSpec
 from .polytope import (
+    SAMPLE_CHUNK,
     EmptyRegionError,
     HPolytope,
     enumerate_vertices,
@@ -86,15 +87,26 @@ def linearize_power_bound(
     point and fits the coefficients by ordinary least squares.  The fit is
     an approximation of the true bound, not a relaxation; no conservative
     shift is applied.
+
+    The samples are drawn straight into columns 1..3 of the one (count, 4)
+    design matrix the fit solves, and the powers are evaluated
+    ``SAMPLE_CHUNK`` rows at a time into one vector, so besides those two
+    arrays and the sampler's picks only chunk-sized temporaries and the
+    copy ``lstsq`` makes are held.
     """
     if seed is None:
         seed = seed_for_unit(unit.id)
-    points = sample_uniform(enumerate_vertices(lifted), count, seed)
-    pl, pr, q = points.T
-    powers = compression_power(
-        q, pl, np.maximum(pr, pl), unit.inlet_z_factor, unit.adiabatic_efficiency, constants
-    )
-    fit = least_squares_hyperplane(points, powers)
+    design = np.empty((count, 4))
+    design[:, 0] = 1.0
+    points = sample_uniform(enumerate_vertices(lifted), count, seed, out=design[:, 1:])
+    powers = np.empty(count)
+    for start in range(0, count, SAMPLE_CHUNK):
+        rows = slice(start, start + SAMPLE_CHUNK)
+        pl, pr, q = points[rows].T
+        powers[rows] = compression_power(
+            q, pl, np.maximum(pr, pl), unit.inlet_z_factor, unit.adiabatic_efficiency, constants
+        )
+    fit = least_squares_hyperplane(design, powers)
     return fit[1:], fit[0] - unit.max_power
 
 

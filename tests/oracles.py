@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: vertex
 enumeration is brute force over plane subsets, volume comes from the
 divergence theorem on the H-representation, sampling is plain rejection
 (and, to pin the seeded sampler bit for bit, its earlier scatter kernel),
-the hyperplane fit solves the normal equations directly, the row
+the hyperplane fit solves the normal equations directly (and, to pin the
+power fit bit for bit, its earlier sample-then-stack path), the row
 checker walks the model's ``Row`` records one by one, the fingerprint
 hashes a built model's numbers instead of the inputs the solver's
 stationary memo keys on, the bounds of a step are gathered one element
@@ -197,6 +198,25 @@ def reference_sample_uniform(v, count: int, seed: int) -> np.ndarray:
     base = corners[:, 0, :]
     edges = corners[:, 1:, :] - base[:, None, :]
     return base + np.einsum("nk,nkd->nd", stu, edges)
+
+
+def reference_power_fit(lifted, unit, constants, count: int, seed: int) -> tuple[np.ndarray, float]:
+    """``linearize_power_bound``'s coefficients and offset by the earlier path.
+
+    The samples go into a new (count, 3) array, the powers are evaluated
+    over all of them at once, and ``np.linalg.lstsq`` solves the
+    ``column_stack`` of ones and the samples.
+    """
+    from stationopt.gas import compression_power
+    from stationopt.polytope import enumerate_vertices, sample_uniform
+
+    points = sample_uniform(enumerate_vertices(lifted), count, seed)
+    pl, pr, q = points.T
+    powers = compression_power(
+        q, pl, np.maximum(pr, pl), unit.inlet_z_factor, unit.adiabatic_efficiency, constants
+    )
+    fit, _, _, _ = np.linalg.lstsq(np.column_stack([np.ones(count), points]), powers, rcond=None)
+    return fit[1:], fit[0] - unit.max_power
 
 
 def head_terms(ratio: float, z_inlet: float, constants) -> tuple[float, float]:

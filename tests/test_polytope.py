@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stationopt import polytope
 from stationopt.polytope import (
     DegenerateRegionError,
     EmptyRegionError,
@@ -302,8 +303,36 @@ class TestSampleUniform:
 
     def test_count_validation(self):
         v = enumerate_vertices(unit_cube())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one sample"):
             sample_uniform(v, 0, seed=0)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            sample_uniform(v, 0, seed=0, out=np.empty((0, 3)))
+
+    def test_out_is_filled_and_returned(self):
+        v = enumerate_vertices(unit_cube())
+        out = np.empty((500, 3))
+        assert sample_uniform(v, 500, seed=42, out=out) is out
+        assert np.array_equal(out, sample_uniform(v, 500, seed=42))
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((9, 3)), np.empty((10, 4)), np.empty((10, 3), dtype=np.float32), np.empty((10, 3), dtype=int)],
+        ids=["too-few-rows", "four-columns", "float32", "int"],
+    )
+    def test_wrong_out_raises_before_any_draw(self, out, monkeypatch):
+        def no_draw(*_):
+            raise AssertionError("drew samples for a wrong out")
+
+        v = enumerate_vertices(unit_cube())
+        monkeypatch.setattr(polytope, "triangulate", no_draw)
+        monkeypatch.setattr(polytope.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=r"out must be a float64 \(10, 3\) array"):
+            sample_uniform(v, 10, seed=0, out=out)
+
+
+def design(points: np.ndarray) -> np.ndarray:
+    """The fit's design matrix: a column of ones, then the points."""
+    return np.column_stack([np.ones(len(points)), points])
 
 
 class TestLeastSquares:
@@ -312,7 +341,7 @@ class TestLeastSquares:
         pts = rng.uniform(-2, 5, size=(40, 3))
         truth = np.array([1.5, -2.0, 0.25, 4.0])
         values = truth[0] + pts @ truth[1:]
-        fitted = least_squares_hyperplane(pts, values)
+        fitted = least_squares_hyperplane(design(pts), values)
         assert np.allclose(fitted, truth, atol=1e-10)
         residual = values - (fitted[0] + pts @ fitted[1:])
         assert np.abs(residual).max() < 1e-9
@@ -320,14 +349,14 @@ class TestLeastSquares:
     def test_constant_values(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 1, size=(25, 3))
-        fitted = least_squares_hyperplane(pts, np.full(25, 3.25))
+        fitted = least_squares_hyperplane(design(pts), np.full(25, 3.25))
         assert np.allclose(fitted, [3.25, 0, 0, 0], atol=1e-10)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(60, 3))
         values = rng.normal(size=60)
-        fitted = least_squares_hyperplane(pts, values)
+        fitted = least_squares_hyperplane(design(pts), values)
         oracle = normal_equations_fit(pts, values)
         assert np.allclose(fitted, oracle, atol=1e-8)
 
@@ -335,16 +364,16 @@ class TestLeastSquares:
         rng = np.random.default_rng(6)
         pts = rng.uniform(-1, 1, size=(80, 3))
         values = rng.normal(size=80) * 50.0
-        fitted = least_squares_hyperplane(pts, values)
-        X = np.column_stack([np.ones(80), pts])
+        X = design(pts)
+        fitted = least_squares_hyperplane(X, values)
         r = values - X @ fitted
         assert np.abs(X.T @ r).max() < 1e-6 * max(1.0, np.abs(values).max())
 
     def test_rank_deficiency_raises(self):
         pts = np.zeros((10, 3))
-        with pytest.raises(ValueError):
-            least_squares_hyperplane(pts, np.arange(10.0))
+        with pytest.raises(ValueError, match="rank deficient"):
+            least_squares_hyperplane(design(pts), np.arange(10.0))
 
     def test_too_few_points_raise(self):
-        with pytest.raises(ValueError):
-            least_squares_hyperplane(np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match="need at least 4 points, got 3"):
+            least_squares_hyperplane(design(np.eye(3)), np.ones(3))

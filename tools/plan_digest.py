@@ -11,7 +11,11 @@ lower bound, ``StationSolver.lower_bound`` with a 600 s limit, as
 ``stationopt solve --lower-bound`` calls it; it reads the label,
 ``bound``, the status of the full model's solve, that solve's bound
 ``repr`` and a sha256 over the bytes of its assignment (``-`` without
-one).  Two code versions plan and bound alike when their
+one).  A last line, ``facets 50000 <sha256>``, digests the operating
+ranges as ``stationopt`` builds them: it hashes the ``float.hex`` of
+every facet of every document's stations, built at
+``DEFAULT_SAMPLE_COUNT`` samples and seed 0, so a fit that moves by one
+bit changes it.  Two code versions plan and bound alike when their
 outputs are equal:
 
     PYTHONPATH=src python tools/plan_digest.py > after.txt
@@ -27,7 +31,7 @@ import hashlib
 from stationopt.algorithm import StationSolver
 from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance, two_unit_station
 from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
-from stationopt.ranges import build_spec_ranges
+from stationopt.ranges import DEFAULT_SAMPLE_COUNT, build_spec_ranges
 
 DOCUMENTS = [
     ("mini_station", mini_station, None),
@@ -40,12 +44,18 @@ DOCUMENTS = [
 UNBOUNDED = {"mini_station_pipes@96"}
 
 
-def plan_of(make, steps):
-    """(solver, plan) of one document."""
+def instance_of(make, steps):
+    """(document, spec, scenario) of one document, re-gridded when asked."""
     doc = make()
     spec, scen = load_instance(doc)
     if steps is not None:
         spec, scen = regrid_instance(spec, scen, template_grid(steps))
+    return doc, spec, scen
+
+
+def plan_of(make, steps):
+    """(solver, plan) of one document."""
+    doc, spec, scen = instance_of(make, steps)
     spec = build_spec_ranges(spec, count=2000)
     solver = StationSolver(spec, scen, load_weights(doc))
     return solver, solver.solve_station(h=4)
@@ -69,9 +79,22 @@ def bound_digest(solver, plan) -> tuple:
     return res.status, repr(res.bound), sha
 
 
+def facet_digest() -> str:
+    """sha256 over the ``float.hex`` of every document's facets at ``DEFAULT_SAMPLE_COUNT``."""
+    h = hashlib.sha256()
+    for label, make, steps in DOCUMENTS:
+        _, spec, _ = instance_of(make, steps)
+        spec = build_spec_ranges(spec, count=DEFAULT_SAMPLE_COUNT)
+        for sid, station in sorted(spec.stations.items()):
+            for c in station.configurations:
+                h.update(repr((label, sid, c.id, [[x.hex() for x in f] for f in c.facets])).encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     for label, make, steps in DOCUMENTS:
         solver, plan = plan_of(make, steps)
         print(label, *digest(plan))
         if label not in UNBOUNDED:
             print(label, "bound", *bound_digest(solver, plan))
+    print("facets", DEFAULT_SAMPLE_COUNT, facet_digest())
