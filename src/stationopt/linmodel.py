@@ -100,11 +100,11 @@ class SolverView:
     declared unit or, by default, by the largest unit among its columns, so
     a row over pressure columns reads in bar, big-M terms included, and a
     row over SI-only columns is unchanged.  The objective value is the SI
-    one.  ``A`` is None for a model without rows.
+    one.  ``integer`` is ``uint8``, 1 for an integer column.
     """
 
     c: np.ndarray
-    A: sparse.csc_array | None
+    A: sparse.csc_array
     row_lo: np.ndarray
     row_hi: np.ndarray
     lb: np.ndarray
@@ -343,7 +343,7 @@ class LinearModel:
         a = self.arrays()
         c, A, lb, integer = self._view_structure()
         row_lo = row_hi = np.zeros(0)
-        if A is not None:
+        if self.n_rows:
             rhs = a.rhs / self.row_units()
             row_lo = np.where(a.sense == SENSES.index("<="), -np.inf, rhs)
             row_hi = np.where(a.sense == SENSES.index(">="), np.inf, rhs)
@@ -374,11 +374,11 @@ class LinearModel:
             col_unit = a.col_unit
             c = np.zeros(self.n_vars)
             c[list(self.objective)] = list(self.objective.values())
-            A = None
+            A = sparse.csc_array((0, self.n_vars))
             if self.n_rows:
                 data = a.vals * col_unit[a.cols] / self.row_units()[a.row_of]
                 A = sparse.csr_array((data, a.cols, a.ptr), shape=(self.n_rows, self.n_vars)).tocsc()
-            self._view = (c * col_unit, A, a.lb / col_unit, a.integer.astype(int))
+            self._view = (c * col_unit, A, a.lb / col_unit, a.integer.astype(np.uint8))
         return self._view
 
     def patched(self, shift: int, ub: dict, rhs: dict) -> "LinearModel":

@@ -197,8 +197,12 @@ class StationSpec:
             out.update(group)
         return out
 
-    def boundary_nodes(self) -> list[str]:
-        return [v for v, node in self.nodes.items() if node.is_boundary]
+    def boundary_nodes(self) -> tuple[str, ...]:
+        return self._boundary_nodes
+
+    @cached_property
+    def _boundary_nodes(self) -> tuple[str, ...]:
+        return tuple(v for v, node in self.nodes.items() if node.is_boundary)
 
     def transition_time(self, from_mode: str, to_mode: str) -> float:
         if from_mode == to_mode:

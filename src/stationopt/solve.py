@@ -1,12 +1,13 @@
 """Uniform contract to a mixed-integer linear solver.
 
-The backend is HiGHS through ``scipy.optimize.milp``.  Any object with a
+The backend is HiGHS, handed the model's solver view through scipy's
+``_highs_wrapper``.  Any object with a
 ``solve_raw(model, settings)`` method returning ``(status, x, bound,
 message)`` can stand in for it: ``x`` is the assignment in SI (or None)
 and ``bound`` the dual bound without the model's objective constant.
 
 :class:`SolveSettings` carries the published optimality conditions of a
-model variant; HiGHS receives all three.
+model variant; HiGHS receives each one that differs from its default.
 
 Every returned assignment is replayed through an independent row checker
 before the result is handed back; a checker violation downgrades the
@@ -17,19 +18,32 @@ violation, so an "optimal" NaN assignment is an error too.
 from __future__ import annotations
 
 import ctypes
+import inspect
 import math
 import os
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+import scipy
+from scipy.optimize import _milp
+from scipy.optimize._highspy._core import HighsOptions
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
-from .linmodel import SENSES, LinearModel
+from .linmodel import SENSES, LinearModel, SolverView
 from .model import ModelInstance
+
+# scipy's private HiGHS entry point, as scipy 1.17 declares it; it is looked
+# up on scipy.optimize._milp at each call, so a patch there sees every call
+_WRAPPER_PARAMETERS = ("c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub", "integrality", "options")
+if tuple(inspect.signature(_milp._highs_wrapper).parameters) != _WRAPPER_PARAMETERS:
+    raise ImportError(
+        f"stationopt needs scipy's private _highs_wrapper{_WRAPPER_PARAMETERS}, "
+        f"which scipy {scipy.__version__} declares otherwise; scipy 1.17 is the verified version"
+    )
+_HIGHS_DEFAULTS = HighsOptions()
 
 CHECK_TOL = 1e-6
 
@@ -158,7 +172,7 @@ def _amount(gap) -> float:
 
 
 class InProcessBackend:
-    """HiGHS via scipy.optimize.milp.
+    """HiGHS, handed the solver view's arrays by :func:`milp`.
 
     HiGHS solves the model's :meth:`~LinearModel.solver_view`: pressure
     columns in bar and flow columns in tens of kg/s, and every row that
@@ -171,14 +185,14 @@ class InProcessBackend:
     (within its 1e-6 tolerance), the continuous part is re-solved as an LP
     at the rounded integers, so big-M rows hold for the rounded values.
 
-    The settings reach HiGHS as ``mip_rel_gap``, ``mip_abs_gap`` and
-    ``time_limit``.  Every call also turns off HiGHS' feasibility-jump
-    heuristic: on these small models it takes about half of HiGHS' time
-    and never changes the branch-and-bound node count.  ``milp`` passes
-    options outside its own list to HiGHS verbatim with a
-    ``RuntimeWarning``, which is silenced here; an option the installed
-    HiGHS rejects still raises scipy's ``OptimizeWarning``.  The calls go
-    through ``milp`` as a module global, not through HiGHS' object API,
+    The settings reach HiGHS as ``time_limit``, ``mip_rel_gap`` and
+    ``mip_abs_gap``.  Every call also turns off HiGHS' console log and its
+    feasibility-jump heuristic: on these small models the heuristic takes
+    about half of HiGHS' time and never changes the branch-and-bound node
+    count.  Only the options whose value differs from HiGHS' default are
+    passed, because scipy's wrapper spends a fixed cost on each; HiGHS'
+    default ``presolve="choose"`` runs presolve.  The calls go through
+    :func:`milp` as a module global, not through HiGHS' object API,
     because ``perfbench`` times the layers by patching ``solve.milp`` and
     scipy's ``_highs_wrapper``.
 
@@ -189,40 +203,47 @@ class InProcessBackend:
 
     def solve_raw(self, model: LinearModel, settings: SolveSettings):
         view = model.solver_view()
-        constraints = LinearConstraint(view.A, view.row_lo, view.row_hi) if view.A is not None else []
-        options = {
+        wanted = {
             "time_limit": settings.time_limit,
             "mip_rel_gap": settings.relative_gap,
             "mip_abs_gap": settings.absolute_gap,
             "mip_heuristic_run_feasibility_jump": False,
-            "presolve": True,
         }
+        options = {"log_to_console": False}
+        options.update((k, v) for k, v in wanted.items() if v != getattr(_HIGHS_DEFAULTS, k))
         is_int = view.integer.astype(bool)
-        with _stdout_to_devnull(), warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
-            res = milp(
-                c=view.c,
-                constraints=constraints,
-                integrality=view.integer if is_int.any() else None,
-                bounds=Bounds(view.lb, view.ub),
-                options=options,
-            )
-            x = res.x
+        with _stdout_to_devnull():
+            status, message, res = milp(view, view.lb, view.ub, view.integer, options)
+            x = res.get("x")
             if x is not None and np.any(x[is_int] != np.round(x[is_int])):
                 # HiGHS accepts integers within 1e-6 of integral, and a big-M
                 # row turns that into a residual the checker sees once they are
                 # rounded; re-solve the continuous part at the rounded integers
                 fixed_lb, fixed_ub = view.lb.copy(), view.ub.copy()
                 fixed_lb[is_int] = fixed_ub[is_int] = np.round(x[is_int])
-                lp = milp(c=view.c, constraints=constraints, bounds=Bounds(fixed_lb, fixed_ub), options=options)
-                if lp.status == 0:
-                    x = lp.x
+                lp_status, _, lp = milp(view, fixed_lb, fixed_ub, np.zeros_like(view.integer), options)
+                if lp_status == 0:
+                    x = lp["x"]
         x = view.to_si(x) if x is not None else None
-        bound = getattr(res, "mip_dual_bound", None)
-        status = {0: "optimal", 1: "timeLimit", 2: "infeasible", 3: "error", 4: "error"}.get(
-            res.status, "error"
-        )
-        return status, x, bound, res.message or ""
+        status = {0: "optimal", 1: "timeLimit", 2: "infeasible", 3: "error", 4: "error"}.get(status, "error")
+        return status, x, res.get("mip_dual_bound"), message
+
+
+def milp(view: SolverView, lb: np.ndarray, ub: np.ndarray, integrality: np.ndarray, options: dict):
+    """One HiGHS call on ``view``'s objective and rows, with column bounds
+    ``lb``/``ub`` and ``integrality`` (``uint8``, 1 for an integer column).
+
+    The view's own CSC arrays go to scipy's ``_highs_wrapper`` as they
+    are, without ``scipy.optimize.milp``'s copies and checks.  Returns
+    scipy's status code and message, as ``scipy.optimize.milp`` reports
+    them, and the wrapper's result dict.
+    """
+    A = view.A
+    res = _milp._highs_wrapper(
+        view.c, A.indptr, A.indices, A.data, view.row_lo, view.row_hi, lb, ub, integrality, options
+    )
+    status, message = _highs_to_scipy_status_message(res.get("status"), res.get("message"))
+    return status, message, res
 
 
 # C stdio's fflush, resolved once: a CDLL and its function pointer cost
@@ -264,8 +285,8 @@ def solve(
 ) -> SolveResult:
     """Solve a model (or instance) under the given settings.
 
-    ``initial`` is a known-feasible assignment, not a warm start: scipy's
-    binding cannot inject it into HiGHS, so it serves as the fallback
+    ``initial`` is a known-feasible assignment, not a warm start: the
+    hand-off cannot inject it into HiGHS, so it serves as the fallback
     incumbent, and the result never comes back worse than it.  It also
     cross-checks the backend's bound: a bound above the objective of a
     checker-clean ``initial`` by more than ``CHECK_TOL`` (relative) is

@@ -9,9 +9,11 @@ power fit bit for bit, its earlier sample-then-stack path), the row
 checker walks the model's ``Row`` records one by one, the fingerprint
 hashes a built model's numbers instead of the inputs the solver's
 stationary memo keys on, the bounds of a step are gathered one element
-at a time rather than sliced from the per-run table, and the exact
+at a time rather than sliced from the per-run table, the exact
 stationary sequence is a dynamic programme over every mode at every step
-rather than the greedy start and phase replacements it checks.
+rather than the greedy start and phase replacements it checks, and the
+solver hand-off is what ``scipy.optimize.milp``'s input checks derive
+from the call the backend once made, not the solver view's own arrays.
 """
 
 from __future__ import annotations
@@ -435,6 +437,45 @@ def fingerprint(model) -> str:
         digest.update(np.int64(part.size).tobytes())
         digest.update(part.tobytes())
     return digest.hexdigest()
+
+
+def reference_handoff(view, settings, fixed: np.ndarray | None = None) -> tuple:
+    """The ten arguments ``scipy.optimize.milp`` hands ``_highs_wrapper``
+    for one solve of a solver view, as the backend once called ``milp``.
+
+    That call passed ``c``, one ``LinearConstraint`` over the view's rows
+    (none without rows), the integrality (None where no column is
+    integer), ``Bounds`` of the view's columns and, as options, the three
+    settings, the feasibility-jump heuristic off and presolve on.  With
+    ``fixed``, the integer columns' rounded values, it is the re-solve of
+    the continuous part: the integer columns fixed, no integrality.
+    """
+    import warnings
+
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.optimize._milp import _milp_iv
+
+    integrality, lb, ub = (view.integer if view.integer.any() else None), view.lb, view.ub
+    if fixed is not None:
+        is_int = view.integer.astype(bool)
+        lb, ub = lb.copy(), ub.copy()
+        lb[is_int] = ub[is_int] = fixed
+        integrality = None
+    constraints = LinearConstraint(view.A, view.row_lo, view.row_hi) if len(view.row_lo) else []
+    options = {
+        "time_limit": settings.time_limit,
+        "mip_rel_gap": settings.relative_gap,
+        "mip_abs_gap": settings.absolute_gap,
+        "mip_heuristic_run_feasibility_jump": False,
+        "presolve": True,
+    }
+    with warnings.catch_warnings():
+        # milp passes the options outside its own list on, with this warning
+        warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
+        c, integrality, lb, ub, indptr, indices, data, b_l, b_u, options = _milp_iv(
+            view.c, integrality, Bounds(lb, ub), constraints, options
+        )
+    return c, indptr, indices, data, b_l, b_u, lb, ub, integrality, options
 
 
 def reference_step_bounds(spec, scen, t: int) -> np.ndarray:

@@ -1,14 +1,22 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.optimize._milp as scipy_milp
+from scipy.optimize._highspy._core import HighsOptions
 from scipy.optimize._highspy._highs_options import HighsOptionsManager
 
-import stationopt.solve as solve_module
-from stationopt.fixtures import medium_station, mini_station, seeded_instance
-from stationopt.io import load_instance, load_weights
+import stationopt
+from stationopt.algorithm import StationSolver
+from stationopt.fixtures import medium_station, mini_station, mini_station_pipes, seeded_instance
+from stationopt.io import load_instance, load_weights, regrid_instance, template_grid
 from stationopt.linmodel import BuildInfeasibleError, LinearModel
 from stationopt.model import (
     ObjectiveWeights,
@@ -21,11 +29,14 @@ from stationopt.ranges import build_spec_ranges
 from stationopt.units import PA_PER_BAR
 from stationopt.solve import (
     CHECK_TOL,
+    InProcessBackend,
     SolveSettings,
     check_assignment,
     default_settings_for,
     solve,
 )
+
+from oracles import reference_handoff
 
 WEIGHTS = ObjectiveWeights()
 
@@ -117,6 +128,161 @@ class TestHighsOptions:
         for key in ("mip_rel_gap", "mip_abs_gap", "time_limit", "mip_heuristic_run_feasibility_jump"):
             assert manager.get_option_type(key) != -1, key
 
+    @pytest.mark.parametrize("variant, count", [("Psf", 4), ("Ps", 4), ("Pf", 5), ("P", 4)])
+    def test_only_options_off_highs_defaults_are_passed(self, variant, count, monkeypatch):
+        # HiGHS' default presolve "choose" runs presolve, and the stationary
+        # relative gap is HiGHS' own 1e-4; the fixed windows' 5e-3 is not
+        seen = []
+        honest = scipy_milp._highs_wrapper
+
+        def spy(*args):
+            seen.append(dict(args[-1]))
+            return honest(*args)
+
+        monkeypatch.setattr(scipy_milp, "_highs_wrapper", spy)
+        m = LinearModel("int")
+        x = m.add_var("x", 0.0, 5.0, integer=True)
+        m.add_row("floor", [(1.0, x)], ">=", 1.5)
+        m.add_objective("cost", x, 1.0)
+        assert solve(m, default_settings_for(variant)).status == "optimal"
+        expected = {"log_to_console", "time_limit", "mip_abs_gap", "mip_heuristic_run_feasibility_jump"}
+        if variant == "Pf":
+            expected.add("mip_rel_gap")
+        assert len(seen) == 1 and len(seen[0]) == count
+        assert set(seen[0]) == expected
+
+
+    def test_a_changed_wrapper_signature_fails_the_import(self):
+        code = (
+            "import scipy.optimize._milp as m\n"
+            "m._highs_wrapper = lambda c, indptr, indices, data, lhs, rhs, lb, ub, options: None\n"
+            "import stationopt.solve\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(stationopt.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode != 0
+        assert "ImportError" in out.stderr and f"scipy {scipy.__version__}" in out.stderr
+
+
+class Handed(Exception):
+    """Raised by a spy in place of the HiGHS run it would start."""
+
+
+def record_handoffs(monkeypatch, tamper=None):
+    """A backend and the list of its solves: per ``solve_raw`` call the
+    model, the settings and each ``_highs_wrapper`` call as (arguments,
+    result).  With ``state["stop"]`` set, the spy records a call and
+    raises :class:`Handed` instead of running HiGHS.  ``tamper`` may edit
+    each result."""
+    solves, state = [], {"stop": False}
+    honest = scipy_milp._highs_wrapper
+
+    def spy(*args):
+        calls = solves[-1][2]
+        if state["stop"]:
+            calls.append((args, None))
+            raise Handed
+        res = honest(*args)
+        if tamper is not None:
+            tamper(args, res)
+        calls.append((args, res))
+        return res
+
+    monkeypatch.setattr(scipy_milp, "_highs_wrapper", spy)
+    real = InProcessBackend()
+
+    class Recording:
+        def solve_raw(self, model, settings):
+            solves.append((model, settings, []))
+            return real.solve_raw(model, settings)
+
+    return Recording(), solves, state
+
+
+def handoff_differences(solves) -> list:
+    """Where a wrapper call got other arrays than ``scipy.optimize.milp``
+    derived from the same solve (:func:`oracles.reference_handoff`), or
+    other options than milp's less ``presolve``, the entries the wrapper
+    skips (None) and the entries equal to HiGHS' defaults."""
+    names = ("c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub", "integrality")
+    defaults = HighsOptions()
+    out = []
+    for model, settings, calls in solves:
+        view = model.solver_view()
+        fixed = None
+        assert 1 <= len(calls) <= 2, model.name
+        for args, res in calls:
+            *arrays, options = reference_handoff(view, settings, fixed)
+            for name, got, want in zip(names, args, arrays):
+                if got.dtype != want.dtype or not np.array_equal(got, want):
+                    out.append((model.name, name))
+            kept = {
+                k: v
+                for k, v in options.items()
+                if k != "presolve" and v is not None and v != getattr(defaults, k)
+            }
+            if args[-1] != kept:
+                out.append((model.name, "options"))
+            if res is not None and res.get("x") is not None:
+                # a second call re-solves the continuous part at the rounded integers
+                fixed = np.round(res["x"][view.integer.astype(bool)])
+    return out
+
+
+class TestHandoffOracle:
+    """Every ``_highs_wrapper`` call gets the arrays ``scipy.optimize.milp``
+    derived from the same solve, dtypes included."""
+
+    @pytest.mark.parametrize(
+        "doc, steps",
+        [(mini_station, None), (mini_station_pipes, "24"), (medium_station, "24")]
+        + [(functools.partial(seeded_instance, s), None) for s in range(10)],
+        ids=["mini_station", "mini_station_pipes@24", "medium_station@24"]
+        + [f"seeded_instance({s})" for s in range(10)],
+    )
+    def test_plan_and_bound_hand_off_as_milp_did(self, doc, steps, monkeypatch):
+        doc = doc()
+        spec, scen = load_instance(doc)
+        if steps is not None:
+            spec, scen = regrid_instance(spec, scen, template_grid(steps))
+        backend, solves, state = record_handoffs(monkeypatch)
+        solver = StationSolver(build_spec_ranges(spec, count=2000), scen, load_weights(doc), backend=backend)
+        plan = solver.solve_station(h=4)
+        state["stop"] = True  # the bound's hand-off, without its search
+        with pytest.raises(Handed):
+            solver.lower_bound(plan, 600.0)
+        variants = {model.name.split("_", 1)[0] for model, _, _ in solves}
+        assert {"Psf", "Pf", "P"} <= variants
+        assert handoff_differences(solves) == []
+
+    def test_model_without_rows(self, monkeypatch):
+        m = LinearModel("free")
+        x = m.add_var("x", 1.0, 4.0)
+        b = m.add_var("b", 0.0, 1.0, integer=True)
+        m.add_objective("cost", x, 1.0)
+        m.add_objective("cost", b, -1.0)
+        backend, solves, _ = record_handoffs(monkeypatch)
+        res = solve(m, default_settings_for("Ps"), backend=backend)
+        assert res.status == "optimal" and list(res.assignment) == [1.0, 1.0]
+        assert handoff_differences(solves) == []
+
+    def test_lp_without_integer_columns(self, monkeypatch):
+        backend, solves, _ = record_handoffs(monkeypatch)
+        assert solve(one_var_model(), default_settings_for("Pf"), backend=backend).status == "optimal"
+        assert handoff_differences(solves) == []
+
+    def test_rounded_integer_resolve(self, monkeypatch):
+        m, *_ = pressure_model()
+
+        def off_integral(args, res):
+            if args[8].any():
+                res["x"][2] += 1e-9
+
+        backend, solves, _ = record_handoffs(monkeypatch, off_integral)
+        assert solve(m, default_settings_for("Psf"), backend=backend).status == "optimal"
+        assert [len(calls) for _, _, calls in solves] == [2]
+        assert handoff_differences(solves) == []
+
 
 class TestPresolveDifferential:
     @pytest.mark.parametrize("seed", range(40))
@@ -129,16 +295,18 @@ class TestPresolveDifferential:
         inst = build_full(build_spec_ranges(spec, 2_000), scen, load_weights(doc))
         settings = default_settings_for("P")
         on = solve(inst, settings)
-        honest = solve_module.milp
+        honest = scipy_milp._highs_wrapper
         calls = []
 
-        def without_presolve(*args, options, **kwargs):
-            calls.append(options["presolve"])
-            return honest(*args, options={**options, "presolve": False}, **kwargs)
+        def without_presolve(*args):
+            # the wrapper takes presolve as a bool and hands HiGHS "off" for False
+            calls.append(args[-1].get("presolve"))
+            return honest(*args[:-1], {**args[-1], "presolve": False})
 
-        monkeypatch.setattr(solve_module, "milp", without_presolve)
+        monkeypatch.setattr(scipy_milp, "_highs_wrapper", without_presolve)
         off = solve(inst, settings)
-        assert calls and all(calls)  # the backend asked for presolve and did not get it
+        # the backend never turned presolve off; only the spy did
+        assert calls and not any(p is False or p == "off" for p in calls)
         assert (on.status, off.status) == ("optimal", "optimal")
         gap = max(settings.absolute_gap, settings.relative_gap * max(abs(on.objective), abs(off.objective)))
         assert abs(on.objective - off.objective) <= gap
@@ -454,23 +622,21 @@ class TestSolverUnits:
     def test_rounded_integers_get_a_consistent_continuous_part(self, monkeypatch):
         # HiGHS may return a binary 1e-9 off integral; the big-M row then
         # leaves p at 7.5e-3 Pa once b is rounded to 0
-        import stationopt.solve as solve_mod
-
         m = LinearModel("bigm")
         p = m.add_var("p", 0.0, 75e5, unit=PA_PER_BAR)
         b = m.add_var("b", 0.0, 1.0, integer=True)
         m.add_row("p_off", [(1.0, p), (-75e5, b)], "<=", 0.0)
         m.add_objective("cost", p, 1e-5)
         m.add_objective("cost", b, 100.0)
-        honest = solve_mod.milp
+        honest = scipy_milp._highs_wrapper
 
-        def sloppy(**kwargs):
-            res = honest(**kwargs)
-            if kwargs.get("integrality") is not None:
-                res.x = np.array([75.0 * 1e-9, 1e-9])
+        def sloppy(*args):
+            res = honest(*args)
+            if args[8].any():  # the MIP, not the re-solve at the rounded integers
+                res["x"] = np.array([75.0 * 1e-9, 1e-9])
             return res
 
-        monkeypatch.setattr(solve_mod, "milp", sloppy)
+        monkeypatch.setattr(scipy_milp, "_highs_wrapper", sloppy)
         res = solve(m, default_settings_for("Psf"))
         assert res.status == "optimal"
         assert list(res.assignment) == [0.0, 0.0]
