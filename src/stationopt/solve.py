@@ -8,6 +8,9 @@ and ``bound`` the dual bound without the model's objective constant.
 
 :class:`SolveSettings` carries the published optimality conditions of a
 model variant; HiGHS receives each one that differs from its default.
+A solve from a known assignment also carries its objective as a cutoff:
+HiGHS cannot take the assignment as a MIP start, but it prunes every node
+whose bound lies above the cutoff.
 
 Every returned assignment is replayed through an independent row checker
 before the result is handed back; a checker violation downgrades the
@@ -24,7 +27,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -61,12 +64,17 @@ class SolveSettings:
     relative_gap: float
     absolute_gap: float
     time_limit: float  # seconds
+    # HiGHS' objective_bound, on the solver view's c·x (no objective constant);
+    # only solve() sets it, from its initial assignment
+    cutoff: float = math.inf
 
     def __post_init__(self) -> None:
         if not (self.relative_gap >= 0.0 and self.absolute_gap >= 0.0):
             raise ValueError("optimality gaps must be nonnegative")
         if not self.time_limit > 0.0:
             raise ValueError("time limit must be positive")
+        if math.isnan(self.cutoff):
+            raise ValueError("cutoff must not be NaN")
 
 
 TEN_HOURS = 36000.0
@@ -185,11 +193,13 @@ class InProcessBackend:
     (within its 1e-6 tolerance), the continuous part is re-solved as an LP
     at the rounded integers, so big-M rows hold for the rounded values.
 
-    The settings reach HiGHS as ``time_limit``, ``mip_rel_gap`` and
-    ``mip_abs_gap``.  Every call also turns off HiGHS' console log and its
-    feasibility-jump heuristic: on these small models the heuristic takes
-    about half of HiGHS' time and never changes the branch-and-bound node
-    count.  Only the options whose value differs from HiGHS' default are
+    The settings reach HiGHS as ``time_limit``, ``mip_rel_gap``,
+    ``mip_abs_gap`` and ``objective_bound``, the cutoff.  The re-solve at
+    rounded integers runs without the cutoff, because HiGHS ends an LP
+    whose objective passes it without a point.  Every call
+    also turns off HiGHS' console log and its feasibility-jump heuristic:
+    on these small models the heuristic takes about half of HiGHS' time
+    and never changes the branch-and-bound node count.  Only the options whose value differs from HiGHS' default are
     passed, because scipy's wrapper spends a fixed cost on each; HiGHS'
     default ``presolve="choose"`` runs presolve.  The calls go through
     :func:`milp` as a module global, not through HiGHS' object API,
@@ -208,9 +218,11 @@ class InProcessBackend:
             "mip_rel_gap": settings.relative_gap,
             "mip_abs_gap": settings.absolute_gap,
             "mip_heuristic_run_feasibility_jump": False,
+            "objective_bound": settings.cutoff,
         }
         options = {"log_to_console": False}
         options.update((k, v) for k, v in wanted.items() if v != getattr(_HIGHS_DEFAULTS, k))
+        lp_options = {k: v for k, v in options.items() if k != "objective_bound"}
         is_int = view.integer.astype(bool)
         with _stdout_to_devnull():
             status, message, res = milp(view, view.lb, view.ub, view.integer, options)
@@ -221,7 +233,7 @@ class InProcessBackend:
                 # rounded; re-solve the continuous part at the rounded integers
                 fixed_lb, fixed_ub = view.lb.copy(), view.ub.copy()
                 fixed_lb[is_int] = fixed_ub[is_int] = np.round(x[is_int])
-                lp_status, _, lp = milp(view, fixed_lb, fixed_ub, np.zeros_like(view.integer), options)
+                lp_status, _, lp = milp(view, fixed_lb, fixed_ub, np.zeros_like(view.integer), lp_options)
                 if lp_status == 0:
                     x = lp["x"]
         x = view.to_si(x) if x is not None else None
@@ -285,9 +297,19 @@ def solve(
 ) -> SolveResult:
     """Solve a model (or instance) under the given settings.
 
-    ``initial`` is a known-feasible assignment, not a warm start: the
-    hand-off cannot inject it into HiGHS, so it serves as the fallback
-    incumbent, and the result never comes back worse than it.  It also
+    ``initial`` is a known-feasible assignment, not a MIP start: the
+    hand-off cannot inject it into HiGHS.  Its objective, plus
+    ``CHECK_TOL`` relative, goes to the backend as the settings' cutoff,
+    so the search prunes every node that cannot beat it.  A cut-off solve
+    that answers ``infeasible``, or a bound above the cutoff, only says
+    that nothing lies at or below the cutoff; it is solved once more
+    without the cutoff, and the message says so.
+
+    ``initial`` is also the fallback incumbent, so the result never comes
+    back worse than it.  A cut-off solve that ends at its time limit has
+    rarely found a point of its own, and then falls back to ``initial``
+    without a dual bound (scipy's wrapper drops the bound with the point),
+    where an uncut one might have reported a bound.  And ``initial``
     cross-checks the backend's bound: a bound above the objective of a
     checker-clean ``initial`` by more than ``CHECK_TOL`` (relative) is
     false, and the status is ``error`` with both values in the message.
@@ -297,8 +319,19 @@ def solve(
     """
     model = target.model if isinstance(target, ModelInstance) else target
     backend = backend or _DEFAULT_BACKEND
+    init_value = model.objective_value(initial) if initial is not None else np.inf
+    if math.isfinite(init_value):
+        slack = CHECK_TOL * max(1.0, abs(init_value))
+        settings = replace(settings, cutoff=init_value - model.objective_constant + slack)
     started = time.perf_counter()
     status, x, bound, message = backend.solve_raw(model, settings)
+    # both say only that nothing lies at or below the cutoff: on
+    # seeded_instance(287)'s P, HiGHS proved a point 1% above the cutoff
+    # "optimal" where the uncut optimum lies below it
+    nothing_below = status == "infeasible" or (bound is not None and bound > settings.cutoff)
+    if math.isfinite(settings.cutoff) and nothing_below:
+        status, x, bound, message = backend.solve_raw(model, replace(settings, cutoff=math.inf))
+        message = f"nothing at or below the cutoff {settings.cutoff!r}, solved again without it: {message}"
     wall = time.perf_counter() - started
     if status not in ("optimal", "feasible", "timeLimit"):
         x = None
@@ -309,7 +342,6 @@ def solve(
     else:
         objective = np.inf
     bound_value = float(bound) + model.objective_constant if bound is not None else objective
-    init_value = model.objective_value(initial) if initial is not None else np.inf
 
     if initial is not None and status in ("timeLimit", "infeasible", "error"):
         if (x is None or init_value < objective) and not check_assignment(model, initial):

@@ -446,9 +446,11 @@ def reference_handoff(view, settings, fixed: np.ndarray | None = None) -> tuple:
     That call passed ``c``, one ``LinearConstraint`` over the view's rows
     (none without rows), the integrality (None where no column is
     integer), ``Bounds`` of the view's columns and, as options, the three
-    settings, the feasibility-jump heuristic off and presolve on.  With
-    ``fixed``, the integer columns' rounded values, it is the re-solve of
-    the continuous part: the integer columns fixed, no integrality.
+    settings, the feasibility-jump heuristic off and presolve on.  The
+    settings' cutoff is added as ``objective_bound``, which milp hands
+    HiGHS verbatim.  With ``fixed``, the integer columns' rounded values,
+    it is the re-solve of the continuous part: the integer columns fixed,
+    no integrality and no cutoff.
     """
     import warnings
 
@@ -468,6 +470,7 @@ def reference_handoff(view, settings, fixed: np.ndarray | None = None) -> tuple:
         "mip_abs_gap": settings.absolute_gap,
         "mip_heuristic_run_feasibility_jump": False,
         "presolve": True,
+        "objective_bound": settings.cutoff if fixed is None else None,
     }
     with warnings.catch_warnings():
         # milp passes the options outside its own list on, with this warning

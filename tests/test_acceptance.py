@@ -9,6 +9,7 @@ the bundled synthetic fixtures.
 
 import itertools
 import math
+import statistics
 import time
 
 import numpy as np
@@ -346,7 +347,8 @@ def test_criterion_08_rolling_horizon_scaling():
     # the other let a slow stretch land on one grid alone.  One interleaved
     # round, symmetric about the single 96-step pass, gives each grid 96/k
     # passes (72-93 windows), so a drift linear in time shifts every grid's
-    # per-window mean alike.
+    # per-window time alike.  A window takes a few ms, so one host stall of
+    # a few ms moves a grid's mean; the median of 72-93 windows ignores it.
     schedule = ("12", "24", "12", "48", "12", "24", "12", "96", "12", "24", "12", "48", "12", "24", "12")
     walls = {steps: [] for steps in runs}
     for steps in schedule:
@@ -356,14 +358,14 @@ def test_criterion_08_rolling_horizon_scaling():
         assert plan.diagnostics["smoothing_solves"] == expected
         assert len(plan.diagnostics["window_wall_times"]) == expected
         walls[steps] += plan.diagnostics["window_wall_times"]
-    per_window = {steps: sum(w) / len(w) for steps, w in walls.items()}
+    per_window = {steps: statistics.median(w) for steps, w in walls.items()}
     ratio = max(per_window.values()) / min(per_window.values())
     assert ratio <= 1.5, per_window
-    means = ", ".join(f"{steps}: {mean * 1e3:.2f} ms" for steps, mean in per_window.items())
+    medians = ", ".join(f"{steps}: {median * 1e3:.2f} ms" for steps, median in per_window.items())
     report(
         8,
         "window counts k-h+1 on all four grids; per-window time spread "
-        f"x{ratio:.2f} (within the 1.5 linearity factor; means {means})",
+        f"x{ratio:.2f} (within the 1.5 linearity factor; medians {medians})",
     )
 
 

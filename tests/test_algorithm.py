@@ -644,7 +644,9 @@ class TestLowerBound:
         plan, lower_bound = self.bounded(mini2000, lambda *answer: answer)
         bound, gap, res = lower_bound(plan, 60.0)
         assert res.status == "optimal"
-        assert bound == plan.objective
+        # HiGHS proves its own point optimal, which the plan ties to rounding
+        assert bound == res.objective
+        assert res.objective == pytest.approx(plan.objective, rel=1e-12, abs=0.0)
         assert gap == 0.0
 
     @pytest.mark.parametrize(
@@ -668,6 +670,44 @@ class TestLowerBound:
         claimed, objective = map(float, named.groups())
         assert objective == plan.objective
         assert claimed > plan.objective + 99.0
+
+
+class Uncut(InProcessBackend):
+    """HiGHS without a cutoff, as the bound was solved before it had one."""
+
+    def solve_raw(self, model, settings):
+        return super().solve_raw(model, dataclasses.replace(settings, cutoff=math.inf))
+
+
+class TestCutoffBound:
+    """The plan's objective as HiGHS' cutoff keeps the bound: the cut-off
+    solve ends as the uncut one, its bound lies at or below the plan and
+    the uncut solve's point (to rounding, four orders of magnitude inside
+    the cutoff's ``CHECK_TOL``), and at most the published ``P`` gaps below
+    the uncut bound."""
+
+    @pytest.mark.parametrize(
+        "doc, steps",
+        [(mini_station, None), (mini_station_pipes, None), (two_unit_station, None), (medium_station, None)]
+        + [(medium_station, "24")]
+        + [(functools.partial(seeded_instance, s), None) for s in range(10)],
+        ids=["mini_station", "mini_station_pipes", "two_unit_station", "medium_station", "medium_station@24"]
+        + [f"seeded_instance({s})" for s in range(10)],
+    )
+    def test_cut_bound_against_the_uncut_one(self, doc, steps):
+        doc = doc()
+        spec, scen = load_instance(doc)
+        if steps is not None:
+            spec, scen = regrid_instance(spec, scen, template_grid(steps))
+        solver = StationSolver(build_spec_ranges(spec, count=2000), scen, load_weights(doc))
+        plan = solver.solve_station(h=4)
+        _, _, cut = solver.lower_bound(plan, 600.0)
+        inst, warm = plan.replay
+        uncut = solve(inst, default_settings_for("P", 600.0), initial=warm, backend=Uncut())
+        assert cut.status == uncut.status
+        assert cut.bound <= plan.objective * (1.0 + 1e-10)
+        assert cut.bound <= uncut.objective * (1.0 + 1e-10)
+        assert cut.bound >= uncut.bound - (1e-4 * abs(plan.objective) + 1e-2)
 
 
 class TestSeededRegressions:
@@ -1138,8 +1178,10 @@ def test_seeded_sweep_plans_and_bounds(capsys):
     """seeded_instance(0..299) at the command line's ranges and weights:
     every plan replays clean, every window equals a fresh build, and every
     lower bound lies at or below its plan objective.  Prints the largest
-    gap."""
+    gap and how many bounds found nothing under the plan's cutoff and were
+    solved again without it."""
     gaps = {}
+    resolved = 0
     for seed in range(300):
         doc = seeded_instance(seed)
         spec, scen = load_instance(doc)
@@ -1152,6 +1194,10 @@ def test_seeded_sweep_plans_and_bounds(capsys):
         # raises for an error status or a bound above the plan
         _, gaps[seed], res = solver.lower_bound(plan, TEN_HOURS)
         assert res.status in ("optimal", "feasible", "timeLimit"), (seed, res.message)
+        resolved += res.message.startswith("nothing at or below the cutoff")
     worst = max(gaps, key=gaps.get)
     with capsys.disabled():
-        print(f"\nseeded_instance(0..299): largest gap {gaps[worst]:.2%} at seed {worst}")
+        print(
+            f"\nseeded_instance(0..299): largest gap {gaps[worst]:.2%} at seed {worst}; "
+            f"{resolved} cutoff re-solves"
+        )

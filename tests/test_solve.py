@@ -253,6 +253,10 @@ class TestHandoffOracle:
             solver.lower_bound(plan, 600.0)
         variants = {model.name.split("_", 1)[0] for model, _, _ in solves}
         assert {"Psf", "Pf", "P"} <= variants
+        # only the bound starts from a plan, so only it carries a cutoff
+        [(full, settings, _)] = [s for s in solves if s[0].name.startswith("P_")]
+        assert settings.cutoff == cutoff_of(full, plan.objective)
+        assert all(s.cutoff == math.inf for m, s, _ in solves if m is not full)
         assert handoff_differences(solves) == []
 
     def test_model_without_rows(self, monkeypatch):
@@ -271,7 +275,10 @@ class TestHandoffOracle:
         assert solve(one_var_model(), default_settings_for("Pf"), backend=backend).status == "optimal"
         assert handoff_differences(solves) == []
 
-    def test_rounded_integer_resolve(self, monkeypatch):
+    @pytest.mark.parametrize("initial", [None, [40e5, 0.0, 0.0]], ids=["without initial", "with initial"])
+    def test_rounded_integer_resolve(self, initial, monkeypatch):
+        # HiGHS' dual simplex ends an LP at objective_bound without a point,
+        # so the cutoff goes to the MIP call only
         m, *_ = pressure_model()
 
         def off_integral(args, res):
@@ -279,8 +286,10 @@ class TestHandoffOracle:
                 res["x"][2] += 1e-9
 
         backend, solves, _ = record_handoffs(monkeypatch, off_integral)
-        assert solve(m, default_settings_for("Psf"), backend=backend).status == "optimal"
-        assert [len(calls) for _, _, calls in solves] == [2]
+        initial = None if initial is None else np.array(initial)
+        assert solve(m, default_settings_for("Psf"), initial=initial, backend=backend).status == "optimal"
+        [(_, _, [(mip, _), (lp, _)])] = solves
+        assert ("objective_bound" in mip[-1], "objective_bound" in lp[-1]) == (initial is not None, False)
         assert handoff_differences(solves) == []
 
 
@@ -369,7 +378,9 @@ class TestDefaultSettings:
         with pytest.raises(ValueError):
             SolveSettings(0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("args", [(np.nan, 1e-2, 10.0), (1e-4, np.nan, 10.0), (1e-4, 1e-2, np.nan)])
+    @pytest.mark.parametrize(
+        "args", [(np.nan, 1e-2, 10.0), (1e-4, np.nan, 10.0), (1e-4, 1e-2, np.nan), (1e-4, 1e-2, 10.0, np.nan)]
+    )
     def test_nan_settings_rejected(self, args):
         with pytest.raises(ValueError):
             SolveSettings(*args)
@@ -475,6 +486,88 @@ class StubBackend:
 
     def solve_raw(self, model, settings):
         return self.raw
+
+
+def cutoff_of(model: LinearModel, objective: float) -> float:
+    """The cutoff a solve from an assignment of this objective hands HiGHS."""
+    return objective - model.objective_constant + CHECK_TOL * max(1.0, abs(objective))
+
+
+def int_model() -> LinearModel:
+    """min x + 42 over integer x >= 1.5 in [0, 5]: optimum 44 at x = 2."""
+    m = LinearModel("int")
+    x = m.add_var("x", 0.0, 5.0, integer=True)
+    m.add_row("floor", [(1.0, x)], ">=", 1.5)
+    m.add_objective("cost", x, 1.0)
+    m.add_objective("fixed", 1.0, 42.0)
+    return m
+
+
+class SettingsLog:
+    """Answers each ``solve_raw`` with the next of ``answers`` and logs
+    the settings it got."""
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.settings = []
+
+    def solve_raw(self, model, settings):
+        self.settings.append(settings)
+        status, x, bound = self.answers.pop(0)
+        return status, None if x is None else np.array(x), bound, status
+
+
+class TestCutoff:
+    @pytest.mark.parametrize("initial", [None, [4.0]], ids=["without initial", "with initial"])
+    def test_initial_objective_reaches_highs_as_objective_bound(self, initial, monkeypatch):
+        seen = []
+        honest = scipy_milp._highs_wrapper
+
+        def spy(*args):
+            seen.append(dict(args[-1]))
+            return honest(*args)
+
+        monkeypatch.setattr(scipy_milp, "_highs_wrapper", spy)
+        m = int_model()
+        res = solve(m, default_settings_for("P"), initial=None if initial is None else np.array(initial))
+        assert (res.status, res.objective, res.bound) == ("optimal", 44.0, 44.0)
+        expected = {"log_to_console", "time_limit", "mip_abs_gap", "mip_heuristic_run_feasibility_jump"}
+        if initial is None:
+            assert len(seen) == 1 and set(seen[0]) == expected
+        else:
+            assert len(seen) == 1 and set(seen[0]) == expected | {"objective_bound"}
+            # 46 - 42 + 1e-6 * 46: the plan's objective in c·x, plus the checker's slack
+            assert seen[0]["objective_bound"] == cutoff_of(m, 46.0) == 4.0 + 46e-6
+
+    def test_infeasible_under_the_cutoff_solves_again_without_it(self):
+        backend = SettingsLog(("infeasible", None, None), ("optimal", [3.0], 3.0))
+        res = solve(one_var_model(), default_settings_for("P"), initial=np.array([3.0]), backend=backend)
+        assert [s.cutoff for s in backend.settings] == [cutoff_of(one_var_model(), 3.0), math.inf]
+        assert (res.status, res.objective, res.bound) == ("optimal", 3.0, 3.0)
+        assert res.message.startswith("nothing at or below the cutoff") and res.message.endswith("optimal")
+
+    def test_bound_above_the_cutoff_solves_again_without_it(self):
+        # HiGHS answered seeded_instance(287)'s P so under its plan's cutoff:
+        # "optimal", proven, at a point 1% above the plan
+        cutoff = cutoff_of(one_var_model(), 3.0)
+        backend = SettingsLog(("optimal", [3.5], cutoff + 0.5), ("optimal", [3.0], 3.0))
+        res = solve(one_var_model(), default_settings_for("P"), initial=np.array([3.0]), backend=backend)
+        assert [s.cutoff for s in backend.settings] == [cutoff, math.inf]
+        assert (res.status, res.objective, res.bound) == ("optimal", 3.0, 3.0)
+        assert res.message.startswith("nothing at or below the cutoff")
+
+    def test_infeasible_without_a_cutoff_is_not_solved_again(self):
+        backend = SettingsLog(("infeasible", None, None))
+        res = solve(one_var_model(), default_settings_for("P"), backend=backend)
+        assert [s.cutoff for s in backend.settings] == [math.inf]
+        assert res.status == "infeasible"
+
+    def test_time_limit_under_the_cutoff_falls_back_without_a_bound(self):
+        # scipy's wrapper drops HiGHS' dual bound with a time limit's missing point
+        backend = SettingsLog(("timeLimit", None, None))
+        res = solve(one_var_model(), default_settings_for("P"), initial=np.array([4.0]), backend=backend)
+        assert len(backend.settings) == 1
+        assert (res.status, res.objective, res.bound) == ("feasible", 4.0, -math.inf)
 
 
 class TestBoundCrossCheck:
