@@ -65,7 +65,7 @@ class SolveSettings:
     absolute_gap: float
     time_limit: float  # seconds
     # HiGHS' objective_bound, on the solver view's c·x (no objective constant);
-    # only solve() sets it, from its initial assignment
+    # solve() overwrites it from its initial assignment, infinite without one
     cutoff: float = math.inf
 
     def __post_init__(self) -> None:
@@ -196,15 +196,15 @@ class InProcessBackend:
     The settings reach HiGHS as ``time_limit``, ``mip_rel_gap``,
     ``mip_abs_gap`` and ``objective_bound``, the cutoff.  The re-solve at
     rounded integers runs without the cutoff, because HiGHS ends an LP
-    whose objective passes it without a point.  Every call
-    also turns off HiGHS' console log and its feasibility-jump heuristic:
-    on these small models the heuristic takes about half of HiGHS' time
-    and never changes the branch-and-bound node count.  Only the options whose value differs from HiGHS' default are
-    passed, because scipy's wrapper spends a fixed cost on each; HiGHS'
-    default ``presolve="choose"`` runs presolve.  The calls go through
-    :func:`milp` as a module global, not through HiGHS' object API,
-    because ``perfbench`` times the layers by patching ``solve.milp`` and
-    scipy's ``_highs_wrapper``.
+    whose objective passes it without a point.  Every call also turns off
+    HiGHS' console log and its feasibility-jump heuristic: on these small
+    models the heuristic takes about half of HiGHS' time and never changes
+    the branch-and-bound node count.  Only the options whose value differs
+    from HiGHS' default are passed, because scipy's wrapper spends a fixed
+    cost on each; HiGHS' default ``presolve="choose"`` runs presolve.  The
+    calls go through :func:`milp` as a module global, not through HiGHS'
+    object API, because ``perfbench`` times the layers by patching
+    ``solve.milp`` and scipy's ``_highs_wrapper``.
 
     Both HiGHS calls run with file descriptor 1 pointed at ``/dev/null``:
     some HiGHS MIP messages are printed from C++ whatever the output
@@ -299,20 +299,31 @@ def solve(
 
     ``initial`` is a known-feasible assignment, not a MIP start: the
     hand-off cannot inject it into HiGHS.  Its objective, plus
-    ``CHECK_TOL`` relative, goes to the backend as the settings' cutoff,
-    so the search prunes every node that cannot beat it.  A cut-off solve
-    that answers ``infeasible``, or a bound above the cutoff, only says
-    that nothing lies at or below the cutoff; it is solved once more
-    without the cutoff, and the message says so.
+    ``CHECK_TOL`` relative, replaces the settings' cutoff (which is
+    infinite without ``initial``), so the search prunes every node that
+    cannot beat it.  A cut-off solve that answers ``infeasible``, or a
+    bound above the cutoff, only says that nothing lies at or below the
+    cutoff; it is solved once more without the cutoff, in the time left
+    of the settings' limit, and the message says so.
 
     ``initial`` is also the fallback incumbent, so the result never comes
-    back worse than it.  A cut-off solve that ends at its time limit has
-    rarely found a point of its own, and then falls back to ``initial``
-    without a dual bound (scipy's wrapper drops the bound with the point),
-    where an uncut one might have reported a bound.  And ``initial``
-    cross-checks the backend's bound: a bound above the objective of a
-    checker-clean ``initial`` by more than ``CHECK_TOL`` (relative) is
-    false, and the status is ``error`` with both values in the message.
+    back worse than it: a checker-clean ``initial`` replaces a worse
+    point, and a missing one unless the backend claims an optimum.  A
+    proven optimum keeps its status, since the proof covers the better
+    ``initial``; otherwise the status is ``feasible``.  A cut-off solve
+    stopped by its time limit before it has a point of its own falls back
+    to ``initial`` without a dual bound (scipy's wrapper drops the bound
+    with the point), where an uncut one may report one.  On
+    ``medium_station`` regridded to 24 steps (2-core VM, one run per
+    limit) that happened at limits of 0.1 to 0.3 s, and from 0.35 to 3 s
+    the cut-off bound lay below the uncut one at 10 of 11 limits; both
+    solves prove the optimum in about 4 s.
+
+    ``initial`` cross-checks the backend's bound: a bound above the
+    objective of a checker-clean ``initial`` by more than ``CHECK_TOL``
+    (relative) is false, and the status is ``error`` with both values in
+    the message.  A bound above the returned objective by less is
+    roundoff, and is reported as that objective.
     The returned assignment always passes the independent row checker;
     otherwise the status is ``error`` with the worst row in the message.
     An ``infeasible`` or ``error`` status returns no assignment.
@@ -320,18 +331,20 @@ def solve(
     model = target.model if isinstance(target, ModelInstance) else target
     backend = backend or _DEFAULT_BACKEND
     init_value = model.objective_value(initial) if initial is not None else np.inf
+    cutoff = math.inf
     if math.isfinite(init_value):
-        slack = CHECK_TOL * max(1.0, abs(init_value))
-        settings = replace(settings, cutoff=init_value - model.objective_constant + slack)
+        cutoff = init_value - model.objective_constant + CHECK_TOL * max(1.0, abs(init_value))
+    settings = replace(settings, cutoff=cutoff)
     started = time.perf_counter()
     status, x, bound, message = backend.solve_raw(model, settings)
     # both say only that nothing lies at or below the cutoff: on
     # seeded_instance(287)'s P, HiGHS proved a point 1% above the cutoff
     # "optimal" where the uncut optimum lies below it
-    nothing_below = status == "infeasible" or (bound is not None and bound > settings.cutoff)
-    if math.isfinite(settings.cutoff) and nothing_below:
-        status, x, bound, message = backend.solve_raw(model, replace(settings, cutoff=math.inf))
-        message = f"nothing at or below the cutoff {settings.cutoff!r}, solved again without it: {message}"
+    nothing_below = status == "infeasible" or (bound is not None and bound > cutoff)
+    if math.isfinite(cutoff) and nothing_below:
+        left = max(settings.time_limit - (time.perf_counter() - started), 1e-3)
+        status, x, bound, message = backend.solve_raw(model, replace(settings, cutoff=math.inf, time_limit=left))
+        message = f"nothing at or below the cutoff {cutoff!r}, solved again without it: {message}"
     wall = time.perf_counter() - started
     if status not in ("optimal", "feasible", "timeLimit"):
         x = None
@@ -343,10 +356,16 @@ def solve(
         objective = np.inf
     bound_value = float(bound) + model.objective_constant if bound is not None else objective
 
-    if initial is not None and status in ("timeLimit", "infeasible", "error"):
-        if (x is None or init_value < objective) and not check_assignment(model, initial):
+    # initial stands in for a worse point, and for a missing one where no
+    # optimum was claimed
+    worse = init_value < objective if x is not None else status != "optimal"
+    took_initial = initial is not None and worse and not check_assignment(model, initial)
+    if took_initial:
+        x, objective = np.asarray(initial, dtype=float), init_value
+        # a proof of optimality covers initial, which is better than the
+        # proven point; without one, initial is feasible and no more
+        if status != "optimal":
             status = "feasible"
-            x, objective = np.asarray(initial, dtype=float), init_value
             if bound is None:
                 bound_value = -np.inf
 
@@ -364,13 +383,17 @@ def solve(
         )
 
     if x is not None:
-        violations = check_assignment(model, x)
+        # initial, if it took the point's place, has passed the checker
+        violations = [] if took_initial else check_assignment(model, x)
         if violations:
             worst = max(violations, key=lambda v: v.amount)
             return SolveResult(
                 "error", np.inf, bound_value, None, wall,
                 f"solution failed the row checker, worst: {worst}",
             )
+        # the assignment is feasible, so a bound above its objective is
+        # roundoff (one above a checker-clean initial by more is refused above)
+        bound_value = min(bound_value, objective)
     return SolveResult(status, objective, bound_value, x, wall, message)
 
 

@@ -644,9 +644,7 @@ class TestLowerBound:
         plan, lower_bound = self.bounded(mini2000, lambda *answer: answer)
         bound, gap, res = lower_bound(plan, 60.0)
         assert res.status == "optimal"
-        # HiGHS proves its own point optimal, which the plan ties to rounding
-        assert bound == res.objective
-        assert res.objective == pytest.approx(plan.objective, rel=1e-12, abs=0.0)
+        assert bound == plan.objective
         assert gap == 0.0
 
     @pytest.mark.parametrize(
@@ -681,10 +679,10 @@ class Uncut(InProcessBackend):
 
 class TestCutoffBound:
     """The plan's objective as HiGHS' cutoff keeps the bound: the cut-off
-    solve ends as the uncut one, its bound lies at or below the plan and
-    the uncut solve's point (to rounding, four orders of magnitude inside
-    the cutoff's ``CHECK_TOL``), and at most the published ``P`` gaps below
-    the uncut bound."""
+    solve ends as the uncut one, its bound lies at or below the plan, at
+    or below the uncut solve's point to rounding (four orders of magnitude
+    inside the cutoff's ``CHECK_TOL``), and at most the published ``P``
+    gaps below the uncut bound."""
 
     @pytest.mark.parametrize(
         "doc, steps",
@@ -705,7 +703,7 @@ class TestCutoffBound:
         inst, warm = plan.replay
         uncut = solve(inst, default_settings_for("P", 600.0), initial=warm, backend=Uncut())
         assert cut.status == uncut.status
-        assert cut.bound <= plan.objective * (1.0 + 1e-10)
+        assert cut.bound <= plan.objective
         assert cut.bound <= uncut.objective * (1.0 + 1e-10)
         assert cut.bound >= uncut.bound - (1e-4 * abs(plan.objective) + 1e-2)
 

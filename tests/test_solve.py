@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -556,6 +558,43 @@ class TestCutoff:
         assert (res.status, res.objective, res.bound) == ("optimal", 3.0, 3.0)
         assert res.message.startswith("nothing at or below the cutoff")
 
+    @pytest.mark.parametrize("first_takes, left", [(0.1, None), (0.6, 1e-3)], ids=["time left", "none left"])
+    def test_solve_again_gets_the_time_left(self, first_takes, left):
+        class SlowFirst(SettingsLog):
+            def solve_raw(self, model, settings):
+                if not self.settings:
+                    time.sleep(first_takes)
+                return super().solve_raw(model, settings)
+
+        backend = SlowFirst(("infeasible", None, None), ("optimal", [3.0], 3.0))
+        settings = SolveSettings(1e-4, 1e-2, 0.5)
+        res = solve(one_var_model(), settings, initial=np.array([3.0]), backend=backend)
+        first, second = (s.time_limit for s in backend.settings)
+        assert first == 0.5
+        if left is None:
+            # the clock read before the second call lies between the two waits
+            assert 0.5 - res.wall_time <= second <= 0.5 - first_takes
+        else:
+            assert second == left
+
+    @pytest.mark.parametrize("initial", [None, [3.0]], ids=["without initial", "with initial"])
+    def test_caller_cutoff_is_replaced(self, initial):
+        backend = SettingsLog(("optimal", [3.0], 3.0))
+        settings = dataclasses.replace(default_settings_for("P"), cutoff=5.0)
+        solve(one_var_model(), settings, initial=None if initial is None else np.array(initial), backend=backend)
+        expected = math.inf if initial is None else cutoff_of(one_var_model(), 3.0)
+        assert [s.cutoff for s in backend.settings] == [expected]
+
+    def test_proven_point_worse_than_initial_returns_initial(self):
+        # under the cutoff HiGHS may prove a point within the cutoff's slack
+        # above the plan; the proof covers the plan, and the bound stays at it
+        worse = 3.0 + 1e-6
+        backend = SettingsLog(("optimal", [worse], worse))
+        res = solve(one_var_model(), default_settings_for("P"), initial=np.array([3.0]), backend=backend)
+        assert len(backend.settings) == 1
+        assert (res.status, res.objective, res.bound) == ("optimal", 3.0, 3.0)
+        assert res.assignment.tolist() == [3.0]
+
     def test_infeasible_without_a_cutoff_is_not_solved_again(self):
         backend = SettingsLog(("infeasible", None, None))
         res = solve(one_var_model(), default_settings_for("P"), backend=backend)
@@ -600,7 +639,8 @@ class TestBoundCrossCheck:
             backend=StubBackend("optimal", [3.0], bound),
         )
         assert res.status == "optimal"
-        assert res.bound == bound
+        # roundoff above the feasible point is reported as the point's objective
+        assert res.bound == 3.0
 
     def test_initial_failing_the_checker_is_not_evidence(self):
         res = solve(
