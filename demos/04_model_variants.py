@@ -37,7 +37,7 @@ for label, inst in variants.items():
 
 print("\n== solving each variant ==")
 for label, inst in variants.items():
-    settings = default_settings_for(inst.kind, 120.0)
+    settings = default_settings_for(inst.kind, 120.0 if inst.kind == "P" else None)
     res = solve(inst, settings)
     print(f"  {label}: {res.status}, objective {res.objective:10.2f}, {res.wall_time*1e3:6.1f} ms")
 

@@ -57,28 +57,15 @@ def _bounds_error(name, lb: float, ub: float, shift: int = 0):
     raise BuildInfeasibleError(f"variable {format_name(name, shift)!r} has empty domain [{lb}, {ub}]")
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class VarRef:
     """Handle of one model variable; equal and hashed by its index.
 
-    A plain slotted class: a model makes one per column, and a frozen
-    dataclass costs about three times as much to construct.
+    Slotted and not frozen: a model makes one per column, and a frozen
+    dataclass costs about twice as much to construct.
     """
 
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def __eq__(self, other):
-        if type(other) is not VarRef:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash((self.index,))
-
-    def __repr__(self) -> str:
-        return f"VarRef(index={self.index!r})"
+    index: int
 
 
 @dataclass
@@ -167,9 +154,8 @@ class LinearModel:
         self._sense = array("b")  # index into SENSES
         self._rhs = array("d")
         self._row_unit = array("d")  # NaN: derived from the columns
-        self.objective: dict = {}
-        self.objective_constant = 0.0
-        # (category, var index or None, coefficient or constant value)
+        self.objective_constant = 0.0  # the sum of the constant terms
+        # (category, var index or None, coefficient or constant value), in build order
         self.objective_terms: list[tuple[str, int | None, float]] = []
         self._arrays: ModelArrays | None = None  # set on first read, which closes the model
         self._view: tuple | None = None  # what solver_view derives from the structure alone
@@ -312,7 +298,6 @@ class LinearModel:
         """Linear objective contribution; constants keep their category."""
         self._refuse_if_read()
         if type(handle) is VarRef:
-            self.objective[handle.index] = self.objective.get(handle.index, 0.0) + float(coef)
             self.objective_terms.append((category, handle.index, float(coef)))
         else:
             value = float(coef) * float(handle)
@@ -322,8 +307,9 @@ class LinearModel:
 
     def objective_value(self, assignment: np.ndarray) -> float:
         total = self.objective_constant
-        for idx, coef in self.objective.items():
-            total += coef * assignment[idx]
+        for _, idx, coef in self.objective_terms:
+            if idx is not None:
+                total += coef * assignment[idx]
         return float(total)
 
     def objective_breakdown(self, assignment: np.ndarray) -> dict:
@@ -368,17 +354,23 @@ class LinearModel:
             self._row_units = np.where(np.isnan(a.row_unit), derived, a.row_unit)
         return self._row_units
 
+    def _objective_c(self) -> np.ndarray:
+        """Each column's objective coefficient in SI, its terms summed in build order."""
+        c = np.zeros(self.n_vars)
+        for _, idx, coef in self.objective_terms:
+            if idx is not None:
+                c[idx] += coef
+        return c
+
     def _view_structure(self) -> tuple:
         if self._view is None:
             a = self.arrays()
             col_unit = a.col_unit
-            c = np.zeros(self.n_vars)
-            c[list(self.objective)] = list(self.objective.values())
             A = sparse.csc_array((0, self.n_vars))
             if self.n_rows:
                 data = a.vals * col_unit[a.cols] / self.row_units()[a.row_of]
                 A = sparse.csr_array((data, a.cols, a.ptr), shape=(self.n_rows, self.n_vars)).tocsc()
-            self._view = (c * col_unit, A, a.lb / col_unit, a.integer.astype(np.uint8))
+            self._view = (self._objective_c() * col_unit, A, a.lb / col_unit, a.integer.astype(np.uint8))
         return self._view
 
     def patched(self, shift: int, ub: dict, rhs: dict) -> "LinearModel":
@@ -418,7 +410,7 @@ class LinearModel:
         out.append("Minimize")
         terms = [
             f"{_sign(coef)} {_num(abs(coef))} {self._vn(idx)}"
-            for idx, coef in sorted(self.objective.items())
+            for idx, coef in enumerate(self._objective_c().tolist())
             if coef != 0.0
         ]
         out.append(" obj: " + (" ".join(terms).lstrip("+ ") if terms else "0 " + self._vn(0)))

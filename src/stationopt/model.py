@@ -94,9 +94,6 @@ class ModelInstance:
         self.handles: dict = {}
         self.sites: _Sites | None = None  # set by build_fixed_transient
 
-    def handle(self, *key):
-        return self.handles[key]
-
     def value(self, assignment: np.ndarray, *key) -> float:
         h = self.handles[key]
         return float(assignment[h.index]) if isinstance(h, VarRef) else float(h)

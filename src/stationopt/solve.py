@@ -86,8 +86,10 @@ def default_settings_for(variant: str, time_limit: float | None = None) -> Solve
     The stationary variants run with (1e-4, 1e-2) gaps and a 10 h limit
     standing in for "unlimited"; the fixed transient windows run with
     (5e-3, 1e-2) and 60 s.  The full model reuses the stationary gaps with
-    a caller-chosen time limit.
+    a caller-chosen time limit; only it takes ``time_limit``.
     """
+    if time_limit is not None and variant in ("Ps", "Psf", "Pf"):
+        raise ValueError(f"model variant {variant!r} has a fixed time limit and takes no time_limit")
     if variant in ("Ps", "Psf"):
         return SolveSettings(1e-4, 1e-2, TEN_HOURS)
     if variant == "Pf":

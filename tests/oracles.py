@@ -418,18 +418,19 @@ def reference_check_assignment(model, x: np.ndarray) -> list[tuple[str, float]]:
 def fingerprint(model) -> str:
     """Hash of every number a solve of ``model`` depends on, names excluded.
 
-    It covers bounds, integrality, solver units, the objective (in its
-    insertion order, which the objective's sum follows) and constant,
-    and the row arrays.  Two models with equal fingerprints are the same
-    problem to the backend, the checker and the objective, column for
-    column; only what their columns mean may differ.
+    It covers bounds, integrality, solver units, the objective's column
+    terms (in build order, which the objective's sum follows) and
+    constant, and the row arrays.  Two models with equal fingerprints are
+    the same problem to the backend, the checker and the objective, column
+    for column; only what their columns mean may differ.
     """
     a = model.arrays()
+    terms = [(idx, coef) for _, idx, coef in model.objective_terms if idx is not None]
     digest = hashlib.blake2b(digest_size=20)
     parts = (
         a.lb, a.ub, a.integer, a.col_unit,
-        np.fromiter(model.objective, dtype=np.int64, count=len(model.objective)),
-        np.fromiter(model.objective.values(), dtype=float, count=len(model.objective)),
+        np.array([idx for idx, _ in terms], dtype=np.int64),
+        np.array([coef for _, coef in terms], dtype=float),
         np.array([model.objective_constant]),
         a.ptr, a.cols, a.vals, a.sense, a.rhs, a.row_unit,
     )

@@ -344,28 +344,31 @@ def test_criterion_08_rolling_horizon_scaling():
         solver.transient_smoothing(seq, h)  # warm-up pass
         runs[steps] = (solver, seq)
     # The host's speed drifts over seconds, and timing the grids one after
-    # the other let a slow stretch land on one grid alone.  One interleaved
-    # round, symmetric about the single 96-step pass, gives each grid 96/k
-    # passes (72-93 windows), so a drift linear in time shifts every grid's
-    # per-window time alike.  A window takes a few ms, so one host stall of
-    # a few ms moves a grid's mean; the median of 72-93 windows ignores it.
-    schedule = ("12", "24", "12", "48", "12", "24", "12", "96", "12", "24", "12", "48", "12", "24", "12")
-    walls = {steps: [] for steps in runs}
+    # the other let a slow stretch land on one grid alone.  Two interleaved
+    # rounds, each symmetric about a single 96-step pass, give every grid
+    # at least two passes, so a drift linear in time shifts every grid's
+    # per-window time alike.  A window takes a few ms, so one host stall
+    # of a few ms moves a grid's mean; the median of a pass's windows
+    # ignores it.  A slow stretch can still cover a whole pass, and with
+    # it the median of every window of a grid that has one or two passes;
+    # each grid's fastest pass shows what the method costs it.
+    schedule = ("12", "24", "12", "48", "12", "24", "12", "96", "12", "24", "12", "48", "12", "24", "12") * 2
+    pass_medians = {steps: [] for steps in runs}
     for steps in schedule:
         solver, seq = runs[steps]
         plan = solver.transient_smoothing(seq, h)
         expected = int(steps) - h + 1
         assert plan.diagnostics["smoothing_solves"] == expected
         assert len(plan.diagnostics["window_wall_times"]) == expected
-        walls[steps] += plan.diagnostics["window_wall_times"]
-    per_window = {steps: statistics.median(w) for steps, w in walls.items()}
+        pass_medians[steps].append(statistics.median(plan.diagnostics["window_wall_times"]))
+    per_window = {steps: min(m) for steps, m in pass_medians.items()}
     ratio = max(per_window.values()) / min(per_window.values())
-    assert ratio <= 1.5, per_window
+    assert ratio <= 1.5, pass_medians
     medians = ", ".join(f"{steps}: {median * 1e3:.2f} ms" for steps, median in per_window.items())
     report(
         8,
         "window counts k-h+1 on all four grids; per-window time spread "
-        f"x{ratio:.2f} (within the 1.5 linearity factor; medians {medians})",
+        f"x{ratio:.2f} (within the 1.5 linearity factor; fastest pass medians {medians})",
     )
 
 

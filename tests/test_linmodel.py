@@ -297,6 +297,22 @@ class TestSolverViewDifferential:
             assert view_differences(model, x) == [], model.name
 
 
+class TestObjective:
+    def test_a_column_listed_twice_sums_its_terms(self):
+        m = LinearModel("m")
+        x = m.add_var("x", 0.0, 4.0, unit=1e5)
+        y = m.add_var("y", 0.0, 1.0)
+        m.add_objective("cost", x, 1.5)
+        m.add_objective("cost", y, 1.0)
+        m.add_objective("penalty", x, 0.25)
+        m.add_objective("fixed", 1.0, 7.0)
+        assert not hasattr(m, "objective")  # the terms are the one record
+        assert m.solver_view().c.tolist() == [1.75e5, 1.0]
+        assert " obj: 1.75 x + 1.0 y\n" in m.lp_text()
+        assert m.objective_value(np.array([2.0, 1.0])) == 7.0 + 3.0 + 1.0 + 0.5
+        assert m.objective_breakdown(np.array([2.0, 1.0])) == {"cost": 4.0, "penalty": 0.5, "fixed": 7.0}
+
+
 class TestVarRef:
     def test_equal_and_hashed_by_index(self):
         m = LinearModel("m")

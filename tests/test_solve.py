@@ -342,7 +342,7 @@ class TestStationaryOracle:
         best = None
         for mode, direction in sorted(spec.valid_pairs):
             fixed = build_stationary_fixed(spec, scen, WEIGHTS, mode, 1)
-            fd = fixed.handle("fd", direction, 1)
+            fd = fixed.handles["fd", direction, 1]
             fixed.model.add_row("pin_direction", [(1.0, fd)], "==", 1.0)
             r = solve(fixed, default_settings_for("Psf"))
             value = r.objective + switch_cost(spec, WEIGHTS, "o_cp", mode)
@@ -369,6 +369,11 @@ class TestDefaultSettings:
         assert (s.relative_gap, s.absolute_gap, s.time_limit) == (1e-4, 1e-2, 36000.0)
         s600 = default_settings_for("P", 600.0)
         assert s600.time_limit == 600.0
+
+    @pytest.mark.parametrize("variant", ["Ps", "Psf", "Pf"])
+    def test_fixed_limits_refuse_a_time_limit(self, variant):
+        with pytest.raises(ValueError, match=f"model variant '{variant}' has a fixed time limit"):
+            default_settings_for(variant, 5.0)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
