@@ -241,10 +241,10 @@ class StationSolver:
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
         self.memo_hits = {"Psf": 0, "Ps": 0}
 
-    def _solve(self, inst, variant: str):
-        """One solve of a model variant under its published settings."""
-        res = solve(inst, default_settings_for(variant), backend=self.backend)
-        self.counters[variant] += 1
+    def _solve(self, inst):
+        """One solve of ``inst`` under its variant's published settings."""
+        res = solve(inst, default_settings_for(inst.kind), backend=self.backend)
+        self.counters[inst.kind] += 1
         return res
 
     def _stationary(self, key: tuple, t: int, build, decode):
@@ -261,7 +261,7 @@ class StationSolver:
             # flow direction) are plain infeasibility to the algorithm
             value = None
         else:
-            res = self._solve(inst, key[0])
+            res = self._solve(inst)
             if res.ok and res.status == "optimal":
                 value = decode(inst, res)
             elif res.status == "infeasible":
@@ -417,10 +417,10 @@ class StationSolver:
             "smoothing_solves": 0, "retried_windows": [], "time_limited_windows": [], "window_wall_times": []
         }
 
-        window_starts = [1] if h >= k else list(range(1, k - h + 2))
+        n = min(h, k)  # steps per window
+        window_starts = list(range(1, k - n + 2))
         for s in window_starts:
-            last = s + h - 1 if h < k else k
-            window_times = list(range(s, last + 1))
+            window_times = list(range(s, s + n))
             inst, res = self._solve_window(seq, states[s - 1], window_times, diagnostics)
             keep = window_times if s == window_starts[-1] else [s]
             states += [inst.snapshot_at(res.assignment, t) for t in keep]
@@ -449,14 +449,14 @@ class StationSolver:
             inst = self._window_model(self.weights, modes, dirs, snapshot)
         except BuildInfeasibleError as exc:
             raise SmoothingError(times[0], str(exc)) from exc
-        res = self._solve(inst, "Pf")
+        res = self._solve(inst)
         diagnostics["smoothing_solves"] += 1
         diagnostics["window_wall_times"].append(res.wall_time)
         if not res.ok:
             # one retry with the demand slacks made dominant, in case the
             # window is only numerically borderline
             inst = self._window_model(self.weights.scaled(10.0), modes, dirs, snapshot)
-            res = self._solve(inst, "Pf")
+            res = self._solve(inst)
             diagnostics["retried_windows"].append(times[0])
             if not res.ok:
                 raise SmoothingError(times[0], res.message or res.status)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .algorithm import InitialSolutionAbort, SmoothingError, StationSolver
 from .io import (
+    TIME_GRID_TEMPLATES,
     SchemaError,
     load_instance,
     load_weights,
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the three-stage control algorithm")
     p.add_argument("instance")
-    p.add_argument("--steps", choices=["12", "24", "48", "96"], default=None,
+    p.add_argument("--steps", choices=sorted(TIME_GRID_TEMPLATES), default=None,
                    help="re-grid the scenario onto a named 12 h partition")
     p.add_argument("--h", type=_horizon, default=4, help="rolling-horizon window (future steps, at least 2)")
     p.add_argument("--lower-bound", action="store_true",

@@ -33,7 +33,6 @@ class GasConstants:
     pseudo_critical_temperature  in K
     normal_density         rho_0 in kg/m^3, fixes the kg/s <-> 1000 m^3/h map
     isentropic_exponent    kappa, dimensionless
-    gravity                g in m/s^2
     """
 
     specific_gas_constant: float
@@ -42,19 +41,10 @@ class GasConstants:
     pseudo_critical_temperature: float
     normal_density: float
     isentropic_exponent: float = ISENTROPIC_EXPONENT
-    gravity: float = STANDARD_GRAVITY
 
     def __post_init__(self) -> None:
-        for name in (
-            "specific_gas_constant",
-            "temperature",
-            "pseudo_critical_pressure",
-            "pseudo_critical_temperature",
-            "normal_density",
-            "isentropic_exponent",
-            "gravity",
-        ):
-            if not getattr(self, name) > 0.0:
+        for name, value in self.__dict__.items():
+            if not value > 0.0:
                 raise ValueError(f"{name} must be positive")
         if not self.isentropic_exponent > 1.0:
             raise ValueError("isentropic_exponent must exceed 1")

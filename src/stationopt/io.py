@@ -15,7 +15,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .gas import GasConstants, papay_z, pipe_average_z, pipe_velocity_constant, resistor_velocity_constant
+from .gas import (
+    ISENTROPIC_EXPONENT,
+    GasConstants,
+    papay_z,
+    pipe_average_z,
+    pipe_velocity_constant,
+    resistor_velocity_constant,
+)
 from .model import ObjectiveWeights
 from .network import (
     CompressorStationArc,
@@ -255,7 +262,7 @@ def load_instance(source):
     root, valve_rewrites = _preprocess_fixed_valves(document)
 
     gas = root["gas"]
-    kappa = gas.get("isentropicExponent", 1.296)
+    kappa = gas.get("isentropicExponent", ISENTROPIC_EXPONENT)
     kappa.check(kappa.number() > 1.0, "must exceed 1")
     constants = GasConstants(
         specific_gas_constant=gas["specificGasConstant"].positive(),
@@ -393,7 +400,7 @@ def load_instance(source):
                 unit_id.check(unit_id.string() in units, f"unknown compressor unit {unit_id.value!r}")
                 member_units.append(CompressorUnit(inlet_z_factor=z_l, **units[unit_id.value]))
             stations[aid] = CompressorStationArc(
-                aid, from_node, to_node, tuple(member_units), tuple(configs), lb, ub
+                aid, from_node, to_node, lb, ub, units=tuple(member_units), configurations=tuple(configs)
             )
         else:
             raise SchemaError(kind_field.path, f"unknown arc kind {kind!r}")

@@ -43,10 +43,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gas import nikuradse_friction
+from .gas import STANDARD_GRAVITY, nikuradse_friction
 from .linmodel import BuildInfeasibleError, LinearModel, VarRef
 from .network import REGULATOR_TOKENS, Scenario, StateSnapshot, StationSpec, mode_available
-from .units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, SECONDS_PER_HOUR
+from .units import KG_S_PER_SOLVER_FLOW, PA_PER_BAR, SECONDS_PER_HOUR, massflow_to_normvol
 
 
 @dataclass(frozen=True)
@@ -365,7 +365,7 @@ def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot
     for row, row_rhs, constants in sites.rows:
         const = 0.0
         for coef, h in constants:
-            const += float(coef) * float(h if type(h) is not _Param else value(h))
+            const += float(coef) * float(value(h))
         rhs[row] = float(value(row_rhs)) - const
     inst = ModelInstance("Pf", template.model.patched(shift, ub, rhs), spec, scen, times)
     inst.handles = {key[:-1] + (key[-1] + shift,): h for key, h in template.handles.items()}
@@ -681,14 +681,12 @@ class _Builder:
             nikuradse_friction(pipe.diameter, pipe.roughness)
             * pipe.length / (4.0 * pipe.diameter * pipe.area)
         )
-        grav = c.gravity * pipe.slope * pipe.length / (2.0 * rstz)
+        grav = STANDARD_GRAVITY * pipe.slope * pipe.length / (2.0 * rstz)
         pl, pr = self.h[("p", pipe.from_node, t)], self.h[("p", pipe.to_node, t)]
         ql, qr = self.h[("ql", a, t)], self.h[("qr", a, t)]
         if self.transient:
-            t0 = t - 1
-            dt = self.scen.time_grid[t] - self.scen.time_grid[t0]
-            cont = 2.0 * rstz * dt / (pipe.length * pipe.area)
-            pl0, pr0 = self.h[("p", pipe.from_node, t0)], self.h[("p", pipe.to_node, t0)]
+            cont = 2.0 * rstz * self.scen.step_length(t) / (pipe.length * pipe.area)
+            pl0, pr0 = self.h[("p", pipe.from_node, t - 1)], self.h[("p", pipe.to_node, t - 1)]
             self._row(
                 ("pipe_cont", a, t),
                 [(1.0, pl), (1.0, pr), (-1.0, pl0), (-1.0, pr0), (cont, qr), (-cont, ql)],
@@ -1056,7 +1054,7 @@ class _Builder:
         m = self.instance.model
         w = self.weights
         per_pa = 1.0 / PA_PER_BAR
-        per_kg_s = SECONDS_PER_HOUR / (1000.0 * spec.constants.normal_density)
+        per_kg_s = massflow_to_normvol(1.0, spec.constants.normal_density)
         slack_pressure = w.slack_pressure / (PA_PER_BAR * SECONDS_PER_HOUR)  # per Pa*s
         slack_flow = w.slack_flow / (1000.0 * spec.constants.normal_density)  # per kg
         tracked = {  # per Pa, per Pa and per kg/s of inlet, outlet and flow change

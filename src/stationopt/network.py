@@ -39,16 +39,24 @@ class Node:
 
 
 @dataclass(frozen=True)
-class PipeArc:
+class Arc:
+    """The fields every element kind shares; each kind adds its own as keywords."""
+
     id: str
     from_node: str
     to_node: str
+    flow_lb: np.ndarray  # kg/s, per time step in T_0
+    flow_ub: np.ndarray
+
+
+@dataclass(frozen=True, kw_only=True)
+class PipeArc(Arc):
+    """Bounds ``flow_lb``/``flow_ub`` are shared by both end flows."""
+
     length: float  # m
     diameter: float  # m
     roughness: float  # m
     slope: float  # dimensionless, in [-1, 1]
-    flow_lb: np.ndarray  # kg/s bounds shared by both end flows
-    flow_ub: np.ndarray
     z_factor: float = 1.0
     velo_const_from: float = 0.0  # m/s, fixed from the initial state
     velo_const_to: float = 0.0
@@ -58,15 +66,10 @@ class PipeArc:
         return cross_section_area(self.diameter)
 
 
-@dataclass(frozen=True)
-class ResistorArc:
-    id: str
-    from_node: str
-    to_node: str
+@dataclass(frozen=True, kw_only=True)
+class ResistorArc(Arc):
     drag: float
     diameter: float
-    flow_lb: np.ndarray
-    flow_ub: np.ndarray
     z_factor: float = 1.0
     velo_const: float = 0.0
 
@@ -75,22 +78,12 @@ class ResistorArc:
         return cross_section_area(self.diameter)
 
 
-@dataclass(frozen=True)
-class ValveArc:
-    id: str
-    from_node: str
-    to_node: str
-    flow_lb: np.ndarray
-    flow_ub: np.ndarray
+class ValveArc(Arc):
+    """Open or closed, as the operation mode assigns it."""
 
 
-@dataclass(frozen=True)
-class RegulatorArc:
-    id: str
-    from_node: str
-    to_node: str
-    flow_lb: np.ndarray  # zero everywhere: regulators carry a flap trap
-    flow_ub: np.ndarray
+class RegulatorArc(Arc):
+    """``flow_lb`` is zero everywhere: a regulator carries a flap trap."""
 
 
 @dataclass(frozen=True)
@@ -120,15 +113,10 @@ class Configuration:
         return Configuration(self.id, self.stages, tuple(tuple(f) for f in facets))
 
 
-@dataclass(frozen=True)
-class CompressorStationArc:
-    id: str
-    from_node: str
-    to_node: str
+@dataclass(frozen=True, kw_only=True)
+class CompressorStationArc(Arc):
     units: tuple[CompressorUnit, ...]
     configurations: tuple[Configuration, ...]
-    flow_lb: np.ndarray
-    flow_ub: np.ndarray
 
     def configuration(self, config_id: str) -> Configuration:
         for c in self.configurations:
@@ -192,10 +180,7 @@ class StationSpec:
         return out
 
     def non_pipe_arcs(self) -> dict:
-        out: dict = {}
-        for group in (self.resistors, self.valves, self.regulators, self.stations):
-            out.update(group)
-        return out
+        return {a: arc for a, arc in self.arcs().items() if a not in self.pipes}
 
     def boundary_nodes(self) -> tuple[str, ...]:
         return self._boundary_nodes

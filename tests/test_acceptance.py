@@ -344,15 +344,15 @@ def test_criterion_08_rolling_horizon_scaling():
         solver.transient_smoothing(seq, h)  # warm-up pass
         runs[steps] = (solver, seq)
     # The host's speed drifts over seconds, and timing the grids one after
-    # the other let a slow stretch land on one grid alone.  Two interleaved
-    # rounds, each symmetric about a single 96-step pass, give every grid
-    # at least two passes, so a drift linear in time shifts every grid's
-    # per-window time alike.  A window takes a few ms, so one host stall
-    # of a few ms moves a grid's mean; the median of a pass's windows
-    # ignores it.  A slow stretch can still cover a whole pass, and with
-    # it the median of every window of a grid that has one or two passes;
-    # each grid's fastest pass shows what the method costs it.
-    schedule = ("12", "24", "12", "48", "12", "24", "12", "96", "12", "24", "12", "48", "12", "24", "12") * 2
+    # the other let a slow stretch land on one grid alone.  Two rounds, each
+    # symmetric in time, give every grid the same four passes, so a drift
+    # linear in time shifts every grid's per-window time alike, and no grid
+    # sits lower only because it drew more passes to take the fastest of.
+    # A window takes a few ms, so one host stall of a few ms moves a grid's
+    # mean; the median of a pass's windows ignores it.  A slow stretch can
+    # still cover a whole pass; each grid's fastest pass shows what the
+    # method costs it.
+    schedule = ("12", "24", "48", "96", "96", "48", "24", "12") * 2
     pass_medians = {steps: [] for steps in runs}
     for steps in schedule:
         solver, seq = runs[steps]

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,18 +29,7 @@ CONSTANTS = GasConstants(
 
 
 class TestGasConstants:
-    @pytest.mark.parametrize(
-        "field",
-        [
-            "specific_gas_constant",
-            "temperature",
-            "pseudo_critical_pressure",
-            "pseudo_critical_temperature",
-            "normal_density",
-            "isentropic_exponent",
-            "gravity",
-        ],
-    )
+    @pytest.mark.parametrize("field", [f.name for f in fields(GasConstants)])
     def test_nan_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             replace(CONSTANTS, **{field: math.nan})

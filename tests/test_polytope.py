@@ -88,7 +88,7 @@ class TestEnumerateVertices:
             enumerate_vertices(HPolytope(A, b))
 
 
-class TestBoundingBoxMemo:
+class TestBoundingBoxRepeatCalls:
     def test_writes_into_result_do_not_leak(self):
         h = unit_simplex()
         lo, hi = h.bounding_box()
