@@ -33,6 +33,7 @@ import numpy as np
 import scipy
 from scipy.optimize import _milp
 from scipy.optimize._highspy._core import HighsOptions
+from scipy.optimize._highspy._highs_options import HighsOptionsManager
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .linmodel import SENSES, LinearModel, SolverView
@@ -46,6 +47,12 @@ if tuple(inspect.signature(_milp._highs_wrapper).parameters) != _WRAPPER_PARAMET
         f"stationopt needs scipy's private _highs_wrapper{_WRAPPER_PARAMETERS}, "
         f"which scipy {scipy.__version__} declares otherwise; scipy 1.17 is the verified version"
     )
+# the wrapper drops an option name HiGHS does not know with only a warning
+_OPTIONS = ("log_to_console", "time_limit", "mip_rel_gap", "mip_abs_gap", "objective_bound",
+            "mip_heuristic_run_feasibility_jump", "mip_heuristic_run_root_reduced_cost")
+_option_type = HighsOptionsManager().get_option_type
+if _unknown := [k for k in _OPTIONS if _option_type(k) == -1]:
+    raise ImportError(f"stationopt sets HiGHS options {_unknown}, which scipy {scipy.__version__} does not know")
 _HIGHS_DEFAULTS = HighsOptions()
 
 CHECK_TOL = 1e-6
@@ -67,6 +74,7 @@ class SolveSettings:
     # HiGHS' objective_bound, on the solver view's c·x (no objective constant);
     # solve() overwrites it from its initial assignment, infinite without one
     cutoff: float = math.inf
+    root_reduced_cost_heuristic: bool = True  # HiGHS' mip_heuristic_run_root_reduced_cost
 
     def __post_init__(self) -> None:
         if not (self.relative_gap >= 0.0 and self.absolute_gap >= 0.0):
@@ -86,7 +94,8 @@ def default_settings_for(variant: str, time_limit: float | None = None) -> Solve
     The stationary variants run with (1e-4, 1e-2) gaps and a 10 h limit
     standing in for "unlimited"; the fixed transient windows run with
     (5e-3, 1e-2) and 60 s.  The full model reuses the stationary gaps with
-    a caller-chosen time limit; only it takes ``time_limit``.
+    a caller-chosen time limit; only it takes ``time_limit``, and only it
+    turns HiGHS' root reduced-cost heuristic off (:class:`InProcessBackend`).
     """
     if time_limit is not None and variant in ("Ps", "Psf", "Pf"):
         raise ValueError(f"model variant {variant!r} has a fixed time limit and takes no time_limit")
@@ -95,7 +104,7 @@ def default_settings_for(variant: str, time_limit: float | None = None) -> Solve
     if variant == "Pf":
         return SolveSettings(5e-3, 1e-2, 60.0)
     if variant == "P":
-        return SolveSettings(1e-4, 1e-2, TEN_HOURS if time_limit is None else time_limit)
+        return SolveSettings(1e-4, 1e-2, TEN_HOURS if time_limit is None else time_limit, root_reduced_cost_heuristic=False)
     raise ValueError(f"unknown model variant {variant!r}")
 
 
@@ -201,12 +210,17 @@ class InProcessBackend:
     whose objective passes it without a point.  Every call also turns off
     HiGHS' console log and its feasibility-jump heuristic: on these small
     models the heuristic takes about half of HiGHS' time and never changes
-    the branch-and-bound node count.  Only the options whose value differs
-    from HiGHS' default are passed, because scipy's wrapper spends a fixed
-    cost on each; HiGHS' default ``presolve="choose"`` runs presolve.  The
-    calls go through :func:`milp` as a module global, not through HiGHS'
-    object API, because ``perfbench`` times the layers by patching
-    ``solve.milp`` and scipy's ``_highs_wrapper``.
+    the branch-and-bound node count.  ``P``'s settings also turn off the
+    root reduced-cost heuristic: on ``medium_station`` at 24 steps its root
+    sub-MIP took about 1 s, and without it HiGHS ran the same 5 nodes in
+    12.5% fewer simplex iterations and about 17% less time.  Only options
+    that differ from HiGHS' defaults are passed, because scipy's wrapper
+    spends about 0.06 ms on each, and the small variants keep that
+    heuristic, which changes nothing measurable on them; HiGHS' default
+    ``presolve="choose"`` runs presolve.  The calls go through :func:`milp`
+    as a module global, not through HiGHS' object API, because
+    ``perfbench`` times the layers by patching ``solve.milp`` and scipy's
+    ``_highs_wrapper``.
 
     Both HiGHS calls run with file descriptor 1 pointed at ``/dev/null``:
     some HiGHS MIP messages are printed from C++ whatever the output
@@ -220,6 +234,7 @@ class InProcessBackend:
             "mip_rel_gap": settings.relative_gap,
             "mip_abs_gap": settings.absolute_gap,
             "mip_heuristic_run_feasibility_jump": False,
+            "mip_heuristic_run_root_reduced_cost": settings.root_reduced_cost_heuristic,
             "objective_bound": settings.cutoff,
         }
         options = {"log_to_console": False}
@@ -317,9 +332,9 @@ def solve(
     to ``initial`` without a dual bound (scipy's wrapper drops the bound
     with the point), where an uncut one may report one.  On
     ``medium_station`` regridded to 24 steps (2-core VM, one run per
-    limit) that happened at limits of 0.1 to 0.3 s, and from 0.35 to 3 s
-    the cut-off bound lay below the uncut one at 10 of 11 limits; both
-    solves prove the optimum in about 4 s.
+    limit) that happened at limits of 0.1 and 0.2 s, and from 0.3 to 3 s
+    the cut-off bound lay below the uncut one at 7 of 9 limits; the
+    cut-off solve proves the optimum in about 4 s.
 
     ``initial`` cross-checks the backend's bound: a bound above the
     objective of a checker-clean ``initial`` by more than ``CHECK_TOL``

@@ -448,10 +448,11 @@ def reference_handoff(view, settings, fixed: np.ndarray | None = None) -> tuple:
     (none without rows), the integrality (None where no column is
     integer), ``Bounds`` of the view's columns and, as options, the three
     settings, the feasibility-jump heuristic off and presolve on.  The
-    settings' cutoff is added as ``objective_bound``, which milp hands
-    HiGHS verbatim.  With ``fixed``, the integer columns' rounded values,
-    it is the re-solve of the continuous part: the integer columns fixed,
-    no integrality and no cutoff.
+    settings' cutoff is added as ``objective_bound`` and their root
+    reduced-cost heuristic as ``mip_heuristic_run_root_reduced_cost``,
+    which milp hands HiGHS verbatim.  With ``fixed``, the integer columns'
+    rounded values, it is the re-solve of the continuous part: the integer
+    columns fixed, no integrality and no cutoff.
     """
     import warnings
 
@@ -470,6 +471,7 @@ def reference_handoff(view, settings, fixed: np.ndarray | None = None) -> tuple:
         "mip_rel_gap": settings.relative_gap,
         "mip_abs_gap": settings.absolute_gap,
         "mip_heuristic_run_feasibility_jump": False,
+        "mip_heuristic_run_root_reduced_cost": settings.root_reduced_cost_heuristic,
         "presolve": True,
         "objective_bound": settings.cutoff if fixed is None else None,
     }

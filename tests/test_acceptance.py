@@ -376,7 +376,7 @@ def test_criterion_09_settings_fidelity():
     assert default_settings_for("Ps") == SolveSettings(1e-4, 1e-2, 36000.0)
     assert default_settings_for("Psf") == SolveSettings(1e-4, 1e-2, 36000.0)
     assert default_settings_for("Pf") == SolveSettings(5e-3, 1e-2, 60.0)
-    assert default_settings_for("P", 1234.0) == SolveSettings(1e-4, 1e-2, 1234.0)
+    assert default_settings_for("P", 1234.0) == SolveSettings(1e-4, 1e-2, 1234.0, root_reduced_cost_heuristic=False)
 
     def build_lp() -> bytes:
         doc = mini_station()

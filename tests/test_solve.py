@@ -13,7 +13,6 @@ import pytest
 import scipy
 import scipy.optimize._milp as scipy_milp
 from scipy.optimize._highspy._core import HighsOptions
-from scipy.optimize._highspy._highs_options import HighsOptionsManager
 
 import stationopt
 from stationopt.algorithm import StationSolver
@@ -31,6 +30,7 @@ from stationopt.ranges import build_spec_ranges
 from stationopt.units import PA_PER_BAR
 from stationopt.solve import (
     CHECK_TOL,
+    TEN_HOURS,
     InProcessBackend,
     SolveSettings,
     check_assignment,
@@ -102,6 +102,17 @@ class TestBasics:
         ) + 1e-9
 
 
+def import_error(patch: str) -> str:
+    """The stderr of a fresh interpreter that runs ``patch`` and then
+    imports ``stationopt.solve``, which must fail naming the scipy version."""
+    env = {**os.environ, "PYTHONPATH": str(Path(stationopt.__file__).parents[1])}
+    code = patch + "import stationopt.solve\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode != 0
+    assert "ImportError" in out.stderr and f"scipy {scipy.__version__}" in out.stderr
+    return out.stderr
+
+
 class TestHighsOptions:
     def test_every_setting_reaches_highs_without_a_warning(self, monkeypatch):
         seen = []
@@ -126,14 +137,12 @@ class TestHighsOptions:
         assert options["mip_abs_gap"] == 3e-2
         assert options["time_limit"] == 17.0
         assert options["mip_heuristic_run_feasibility_jump"] is False
-        manager = HighsOptionsManager()
-        for key in ("mip_rel_gap", "mip_abs_gap", "time_limit", "mip_heuristic_run_feasibility_jump"):
-            assert manager.get_option_type(key) != -1, key
 
-    @pytest.mark.parametrize("variant, count", [("Psf", 4), ("Ps", 4), ("Pf", 5), ("P", 4)])
+    @pytest.mark.parametrize("variant, count", [("Psf", 4), ("Ps", 4), ("Pf", 5), ("P", 5)])
     def test_only_options_off_highs_defaults_are_passed(self, variant, count, monkeypatch):
         # HiGHS' default presolve "choose" runs presolve, and the stationary
-        # relative gap is HiGHS' own 1e-4; the fixed windows' 5e-3 is not
+        # relative gap is HiGHS' own 1e-4; the fixed windows' 5e-3 is not;
+        # only the full model turns the root reduced-cost heuristic off
         seen = []
         honest = scipy_milp._highs_wrapper
 
@@ -150,20 +159,49 @@ class TestHighsOptions:
         expected = {"log_to_console", "time_limit", "mip_abs_gap", "mip_heuristic_run_feasibility_jump"}
         if variant == "Pf":
             expected.add("mip_rel_gap")
+        if variant == "P":
+            expected.add("mip_heuristic_run_root_reduced_cost")
         assert len(seen) == 1 and len(seen[0]) == count
         assert set(seen[0]) == expected
 
 
     def test_a_changed_wrapper_signature_fails_the_import(self):
-        code = (
+        import_error(
             "import scipy.optimize._milp as m\n"
             "m._highs_wrapper = lambda c, indptr, indices, data, lhs, rhs, lb, ub, options: None\n"
-            "import stationopt.solve\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(stationopt.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert out.returncode != 0
-        assert "ImportError" in out.stderr and f"scipy {scipy.__version__}" in out.stderr
+
+    def test_an_unknown_option_name_fails_the_import(self):
+        # scipy's wrapper would warn and drop the option, losing its setting
+        stderr = import_error(
+            "import scipy.optimize._highspy._highs_options as o\n"
+            "class Renamed(o.HighsOptionsManager):\n"
+            "    def get_option_type(self, name):\n"
+            "        return -1 if name == 'mip_heuristic_run_root_reduced_cost' else super().get_option_type(name)\n"
+            "o.HighsOptionsManager = Renamed\n"
+        )
+        assert "mip_heuristic_run_root_reduced_cost" in stderr
+
+    def test_only_the_full_model_turns_the_root_reduced_cost_heuristic_off(self, monkeypatch):
+        # every option a plan and its bound pass is one the import checked
+        seen = []
+        honest = scipy_milp._highs_wrapper
+
+        def spy(*args):
+            seen.append(dict(args[-1]))
+            return honest(*args)
+
+        doc = mini_station()
+        spec, scen = load_instance(doc)
+        solver = StationSolver(build_spec_ranges(spec, count=2000), scen, load_weights(doc))
+        monkeypatch.setattr(scipy_milp, "_highs_wrapper", spy)
+        plan = solver.solve_station(h=4)
+        planned = len(seen)
+        solver.lower_bound(plan, TEN_HOURS)
+        assert planned >= sum(solver.counters.values()) > 0
+        assert all("mip_heuristic_run_root_reduced_cost" not in options for options in seen[:planned])
+        assert seen[planned]["mip_heuristic_run_root_reduced_cost"] is False
+        assert set().union(*seen) <= set(stationopt.solve._OPTIONS)
 
 
 class Handed(Exception):
@@ -538,7 +576,10 @@ class TestCutoff:
         m = int_model()
         res = solve(m, default_settings_for("P"), initial=None if initial is None else np.array(initial))
         assert (res.status, res.objective, res.bound) == ("optimal", 44.0, 44.0)
-        expected = {"log_to_console", "time_limit", "mip_abs_gap", "mip_heuristic_run_feasibility_jump"}
+        expected = {
+            "log_to_console", "time_limit", "mip_abs_gap",
+            "mip_heuristic_run_feasibility_jump", "mip_heuristic_run_root_reduced_cost",
+        }
         if initial is None:
             assert len(seen) == 1 and set(seen[0]) == expected
         else:
@@ -562,6 +603,12 @@ class TestCutoff:
         assert [s.cutoff for s in backend.settings] == [cutoff, math.inf]
         assert (res.status, res.objective, res.bound) == ("optimal", 3.0, 3.0)
         assert res.message.startswith("nothing at or below the cutoff")
+
+    def test_solve_again_keeps_the_root_reduced_cost_heuristic_off(self):
+        backend = SettingsLog(("infeasible", None, None), ("optimal", [3.0], 3.0))
+        solve(one_var_model(), default_settings_for("P"), initial=np.array([3.0]), backend=backend)
+        assert [s.cutoff for s in backend.settings] == [cutoff_of(one_var_model(), 3.0), math.inf]
+        assert [s.root_reduced_cost_heuristic for s in backend.settings] == [False, False]
 
     @pytest.mark.parametrize("first_takes, left", [(0.1, None), (0.6, 1e-3)], ids=["time left", "none left"])
     def test_solve_again_gets_the_time_left(self, first_takes, left):
