@@ -30,9 +30,10 @@ from .model import (  # noqa: F401  build_full and the replay are re-exported
     build_stationary,
     build_stationary_fixed,
     complete_plan_assignment,
-    instantiate_fixed_transient,
+    instantiate,
     step_bounds,
     step_inputs,
+    step_pattern,
     switch_cost,
     window_pattern,
 )
@@ -210,16 +211,21 @@ class StationSolver:
     :class:`~stationopt.solve.BackendError`.  ``counters`` counts backend
     solves and ``memo_hits`` the stationary lookups the memo answered.
 
-    Smoothing windows always solve, but windows that share a pattern are
-    built once.  ``_templates`` maps a window's
-    :func:`~stationopt.model.window_pattern` (what its build reads but for
-    the start state's pressures and flows, the demands and the absolute
-    steps) to the first build of that pattern; a later window of the
-    pattern is that build patched
-    (:func:`~stationopt.model.instantiate_fixed_transient`).  Both keys
-    slice ``_bounds``, the run's :func:`~stationopt.model.step_bounds`.
-    A window whose solve reaches its time limit with a checker-clean point
-    takes that point, and the plan lists it in
+    Models that share a pattern are built once.  ``_templates`` maps, the
+    variant first, what a build reads but for the start state's pressures
+    and flows, the demands and the absolute steps to the first build of
+    that pattern; a later model of the pattern is that build patched
+    (:func:`~stationopt.model.instantiate`).  A stationary key holds the
+    step's :func:`~stationopt.model.step_pattern` in place of its inputs,
+    a window's is ``("Pf",)`` and its
+    :func:`~stationopt.model.window_pattern`.  All keys slice ``_bounds``,
+    the run's :func:`~stationopt.model.step_bounds`.
+
+    A smoothing window whose model repeats one solved optimal earlier in
+    the same pass, patched to the same bounds and right-hand sides, takes
+    that result without a solve (:meth:`transient_smoothing`).  A window
+    whose solve reaches its time limit with a checker-clean point takes
+    that point, and the plan lists it in
     ``diagnostics["time_limited_windows"]``.
     """
 
@@ -235,7 +241,9 @@ class StationSolver:
         self.weights = weights or ObjectiveWeights()
         self.backend = backend
         self._bounds = step_bounds(spec, scen)
-        self._inputs = [None] + [step_inputs(spec, scen, self._bounds, t) for t in range(1, scen.n_future + 1)]
+        steps = range(1, scen.n_future + 1)
+        self._inputs = [None] + [step_inputs(spec, scen, self._bounds, t) for t in steps]
+        self._patterns = [None] + [step_pattern(scen, self._bounds, t) for t in steps]
         self._values: dict = {}
         self._templates: dict = {}
         self.counters = {"Psf": 0, "Ps": 0, "Pf": 0}
@@ -247,15 +255,27 @@ class StationSolver:
         self.counters[inst.kind] += 1
         return res
 
+    def _model(self, key: tuple, start, build):
+        """The model ``build()`` makes: the template of ``key`` patched to
+        ``start``, a step or a window's start snapshot, or a fresh build
+        kept as that template."""
+        template = self._templates.get(key)
+        if template is not None:
+            return instantiate(template, start)
+        inst = self._templates[key] = build()
+        return inst
+
     def _stationary(self, key: tuple, t: int, build, decode):
         """``decode(inst, result)`` of the stationary model ``build()``
-        makes at step t, or None where that model is infeasible; built at
-        most once per ``key`` (variant first)."""
+        makes at step t, or None where that model is infeasible; solved at
+        most once per ``key`` (variant first, the step's inputs last), and
+        built at most once per ``key`` with the step's pattern in place of
+        its inputs."""
         if key in self._values:
             self.memo_hits[key[0]] += 1
             return self._values[key]
         try:
-            inst = build()
+            inst = self._model(key[:-1] + (self._patterns[t],), t, build)
         except BuildInfeasibleError:
             # contradictory constant rows (e.g. a mode without a valid
             # flow direction) are plain infeasibility to the algorithm
@@ -409,6 +429,15 @@ class StationSolver:
     # -- stage 3: rolling-horizon smoothing --------------------------------
 
     def transient_smoothing(self, seq: ModeSequence, h: int) -> ControlPlan:
+        """The windows of ``h`` steps after each step, each keeping its
+        first step's state (the last window keeps all of its own).
+
+        ``solved`` maps each model this pass solved optimal (its template
+        key and the bytes of its bounds and right-hand sides) to the
+        result, and dies with the pass.  ``window_wall_times`` lists what
+        each window's answer cost: both solves of a retried window, the
+        stored solve's time for a window that repeats one.
+        """
         if h < 2:
             raise ValueError("the rolling horizon must span at least 2 steps")
         k = self.scen.n_future
@@ -419,9 +448,10 @@ class StationSolver:
 
         n = min(h, k)  # steps per window
         window_starts = list(range(1, k - n + 2))
+        solved: dict = {}
         for s in window_starts:
             window_times = list(range(s, s + n))
-            inst, res = self._solve_window(seq, states[s - 1], window_times, diagnostics)
+            inst, res = self._solve_window(seq, states[s - 1], window_times, diagnostics, solved)
             keep = window_times if s == window_starts[-1] else [s]
             states += [inst.snapshot_at(res.assignment, t) for t in keep]
         return ControlPlan(
@@ -434,32 +464,46 @@ class StationSolver:
         )
 
     def _window_model(self, weights: ObjectiveWeights, modes: tuple, dirs: tuple, snapshot: StateSnapshot):
-        """The fixed transient model of one window: the template of its
-        pattern patched, or a fresh build kept as that template."""
-        key = window_pattern(self.scen, self._bounds, weights, modes, dirs, snapshot)
-        if key in self._templates:
-            return instantiate_fixed_transient(self._templates[key], snapshot)
-        inst = self._templates[key] = build_fixed_transient(self.spec, self.scen, weights, modes, dirs, snapshot)
-        return inst
+        """(template key, model) of one window: the template of its pattern
+        patched, or a fresh build kept as that template."""
+        key = ("Pf",) + window_pattern(self.scen, self._bounds, weights, modes, dirs, snapshot)
+        return key, self._model(
+            key, snapshot, lambda: build_fixed_transient(self.spec, self.scen, weights, modes, dirs, snapshot)
+        )
 
-    def _solve_window(self, seq: ModeSequence, snapshot: StateSnapshot, times, diagnostics):
+    def _window_result(self, weights: ObjectiveWeights, modes: tuple, dirs: tuple, snapshot, solved: dict):
+        """(model, result) of one window under ``weights``.  A model that
+        repeats one in ``solved`` takes its result without a solve: both
+        are patches of one template to the same numbers, so the stored
+        assignment passed the row checker against these very arrays."""
+        try:
+            key, inst = self._window_model(weights, modes, dirs, snapshot)
+        except BuildInfeasibleError as exc:
+            raise SmoothingError(snapshot.time_index + 1, str(exc)) from exc
+        arrays = inst.model.arrays()
+        key = (key, arrays.ub.tobytes(), arrays.rhs.tobytes())
+        res = solved.get(key)
+        if res is None:
+            res = self._solve(inst)
+            if res.status == "optimal":
+                solved[key] = res
+        return inst, res
+
+    def _solve_window(self, seq: ModeSequence, snapshot: StateSnapshot, times, diagnostics, solved: dict):
         modes = tuple(seq.modes[t] for t in times)
         dirs = tuple(seq.directions[t] for t in times)
-        try:
-            inst = self._window_model(self.weights, modes, dirs, snapshot)
-        except BuildInfeasibleError as exc:
-            raise SmoothingError(times[0], str(exc)) from exc
-        res = self._solve(inst)
+        inst, res = self._window_result(self.weights, modes, dirs, snapshot, solved)
         diagnostics["smoothing_solves"] += 1
-        diagnostics["window_wall_times"].append(res.wall_time)
+        wall = res.wall_time
         if not res.ok:
             # one retry with the demand slacks made dominant, in case the
             # window is only numerically borderline
-            inst = self._window_model(self.weights.scaled(10.0), modes, dirs, snapshot)
-            res = self._solve(inst)
+            inst, res = self._window_result(self.weights.scaled(10.0), modes, dirs, snapshot, solved)
+            wall += res.wall_time
             diagnostics["retried_windows"].append(times[0])
             if not res.ok:
                 raise SmoothingError(times[0], res.message or res.status)
+        diagnostics["window_wall_times"].append(wall)
         if res.status == "timeLimit":
             # a checker-clean point is the window's answer, if not a proven optimum
             diagnostics["time_limited_windows"].append(times[0])

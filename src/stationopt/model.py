@@ -19,15 +19,15 @@ model, an independent reconstruction for the row checker to test; it
 shares only its reads of demands, tracked quantities and states with the
 builder.
 
-A fixed transient build also records where the numbers that differ
-between windows of one pattern land: the start state's pressures and
-flows enter the table as marked constants, so the rows they fold into
-are noted with their constant terms in order, as are the demand
-right-hand sides and the slack caps.  :func:`instantiate_fixed_transient`
-recomputes just those numbers for another window in the builder's own
-arithmetic and shares the rest of the build.  Names are kept as records
-of a label and its arguments, the time steps marked as ints, and are
-formatted when read, so a copy re-dates them by a shift.
+A fixed transient or stationary build also records where the numbers
+that differ between models of one pattern land: the start state's
+pressures and flows enter the table as marked constants, so the rows they
+fold into are noted with their constant terms in order, as are the demand
+right-hand sides and the slack caps.  :func:`instantiate` recomputes just
+those numbers for another window or step in the builder's own arithmetic
+and shares the rest of the build.  Names are kept as records of a label
+and its arguments, the time steps marked as ints, and are formatted when
+read, so a copy re-dates them by a shift.
 
 Internally the models use Pa, kg/s and seconds.  The objective converts
 the file-facing weights (bar, 1000 m^3/h, hours) once per build.  Every
@@ -92,7 +92,7 @@ class ModelInstance:
         self.scen = scen
         self.times = list(times)
         self.handles: dict = {}
-        self.sites: _Sites | None = None  # set by build_fixed_transient
+        self.sites: _Sites | None = None  # set by the builds instantiate copies
 
     def value(self, assignment: np.ndarray, *key) -> float:
         h = self.handles[key]
@@ -172,20 +172,27 @@ def step_bounds(spec: StationSpec, scen: Scenario) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def step_inputs(spec: StationSpec, scen: Scenario, bounds: np.ndarray, t: int) -> bytes:
-    """Every number a stationary build reads at step ``t``, as bytes.
+def step_pattern(scen: Scenario, bounds: np.ndarray, t: int) -> bytes:
+    """What a stationary build reads at step ``t`` but the demands, as
+    bytes: the step length and row t of ``bounds`` (the run's
+    :func:`step_bounds`).  For the same mode (``Psf``), or the same
+    previous mode and the same candidates available at t (``Ps``), equal
+    patterns give builds that :func:`instantiate` makes from one another.
+    Bytes, not floats, so that the key tells 0.0 from -0.0."""
+    return np.concatenate(([scen.step_length(t)], bounds[t])).tobytes()
 
-    The step length, row t of ``bounds`` (the run's :func:`step_bounds`),
-    and the pressure and flow demands at index ``t - 1`` (demand arrays
-    start at step 1).  For the same mode (``Psf``), or the same previous
-    mode and the same candidates available at t (``Ps``), two steps with
-    equal bytes give models that differ only in their names; mode
-    availability is read only through the candidate filter.  Bytes, not
-    floats, so that the key tells 0.0 from -0.0.
-    """
+
+def step_inputs(spec: StationSpec, scen: Scenario, bounds: np.ndarray, t: int) -> bytes:
+    """Every number a stationary build reads at step ``t``, as bytes: its
+    :func:`step_pattern` followed by the pressure and flow demands at
+    index ``t - 1`` (demand arrays start at step 1).  For the same mode
+    (``Psf``), or the same previous mode and the same candidates available
+    at t (``Ps``), two steps with equal bytes give models that differ only
+    in their names; mode availability is read only through the candidate
+    filter."""
     demands = [_demand(scen, "pressure_demand", v, t) for v in spec.boundary_nodes()]
     demands += (_demand(scen, "flow_demand", g, t) for g in spec.fence_groups)
-    return np.concatenate(([scen.step_length(t)], bounds[t], demands)).tobytes()
+    return step_pattern(scen, bounds, t) + np.array(demands, dtype=float).tobytes()
 
 
 def build_full(spec: StationSpec, scen: Scenario, weights: ObjectiveWeights) -> ModelInstance:
@@ -293,7 +300,7 @@ def build_stationary(
     valid_modes=None,
 ) -> ModelInstance:
     b = _Builder(
-        spec, scen, weights, "Ps", [t], prev_mode=prev_mode, valid_modes=valid_modes
+        spec, scen, weights, "Ps", [t], prev_mode=prev_mode, valid_modes=valid_modes, sites=_Sites()
     )
     return b.build()
 
@@ -303,7 +310,7 @@ def build_stationary_fixed(
 ) -> ModelInstance:
     if mode not in spec.operation_modes:
         raise KeyError(f"unknown operation mode {mode!r}")
-    b = _Builder(spec, scen, weights, "Psf", [t], prev_mode=mode, fixed_modes={t: mode})
+    b = _Builder(spec, scen, weights, "Psf", [t], prev_mode=mode, fixed_modes={t: mode}, sites=_Sites())
     return b.build()
 
 
@@ -316,8 +323,8 @@ def build_fixed_transient(
     snapshot: StateSnapshot,
 ) -> ModelInstance:
     """The transient window after ``snapshot`` with every mode and
-    direction fixed.  Its ``sites`` record serves
-    :func:`instantiate_fixed_transient`, so every build is a template."""
+    direction fixed.  Its ``sites`` record serves :func:`instantiate`, so
+    every build is a template, as every stationary build is."""
     modes = tuple(modes)
     directions = tuple(directions)
     times = _window_times(spec, scen, modes, directions, snapshot)
@@ -334,27 +341,30 @@ def build_fixed_transient(
     ).build()
 
 
-def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot) -> ModelInstance:
-    """The window after ``snapshot`` with the modes and directions of
-    ``template``, a :func:`build_fixed_transient` result with ``sites``,
-    without a build.
+def instantiate(template: ModelInstance, start) -> ModelInstance:
+    """The model of ``template``, a build with ``sites``, at another place
+    without a build: at step ``start`` for a stationary template, or for
+    a fixed transient one in the window after snapshot ``start`` with the
+    template's modes and directions.
 
-    It equals a fresh build of that window, names, handles and arrays
-    included, when the window has the template's :func:`window_pattern`;
-    the caller keys templates on it.  The copy takes the start state's
-    pressures and flows, the demands and the slack caps at its own steps,
-    each combined in the builder's order, and raises where the fresh
-    build would.
+    It equals a fresh build there, names, handles and arrays included,
+    when that build has the template's :func:`step_pattern` (and the same
+    mode, or previous mode and available candidates) or
+    :func:`window_pattern`; the caller keys templates on it.  The copy
+    takes the start state's pressures and flows, the demands and the slack
+    caps at its own steps, each combined in the builder's order, and raises
+    where the fresh build would.
     """
     spec, scen, sites = template.spec, template.scen, template.sites
-    times = _window_times(spec, scen, sites.modes, sites.directions, snapshot)
+    window = template.kind == "Pf"
+    times = _window_times(spec, scen, sites.modes, sites.directions, start) if window else [start]
     shift = times[0] - template.times[0]
 
     def value(x):
         if type(x) is not _Param:
             return x
         if x.key[0] in ("p", "q"):
-            return _state_value(snapshot, *x.key)
+            return _state_value(start, *x.key)
         kind, key, t = x.key
         return _demand(scen, kind, key, t + shift)
 
@@ -367,13 +377,14 @@ def instantiate_fixed_transient(template: ModelInstance, snapshot: StateSnapshot
         for coef, h in constants:
             const += float(coef) * float(value(h))
         rhs[row] = float(value(row_rhs)) - const
-    inst = ModelInstance("Pf", template.model.patched(shift, ub, rhs), spec, scen, times)
+    inst = ModelInstance(template.kind, template.model.patched(shift, ub, rhs), spec, scen, times)
     inst.handles = {key[:-1] + (key[-1] + shift,): h for key, h in template.handles.items()}
-    t0 = times[0] - 1
-    for v, p in snapshot.pressures.items():
-        inst.handles[("p", v, t0)] = p
-    for a, q in snapshot.arc_flows.items():
-        inst.handles[("q", a, t0)] = q
+    if window:
+        t0 = times[0] - 1
+        for v, p in start.pressures.items():
+            inst.handles[("p", v, t0)] = p
+        for a, q in start.arc_flows.items():
+            inst.handles[("q", a, t0)] = q
     return inst
 
 
@@ -386,7 +397,7 @@ def window_pattern(
     modes, and as bytes (telling 0.0 from -0.0) the rows of ``bounds`` (the
     run's :func:`step_bounds`) at the window's steps and the step before,
     followed by the lengths of its own steps.  Equal patterns give builds
-    that :func:`instantiate_fixed_transient` makes from one another."""
+    that :func:`instantiate` makes from one another."""
     t0, last = snapshot.time_index, snapshot.time_index + len(modes)
     numbers = bounds[t0:last + 1].tobytes() + np.diff(scen.time_grid[t0:last + 1]).tobytes()
     return (
@@ -413,8 +424,8 @@ def _window_times(spec: StationSpec, scen: Scenario, modes: tuple, directions: t
 
 class _Param(float):
     """A start-state value or a demand in a build that records its sites:
-    the number itself, and ``key`` to find it for another window, one of
-    ``("p", node)``, ``("q", arc)`` and ``(demand kind, id, step)``."""
+    the number itself, and ``key`` to find it for another window or step,
+    one of ``("p", node)``, ``("q", arc)`` and ``(demand kind, id, step)``."""
 
     __slots__ = ("key",)
 
@@ -426,13 +437,14 @@ class _Param(float):
 
 @dataclass
 class _Sites:
-    """Where the numbers that differ between windows of one pattern land
-    in a fixed transient build: ``caps`` holds (columns, cap function,
-    node, step) per slack pair, ``rows`` (row, right-hand side, constant
-    terms) per row whose right-hand side reads a :class:`_Param`."""
+    """Where the numbers that differ between models of one pattern land
+    in a build: ``caps`` holds (columns, cap function, node, step) per
+    slack pair, ``rows`` (row, right-hand side, constant terms) per row
+    whose right-hand side reads a :class:`_Param`; a fixed transient
+    build also keeps its modes and directions."""
 
-    modes: tuple
-    directions: tuple
+    modes: tuple = ()
+    directions: tuple = ()
     caps: list = field(default_factory=list)
     rows: list = field(default_factory=list)
 
@@ -478,7 +490,7 @@ class _Builder:
         for t in self.times:
             if t not in self.fixed_modes and not self.valid_modes[t]:
                 raise BuildInfeasibleError(f"no operation mode is available at time step {t}")
-        # with ``sites`` the build records where its window parameters land
+        # with ``sites`` the build records where its pattern's parameters land
         self.sites = self.instance.sites = sites
         self._row = self._recorded_row if sites is not None else self.instance.model.add_row
 
@@ -520,7 +532,7 @@ class _Builder:
         return self.instance
 
     def _recorded_row(self, name, pairs, sense: str, rhs: float, unit: float | None = None) -> None:
-        """``add_row``, noting each row that reads a window parameter: its
+        """``add_row``, noting each row that reads a :class:`_Param`: its
         index, its right-hand side and its constant terms in order.  Every
         such row keeps a column (pipe flows, a tracker or a slack)."""
         m = self.instance.model
@@ -528,7 +540,7 @@ class _Builder:
         m.add_row(name, pairs, sense, rhs, unit)
         constants = [(coef, h) for coef, h in pairs if type(h) is not VarRef]
         if type(rhs) is _Param or any(type(h) is _Param for _, h in constants):
-            assert m.n_rows > row, f"row {name} reads a window parameter but folded away"
+            assert m.n_rows > row, f"row {name} reads a parameter but folded away"
             self.sites.rows.append((row, rhs, constants))
 
     def _add_slacks(self, add, kind: str, v: str, t: int, cap) -> None:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from stationopt.model import (
     build_full,
     build_stationary,
     build_stationary_fixed,
-    instantiate_fixed_transient,
+    instantiate,
     step_bounds,
     step_inputs,
     switch_cost,
@@ -426,6 +427,38 @@ class TestSmoothing:
         solver, seq = self.seq_for(spec, scen)
         plan = solver.transient_smoothing(seq, h=4)
         assert plan.diagnostics["smoothing_solves"] == 1
+
+    def test_window_wall_time_covers_both_attempts(self):
+        # a backend that pauses and fails the first attempt of every window:
+        # each window's wall time is that of both its solves
+        spec, scen = loaded(mini_station_pipes())
+        solver, seq = self.seq_for(spec, scen)
+        real = InProcessBackend()
+        calls = {"n": 0}
+
+        class FlakyBackend:
+            def solve_raw(self, model, settings):
+                calls["n"] += 1
+                if calls["n"] % 2:
+                    time.sleep(0.02)
+                    return "infeasible", None, None, "spurious"
+                return real.solve_raw(model, settings)
+
+        solver.backend = FlakyBackend()
+        walls = []
+        solve_one = solver._solve
+
+        def timed(inst):
+            res = solve_one(inst)
+            walls.append(res.wall_time)
+            return res
+
+        solver._solve = timed
+        diagnostics = solver.transient_smoothing(seq, 4).diagnostics
+        n = diagnostics["smoothing_solves"]
+        assert n > 1 and diagnostics["retried_windows"] == list(range(1, n + 1)) and len(walls) == 2 * n
+        assert diagnostics["window_wall_times"] == [walls[i] + walls[i + 1] for i in range(0, 2 * n, 2)]
+        assert min(walls[::2]) >= 0.02
 
     def test_rolling_window_count(self):
         spec, scen = loaded(mini_station_pipes())
@@ -988,17 +1021,38 @@ def record_windows(solver):
     make = solver._window_model
 
     def recording(weights, modes, dirs, snapshot):
-        inst = make(weights, modes, dirs, snapshot)
+        key, inst = make(weights, modes, dirs, snapshot)
         windows.append((weights, modes, dirs, snapshot, inst))
-        return inst
+        return key, inst
 
     solver._window_model = recording
     return windows
 
 
-def window_differences(inst, fresh) -> list:
-    """The parts in which a window model differs from a fresh build of the
-    same window: LP text, arrays, solver view, objective and handles."""
+def record_stationary(solver):
+    """Make ``solver`` note every stationary model it makes; the list of
+    (template key, step, instance) it fills."""
+    models = []
+    make = solver._model
+
+    def recording(key, start, build):
+        inst = make(key, start, build)
+        if key[0] != "Pf":
+            models.append((key, start, inst))
+        return inst
+
+    solver._model = recording
+    return models
+
+
+def templates(solver, *variants) -> int:
+    """How many of ``solver``'s templates are of one of ``variants``."""
+    return sum(key[0] in variants for key in solver._templates)
+
+
+def model_differences(inst, fresh) -> list:
+    """The parts in which a model differs from a fresh build of the same
+    model: LP text, arrays, solver view, objective and handles."""
     out = []
     m, f = inst.model, fresh.model
     digest = [hashlib.sha256(x.lp_text().encode()).hexdigest() for x in (m, f)]
@@ -1030,36 +1084,67 @@ def assert_windows_fresh(spec, scen, windows):
     patched = 0
     for weights, modes, dirs, snapshot, inst in windows:
         fresh = build_fixed_transient(spec, scen, weights, modes, dirs, snapshot)
-        assert window_differences(inst, fresh) == [], (snapshot.time_index, weights)
+        assert model_differences(inst, fresh) == [], (snapshot.time_index, weights)
         patched += inst.sites is None
     return patched
+
+
+def assert_stationary_fresh(spec, scen, weights, models):
+    """Every recorded stationary model equals a fresh build; the number patched."""
+    patched = 0
+    for key, t, inst in models:
+        if key[0] == "Psf":
+            fresh = build_stationary_fixed(spec, scen, weights, key[1], t)
+        else:
+            fresh = build_stationary(spec, scen, weights, t, key[1], list(key[2]))
+        assert model_differences(inst, fresh) == [], (key[:-1], t)
+        patched += inst.sites is None
+    return patched
+
+
+def with_demand(spec, scen, demand: str, t: int, value: float):
+    """``scen`` with its ``demand`` (``pressure`` at B2, ``flow`` of the
+    first fence group) set to ``value`` at step t."""
+    kind, key = ("pressure_demand", "B2") if demand == "pressure" else ("flow_demand", next(iter(spec.fence_groups)))
+    series = getattr(scen, kind)[key].copy()
+    series[t - 1] = value
+    return dataclasses.replace(scen, **{kind: {**getattr(scen, kind), key: series}})
+
+
+DOCUMENTS = pytest.mark.parametrize(
+    "doc, steps",
+    [(mini_station, None), (mini_station_pipes, None), (mini_station_pipes, "96"), (medium_station, "24")]
+    + [(functools.partial(seeded_instance, s), None) for s in range(10)],
+    ids=["mini_station", "mini_station_pipes", "mini_station_pipes@96", "medium_station@24"]
+    + [f"seeded_instance({s})" for s in range(10)],
+)
+
+
+def document(doc, steps, count=2000):
+    """(spec, scenario) of a document, re-gridded when asked."""
+    spec, scen = load_instance(doc())
+    if steps is not None:
+        spec, scen = regrid_instance(spec, scen, template_grid(steps))
+    return build_spec_ranges(spec, count=count), scen
 
 
 class TestWindowTemplates:
     """Smoothing windows of one pattern are patched from one build, and
     each equals a fresh build of its own window."""
 
-    @pytest.mark.parametrize(
-        "doc, steps",
-        [(mini_station, None), (mini_station_pipes, None), (mini_station_pipes, "96"), (medium_station, "24")]
-        + [(functools.partial(seeded_instance, s), None) for s in range(10)],
-        ids=["mini_station", "mini_station_pipes", "mini_station_pipes@96", "medium_station@24"]
-        + [f"seeded_instance({s})" for s in range(10)],
-    )
+    @DOCUMENTS
     def test_every_window_equals_a_fresh_build(self, doc, steps):
-        spec, scen = load_instance(doc())
-        if steps is not None:
-            spec, scen = regrid_instance(spec, scen, template_grid(steps))
-        spec = build_spec_ranges(spec, count=2000)
+        spec, scen = document(doc, steps)
         solver = StationSolver(spec, scen, WEIGHTS)
         windows = record_windows(solver)
         plan = solver.solve_station(h=4)
-        assert len(windows) == plan.diagnostics["solve_counts"]["Pf"]
+        diagnostics = plan.diagnostics
+        assert len(windows) == diagnostics["smoothing_solves"] + len(diagnostics["retried_windows"])
         patched = assert_windows_fresh(spec, scen, windows)
-        assert patched == len(windows) - len(solver._templates)
+        assert patched == len(windows) - templates(solver, "Pf")
         if steps == "96":
             # one pattern: every window after the first is patched
-            assert (len(windows), len(solver._templates)) == (93, 1)
+            assert (len(windows), templates(solver, "Pf")) == (93, 1)
 
     def test_retried_windows_equal_fresh_builds(self):
         # a backend that fails the first solve of every window sends each
@@ -1086,7 +1171,7 @@ class TestWindowTemplates:
         assert plan.diagnostics["retried_windows"] == list(range(1, 22))
         assert {w for w, *_ in windows} == {WEIGHTS, WEIGHTS.scaled(10.0)}
         patched = assert_windows_fresh(spec, scen, windows)
-        assert patched == len(windows) - len(solver._templates) and patched > 0
+        assert patched == len(windows) - templates(solver, "Pf") and patched > 0
 
     @pytest.mark.parametrize("differ", [None, "bound", "start mode"])
     def test_windows_of_two_patterns_get_two_templates(self, differ):
@@ -1118,7 +1203,7 @@ class TestWindowTemplates:
         assert template.sites is not None
         later = self.later(scen, t0)
         with pytest.raises(ValueError) as patched:
-            instantiate_fixed_transient(template, later)
+            instantiate(template, later)
         with pytest.raises(ValueError) as fresh:
             build_fixed_transient(template.spec, scen, WEIGHTS, self.MODES, self.DIRS, later)
         return patched.value, fresh.value
@@ -1146,7 +1231,7 @@ class TestWindowTemplates:
         template = build_fixed_transient(spec, scen, WEIGHTS, self.MODES, self.DIRS, scen.initial_state)
         template.spec = dataclasses.replace(spec, valid_pairs=frozenset({("o_by", "f_fwd")}))
         with pytest.raises(ValueError) as patched:
-            instantiate_fixed_transient(template, self.later(scen, 2))
+            instantiate(template, self.later(scen, 2))
         with pytest.raises(ValueError) as fresh:
             build_fixed_transient(template.spec, scen, WEIGHTS, self.MODES, self.DIRS, self.later(scen, 2))
         assert str(patched.value) == str(fresh.value) == "('o_cp', 'f_fwd') is not a valid mode/direction pair"
@@ -1155,18 +1240,136 @@ class TestWindowTemplates:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_cap_raises_as_the_build(self, mini, demand, value):
         spec, scen = mini
-        if demand == "pressure":
-            series = scen.pressure_demand["B2"].copy()
-            series[3] = value  # step 4
-            scen = dataclasses.replace(scen, pressure_demand={**scen.pressure_demand, "B2": series})
-        else:
-            group = next(iter(spec.fence_groups))
-            series = scen.flow_demand[group].copy()
-            series[3] = value
-            scen = dataclasses.replace(scen, flow_demand={**scen.flow_demand, group: series})
+        scen = with_demand(spec, scen, demand, 4, value)
         patched, fresh = self.template_and_error(spec, scen, 2)
         assert (type(patched), str(patched)) == (type(fresh), str(fresh))
         assert "needs finite bounds" in str(fresh) and ",4)'" in str(fresh)
+
+
+class TestStationaryTemplates:
+    """Stationary models of one pattern are patched from one build, and
+    each equals a fresh build of its own step."""
+
+    @DOCUMENTS
+    def test_every_model_equals_a_fresh_build(self, doc, steps):
+        spec, scen = document(doc, steps)
+        solver = StationSolver(spec, scen, WEIGHTS)
+        models = record_stationary(solver)
+        plan = solver.solve_station(h=4)
+        counts = plan.diagnostics["solve_counts"]
+        assert len(models) == counts["Psf"] + counts["Ps"]
+        patched = assert_stationary_fresh(spec, scen, WEIGHTS, models)
+        assert patched == len(models) - templates(solver, "Psf", "Ps")
+        if steps == "96":
+            # one step pattern: every Psf model after the first is patched
+            assert (counts["Psf"], templates(solver, "Psf")) == (51, 1)
+
+    @pytest.mark.parametrize("differ", [None, "bound", "step length"])
+    def test_steps_of_two_patterns_get_two_templates(self, differ):
+        # steps 1 and 2 of mini_station with different demands, so that the
+        # memo answers neither: one pattern, or two that differ in one bound
+        # at step 2 or in the steps' lengths
+        doc = mini_station()
+        doc["scenario"]["pressureDemand"]["B2"][1] += 1.0
+        if differ == "bound":
+            doc["nodes"][1]["pressureUB"] = [70.0, 70.0, 69.0, 70.0, 70.0]
+        elif differ == "step length":
+            doc["scenario"]["timeGrid"][1] -= 3600.0
+        spec, scen = loaded(doc, count=2000)
+        solver = StationSolver(spec, scen, WEIGHTS)
+        models = record_stationary(solver)
+        for t in (1, 2):
+            solver.psf_value("o_cp", t, "o_cp")
+            solver.ps_best(t, sorted(spec.operation_modes), "o_by")
+        patched = assert_stationary_fresh(spec, scen, WEIGHTS, models)
+        assert (len(models), len(solver._templates), patched) == ((4, 2, 2) if differ is None else (4, 4, 0))
+
+    @pytest.mark.parametrize("variant", ["Psf", "Ps"])
+    @pytest.mark.parametrize("demand", ["pressure", "flow"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_cap_raises_as_the_build(self, mini, variant, demand, value):
+        spec, scen = mini
+        scen = with_demand(spec, scen, demand, 2, value)
+
+        def build(t):
+            if variant == "Psf":
+                return build_stationary_fixed(spec, scen, WEIGHTS, "o_cp", t)
+            return build_stationary(spec, scen, WEIGHTS, t, "o_by")
+
+        template = build(1)
+        with pytest.raises(ValueError) as patched:
+            instantiate(template, 2)
+        with pytest.raises(ValueError) as fresh:
+            build(2)
+        assert (type(patched.value), str(patched.value)) == (type(fresh.value), str(fresh.value))
+        assert "needs finite bounds" in str(fresh.value) and ",2)'" in str(fresh.value)
+
+
+# the model parts that differ between two windows of one model at different steps
+RE_DATED = {"lp_text", "identity", "handles"}
+
+
+class TestWindowMemo:
+    """A smoothing window whose model repeats one solved earlier in the
+    same pass takes that result without a solve; 9 of the 93 windows of
+    ``mini_station_pipes@96`` do."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        spec, scen = document(mini_station_pipes, "96")
+        solver = StationSolver(spec, scen, WEIGHTS)
+        seq = solver.improvement_heuristic(solver.initial_solution())
+        windows = record_windows(solver)
+        solved = []
+        solve_one = solver._solve
+
+        def recording(inst):
+            solved.append(inst)
+            return solve_one(inst)
+
+        solver._solve = recording
+        plan = solver.transient_smoothing(seq, 4)
+        return solver, seq, plan, tuple(inst for *_, inst in windows), tuple(solved)
+
+    def test_repeated_windows_take_the_solved_result(self, run):
+        solver, _, plan, windows, solved = run
+        diagnostics = plan.diagnostics
+        assert (diagnostics["smoothing_solves"], diagnostics["retried_windows"]) == (93, [])
+        assert len(diagnostics["window_wall_times"]) == 93
+        assert solver.counters["Pf"] == len(solved) == 84
+        solved_ids = {id(inst) for inst in solved}
+        repeats = [inst for inst in windows if id(inst) not in solved_ids]
+        assert len(repeats) == 9
+        for inst in repeats:
+            a = inst.model.arrays()
+            same = [
+                s for s in solved
+                if s.times[0] < inst.times[0]
+                and s.model.arrays().ub.tobytes() == a.ub.tobytes()
+                and s.model.arrays().rhs.tobytes() == a.rhs.tobytes()
+            ]
+            assert same and set(model_differences(inst, same[0])) <= RE_DATED, inst.times
+
+    def test_a_start_pressure_one_ulp_away_is_solved(self, run):
+        solver, seq, plan, *_ = run
+        modes, dirs = seq.modes[1:5], seq.directions[1:5]
+        start = plan.states[0]
+        node = next(iter(solver.spec.stations.values())).from_node
+        moved = dataclasses.replace(
+            start, pressures={**start.pressures, node: float(np.nextafter(start.pressures[node], np.inf))}
+        )
+        solved: dict = {}
+        before = solver.counters["Pf"]
+        results = [solver._window_result(WEIGHTS, modes, dirs, s, solved)[1] for s in (start, start, moved)]
+        assert solver.counters["Pf"] - before == 2 and len(solved) == 2
+        assert results[1] is results[0] and results[2] is not results[0]
+
+    def test_a_second_pass_solves_its_windows_again(self, run):
+        solver, seq, plan, *_ = run
+        before = solver.counters["Pf"]
+        again = solver.transient_smoothing(seq, 4)
+        assert solver.counters["Pf"] - before == 84
+        assert again.states == plan.states
 
 
 @pytest.mark.slow
